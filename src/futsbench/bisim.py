@@ -14,8 +14,8 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, SizeLimitError, UnknownStateError
-from .explore import DEFAULT_MAX_STATES, FutsModel, RelationData, StateInfo, explore
-from .fsfun import ff_block_sums, ff_make
+from .explore import FutsModel, RelationData, StateInfo, index_function
+from .fsfun import ff_make
 from .semiring import Value, sr_add, sr_constants, sr_format, sr_is_zero
 from .sem_oracle import (
     action_distributions,
@@ -24,7 +24,7 @@ from .sem_oracle import (
     pepa_transitions,
     timed_transitions,
 )
-from .syntax import Model, term_key
+from .syntax import term_key
 
 BRUTE_FORCE_MAX = 8
 
@@ -70,50 +70,29 @@ def partition_to_json(partition: Partition) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Indexed transition tables
+# Signatures over the explored transition tables
 # ---------------------------------------------------------------------------
 #
-# For refinement we replace state keys by integer state ids once, so each
-# round only touches integers and semiring values.
-#
-#   simple entry:  ((target_id, value), ...)
-#   nested entry:  ((((target_id, value), ...), outer_value), ...)
+# Refinement reads each step's targets as state ids (see
+# explore.Transition), so each round only touches integers and semiring
+# values.
 
 _SimpleEntries = Tuple[Tuple[int, Value], ...]
 
 
-def _indexed_tables(fm: FutsModel):
-    tables = []
-    for data in fm.relations:
-        table: Dict[Tuple[int, str], tuple] = {}
-        for source, label, fn in data.transitions:
-            if data.kind == "simple":
-                table[(source, label)] = tuple(
-                    (fm.index[key], value) for key, value in fn.entries
-                )
-            else:
-                table[(source, label)] = tuple(
-                    (
-                        tuple((fm.index[key], value) for key, value in inner.entries),
-                        outer_value,
-                    )
-                    for inner, outer_value in fn.entries
-                )
-        tables.append(table)
-    return tables
-
-
-def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int]):
-    """Canonical per-block totals: sorted (block, value text) pairs."""
+def _block_sums(entries: _SimpleEntries, assignment: Sequence[int]) -> Dict[int, Value]:
+    """Non-zero total weight per block."""
     acc: Dict[int, Value] = {}
     for target, value in entries:
         block = assignment[target]
         acc[block] = sr_add(acc[block], value) if block in acc else value
-    return tuple(
-        (block, sr_format(value))
-        for block, value in sorted(acc.items(), key=lambda kv: kv[0])
-        if not sr_is_zero(value)
-    )
+    return {block: value for block, value in acc.items() if not sr_is_zero(value)}
+
+
+def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int]):
+    """Canonical per-block totals: sorted (block, value text) pairs."""
+    sums = _block_sums(entries, assignment)
+    return tuple((block, sr_format(value)) for block, value in sorted(sums.items()))
 
 
 def _lifted_sig(entry, assignment: Sequence[int]):
@@ -132,17 +111,23 @@ def _lifted_sig(entry, assignment: Sequence[int]):
     )
 
 
-def _state_signature(relations, tables, state_id: int, assignment: Sequence[int]):
+def _targets_at(data: RelationData, state_id: int, label: str) -> tuple:
+    step = data.transitions.get((state_id, label))
+    return () if step is None else step.targets
+
+
+def _state_signature(relations, state_id: int, assignment: Sequence[int]):
     parts = []
-    for data, table in zip(relations, tables):
+    for data in relations:
+        table = data.transitions
         for label in data.labels:
-            entry = table.get((state_id, label))
-            if entry is None:
+            step = table.get((state_id, label))
+            if step is None:
                 parts.append(())
             elif data.kind == "simple":
-                parts.append(_block_sum_sig(entry, assignment))
+                parts.append(_block_sum_sig(step.targets, assignment))
             else:
-                parts.append(_lifted_sig(entry, assignment))
+                parts.append(_lifted_sig(step.targets, assignment))
     return tuple(parts)
 
 
@@ -167,10 +152,9 @@ def _refine_loop(n_states: int, sig_of: Callable[[int, Sequence[int]], tuple]) -
 
 def refine(fm: FutsModel) -> Partition:
     """Coarsest partition whose per-block continuation totals are stable."""
-    tables = _indexed_tables(fm)
 
     def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
-        return _state_signature(fm.relations, tables, state_id, assignment)
+        return _state_signature(fm.relations, state_id, assignment)
 
     return _refine_loop(len(fm.states), sig_of)
 
@@ -217,13 +201,12 @@ def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
     partition = refine(fm)
     if partition.assignment[left] == partition.assignment[right]:
         return None
-    tables = _indexed_tables(fm)
     assignment = partition.assignment
-    for data, table in zip(fm.relations, tables):
+    for data in fm.relations:
         zero_text = sr_format(sr_constants(data.tag)[0])
         for label in data.labels:
-            entry_l = table.get((left, label), ())
-            entry_r = table.get((right, label), ())
+            entry_l = _targets_at(data, left, label)
+            entry_r = _targets_at(data, right, label)
             if data.kind == "simple":
                 sums_l = dict(_block_sum_sig(entry_l, assignment))
                 sums_r = dict(_block_sum_sig(entry_r, assignment))
@@ -290,8 +273,6 @@ def brute_force(fm: FutsModel) -> Partition:
         )
     if n_states == 0:
         return Partition(())
-    tables = _indexed_tables(fm)
-
     # Raw-value signatures (no text rendering, set-based so nothing ever
     # needs to order semiring values) keep the inner loop fast.
     def raw_block_sums(entries, assignment):
@@ -308,12 +289,13 @@ def brute_force(fm: FutsModel) -> Partition:
     label_mask: List[tuple] = []
     for state_id in range(n_states):
         mask = []
-        for data, table in zip(fm.relations, tables):
+        for data in fm.relations:
             for label in data.labels:
-                entry = table.get((state_id, label))
-                mask.append(entry is not None)
-                if entry is None:
+                step = data.transitions.get((state_id, label))
+                mask.append(step is not None)
+                if step is None:
                     continue
+                entry = step.targets
                 if data.kind == "simple":
                     targets = tuple(sorted({t for t, _ in entry}))
                 else:
@@ -401,21 +383,12 @@ def brute_force(fm: FutsModel) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def oracle_partition(
-    model: Model,
-    max_states: int = DEFAULT_MAX_STATES,
-    extra_roots: Sequence = (),
-) -> Partition:
+def oracle_partition_from(fm: FutsModel) -> Partition:
     """Coarsest behavioural partition computed from step derivations only.
 
-    The state table comes from the shared exploration (so block ids line up
-    with `refine(explore(model))`), but every signature is built from the
-    derivation-based step functions, not from the weight functions."""
-    fm = explore(model, max_states=max_states, extra_roots=extra_roots)
-    return oracle_partition_from(fm)
-
-
-def oracle_partition_from(fm: FutsModel) -> Partition:
+    The state table comes from the exploration (so block ids line up with
+    `refine(fm)`), but every signature is built from the derivation-based
+    step functions, not from the weight functions."""
     n_states = len(fm.states)
     if n_states == 0:
         return Partition(())
@@ -588,11 +561,10 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
             f"partition covers {len(partition.assignment)} states, model has {n_states}"
         )
     assignment = list(canonical_assignment(partition.assignment))
-    tables = _indexed_tables(fm)
     rep_sig: Dict[int, tuple] = {}
     for state_id in range(n_states):
         block = assignment[state_id]
-        sig = _state_signature(fm.relations, tables, state_id, assignment)
+        sig = _state_signature(fm.relations, state_id, assignment)
         if rep_sig.setdefault(block, sig) != sig:
             raise FutsError("partition is not stable; refusing to quotient")
 
@@ -603,42 +575,38 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         if rep_state[block] is None:
             rep_state[block] = state
 
-    key_block = {state.key: assignment[state.id] for state in fm.states}
     states = [
         StateInfo(block, rep.key, rep.pretty) for block, rep in enumerate(rep_state)
     ]
     index = {rep.key: block for block, rep in enumerate(rep_state)}
 
+    def block_fn(tag: str, entries: _SimpleEntries):
+        """The function from each block's representative to the block's total."""
+        sums = _block_sums(entries, assignment)
+        return ff_make(tag, [(rep_state[b].key, value) for b, value in sums.items()])
+
     relations: List[RelationData] = []
     for data in fm.relations:
-        fns = {(source, label): fn for source, label, fn in data.transitions}
         quotient = RelationData(data.name, data.kind, data.tag, data.inner_tag, data.labels)
         for block, rep in enumerate(rep_state):
             for label in data.labels:
-                fn = fns.get((rep.id, label))
-                if fn is None:
+                step = data.transitions.get((rep.id, label))
+                if step is None:
                     continue
                 if data.kind == "simple":
-                    sums = ff_block_sums(fn, key_block)
+                    qfn = block_fn(data.tag, step.targets)
+                else:
                     qfn = ff_make(
                         data.tag,
-                        [(rep_state[b].key, value) for b, value in sums.items()],
+                        [
+                            (block_fn(data.inner_tag, inner), outer_value)
+                            for inner, outer_value in step.targets
+                        ],
                     )
-                else:
-                    pairs = []
-                    for inner, outer_value in fn.entries:
-                        inner_sums = ff_block_sums(inner, key_block)
-                        qinner = ff_make(
-                            inner.tag,
-                            [
-                                (rep_state[b].key, value)
-                                for b, value in inner_sums.items()
-                            ],
-                        )
-                        pairs.append((qinner, outer_value))
-                    qfn = ff_make(data.tag, pairs)
                 if qfn.entries:
-                    quotient.transitions.append((block, label, qfn))
+                    quotient.transitions[block, label] = index_function(
+                        qfn, data.kind, index.__getitem__
+                    )
         relations.append(quotient)
 
     return FutsModel(
@@ -699,10 +667,11 @@ def disjoint_union(left: FutsModel, right: FutsModel, prefix: str = "u2!") -> Fu
     relations: List[RelationData] = []
     for dl, dr in zip(left.relations, right.relations):
         merged = RelationData(dl.name, dl.kind, dl.tag, dl.inner_tag, dl.labels)
-        merged.transitions = list(dl.transitions) + [
-            (offset + source, label, rename_fn(fn, dl.kind))
-            for source, label, fn in dr.transitions
-        ]
+        merged.transitions = dict(dl.transitions)
+        for (source, label), (fn, _) in dr.transitions.items():
+            merged.transitions[offset + source, label] = index_function(
+                rename_fn(fn, dl.kind), dl.kind, index.__getitem__
+            )
         relations.append(merged)
 
     return FutsModel(

@@ -17,9 +17,17 @@ from typing import Optional, Sequence
 
 from .bisim import distinguish, minimize, refine
 from .crosscheck import run_checks
-from .errors import FutsError
+from .errors import FutsError, UndefinedConstantError
 from .explore import DEFAULT_MAX_STATES, explore, to_dot, to_json
-from .syntax import LANGUAGES, check_guarded, load_model, parse_term, term_key
+from .syntax import (
+    LANGUAGES,
+    Const,
+    check_guarded,
+    load_model,
+    parse_term,
+    term_key,
+    walk,
+)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -31,10 +39,20 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_max_states(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-states",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_STATES,
         metavar="N",
         help=f"exploration bound (default {DEFAULT_MAX_STATES})",
@@ -91,6 +109,17 @@ def _load(args):
     return model
 
 
+def _parse_root(text: str, model):
+    """A command-line term, with every constant it names defined by ``model``."""
+    term = parse_term(text, model.lang)
+    for sub in walk(term):
+        if isinstance(sub, Const) and sub.name not in model.defs:
+            raise UndefinedConstantError(
+                f"undefined process constant {sub.name!r} in {text!r}"
+            )
+    return term
+
+
 def _run(args) -> int:
     if args.command == "check":
         model = _load(args)
@@ -106,8 +135,8 @@ def _run(args) -> int:
 
     if args.command == "bisim":
         model = _load(args)
-        left = parse_term(args.left, model.lang)
-        right = parse_term(args.right, model.lang)
+        left = _parse_root(args.left, model)
+        right = _parse_root(args.right, model)
         fm = explore(model, max_states=args.max_states, extra_roots=[left, right])
         left_id = fm.index[term_key(left)]
         right_id = fm.index[term_key(right)]

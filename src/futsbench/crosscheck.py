@@ -171,7 +171,7 @@ def tick_singleton_check(fm: FutsModel) -> CheckResult:
     tick = _relation(fm, "tick")
     checked = 0
     failures: List[str] = []
-    for source, label, fn in tick.transitions:
+    for (source, _), (fn, _) in tick.transitions.items():
         for key, value in fn.entries:
             checked += 1
             payload = value.payload
@@ -213,7 +213,7 @@ def md_descent_check(fm: FutsModel) -> CheckResult:
     tick = _relation(fm, "tick")
     checked = 0
     failures: List[str] = []
-    for source, label, fn in tick.transitions:
+    for (source, _), (fn, _) in tick.transitions.items():
         source_md = tpc_max_delay(ctx, fm.states[source].key)
         for key, value in fn.entries:
             for amount in sorted(value.payload):
@@ -233,7 +233,7 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     act = _relation(fm, "act")
     checked = 0
     failures: List[str] = []
-    for source, label, fn in act.transitions:
+    for (source, label), (fn, _) in act.transitions.items():
         for inner, _ in fn.entries:
             checked += 1
             total = ff_oplus(inner)

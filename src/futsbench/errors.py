@@ -21,6 +21,10 @@ class ParseError(FutsError):
         self.col = col
 
 
+class ModelFileError(FutsError):
+    """A model file cannot be read: unknown language, or not UTF-8 text."""
+
+
 class UndefinedConstantError(FutsError):
     """A process constant is used but never defined."""
 

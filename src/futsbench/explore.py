@@ -3,9 +3,10 @@
 :func:`explore` computes the breadth-first closure of a model's
 initial term under all step relations of its language, producing a
 :class:`FutsModel`: an ordered state table (ids assigned in discovery
-order) plus, per relation, every non-zero weight function keyed by
-(source state, label).  Zero functions are implicit, so lookups
-default to the domain's zero.
+order) plus, per relation, one transition table keyed by (source state
+id, label) that holds every non-zero weight function together with its
+targets as state ids.  Zero functions are implicit, so lookups default
+to the domain's zero.
 
 Serializers render a model to deterministic JSON (states in
 exploration order, entries in canonical key order) or to Graphviz DOT
@@ -19,12 +20,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExplorationLimitError
 from .fsfun import FinFn, ff_zero
 from .semiring import sr_format
-from .sem_futs import RelationSpec, StepContext, futs_step, relation_labels, relation_specs
+from .sem_futs import StepContext, futs_step, relation_labels, relation_specs
 from .syntax import Model, Term, pretty, term_actions
 
 DEFAULT_MAX_STATES = 10_000
@@ -39,6 +40,31 @@ class StateInfo:
     pretty: str
 
 
+class Transition(NamedTuple):
+    """One non-zero step: the weight function, and its entries again in
+
+    the same order with state ids in place of state keys:
+    ``((target id, value), ...)`` for a simple relation, and
+    ``((((target id, value), ...), outer value), ...)`` for a nested one.
+    """
+
+    fn: FinFn
+    targets: tuple
+
+
+def index_function(fn: FinFn, kind: str, id_of: Callable[[str], int]) -> Transition:
+    """Pair ``fn`` with its targets, each state key mapped by ``id_of``."""
+    if kind == "simple":
+        return Transition(fn, tuple((id_of(key), value) for key, value in fn.entries))
+    return Transition(
+        fn,
+        tuple(
+            (tuple((id_of(key), value) for key, value in inner.entries), outer)
+            for inner, outer in fn.entries
+        ),
+    )
+
+
 @dataclass
 class RelationData:
     """One step relation of an explored model."""
@@ -48,14 +74,12 @@ class RelationData:
     tag: str
     inner_tag: Optional[str]
     labels: Tuple[str, ...]
-    # (source state id, label, non-zero weight function)
-    transitions: List[Tuple[int, str, FinFn]] = field(default_factory=list)
+    # (source state id, label) -> non-zero step, in discovery order
+    transitions: Dict[Tuple[int, str], Transition] = field(default_factory=dict)
 
     def function_at(self, state_id: int, label: str) -> FinFn:
-        for source, lab, fn in self.transitions:
-            if source == state_id and lab == label:
-                return fn
-        return ff_zero(self.tag)
+        step = self.transitions.get((state_id, label))
+        return ff_zero(self.tag) if step is None else step.fn
 
 
 @dataclass
@@ -68,17 +92,6 @@ class FutsModel:
     relations: List[RelationData]
     init_id: int
     ctx: Optional[StepContext] = None  # kept for callers needing term access
-
-
-def _support_keys(fn: FinFn, kind: str):
-    """All state keys a function can continue into."""
-    if kind == "simple":
-        for key, _ in fn.entries:
-            yield key
-    else:
-        for inner, _ in fn.entries:
-            for key, _ in inner.entries:
-                yield key
 
 
 def explore(
@@ -133,11 +146,8 @@ def explore(
         for spec, data in zip(specs, relations):
             for label in data.labels:
                 fn = futs_step(ctx, key, spec.name, label)
-                if not fn.entries:
-                    continue
-                data.transitions.append((source, label, fn))
-                for succ in _support_keys(fn, spec.kind):
-                    discover(succ)
+                if fn.entries:
+                    data.transitions[source, label] = index_function(fn, spec.kind, discover)
 
     return FutsModel(model.lang, states, index, relations, init_id, ctx)
 
@@ -187,7 +197,7 @@ def to_json(fm: FutsModel) -> str:
                         "label": label,
                         "continuation": _entry_json(fn, data.kind),
                     }
-                    for source, label, fn in data.transitions
+                    for (source, label), (fn, _) in data.transitions.items()
                 ],
             }
             for data in fm.relations
@@ -205,10 +215,8 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _inline_distribution(fm: FutsModel, inner: FinFn) -> str:
-    parts = (
-        f"s{fm.index[key]} -> {sr_format(value)}" for key, value in inner.entries
-    )
+def _inline_distribution(inner: tuple) -> str:
+    parts = (f"s{target} -> {sr_format(value)}" for target, value in inner)
     return "[" + ", ".join(parts) + "]"
 
 
@@ -222,19 +230,19 @@ def to_dot(fm: FutsModel) -> str:
     for state in fm.states:
         lines.append(f'  s{state.id} [label="{_dot_escape(state.pretty)}"];')
     for data in fm.relations:
-        for source, label, fn in data.transitions:
+        for (source, label), (_, targets) in data.transitions.items():
             if data.kind == "nested":
-                for inner, _ in fn.entries:
-                    inline = _inline_distribution(fm, inner)
-                    for key, value in inner.entries:
+                for inner, _ in targets:
+                    inline = _inline_distribution(inner)
+                    for target, value in inner:
                         lines.append(
-                            f"  s{source} -> s{fm.index[key]} "
+                            f"  s{source} -> s{target} "
                             f'[label="{_dot_escape(f"{label} / {sr_format(value)} of {inline}")}"];'
                         )
             else:
-                for key, value in fn.entries:
+                for target, value in targets:
                     lines.append(
-                        f"  s{source} -> s{fm.index[key]} "
+                        f"  s{source} -> s{target} "
                         f'[label="{_dot_escape(f"{label} / {sr_format(value)}")}"];'
                     )
     lines.append("}")

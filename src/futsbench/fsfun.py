@@ -16,9 +16,9 @@ both key kinds can be ordered canonically via :func:`key_str`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Tuple, Union
+from typing import Callable, Hashable, Iterable, Tuple, Union
 
-from .errors import FutsError, SemiringMismatchError, UnknownStateError, UnsupportedDiracError
+from .errors import FutsError, SemiringMismatchError, UnsupportedDiracError
 from .semiring import NATSET, Value, sr_add, sr_constants, sr_format, sr_is_zero, sr_mul
 
 Key = Union[str, "FinFn"]
@@ -76,34 +76,11 @@ def ff_zero(tag: str) -> FinFn:
     return FinFn(tag, ())
 
 
-def ff_eval(fn: FinFn, key: Key) -> Value:
-    """The value at ``key`` (the domain's zero when outside the support)."""
-    for k, v in fn.entries:
-        if k == key:
-            return v
-    zero, _ = sr_constants(fn.tag)
-    return zero
-
-
-def ff_support(fn: FinFn) -> Tuple[Key, ...]:
-    return tuple(k for k, _ in fn.entries)
-
-
 def ff_add(a: FinFn, b: FinFn) -> FinFn:
     """Pointwise addition of two functions over the same domain."""
     if a.tag != b.tag:
         raise SemiringMismatchError(f"cannot add {a.tag} and {b.tag} functions")
     return ff_make(a.tag, tuple(a.entries) + tuple(b.entries))
-
-
-def ff_sum(tag: str, fns: Iterable[FinFn]) -> FinFn:
-    """Pointwise addition of any number of functions."""
-    pairs: list[Tuple[Key, Value]] = []
-    for fn in fns:
-        if fn.tag != tag:
-            raise SemiringMismatchError(f"cannot add {fn.tag} into a {tag} sum")
-        pairs.extend(fn.entries)
-    return ff_make(tag, pairs)
 
 
 def ff_oplus(fn: FinFn) -> Value:
@@ -165,22 +142,3 @@ def ff_lift_injective(
             seen.add(key)
             pairs.append((key, sr_mul(av, bv)))
     return ff_make(a.tag, pairs)
-
-
-def ff_block_sums(fn: FinFn, assignment: Mapping[Key, int]) -> dict[int, Value]:
-    """Total weight per block of a key partition.
-
-    ``assignment`` maps keys to block identifiers.  Every support key
-    must be assigned; blocks whose total is zero are omitted from the
-    result, so equal dictionaries mean equal per-block weights.
-    """
-    sums: dict[int, Value] = {}
-    for k, v in fn.entries:
-        if k not in assignment:
-            raise UnknownStateError(
-                f"weight function mentions unassigned state {key_str(k)!r}"
-            )
-        block = assignment[k]
-        prev = sums.get(block)
-        sums[block] = v if prev is None else sr_add(prev, v)
-    return {blk: v for blk, v in sums.items() if not sr_is_zero(v)}

@@ -24,7 +24,6 @@ computed steps for one model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .errors import DelayCycleError, FutsError, UnguardedRecursionError, UnknownStateError
@@ -42,7 +41,6 @@ from .semiring import BOOL, NATSET, NNRAT, TOP, make_bool, make_natset, make_rat
 from .syntax import (
     ActPrefix,
     Choice,
-    Const,
     Coop,
     Model,
     Nil,
@@ -54,6 +52,7 @@ from .syntax import (
     TimePrefix,
     alphabet,
     term_key,
+    unfold,
 )
 
 ACT = "act"
@@ -175,19 +174,6 @@ def _choice_ctor(ctx: StepContext) -> Callable[[str, str], str]:
     return ctor
 
 
-def _unfold(ctx, t: Const, active: set, error_cls, what: str) -> Term:
-    if t.name in active:
-        raise error_cls(
-            f"recursion through constant {t.name!r} does not terminate "
-            f"while computing the {what}"
-        )
-    return ctx.model.defs[t.name]
-
-
-def _bad_term(t: Term, lang: str) -> FutsError:  # pragma: no cover - defensive
-    return FutsError(f"term form {type(t).__name__} is not part of {lang}")
-
-
 # ---------------------------------------------------------------------------
 # pepa: one rated action relation
 # ---------------------------------------------------------------------------
@@ -227,13 +213,9 @@ def _pepa_act(ctx: StepContext, term: Term, label: str) -> FinFn:
             # functions so its total becomes min of the two totals
             factor = make_rat(min(total_left, total_right) / (total_left * total_right))
             return ff_scale(factor, ff_lift_injective(ctor, left, right))
-        if isinstance(t, Const):
-            body = _unfold(ctx, t, active, UnguardedRecursionError, "action step")
-            active.add(t.name)
-            result = rec(body)
-            active.discard(t.name)
-            return result
-        raise _bad_term(t, "pepa")
+        return unfold(
+            ctx.model, t, active, rec, UnguardedRecursionError, "computing the action step"
+        )
 
     return rec(term)
 
@@ -245,7 +227,6 @@ def _pepa_act(ctx: StepContext, term: Term, label: str) -> FinFn:
 
 def _interactive_act(ctx: StepContext, term: Term, label: str) -> FinFn:
     zero = ff_zero(BOOL)
-    lang = ctx.model.lang
     active: set = set()
 
     def rec(t: Term) -> FinFn:
@@ -270,13 +251,9 @@ def _interactive_act(ctx: StepContext, term: Term, label: str) -> FinFn:
                 ctor, ff_dirac(BOOL, ctx.register(t.left)), right
             )
             return ff_add(moved_left, moved_right)
-        if isinstance(t, Const):
-            body = _unfold(ctx, t, active, UnguardedRecursionError, "action step")
-            active.add(t.name)
-            result = rec(body)
-            active.discard(t.name)
-            return result
-        raise _bad_term(t, lang)
+        return unfold(
+            ctx.model, t, active, rec, UnguardedRecursionError, "computing the action step"
+        )
 
     return rec(term)
 
@@ -288,7 +265,6 @@ def _interactive_act(ctx: StepContext, term: Term, label: str) -> FinFn:
 
 def _delay_step(ctx: StepContext, term: Term, label: str) -> FinFn:
     zero = ff_zero(NNRAT)
-    lang = ctx.model.lang
     active: set = set()
 
     def rec(t: Term) -> FinFn:
@@ -308,13 +284,9 @@ def _delay_step(ctx: StepContext, term: Term, label: str) -> FinFn:
                 ctor, ff_dirac(NNRAT, ctx.register(t.left)), rec(t.right)
             )
             return ff_add(moved_left, moved_right)
-        if isinstance(t, Const):
-            body = _unfold(ctx, t, active, UnguardedRecursionError, "delay step")
-            active.add(t.name)
-            result = rec(body)
-            active.discard(t.name)
-            return result
-        raise _bad_term(t, lang)
+        return unfold(
+            ctx.model, t, active, rec, UnguardedRecursionError, "computing the delay step"
+        )
 
     return rec(term)
 
@@ -354,13 +326,9 @@ def _tick_step(ctx: StepContext, term: Term, label: str) -> FinFn:
             return ff_lift_injective(
                 _pair_ctor(ctx, Par, t.actions), rec(t.left), rec(t.right)
             )
-        if isinstance(t, Const):
-            body = _unfold(ctx, t, active, DelayCycleError, "timed step")
-            active.add(t.name)
-            result = rec(body)
-            active.discard(t.name)
-            return result
-        raise _bad_term(t, "tpc")
+        return unfold(
+            ctx.model, t, active, rec, DelayCycleError, "computing the timed step"
+        )
 
     return rec(term)
 
@@ -380,13 +348,9 @@ def tpc_max_delay(ctx: StepContext, key: str) -> int:
             return t.delay + rec(t.cont)
         if isinstance(t, (Choice, Par)):
             return min(rec(t.left), rec(t.right))
-        if isinstance(t, Const):
-            body = _unfold(ctx, t, active, DelayCycleError, "maximal delay")
-            active.add(t.name)
-            result = rec(body)
-            active.discard(t.name)
-            return result
-        raise _bad_term(t, "tpc")
+        return unfold(
+            ctx.model, t, active, rec, DelayCycleError, "computing the maximal delay"
+        )
 
     return rec(ctx.term_of(key))
 
@@ -431,13 +395,9 @@ def _mal_act(ctx: StepContext, term: Term, label: str) -> FinFn:
                 ff_lift_injective(inner_par, left, still_right),
                 ff_lift_injective(inner_par, still_left, right),
             )
-        if isinstance(t, Const):
-            body = _unfold(ctx, t, active, UnguardedRecursionError, "action step")
-            active.add(t.name)
-            result = rec(body)
-            active.discard(t.name)
-            return result
-        raise _bad_term(t, "mal")
+        return unfold(
+            ctx.model, t, active, rec, UnguardedRecursionError, "computing the action step"
+        )
 
     return rec(term)
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import FrozenSet, List, Set, Tuple
 
-from .errors import DelayCycleError, FutsError, TimedTransitionCapError, UnguardedRecursionError
+from .errors import DelayCycleError, TimedTransitionCapError, UnguardedRecursionError
 from .syntax import (
     ActPrefix,
     Choice,
-    Const,
     Coop,
     Model,
     Nil,
@@ -31,16 +30,10 @@ from .syntax import (
     RatePrefix,
     Term,
     TimePrefix,
+    unfold,
 )
 
 DEFAULT_TIMED_CAP = 10_000
-
-
-def _cycle(name: str, what: str, error_cls) -> FutsError:
-    return error_cls(
-        f"recursion through constant {name!r} does not terminate "
-        f"while enumerating {what}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +61,9 @@ def pepa_apparent_rate(model: Model, term: Term, action: str) -> Fraction:
             if action in t.actions:
                 return min(rec(t.left), rec(t.right))
             return rec(t.left) + rec(t.right)
-        if isinstance(t, Const):
-            if t.name in active:
-                raise _cycle(t.name, "apparent rates", UnguardedRecursionError)
-            active.add(t.name)
-            result = rec(model.defs[t.name])
-            active.discard(t.name)
-            return result
-        raise FutsError(f"term form {type(t).__name__} is not part of pepa")
+        return unfold(
+            model, t, active, rec, UnguardedRecursionError, "enumerating apparent rates"
+        )
 
     return rec(term)
 
@@ -119,25 +107,11 @@ def pepa_transitions(model: Model, term: Term, action: str) -> List[Tuple[Fracti
                     )
                     out.append((rate, Coop(t.actions, target_l, target_r)))
             return out
-        if isinstance(t, Const):
-            if t.name in active:
-                raise _cycle(t.name, "transitions", UnguardedRecursionError)
-            active.add(t.name)
-            result = rec(model.defs[t.name])
-            active.discard(t.name)
-            return result
-        raise FutsError(f"term form {type(t).__name__} is not part of pepa")
+        return unfold(
+            model, t, active, rec, UnguardedRecursionError, "enumerating transitions"
+        )
 
     return rec(term)
-
-
-def pepa_rate_into(model: Model, term: Term, action: str, targets) -> Fraction:
-    """Total rate from ``term`` via ``action`` into the set ``targets``."""
-    target_set = set(targets)
-    return sum(
-        (rate for rate, target in pepa_transitions(model, term, action) if target in target_set),
-        Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +145,9 @@ def interactive_transitions(model: Model, term: Term, action: str) -> FrozenSet[
             moved = {Par(t.actions, target, t.right) for target in rec(t.left)}
             moved |= {Par(t.actions, t.left, target) for target in rec(t.right)}
             return frozenset(moved)
-        if isinstance(t, Const):
-            if t.name in active:
-                raise _cycle(t.name, "transitions", UnguardedRecursionError)
-            active.add(t.name)
-            result = rec(model.defs[t.name])
-            active.discard(t.name)
-            return result
-        raise FutsError(f"term form {type(t).__name__} has no interactive transitions")
+        return unfold(
+            model, t, active, rec, UnguardedRecursionError, "enumerating transitions"
+        )
 
     return rec(term)
 
@@ -203,24 +172,11 @@ def delay_derivations(model: Model, term: Term) -> List[Tuple[Fraction, Term]]:
             moved = [(rate, Par(t.actions, target, t.right)) for rate, target in rec(t.left)]
             moved += [(rate, Par(t.actions, t.left, target)) for rate, target in rec(t.right)]
             return moved
-        if isinstance(t, Const):
-            if t.name in active:
-                raise _cycle(t.name, "delay derivations", UnguardedRecursionError)
-            active.add(t.name)
-            result = rec(model.defs[t.name])
-            active.discard(t.name)
-            return result
-        raise FutsError(f"term form {type(t).__name__} has no delay derivations")
+        return unfold(
+            model, t, active, rec, UnguardedRecursionError, "enumerating delay derivations"
+        )
 
     return rec(term)
-
-
-def delay_rate_into(model: Model, term: Term, targets) -> Fraction:
-    target_set = set(targets)
-    return sum(
-        (rate for rate, target in delay_derivations(model, term) if target in target_set),
-        Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +233,9 @@ def timed_transitions(
                 if n == m
             }
             return guard(out)
-        if isinstance(t, Const):
-            if t.name in active:
-                raise _cycle(t.name, "timed transitions", DelayCycleError)
-            active.add(t.name)
-            result = rec(model.defs[t.name])
-            active.discard(t.name)
-            return result
-        raise FutsError(f"term form {type(t).__name__} has no timed transitions")
+        return unfold(
+            model, t, active, rec, DelayCycleError, "enumerating timed transitions"
+        )
 
     return rec(term)
 
@@ -347,19 +298,8 @@ def action_distributions(model: Model, term: Term, action: str) -> FrozenSet[Dis
                 for dist_r in right
             }
             return frozenset(out)
-        if isinstance(t, Const):
-            if t.name in active:
-                raise _cycle(t.name, "action distributions", UnguardedRecursionError)
-            active.add(t.name)
-            result = rec(model.defs[t.name])
-            active.discard(t.name)
-            return result
-        raise FutsError(f"term form {type(t).__name__} has no action distributions")
+        return unfold(
+            model, t, active, rec, UnguardedRecursionError, "enumerating action distributions"
+        )
 
     return rec(term)
-
-
-def distribution_mass_into(dist: Distribution, targets) -> Fraction:
-    """Probability a distribution assigns to a set of targets."""
-    target_set = set(targets)
-    return sum((p for t, p in dist if t in target_set), Fraction(0))

@@ -158,35 +158,3 @@ def sr_format(v: Value) -> str:
         return "TOP"
     return "{" + ",".join(str(n) for n in sorted(v.payload)) + "}"
 
-
-def sr_parse(tag: str, text: str) -> Value:
-    """Parse the canonical textual form back into a value.
-
-    The parser is tolerant of surrounding whitespace and, for
-    rationals, also accepts plain integers and decimal literals (both
-    are converted to exact fractions).
-    """
-    _check_tag(tag)
-    s = text.strip()
-    if tag == BOOL:
-        if s == "true":
-            return make_bool(True)
-        if s == "false":
-            return make_bool(False)
-        raise ValueError(f"not a boolean literal: {text!r}")
-    if tag == NNRAT:
-        try:
-            return make_rat(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a non-negative rational literal: {text!r}") from exc
-    if s == "TOP":
-        return NATSET_TOP
-    if not (s.startswith("{") and s.endswith("}")):
-        raise ValueError(f"not a natural-set literal: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return make_natset(())
-    try:
-        return make_natset(int(part.strip()) for part in body.split(","))
-    except ValueError as exc:
-        raise ValueError(f"not a natural-set literal: {text!r}") from exc

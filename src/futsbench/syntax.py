@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from .errors import (
     DuplicateConstantError,
+    FutsError,
+    ModelFileError,
     ParseError,
     UndefinedConstantError,
     UnguardedRecursionError,
@@ -162,11 +164,34 @@ class Model:
     init: Term
 
 
+def unfold(model: Model, term: Term, active: set, rec: Callable, error_cls, doing: str):
+    """The last case of every semantic walker: ``rec`` of a constant's body.
+
+    ``active`` holds the constants being unfolded on the current path;
+    meeting one of them again means the recursion never crosses a
+    prefix, reported as ``error_cls``.  Walkers handle every other form
+    of their language before calling this, so any other term is foreign.
+    """
+    if not isinstance(term, Const):
+        raise FutsError(f"term form {type(term).__name__} is not part of {model.lang}")
+    name = term.name
+    if name in active:
+        raise error_cls(
+            f"recursion through constant {name!r} does not terminate while {doing}"
+        )
+    active.add(name)
+    result = rec(model.defs[name])
+    active.discard(name)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
 _SINGLE_SYMBOLS = set("()+.,<>{}:=/")
+# ASCII only: str.isdigit also accepts digits such as "²" that Fraction rejects
+_DIGITS = set("0123456789")
 
 
 @dataclass(frozen=True)
@@ -188,13 +213,13 @@ def _lex_line(text: str, lineno: int) -> list:
         if c == "-" and i + 1 < n and text[i + 1] == "-":
             break  # comment to end of line
         col = i + 1
-        if c.isdigit():
+        if c in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             tokens.append(_Token("number", text[i:j], lineno, col))
             i = j
@@ -552,12 +577,18 @@ def load_model(path: str, lang: Optional[str] = None) -> Model:
                 lang = language
                 break
         else:
-            raise ValueError(
+            raise ModelFileError(
                 f"cannot infer language from {path!r}; use one of "
                 f"{', '.join(EXT_TO_LANG)} or pass the language explicitly"
             )
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read(), lang)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from None
+    return parse_model(text, lang)
 
 
 # ---------------------------------------------------------------------------

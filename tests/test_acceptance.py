@@ -29,7 +29,7 @@ from futsbench.crosscheck import (
     tick_singleton_check,
     time_determinism_check,
 )
-from futsbench.explore import explore, function_at, to_json
+from futsbench.explore import explore, function_at, index_function, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.semiring import (
     TAGS,
@@ -167,12 +167,13 @@ def test_criterion_03_totality_and_determinism():
         corpus = small_corpus(lang)
         assert len(corpus) >= 100
         for fm in corpus:
-            # exactly one stored continuation per (state, label)
+            # one stored continuation per (state, label), keyed by the table:
+            # non-zero, and its state ids name exactly its function's keys
             for data in fm.relations:
-                seen = set()
-                for source, label, _fn in data.transitions:
-                    assert (source, label) not in seen
-                    seen.add((source, label))
+                for (source, label), step in data.transitions.items():
+                    assert 0 <= source < len(fm.states) and label in data.labels
+                    assert step.fn.entries
+                    assert step == index_function(step.fn, data.kind, fm.index.__getitem__)
             # total: every (state, label) evaluates to exactly one function,
             # and evaluating again gives a structurally identical result
             ctx = fm.ctx

@@ -13,12 +13,11 @@ from futsbench.bisim import (
     disjoint_union,
     distinguish,
     minimize,
-    oracle_partition,
     oracle_partition_from,
     partition_to_json,
     refine,
 )
-from futsbench.errors import FutsError, SizeLimitError, UnknownStateError
+from futsbench.errors import ExplorationLimitError, FutsError, SizeLimitError, UnknownStateError
 from futsbench.explore import explore
 from futsbench.syntax import parse_model, parse_term, term_key
 
@@ -226,7 +225,7 @@ def test_refine_agrees_with_brute_force_on_small_models(lang):
         model = random_model(random.Random(f"{lang}-{seed}-bf"), lang, max_consts=2, depth=2)
         try:
             fm = explore(model, max_states=BRUTE_FORCE_MAX)
-        except Exception:
+        except ExplorationLimitError:
             continue
         p = refine(fm)
         assert p == brute_force(fm), f"{lang} seed {seed}"
@@ -244,7 +243,7 @@ def test_refine_agrees_with_oracle_partition(lang):
         )
         try:
             fm = explore(model, max_states=200)
-        except Exception:
+        except ExplorationLimitError:
             continue
         assert refine(fm) == oracle_partition_from(fm), f"{lang} seed {seed}"
         checked += 1
@@ -298,7 +297,7 @@ def test_quotient_states_bisimilar_to_their_images():
             )
             try:
                 candidate = explore(model, max_states=150)
-            except Exception:
+            except ExplorationLimitError:
                 continue
             if len(candidate.states) >= 2:
                 fm = candidate

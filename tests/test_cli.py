@@ -244,3 +244,50 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "guarded" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Bad input is a diagnostic, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def test_unknown_extension_is_a_diagnostic(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "P = (a, 1).P\ninit P\n")
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "cannot infer language" in err
+
+
+def test_non_utf8_file_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "m.pepa"
+    path.write_bytes(b"P = (a, 1).P\ninit P \xff\xfe\n")
+    code, out, err = run_main(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "UTF-8" in err
+
+
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "m.pepa", "P = (a, ²).P\ninit P\n")
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_bisim_undefined_constant_is_a_diagnostic(tmp_path, capsys):
+    path = write(tmp_path, "m.pepa", "P = (a, 1).P\ninit P\n")
+    code, out, err = run_main(capsys, "bisim", path, "--left", "Q", "--right", "P")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "'Q'" in err
+
+
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_max_states_below_one_is_rejected(tmp_path, capsys, bound):
+    path = write(tmp_path, "m.pepa", "P = (a, 1).P\ninit P\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["build", path, "--max-states", bound])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --max-states: must be at least 1" in err

@@ -36,7 +36,7 @@ def test_single_state_inert_model():
         fm = explore(parse_model("init nil\n", lang))
         assert [s.key for s in fm.states] == ["nil"]
         assert fm.init_id == 0
-        assert all(data.transitions == [] for data in fm.relations)
+        assert all(data.transitions == {} for data in fm.relations)
 
 
 def test_self_loop_collapses_to_one_state():
@@ -71,7 +71,7 @@ def test_closure_every_support_key_is_a_state():
     text = "X = a.{1/2: nil [] 1/2: Y}\nY = 1.X\ninit X |[]| Y\n"
     fm = explore(parse_model(text, "mal"))
     for data in fm.relations:
-        for _, _, fn in data.transitions:
+        for fn, _ in data.transitions.values():
             if data.kind == "nested":
                 for inner, _ in fn.entries:
                     for key, _ in inner.entries:

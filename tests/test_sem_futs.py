@@ -8,7 +8,7 @@ transition-relation semantics lives in the acceptance suite.
 import pytest
 
 from futsbench.errors import DelayCycleError, UnguardedRecursionError
-from futsbench.fsfun import ff_eval, ff_key, ff_make, ff_oplus, ff_support, ff_zero
+from futsbench.fsfun import ff_key, ff_make, ff_oplus, ff_zero
 from futsbench.semiring import make_bool, make_natset, make_rat
 from futsbench.sem_futs import (
     StepContext,
@@ -70,8 +70,8 @@ def test_pepa_constant_unfolding():
 
 def test_pepa_sync_takes_the_slower_rate():
     _, fn = step_of("(a, 2).nil <a> (a, 3).nil", "pepa", "act", "a")
-    assert ff_support(fn) == ("(nil <a> nil)",)
-    assert ff_eval(fn, "(nil <a> nil)") == make_rat(2)
+    assert [key for key, _ in fn.entries] == ["(nil <a> nil)"]
+    assert dict(fn.entries)["(nil <a> nil)"] == make_rat(2)
 
 
 def test_pepa_sync_splits_proportionally():
@@ -79,8 +79,8 @@ def test_pepa_sync_splits_proportionally():
     # right side total 1; joint total must be min(3, 1) = 1
     text = "((a, 2).nil + (a, 1).X) <a> (a, 1).nil"
     ctx, fn = step_of(text, "pepa", "act", "a", defs="X = (a, 1).X\n")
-    assert ff_eval(fn, "(nil <a> nil)") == make_rat("2/3")
-    assert ff_eval(fn, "(X <a> nil)") == make_rat("1/3")
+    assert dict(fn.entries)["(nil <a> nil)"] == make_rat("2/3")
+    assert dict(fn.entries)["(X <a> nil)"] == make_rat("1/3")
     assert ff_oplus(fn) == make_rat(1)
 
 
@@ -91,8 +91,8 @@ def test_pepa_sync_with_a_stuck_side_is_zero():
 
 def test_pepa_interleaving():
     _, fn = step_of("(a, 2).nil <> (a, 3).nil", "pepa", "act", "a")
-    assert ff_eval(fn, "(nil <> (a, 3).nil)") == make_rat(2)
-    assert ff_eval(fn, "((a, 2).nil <> nil)") == make_rat(3)
+    assert dict(fn.entries)["(nil <> (a, 3).nil)"] == make_rat(2)
+    assert dict(fn.entries)["((a, 2).nil <> nil)"] == make_rat(3)
     assert ff_oplus(fn) == make_rat(5)
 
 
@@ -124,11 +124,11 @@ def test_iml_sync_requires_both_sides():
 
 def test_iml_interleaving_action_and_delay():
     _, fn = step_of("a.nil |[]| a.nil", "iml", "act", "a")
-    assert ff_support(fn) == ("(a.nil |[]| nil)", "(nil |[]| a.nil)")
-    assert ff_eval(fn, "(a.nil |[]| nil)") == make_bool(True)
+    assert [key for key, _ in fn.entries] == ["(a.nil |[]| nil)", "(nil |[]| a.nil)"]
+    assert dict(fn.entries)["(a.nil |[]| nil)"] == make_bool(True)
     _, fn = step_of("1.nil |[a]| 2.nil", "iml", "delay", "delta")
-    assert ff_eval(fn, "(nil |[a]| 2 . nil)") == make_rat(1)
-    assert ff_eval(fn, "(1 . nil |[a]| nil)") == make_rat(2)
+    assert dict(fn.entries)["(nil |[a]| 2 . nil)"] == make_rat(1)
+    assert dict(fn.entries)["(1 . nil |[a]| nil)"] == make_rat(2)
 
 
 def test_iml_delay_ignores_sync_set():
@@ -285,8 +285,8 @@ def test_mal_inner_distributions_sum_to_one():
 
 def test_mal_delay_relation():
     _, fn = step_of("2.nil |[]| 3.X", "mal", "delay", "delta", defs="X = 1.X\n")
-    assert ff_eval(fn, "(nil |[]| 3 . X)") == make_rat(2)
-    assert ff_eval(fn, "(2 . nil |[]| X)") == make_rat(3)
+    assert dict(fn.entries)["(nil |[]| 3 . X)"] == make_rat(2)
+    assert dict(fn.entries)["(2 . nil |[]| X)"] == make_rat(3)
     _, fn = step_of("a.{1: nil}", "mal", "delay", "delta")
     assert fn == ff_zero("NNRAT")
 

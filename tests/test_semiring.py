@@ -9,7 +9,6 @@ from futsbench.errors import SemiringMismatchError
 from futsbench.semiring import (
     NATSET_TOP,
     TAGS,
-    TOP,
     make_bool,
     make_natset,
     make_rat,
@@ -18,7 +17,6 @@ from futsbench.semiring import (
     sr_format,
     sr_is_zero,
     sr_mul,
-    sr_parse,
 )
 
 from modelgen import random_value
@@ -82,27 +80,6 @@ def test_format_canonical():
     assert sr_format(make_natset(())) == "{}"
     assert sr_format(make_natset({5, 1, 2})) == "{1,2,5}"
     assert sr_format(NATSET_TOP) == "TOP"
-
-
-@pytest.mark.parametrize("tag", TAGS)
-def test_parse_round_trip(tag):
-    rng = random.Random(7)
-    for _ in range(200):
-        v = random_value(rng, tag)
-        assert sr_parse(tag, sr_format(v)) == v
-
-
-def test_parse_extras():
-    assert sr_parse("NNRAT", "0.5") == make_rat("1/2")
-    assert sr_parse("NNRAT", "3") == make_rat(3)
-    assert sr_parse("NATSET", "{ 1, 2 }") == make_natset({1, 2})
-    assert sr_parse("NATSET", "TOP").payload is TOP
-    with pytest.raises(ValueError):
-        sr_parse("BOOL", "maybe")
-    with pytest.raises(ValueError):
-        sr_parse("NNRAT", "-1/2")
-    with pytest.raises(ValueError):
-        sr_parse("NATSET", "{1;2}")
 
 
 def test_tag_mismatch_is_an_error():
