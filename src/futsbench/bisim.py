@@ -10,13 +10,12 @@ and constructs quotient systems.
 
 from dataclasses import dataclass
 from fractions import Fraction
-import json
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, SizeLimitError, UnknownStateError
 from .explore import FutsModel, RelationData, StateInfo, index_function
 from .fsfun import ff_make
-from .semiring import Value, sr_add, sr_constants, sr_format, sr_is_zero
+from .semiring import Semiring, semiring_of
 from .sem_oracle import (
     action_distributions,
     delay_derivations,
@@ -42,17 +41,6 @@ class Partition:
     def n_blocks(self) -> int:
         return max(self.assignment) + 1 if self.assignment else 0
 
-    def block_of(self, state_id: int) -> int:
-        if not (0 <= state_id < len(self.assignment)):
-            raise UnknownStateError(f"no state with id {state_id}")
-        return self.assignment[state_id]
-
-    def blocks(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in range(self.n_blocks)]
-        for state_id, block in enumerate(self.assignment):
-            out[block].append(state_id)
-        return out
-
 
 def canonical_assignment(raw: Sequence[int]) -> Tuple[int, ...]:
     """Renumber blocks densely in order of first appearance."""
@@ -65,50 +53,46 @@ def canonical_assignment(raw: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def partition_to_json(partition: Partition) -> str:
-    return json.dumps({"blocks": partition.blocks()}, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Signatures over the explored transition tables
 # ---------------------------------------------------------------------------
 #
 # Refinement reads each step's targets as state ids (see
-# explore.Transition), so each round only touches integers and semiring
-# values.
+# explore.Transition), so each round only touches integers and raw
+# weights.  Weights of different domains can compare equal (True ==
+# Fraction(1)), so a signature keeps one slot per relation and label and
+# slots are only ever compared with the same slot of another state.
 
-_SimpleEntries = Tuple[Tuple[int, Value], ...]
+_SimpleEntries = Tuple[Tuple[int, Any], ...]
 
 
-def _block_sums(entries: _SimpleEntries, assignment: Sequence[int]) -> Dict[int, Value]:
+def _block_sums(
+    entries: _SimpleEntries, assignment: Sequence[int], sr: Semiring
+) -> Dict[int, Any]:
     """Non-zero total weight per block."""
-    acc: Dict[int, Value] = {}
+    add = sr.add
+    acc: Dict[int, Any] = {}
     for target, value in entries:
         block = assignment[target]
-        acc[block] = sr_add(acc[block], value) if block in acc else value
-    return {block: value for block, value in acc.items() if not sr_is_zero(value)}
+        acc[block] = add(acc[block], value) if block in acc else value
+    return {block: value for block, value in acc.items() if value != sr.zero}
 
 
-def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int]):
-    """Canonical per-block totals: sorted (block, value text) pairs."""
-    sums = _block_sums(entries, assignment)
-    return tuple((block, sr_format(value)) for block, value in sorted(sums.items()))
+def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int], sr: Semiring):
+    """Canonical per-block totals: (block, weight) pairs sorted by block."""
+    return tuple(sorted(_block_sums(entries, assignment, sr).items()))
 
 
-def _lifted_sig(entry, assignment: Sequence[int]):
+def _lifted_sig(entry, assignment: Sequence[int], sr: Semiring, inner_sr: Semiring):
     """Nested functions: classify inner functions by their per-block totals,
     then fold the outer values of inner functions that fall together."""
-    acc: Dict[tuple, Value] = {}
+    acc: Dict[tuple, Any] = {}
     for inner_entries, outer_value in entry:
-        inner_sig = _block_sum_sig(inner_entries, assignment)
+        inner_sig = _block_sum_sig(inner_entries, assignment, inner_sr)
         acc[inner_sig] = (
-            sr_add(acc[inner_sig], outer_value) if inner_sig in acc else outer_value
+            sr.add(acc[inner_sig], outer_value) if inner_sig in acc else outer_value
         )
-    return tuple(
-        (inner_sig, sr_format(value))
-        for inner_sig, value in sorted(acc.items(), key=lambda kv: kv[0])
-        if not sr_is_zero(value)
-    )
+    return tuple(sorted(kv for kv in acc.items() if kv[1] != sr.zero))
 
 
 def _targets_at(data: RelationData, state_id: int, label: str) -> tuple:
@@ -120,14 +104,17 @@ def _state_signature(relations, state_id: int, assignment: Sequence[int]):
     parts = []
     for data in relations:
         table = data.transitions
+        sr = semiring_of(data.tag)
         for label in data.labels:
             step = table.get((state_id, label))
             if step is None:
                 parts.append(())
             elif data.kind == "simple":
-                parts.append(_block_sum_sig(step.targets, assignment))
+                parts.append(_block_sum_sig(step.targets, assignment, sr))
             else:
-                parts.append(_lifted_sig(step.targets, assignment))
+                parts.append(
+                    _lifted_sig(step.targets, assignment, sr, semiring_of(data.inner_tag))
+                )
     return tuple(parts)
 
 
@@ -164,13 +151,6 @@ def _check_state_id(fm: FutsModel, state_id: int) -> None:
         raise UnknownStateError(f"no state with id {state_id!r}")
 
 
-def bisimilar(fm: FutsModel, left: int, right: int) -> bool:
-    _check_state_id(fm, left)
-    _check_state_id(fm, right)
-    partition = refine(fm)
-    return partition.assignment[left] == partition.assignment[right]
-
-
 # ---------------------------------------------------------------------------
 # Distinguishing witnesses
 # ---------------------------------------------------------------------------
@@ -187,10 +167,14 @@ class Witness:
     right: str
 
 
-def _describe_inner_sig(inner_sig) -> str:
-    if not inner_sig:
+def _inner_sig_text(inner_sig, fmt: Callable[[Any], str]) -> tuple:
+    return tuple((block, fmt(value)) for block, value in inner_sig)
+
+
+def _describe_inner_sig(text_sig) -> str:
+    if not text_sig:
         return "distribution []"
-    body = ", ".join(f"block {block} -> {text}" for block, text in inner_sig)
+    body = ", ".join(f"block {block} -> {text}" for block, text in text_sig)
     return f"distribution [{body}]"
 
 
@@ -203,33 +187,42 @@ def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
         return None
     assignment = partition.assignment
     for data in fm.relations:
-        zero_text = sr_format(sr_constants(data.tag)[0])
+        sr = semiring_of(data.tag)
+        fmt, zero = sr.fmt, sr.zero
         for label in data.labels:
             entry_l = _targets_at(data, left, label)
             entry_r = _targets_at(data, right, label)
             if data.kind == "simple":
-                sums_l = dict(_block_sum_sig(entry_l, assignment))
-                sums_r = dict(_block_sum_sig(entry_r, assignment))
+                sums_l = _block_sums(entry_l, assignment, sr)
+                sums_r = _block_sums(entry_r, assignment, sr)
                 for block in sorted(set(sums_l) | set(sums_r)):
                     if sums_l.get(block) != sums_r.get(block):
                         return Witness(
                             data.name,
                             label,
                             f"block {block}",
-                            sums_l.get(block, zero_text),
-                            sums_r.get(block, zero_text),
+                            fmt(sums_l.get(block, zero)),
+                            fmt(sums_r.get(block, zero)),
                         )
             else:
-                lift_l = dict(_lifted_sig(entry_l, assignment))
-                lift_r = dict(_lifted_sig(entry_r, assignment))
-                for inner_sig in sorted(set(lift_l) | set(lift_r)):
+                inner_sr = semiring_of(data.inner_tag)
+                lift_l = dict(_lifted_sig(entry_l, assignment, sr, inner_sr))
+                lift_r = dict(_lifted_sig(entry_r, assignment, sr, inner_sr))
+                # search the inner classes in the order of their printed text, so
+                # the reported class does not depend on how raw weights sort
+                by_text = {
+                    _inner_sig_text(inner_sig, inner_sr.fmt): inner_sig
+                    for inner_sig in set(lift_l) | set(lift_r)
+                }
+                for text_sig in sorted(by_text):
+                    inner_sig = by_text[text_sig]
                     if lift_l.get(inner_sig) != lift_r.get(inner_sig):
                         return Witness(
                             data.name,
                             label,
-                            _describe_inner_sig(inner_sig),
-                            lift_l.get(inner_sig, zero_text),
-                            lift_r.get(inner_sig, zero_text),
+                            _describe_inner_sig(text_sig),
+                            fmt(lift_l.get(inner_sig, zero)),
+                            fmt(lift_r.get(inner_sig, zero)),
                         )
     raise FutsError(
         "internal error: states in different blocks have identical signatures"
@@ -275,21 +268,24 @@ def brute_force(fm: FutsModel) -> Partition:
         return Partition(())
     # Raw-value signatures (no text rendering, set-based so nothing ever
     # needs to order semiring values) keep the inner loop fast.
-    def raw_block_sums(entries, assignment):
-        acc: Dict[int, Value] = {}
+    def raw_block_sums(entries, assignment, sr):
+        acc: Dict[int, Any] = {}
         for target, value in entries:
             block = assignment[target]
-            acc[block] = sr_add(acc[block], value) if block in acc else value
+            acc[block] = sr.add(acc[block], value) if block in acc else value
         return frozenset(
-            (block, value) for block, value in acc.items() if not sr_is_zero(value)
+            (block, value) for block, value in acc.items() if value != sr.zero
         )
 
-    # Per-state list of (kind, entry, target ids) for each relation/label.
+    # Per-state list of (kind, entry, target ids, slot, semiring, inner
+    # semiring) for each relation/label.
     per_state: List[List[tuple]] = [[] for _ in range(n_states)]
     label_mask: List[tuple] = []
     for state_id in range(n_states):
         mask = []
         for data in fm.relations:
+            sr = semiring_of(data.tag)
+            inner_sr = semiring_of(data.inner_tag) if data.inner_tag else None
             for label in data.labels:
                 step = data.transitions.get((state_id, label))
                 mask.append(step is not None)
@@ -302,32 +298,34 @@ def brute_force(fm: FutsModel) -> Partition:
                     targets = tuple(
                         sorted({t for inner, _ in entry for t, _ in inner})
                     )
-                per_state[state_id].append((data.kind, entry, targets, len(mask) - 1))
+                per_state[state_id].append(
+                    (data.kind, entry, targets, len(mask) - 1, sr, inner_sr)
+                )
         label_mask.append(tuple(mask))
 
     sig_cache: Dict[tuple, tuple] = {}
 
     def signature(state_id: int, assignment: Sequence[int]) -> tuple:
         parts = []
-        for kind, entry, targets, slot in per_state[state_id]:
+        for kind, entry, targets, slot, sr, inner_sr in per_state[state_id]:
             cache_key = (state_id, slot, tuple(assignment[t] for t in targets))
             part = sig_cache.get(cache_key)
             if part is None:
                 if kind == "simple":
-                    part = raw_block_sums(entry, assignment)
+                    part = raw_block_sums(entry, assignment, sr)
                 else:
-                    acc: Dict[frozenset, Value] = {}
+                    acc: Dict[frozenset, Any] = {}
                     for inner_entries, outer_value in entry:
-                        isig = raw_block_sums(inner_entries, assignment)
+                        isig = raw_block_sums(inner_entries, assignment, inner_sr)
                         acc[isig] = (
-                            sr_add(acc[isig], outer_value)
+                            sr.add(acc[isig], outer_value)
                             if isig in acc
                             else outer_value
                         )
                     part = frozenset(
                         (isig, value)
                         for isig, value in acc.items()
-                        if not sr_is_zero(value)
+                        if value != sr.zero
                     )
                 sig_cache[cache_key] = part
             parts.append((slot, part))
@@ -580,13 +578,14 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
     ]
     index = {rep.key: block for block, rep in enumerate(rep_state)}
 
-    def block_fn(tag: str, entries: _SimpleEntries):
+    def block_fn(sr: Semiring, entries: _SimpleEntries):
         """The function from each block's representative to the block's total."""
-        sums = _block_sums(entries, assignment)
-        return ff_make(tag, [(rep_state[b].key, value) for b, value in sums.items()])
+        sums = _block_sums(entries, assignment, sr)
+        return ff_make(sr.tag, [(rep_state[b].key, value) for b, value in sums.items()])
 
     relations: List[RelationData] = []
     for data in fm.relations:
+        sr = semiring_of(data.tag)
         quotient = RelationData(data.name, data.kind, data.tag, data.inner_tag, data.labels)
         for block, rep in enumerate(rep_state):
             for label in data.labels:
@@ -594,12 +593,13 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
                 if step is None:
                     continue
                 if data.kind == "simple":
-                    qfn = block_fn(data.tag, step.targets)
+                    qfn = block_fn(sr, step.targets)
                 else:
+                    inner_sr = semiring_of(data.inner_tag)
                     qfn = ff_make(
                         data.tag,
                         [
-                            (block_fn(data.inner_tag, inner), outer_value)
+                            (block_fn(inner_sr, inner), outer_value)
                             for inner, outer_value in step.targets
                         ],
                     )

@@ -181,6 +181,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser and the term walkers recurse once per nesting level
+        print(f"error: {args.file}: the model nests too deeply to process", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .bisim import oracle_partition_from, refine
 from .errors import FutsError
 from .explore import FutsModel
 from .fsfun import ff_oplus
-from .semiring import sr_is_zero
 from .sem_futs import tpc_max_delay
 from .sem_oracle import (
     action_distributions,
@@ -67,8 +66,7 @@ def apparent_rate_check(fm: FutsModel) -> CheckResult:
     for state, term in pairs:
         for action in act.labels:
             fn = act.function_at(state.id, action)
-            total = ff_oplus(fn)
-            got = Fraction(0) if sr_is_zero(total) else total.payload
+            got = ff_oplus(fn)
             expected = pepa_apparent_rate(model, term, action)
             checked += 1
             if got != expected:
@@ -107,7 +105,7 @@ def agreement_check(fm: FutsModel) -> CheckResult:
             fn = act.function_at(state.id, action)
             checked += 1
             if lang == "pepa":
-                got = {key: value.payload for key, value in fn.entries}
+                got = dict(fn.entries)
                 expected = _fold_rates(pepa_transitions(model, term, action))
                 if got != expected:
                     fail(state, action, f"weights {got} != derivations {expected}")
@@ -119,10 +117,7 @@ def agreement_check(fm: FutsModel) -> CheckResult:
                 if got_set != expected_set:
                     fail(state, action, f"targets {got_set} != {expected_set}")
             else:  # mal: compare sets of folded distributions
-                got_dists = {
-                    frozenset((key, value.payload) for key, value in inner.entries)
-                    for inner, _ in fn.entries
-                }
+                got_dists = {frozenset(inner.entries) for inner, _ in fn.entries}
                 expected_dists = {
                     frozenset(
                         (term_key(t), mass)
@@ -138,7 +133,7 @@ def agreement_check(fm: FutsModel) -> CheckResult:
         if delay is not None:
             label = delay.labels[0]
             fn = delay.function_at(state.id, label)
-            got = {key: value.payload for key, value in fn.entries}
+            got = dict(fn.entries)
             expected = _fold_rates(delay_derivations(model, term))
             checked += 1
             if got != expected:
@@ -148,7 +143,7 @@ def agreement_check(fm: FutsModel) -> CheckResult:
         if tick is not None:
             label = tick.labels[0]
             fn = tick.function_at(state.id, label)
-            got = {key: value.payload for key, value in fn.entries}
+            got = dict(fn.entries)
             expected_map: Dict[str, set] = {}
             for amount, target in timed_transitions(model, term):
                 expected_map.setdefault(term_key(target), set()).add(amount)
@@ -174,10 +169,9 @@ def tick_singleton_check(fm: FutsModel) -> CheckResult:
     for (source, _), (fn, _) in tick.transitions.items():
         for key, value in fn.entries:
             checked += 1
-            payload = value.payload
-            if not isinstance(payload, frozenset) or len(payload) != 1:
+            if not isinstance(value, frozenset) or len(value) != 1:
                 failures.append(
-                    f"state {source} -> {key}: amount set {payload!r} is not a singleton"
+                    f"state {source} -> {key}: amount set {value!r} is not a singleton"
                 )
     return CheckResult(
         "tick values are singletons", not failures, checked, tuple(failures)
@@ -216,7 +210,7 @@ def md_descent_check(fm: FutsModel) -> CheckResult:
     for (source, _), (fn, _) in tick.transitions.items():
         source_md = tpc_max_delay(ctx, fm.states[source].key)
         for key, value in fn.entries:
-            for amount in sorted(value.payload):
+            for amount in sorted(value):
                 checked += 1
                 target_md = tpc_max_delay(ctx, key)
                 if amount < 1 or target_md != source_md - amount:
@@ -236,8 +230,7 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     for (source, label), (fn, _) in act.transitions.items():
         for inner, _ in fn.entries:
             checked += 1
-            total = ff_oplus(inner)
-            mass = Fraction(0) if sr_is_zero(total) else total.payload
+            mass = ff_oplus(inner)
             if mass != 1:
                 failures.append(
                     f"state {source} label {label}: branch masses sum to {mass}"

@@ -38,7 +38,10 @@ class UnguardedRecursionError(FutsError):
 
 
 class SemiringMismatchError(FutsError):
-    """An operation combined values from different weight domains."""
+    """An operation combined functions from different weight domains,
+
+    or named a domain that does not exist.
+    """
 
 
 class UnsupportedDiracError(FutsError):

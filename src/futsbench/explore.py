@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ExplorationLimitError
 from .fsfun import FinFn, ff_zero
-from .semiring import sr_format
+from .semiring import semiring_of
 from .sem_futs import StepContext, futs_step, relation_labels, relation_specs
 from .syntax import Model, Term, pretty, term_actions
 
@@ -152,31 +152,19 @@ def explore(
     return FutsModel(model.lang, states, index, relations, init_id, ctx)
 
 
-def function_at(fm: FutsModel, relation: str, state_id: int, label: str) -> FinFn:
-    """The (possibly zero) weight function of one state and label."""
-    for data in fm.relations:
-        if data.name == relation:
-            return data.function_at(state_id, label)
-    raise ValueError(f"model has no relation {relation!r}")
-
-
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
 
 
-def _entry_json(fn: FinFn, kind: str) -> list:
+def _entry_json(fn: FinFn) -> list:
+    fmt = semiring_of(fn.tag).fmt
     out = []
     for key, value in fn.entries:
-        if kind == "nested" and isinstance(key, FinFn):
-            out.append(
-                {
-                    "inner": _entry_json(key, "simple"),
-                    "value": sr_format(value),
-                }
-            )
+        if isinstance(key, FinFn):
+            out.append({"inner": _entry_json(key), "value": fmt(value)})
         else:
-            out.append({"target": key, "value": sr_format(value)})
+            out.append({"target": key, "value": fmt(value)})
     return out
 
 
@@ -195,7 +183,7 @@ def to_json(fm: FutsModel) -> str:
                     {
                         "source": source,
                         "label": label,
-                        "continuation": _entry_json(fn, data.kind),
+                        "continuation": _entry_json(fn),
                     }
                     for (source, label), (fn, _) in data.transitions.items()
                 ],
@@ -215,8 +203,8 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _inline_distribution(inner: tuple) -> str:
-    parts = (f"s{target} -> {sr_format(value)}" for target, value in inner)
+def _inline_distribution(inner: tuple, fmt: Callable[[object], str]) -> str:
+    parts = (f"s{target} -> {fmt(value)}" for target, value in inner)
     return "[" + ", ".join(parts) + "]"
 
 
@@ -230,20 +218,21 @@ def to_dot(fm: FutsModel) -> str:
     for state in fm.states:
         lines.append(f'  s{state.id} [label="{_dot_escape(state.pretty)}"];')
     for data in fm.relations:
+        fmt = semiring_of(data.inner_tag if data.kind == "nested" else data.tag).fmt
         for (source, label), (_, targets) in data.transitions.items():
             if data.kind == "nested":
                 for inner, _ in targets:
-                    inline = _inline_distribution(inner)
+                    inline = _inline_distribution(inner, fmt)
                     for target, value in inner:
                         lines.append(
                             f"  s{source} -> s{target} "
-                            f'[label="{_dot_escape(f"{label} / {sr_format(value)} of {inline}")}"];'
+                            f'[label="{_dot_escape(f"{label} / {fmt(value)} of {inline}")}"];'
                         )
             else:
                 for target, value in targets:
                     lines.append(
                         f"  s{source} -> s{target} "
-                        f'[label="{_dot_escape(f"{label} / {sr_format(value)}")}"];'
+                        f'[label="{_dot_escape(f"{label} / {fmt(value)}")}"];'
                     )
     lines.append("}")
     return "\n".join(lines) + "\n"

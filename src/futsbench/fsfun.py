@@ -5,7 +5,10 @@ label to a *weight function*: a map from continuation states to values
 of one weight domain, equal to that domain's zero almost everywhere.
 :class:`FinFn` is the canonical representation of such a function:
 only the non-zero entries are stored, sorted by key, so structural
-equality coincides with extensional equality.
+equality coincides with extensional equality.  Values are raw payloads;
+the function's tag selects its semiring (see :mod:`.semiring`), and
+equality compares tags, so functions over different domains never
+compare equal even where their payloads do.
 
 Keys are usually canonical term strings.  For the calculus whose
 transitions carry probability distributions, the *outer* function's
@@ -16,10 +19,10 @@ both key kinds can be ordered canonically via :func:`key_str`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Tuple, Union
+from typing import Any, Callable, Hashable, Iterable, Tuple, Union
 
 from .errors import FutsError, SemiringMismatchError, UnsupportedDiracError
-from .semiring import NATSET, Value, sr_add, sr_constants, sr_format, sr_is_zero, sr_mul
+from .semiring import NATSET, semiring_of
 
 Key = Union[str, "FinFn"]
 
@@ -34,7 +37,7 @@ class FinFn:
     """
 
     tag: str
-    entries: Tuple[Tuple[Key, Value], ...]
+    entries: Tuple[Tuple[Key, Any], ...]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FinFn({self.tag}, {ff_key(self)})"
@@ -49,24 +52,23 @@ def key_str(key: Key) -> str:
 
 def ff_key(fn: FinFn) -> str:
     """Canonical text for a whole function, e.g. ``[P -> 1/2, Q -> 1/2]``."""
-    parts = (f"{key_str(k)} -> {sr_format(v)}" for k, v in fn.entries)
+    fmt = semiring_of(fn.tag).fmt
+    parts = (f"{key_str(k)} -> {fmt(v)}" for k, v in fn.entries)
     return "[" + ", ".join(parts) + "]"
 
 
-def ff_make(tag: str, pairs: Iterable[Tuple[Key, Value]]) -> FinFn:
+def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
     """Build a canonical function, folding duplicate keys by addition
 
-    and dropping entries equal to the domain's zero.
+    and dropping entries equal to the domain's zero.  Every value must
+    be a payload of the domain ``tag``.
     """
-    acc: dict[Key, Value] = {}
+    sr = semiring_of(tag)
+    acc: dict[Key, Any] = {}
     for key, value in pairs:
-        if value.tag != tag:
-            raise SemiringMismatchError(
-                f"entry value from domain {value.tag} in a {tag} function"
-            )
         prev = acc.get(key)
-        acc[key] = value if prev is None else sr_add(prev, value)
-    kept = [(k, v) for k, v in acc.items() if not sr_is_zero(v)]
+        acc[key] = value if prev is None else sr.add(prev, value)
+    kept = [(k, v) for k, v in acc.items() if v != sr.zero]
     kept.sort(key=lambda kv: key_str(kv[0]))
     return FinFn(tag, tuple(kept))
 
@@ -83,17 +85,17 @@ def ff_add(a: FinFn, b: FinFn) -> FinFn:
     return ff_make(a.tag, tuple(a.entries) + tuple(b.entries))
 
 
-def ff_oplus(fn: FinFn) -> Value:
+def ff_oplus(fn: FinFn) -> Any:
     """Fold the whole function with domain addition (zero when empty).
 
     For rational functions this is the total mass; for boolean ones,
     whether the function is non-zero anywhere; for set-valued ones,
     the union of all values.
     """
-    zero, _ = sr_constants(fn.tag)
-    total = zero
+    sr = semiring_of(fn.tag)
+    total = sr.zero
     for _, v in fn.entries:
-        total = sr_add(total, v)
+        total = sr.add(total, v)
     return total
 
 
@@ -108,15 +110,16 @@ def ff_dirac(tag: str, key: Key) -> FinFn:
         raise UnsupportedDiracError(
             "point-mass functions are not defined for the natural-set domain"
         )
-    _, one = sr_constants(tag)
-    return FinFn(tag, ((key, one),))
+    return FinFn(tag, ((key, semiring_of(tag).one),))
 
 
-def ff_scale(value: Value, fn: FinFn) -> FinFn:
-    """Multiply every entry by ``value`` (entries may vanish)."""
-    if value.tag != fn.tag:
-        raise SemiringMismatchError(f"cannot scale a {fn.tag} function by {value.tag}")
-    return ff_make(fn.tag, ((k, sr_mul(value, v)) for k, v in fn.entries))
+def ff_scale(value: Any, fn: FinFn) -> FinFn:
+    """Multiply every entry by ``value``, a payload of ``fn``'s domain
+
+    (entries may vanish).
+    """
+    mul = semiring_of(fn.tag).mul
+    return ff_make(fn.tag, ((k, mul(value, v)) for k, v in fn.entries))
 
 
 def ff_lift_injective(
@@ -130,6 +133,7 @@ def ff_lift_injective(
     """
     if a.tag != b.tag:
         raise SemiringMismatchError(f"cannot combine {a.tag} and {b.tag} functions")
+    mul = semiring_of(a.tag).mul
     pairs = []
     seen: set[Hashable] = set()
     for x, av in a.entries:
@@ -140,5 +144,5 @@ def ff_lift_injective(
                     f"key builder is not injective: duplicate {key_str(key)!r}"
                 )
             seen.add(key)
-            pairs.append((key, sr_mul(av, bv)))
+            pairs.append((key, mul(av, bv)))
     return ff_make(a.tag, pairs)

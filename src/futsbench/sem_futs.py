@@ -37,7 +37,7 @@ from .fsfun import (
     ff_scale,
     ff_zero,
 )
-from .semiring import BOOL, NATSET, NNRAT, TOP, make_bool, make_natset, make_rat
+from .semiring import BOOL, NATSET, NNRAT, TOP
 from .syntax import (
     ActPrefix,
     Choice,
@@ -189,7 +189,7 @@ def _pepa_act(ctx: StepContext, term: Term, label: str) -> FinFn:
         if isinstance(t, RatedPrefix):
             if t.action != label:
                 return zero
-            return ff_make(NNRAT, [(ctx.register(t.cont), make_rat(t.rate))])
+            return ff_make(NNRAT, [(ctx.register(t.cont), t.rate)])
         if isinstance(t, Choice):
             return ff_add(rec(t.left), rec(t.right))
         if isinstance(t, Coop):
@@ -204,14 +204,14 @@ def _pepa_act(ctx: StepContext, term: Term, label: str) -> FinFn:
                     ctor, ff_dirac(NNRAT, ctx.register(t.left)), right
                 )
                 return ff_add(moved_left, moved_right)
-            total_left = ff_oplus(left).payload
-            total_right = ff_oplus(right).payload
+            total_left = ff_oplus(left)
+            total_right = ff_oplus(right)
             if total_left == 0 or total_right == 0:
                 return zero
             # the joint rate of a synchronised action is capped by the
             # slower participant: scale the product of the two
             # functions so its total becomes min of the two totals
-            factor = make_rat(min(total_left, total_right) / (total_left * total_right))
+            factor = min(total_left, total_right) / (total_left * total_right)
             return ff_scale(factor, ff_lift_injective(ctor, left, right))
         return unfold(
             ctx.model, t, active, rec, UnguardedRecursionError, "computing the action step"
@@ -235,7 +235,7 @@ def _interactive_act(ctx: StepContext, term: Term, label: str) -> FinFn:
         if isinstance(t, ActPrefix):
             if t.action != label:
                 return zero
-            return ff_make(BOOL, [(ctx.register(t.cont), make_bool(True))])
+            return ff_make(BOOL, [(ctx.register(t.cont), True)])
         if isinstance(t, Choice):
             return ff_add(rec(t.left), rec(t.right))
         if isinstance(t, Par):
@@ -271,7 +271,7 @@ def _delay_step(ctx: StepContext, term: Term, label: str) -> FinFn:
         if isinstance(t, (Nil, ActPrefix, ProbPrefix)):
             return zero
         if isinstance(t, RatePrefix):
-            return ff_make(NNRAT, [(ctx.register(t.cont), make_rat(t.rate))])
+            return ff_make(NNRAT, [(ctx.register(t.cont), t.rate)])
         if isinstance(t, Choice):
             return ff_add(rec(t.left), rec(t.right))
         if isinstance(t, Par):
@@ -303,9 +303,9 @@ def _tick_step(ctx: StepContext, term: Term, label: str) -> FinFn:
     def shift(amount: int, fn: FinFn) -> FinFn:
         pairs = []
         for k, v in fn.entries:
-            if v.payload is TOP:  # pragma: no cover - semantics never builds TOP
+            if v is TOP:  # pragma: no cover - semantics never builds TOP
                 raise FutsError("cannot shift the all-naturals sentinel")
-            pairs.append((k, make_natset(m + amount for m in v.payload)))
+            pairs.append((k, frozenset(m + amount for m in v)))
         return ff_make(NATSET, pairs)
 
     def rec(t: Term) -> FinFn:
@@ -315,8 +315,8 @@ def _tick_step(ctx: StepContext, term: Term, label: str) -> FinFn:
             pairs = []
             for spent in range(1, t.delay):
                 remaining = TimePrefix(t.delay - spent, t.cont)
-                pairs.append((ctx.register(remaining), make_natset({spent})))
-            pairs.append((ctx.register(t.cont), make_natset({t.delay})))
+                pairs.append((ctx.register(remaining), frozenset({spent})))
+            pairs.append((ctx.register(t.cont), frozenset({t.delay})))
             through = shift(t.delay, rec(t.cont))
             return ff_add(ff_make(NATSET, pairs), through)
         if isinstance(t, Choice):
@@ -365,7 +365,7 @@ def _mal_act(ctx: StepContext, term: Term, label: str) -> FinFn:
     active: set = set()
 
     def outer_dirac(inner: FinFn) -> FinFn:
-        return ff_make(BOOL, [(inner, make_bool(True))])
+        return ff_make(BOOL, [(inner, True)])
 
     def rec(t: Term) -> FinFn:
         if isinstance(t, (Nil, RatePrefix)):
@@ -374,7 +374,7 @@ def _mal_act(ctx: StepContext, term: Term, label: str) -> FinFn:
             if t.action != label:
                 return zero
             inner = ff_make(
-                NNRAT, [(ctx.register(cont), make_rat(p)) for p, cont in t.branches]
+                NNRAT, [(ctx.register(cont), p) for p, cont in t.branches]
             )
             return outer_dirac(inner)
         if isinstance(t, Choice):

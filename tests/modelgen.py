@@ -9,30 +9,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from futsbench.semiring import (
-    BOOL,
-    NATSET,
-    NATSET_TOP,
-    NNRAT,
-    Value,
-    make_bool,
-    make_natset,
-    make_rat,
-)
+from futsbench.semiring import BOOL, NATSET, NNRAT, TOP
 
 
-def random_value(rng: random.Random, tag: str) -> Value:
-    """A random element of the given weight domain."""
+def random_value(rng: random.Random, tag: str):
+    """A random payload of the given weight domain."""
     if tag == BOOL:
-        return make_bool(rng.random() < 0.5)
+        return rng.random() < 0.5
     if tag == NNRAT:
-        return make_rat(Fraction(rng.randint(0, 20), rng.randint(1, 12)))
+        return Fraction(rng.randint(0, 20), rng.randint(1, 12))
     if tag == NATSET:
         roll = rng.random()
         if roll < 0.1:
-            return NATSET_TOP
+            return TOP
         size = rng.randint(0, 5)
-        return make_natset(rng.randint(0, 9) for _ in range(size))
+        return frozenset(rng.randint(0, 9) for _ in range(size))
     raise ValueError(tag)
 
 

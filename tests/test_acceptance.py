@@ -29,15 +29,9 @@ from futsbench.crosscheck import (
     tick_singleton_check,
     time_determinism_check,
 )
-from futsbench.explore import explore, function_at, index_function, to_json
+from futsbench.explore import explore, index_function, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
-from futsbench.semiring import (
-    TAGS,
-    make_rat,
-    sr_add,
-    sr_constants,
-    sr_mul,
-)
+from futsbench.semiring import TAGS, semiring_of
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model
 
@@ -102,25 +96,26 @@ def test_criterion_01_semiring_laws():
     start = time.monotonic()
     rng = random.Random("criterion-1-semiring-laws")
     for tag in TAGS:
-        zero, one = sr_constants(tag)
+        sr = semiring_of(tag)
+        zero, one, add, mul = sr.zero, sr.one, sr.add, sr.mul
         for _ in range(1000):
             x = random_value(rng, tag)
             y = random_value(rng, tag)
             z = random_value(rng, tag)
             # additive commutative monoid
-            assert sr_add(sr_add(x, y), z) == sr_add(x, sr_add(y, z))
-            assert sr_add(x, y) == sr_add(y, x)
-            assert sr_add(x, zero) == x
+            assert add(add(x, y), z) == add(x, add(y, z))
+            assert add(x, y) == add(y, x)
+            assert add(x, zero) == x
             # multiplicative monoid
-            assert sr_mul(sr_mul(x, y), z) == sr_mul(x, sr_mul(y, z))
-            assert sr_mul(x, one) == x
-            assert sr_mul(one, x) == x
+            assert mul(mul(x, y), z) == mul(x, mul(y, z))
+            assert mul(x, one) == x
+            assert mul(one, x) == x
             # distributivity, both sides
-            assert sr_mul(x, sr_add(y, z)) == sr_add(sr_mul(x, y), sr_mul(x, z))
-            assert sr_mul(sr_add(x, y), z) == sr_add(sr_mul(x, z), sr_mul(y, z))
+            assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+            assert mul(add(x, y), z) == add(mul(x, z), mul(y, z))
             # annihilating zero
-            assert sr_mul(x, zero) == zero
-            assert sr_mul(zero, x) == zero
+            assert mul(x, zero) == zero
+            assert mul(zero, x) == zero
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"semiring laws took {elapsed:.1f}s (budget 5s)"
     print(f"criterion 1: PASS — 3000 random triples, {elapsed:.2f}s")
@@ -136,23 +131,25 @@ def test_criterion_02_golden_model_exact():
     assert [s.key for s in fm.states] == ["S0", "S1", "S2", "S3"]
 
     def rat_fn(pairs):
-        return ff_make("NNRAT", [(k, make_rat(Fraction(v))) for k, v in pairs])
+        return ff_make("NNRAT", [(k, Fraction(v)) for k, v in pairs])
+
+    act = fm.relations[0]
 
     # the five non-zero weight functions, frozen
-    assert function_at(fm, "act", 0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
-    assert function_at(fm, "act", 1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
-    assert function_at(fm, "act", 2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
-    assert function_at(fm, "act", 3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
-    assert function_at(fm, "act", 1, "b") == rat_fn(
+    assert act.function_at(0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
+    assert act.function_at(1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
+    assert act.function_at(2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
+    assert act.function_at(3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
+    assert act.function_at(1, "b") == rat_fn(
         [("S0", "1/6"), ("S2", "1/2"), ("S3", "1/3")]
     )
     # and the displayed zero functions: no b-behaviour anywhere else
     for state in (0, 2, 3):
-        assert function_at(fm, "act", state, "b") == ff_zero("NNRAT")
+        assert act.function_at(state, "b") == ff_zero("NNRAT")
     # every continuation is a probability distribution (total weight 1)
     for state in range(4):
-        assert ff_oplus(function_at(fm, "act", state, "a")) == make_rat(1)
-    assert ff_oplus(function_at(fm, "act", 1, "b")) == make_rat(1)
+        assert ff_oplus(act.function_at(state, "a")) == Fraction(1)
+    assert ff_oplus(act.function_at(1, "b")) == Fraction(1)
     print("criterion 2: PASS — golden model reproduced exactly")
 
 

@@ -283,6 +283,27 @@ def test_bisim_undefined_constant_is_a_diagnostic(tmp_path, capsys):
     assert "'Q'" in err
 
 
+_DEEP = 3000
+_DEEP_MODELS = {
+    "prefix": "init " + "a." * _DEEP + "nil\n",
+    "choice": "init " + " + ".join(["a.nil"] * _DEEP) + "\n",
+    "chain": "".join(f"X{i} = X{i + 1} + a.nil\n" for i in range(_DEEP))
+    + f"X{_DEEP} = a.nil\ninit X0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "shape, command", [("prefix", "check"), ("choice", "build"), ("chain", "check")]
+)
+def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, shape, command):
+    path = write(tmp_path, "m.iml", _DEEP_MODELS[shape])
+    code, out, err = run_main(capsys, command, path)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "nests too deeply" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bound", ["-1", "0"])
 def test_max_states_below_one_is_rejected(tmp_path, capsys, bound):
     path = write(tmp_path, "m.pepa", "P = (a, 1).P\ninit P\n")

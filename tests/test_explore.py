@@ -5,13 +5,13 @@ its six non-zero weight functions are frozen here exactly.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from futsbench.errors import ExplorationLimitError
-from futsbench.explore import explore, function_at, to_dot, to_json
+from futsbench.explore import explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
-from futsbench.semiring import make_bool, make_rat
 from futsbench.syntax import parse_model, parse_term
 
 GOLDEN_PEPA = """\
@@ -28,7 +28,7 @@ def golden_model():
 
 
 def rat_fn(pairs):
-    return ff_make("NNRAT", [(k, make_rat(v)) for k, v in pairs])
+    return ff_make("NNRAT", [(k, Fraction(v)) for k, v in pairs])
 
 
 def test_single_state_inert_model():
@@ -42,9 +42,10 @@ def test_single_state_inert_model():
 def test_self_loop_collapses_to_one_state():
     fm = explore(parse_model("X = a.X\ninit X\n", "iml"))
     assert [s.key for s in fm.states] == ["X"]
-    fn = function_at(fm, "act", 0, "a")
-    assert fn == ff_make("BOOL", [("X", make_bool(True))])
-    assert function_at(fm, "delay", 0, "delta") == ff_zero("NNRAT")
+    act, delay = fm.relations
+    fn = act.function_at(0, "a")
+    assert fn == ff_make("BOOL", [("X", True)])
+    assert delay.function_at(0, "delta") == ff_zero("NNRAT")
 
 
 def test_golden_model_states_and_functions():
@@ -53,18 +54,18 @@ def test_golden_model_states_and_functions():
     assert fm.init_id == 0
     (act,) = fm.relations
     assert act.labels == ("a", "b")
-    assert function_at(fm, "act", 0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
-    assert function_at(fm, "act", 1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
-    assert function_at(fm, "act", 2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
-    assert function_at(fm, "act", 3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
-    assert function_at(fm, "act", 1, "b") == rat_fn(
+    assert act.function_at(0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
+    assert act.function_at(1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
+    assert act.function_at(2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
+    assert act.function_at(3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
+    assert act.function_at(1, "b") == rat_fn(
         [("S0", "1/6"), ("S2", "1/2"), ("S3", "1/3")]
     )
     for state in (0, 2, 3):
-        assert function_at(fm, "act", state, "b") == ff_zero("NNRAT")
+        assert act.function_at(state, "b") == ff_zero("NNRAT")
     # every state's a-behaviour is a probability distribution
     for state in range(4):
-        assert ff_oplus(function_at(fm, "act", state, "a")) == make_rat(1)
+        assert ff_oplus(act.function_at(state, "a")) == Fraction(1)
 
 
 def test_closure_every_support_key_is_a_state():

@@ -5,11 +5,12 @@ rules on tiny terms; the systematic cross-check against the classical
 transition-relation semantics lives in the acceptance suite.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from futsbench.errors import DelayCycleError, UnguardedRecursionError
 from futsbench.fsfun import ff_key, ff_make, ff_oplus, ff_zero
-from futsbench.semiring import make_bool, make_natset, make_rat
 from futsbench.sem_futs import (
     StepContext,
     futs_step,
@@ -56,22 +57,22 @@ def test_relation_specs():
 
 def test_pepa_prefix_and_choice():
     _, fn = step_of("(a, 3/2).nil", "pepa", "act", "a")
-    assert fn == ff_make("NNRAT", [("nil", make_rat("3/2"))])
+    assert fn == ff_make("NNRAT", [("nil", Fraction("3/2"))])
     _, fn = step_of("(a, 3/2).nil", "pepa", "act", "b")
     assert fn == ff_zero("NNRAT")
     _, fn = step_of("(a, 1).nil + (a, 1).nil", "pepa", "act", "a")
-    assert fn == ff_make("NNRAT", [("nil", make_rat(2))])
+    assert fn == ff_make("NNRAT", [("nil", Fraction(2))])
 
 
 def test_pepa_constant_unfolding():
     ctx, fn = step_of("X", "pepa", "act", "a", defs="X = (a, 2).X\n")
-    assert fn == ff_make("NNRAT", [("X", make_rat(2))])
+    assert fn == ff_make("NNRAT", [("X", Fraction(2))])
 
 
 def test_pepa_sync_takes_the_slower_rate():
     _, fn = step_of("(a, 2).nil <a> (a, 3).nil", "pepa", "act", "a")
     assert [key for key, _ in fn.entries] == ["(nil <a> nil)"]
-    assert dict(fn.entries)["(nil <a> nil)"] == make_rat(2)
+    assert dict(fn.entries)["(nil <a> nil)"] == Fraction(2)
 
 
 def test_pepa_sync_splits_proportionally():
@@ -79,9 +80,9 @@ def test_pepa_sync_splits_proportionally():
     # right side total 1; joint total must be min(3, 1) = 1
     text = "((a, 2).nil + (a, 1).X) <a> (a, 1).nil"
     ctx, fn = step_of(text, "pepa", "act", "a", defs="X = (a, 1).X\n")
-    assert dict(fn.entries)["(nil <a> nil)"] == make_rat("2/3")
-    assert dict(fn.entries)["(X <a> nil)"] == make_rat("1/3")
-    assert ff_oplus(fn) == make_rat(1)
+    assert dict(fn.entries)["(nil <a> nil)"] == Fraction("2/3")
+    assert dict(fn.entries)["(X <a> nil)"] == Fraction("1/3")
+    assert ff_oplus(fn) == Fraction(1)
 
 
 def test_pepa_sync_with_a_stuck_side_is_zero():
@@ -91,9 +92,9 @@ def test_pepa_sync_with_a_stuck_side_is_zero():
 
 def test_pepa_interleaving():
     _, fn = step_of("(a, 2).nil <> (a, 3).nil", "pepa", "act", "a")
-    assert dict(fn.entries)["(nil <> (a, 3).nil)"] == make_rat(2)
-    assert dict(fn.entries)["((a, 2).nil <> nil)"] == make_rat(3)
-    assert ff_oplus(fn) == make_rat(5)
+    assert dict(fn.entries)["(nil <> (a, 3).nil)"] == Fraction(2)
+    assert dict(fn.entries)["((a, 2).nil <> nil)"] == Fraction(3)
+    assert ff_oplus(fn) == Fraction(5)
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +104,21 @@ def test_pepa_interleaving():
 
 def test_iml_action_relation():
     _, fn = step_of("a.nil + a.X", "iml", "act", "a", defs="X = a.X\n")
-    assert fn == ff_make("BOOL", [("nil", make_bool(True)), ("X", make_bool(True))])
+    assert fn == ff_make("BOOL", [("nil", True), ("X", True)])
     _, fn = step_of("1/2 . nil", "iml", "act", "a")
     assert fn == ff_zero("BOOL")
 
 
 def test_iml_delay_relation_adds_rates():
     _, fn = step_of("1/2 . nil + 1/3 . nil", "iml", "delay", "delta")
-    assert fn == ff_make("NNRAT", [("nil", make_rat("5/6"))])
+    assert fn == ff_make("NNRAT", [("nil", Fraction("5/6"))])
     _, fn = step_of("a.nil", "iml", "delay", "delta")
     assert fn == ff_zero("NNRAT")
 
 
 def test_iml_sync_requires_both_sides():
     _, fn = step_of("a.nil |[a]| a.X", "iml", "act", "a", defs="X = a.X\n")
-    assert fn == ff_make("BOOL", [("(nil |[a]| X)", make_bool(True))])
+    assert fn == ff_make("BOOL", [("(nil |[a]| X)", True)])
     _, fn = step_of("a.nil |[a]| b.nil", "iml", "act", "a")
     assert fn == ff_zero("BOOL")
 
@@ -125,16 +126,16 @@ def test_iml_sync_requires_both_sides():
 def test_iml_interleaving_action_and_delay():
     _, fn = step_of("a.nil |[]| a.nil", "iml", "act", "a")
     assert [key for key, _ in fn.entries] == ["(a.nil |[]| nil)", "(nil |[]| a.nil)"]
-    assert dict(fn.entries)["(a.nil |[]| nil)"] == make_bool(True)
+    assert dict(fn.entries)["(a.nil |[]| nil)"] is True
     _, fn = step_of("1.nil |[a]| 2.nil", "iml", "delay", "delta")
-    assert dict(fn.entries)["(nil |[a]| 2 . nil)"] == make_rat(1)
-    assert dict(fn.entries)["(1 . nil |[a]| nil)"] == make_rat(2)
+    assert dict(fn.entries)["(nil |[a]| 2 . nil)"] == Fraction(1)
+    assert dict(fn.entries)["(1 . nil |[a]| nil)"] == Fraction(2)
 
 
 def test_iml_delay_ignores_sync_set():
     # delays interleave even when the composition synchronises actions
     _, fn = step_of("1.nil |[a]| 1.nil", "iml", "delay", "delta")
-    assert ff_oplus(fn) == make_rat(2)
+    assert ff_oplus(fn) == Fraction(2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +147,14 @@ def test_tpc_action_relation_stops_at_delays():
     _, fn = step_of("(2).a.nil", "tpc", "act", "a")
     assert fn == ff_zero("BOOL")
     _, fn = step_of("a.(2).nil", "tpc", "act", "a")
-    assert fn == ff_make("BOOL", [("(2).nil", make_bool(True))])
+    assert fn == ff_make("BOOL", [("(2).nil", True)])
 
 
 def test_tpc_tick_of_a_time_prefix():
     _, fn = step_of("(2).a.nil", "tpc", "tick", "tick")
     assert fn == ff_make(
         "NATSET",
-        [("(1).a.nil", make_natset({1})), ("a.nil", make_natset({2}))],
+        [("(1).a.nil", frozenset({1})), ("a.nil", frozenset({2}))],
     )
 
 
@@ -163,9 +164,9 @@ def test_tpc_tick_unrolls_through_the_continuation():
     assert fn == ff_make(
         "NATSET",
         [
-            ("(2).nil", make_natset({1})),
-            ("(1).nil", make_natset({2})),
-            ("nil", make_natset({3})),
+            ("(2).nil", frozenset({1})),
+            ("(1).nil", frozenset({2})),
+            ("nil", frozenset({3})),
         ],
     )
     _, direct = step_of("(3).nil", "tpc", "tick", "tick")
@@ -177,8 +178,8 @@ def test_tpc_tick_of_choice_synchronises_time():
     assert fn == ff_make(
         "NATSET",
         [
-            ("((1).nil + (2).nil)", make_natset({1})),
-            ("(nil + (1).nil)", make_natset({2})),
+            ("((1).nil + (2).nil)", frozenset({1})),
+            ("(nil + (1).nil)", frozenset({2})),
         ],
     )
 
@@ -188,8 +189,8 @@ def test_tpc_tick_of_composition_synchronises_time():
     assert fn == ff_make(
         "NATSET",
         [
-            ("((1).nil |[a]| (1).nil)", make_natset({1})),
-            ("(nil |[a]| nil)", make_natset({2})),
+            ("((1).nil |[a]| (1).nil)", frozenset({1})),
+            ("(nil |[a]| nil)", frozenset({2})),
         ],
     )
     # a side that cannot let time pass blocks the whole composition
@@ -206,7 +207,7 @@ def test_tpc_delay_only_recursion_is_reported():
     # recursion through an action prefix is fine
     ctx = ctx_for("X = (1).a.X\ninit X\n", "tpc")
     fn = futs_step(ctx, ctx.init_key, "tick", "tick")
-    assert fn == ff_make("NATSET", [("a.X", make_natset({1}))])
+    assert fn == ff_make("NATSET", [("a.X", frozenset({1}))])
 
 
 def test_tpc_max_delay():
@@ -224,8 +225,8 @@ def test_tpc_tick_amounts_descend_by_the_time_spent():
         fn = futs_step(ctx, key, "tick", "tick")
         base = tpc_max_delay(ctx, key)
         for target, value in fn.entries:
-            assert len(value.payload) == 1  # tick amounts are unique per target
-            (amount,) = value.payload
+            assert len(value) == 1  # tick amounts are unique per target
+            (amount,) = value
             assert tpc_max_delay(ctx, target) == base - amount
             if target not in seen:
                 seen.append(target)
@@ -279,14 +280,14 @@ def test_mal_inner_distributions_sum_to_one():
         "a.{1/3: nil [] 2/3: P} |[a]| a.{1/4: nil [] 3/4: P}", "mal", "act", "a", defs=defs
     )
     for inner, flag in fn.entries:
-        assert flag == make_bool(True)
-        assert ff_oplus(inner) == make_rat(1)
+        assert flag is True
+        assert ff_oplus(inner) == Fraction(1)
 
 
 def test_mal_delay_relation():
     _, fn = step_of("2.nil |[]| 3.X", "mal", "delay", "delta", defs="X = 1.X\n")
-    assert dict(fn.entries)["(nil |[]| 3 . X)"] == make_rat(2)
-    assert dict(fn.entries)["(2 . nil |[]| X)"] == make_rat(3)
+    assert dict(fn.entries)["(nil |[]| 3 . X)"] == Fraction(2)
+    assert dict(fn.entries)["(2 . nil |[]| X)"] == Fraction(3)
     _, fn = step_of("a.{1: nil}", "mal", "delay", "delta")
     assert fn == ff_zero("NNRAT")
 

@@ -6,9 +6,13 @@ semantics agree on aggregated quantities (the systematic sweep over
 random models lives in the acceptance suite).
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import futsbench.sem_oracle
 
 from futsbench.errors import DelayCycleError, TimedTransitionCapError
 from futsbench.fsfun import ff_oplus
@@ -223,13 +227,13 @@ def futs_entries(text, lang, relation, label, defs=""):
 def test_routes_agree_pepa():
     text = "((a, 2).nil + (a, 1).X) <a> ((a, 1).nil <> (b, 5).X)"
     model, fn = futs_entries(text, "pepa", "act", "a", defs="X = (a, 1).X\n")
-    got = {k: v.payload for k, v in fn.entries}
+    got = dict(fn.entries)
     by_target = {}
     for rate, target in pepa_transitions(model, model.init, "a"):
         key = term_key(target)
         by_target[key] = by_target.get(key, Fraction(0)) + rate
     assert got == by_target
-    assert ff_oplus(fn).payload == pepa_apparent_rate(model, model.init, "a")
+    assert ff_oplus(fn) == pepa_apparent_rate(model, model.init, "a")
 
 
 def test_routes_agree_iml():
@@ -239,7 +243,7 @@ def test_routes_agree_iml():
     want = {term_key(t) for t in interactive_transitions(model, model.init, "a")}
     assert got == want
     model, fn = futs_entries(text, "iml", "delay", "delta")
-    got = {k: v.payload for k, v in fn.entries}
+    got = dict(fn.entries)
     by_target = {}
     for rate, target in delay_derivations(model, model.init):
         key = term_key(target)
@@ -250,13 +254,35 @@ def test_routes_agree_iml():
 def test_routes_agree_tpc():
     text = "((2).a.nil + (3).nil) |[a]| (1).(2).b.nil"
     model, fn = futs_entries(text, "tpc", "tick", "tick")
-    got = {k: set(v.payload) for k, v in fn.entries}
+    got = {k: set(v) for k, v in fn.entries}
     assert got == as_timed_dict(timed_transitions(model, model.init))
 
 
 def test_routes_agree_mal():
     text = "(a.{1/2: nil [] 1/2: X} + a.{1: nil}) |[]| 2.nil"
     model, fn = futs_entries(text, "mal", "act", "a", defs="X = 1.X\n")
-    got = {frozenset((k, v.payload) for k, v in inner.entries) for inner, _ in fn.entries}
+    got = {frozenset(inner.entries) for inner, _ in fn.entries}
     want = as_dist_set(action_distributions(model, model.init, "a"))
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Independence: the oracle must not reuse the weight-function semantics,
+# or the cross-checks between the two would compare a route with itself
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_imports_only_errors_and_syntax():
+    tree = ast.parse(Path(futsbench.sem_oracle.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("futsbench." if node.level else "") + (node.module or "")
+            if node.module:
+                imported.append(base)
+            else:  # from . import name
+                imported += [base + alias.name for alias in node.names]
+    package = {name for name in imported if name.split(".")[0] == "futsbench"}
+    assert package == {"futsbench.errors", "futsbench.syntax"}, package
