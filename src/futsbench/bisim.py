@@ -8,12 +8,12 @@ systems, builds an independent partition from the step-derivation oracle,
 and constructs quotient systems.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, SizeLimitError, UnknownStateError
-from .explore import FutsModel, RelationData, StateInfo, index_function
+from .explore import FutsModel, RelationData, StateInfo
 from .fsfun import ff_make
 from .semiring import Semiring, semiring_of
 from .sem_oracle import (
@@ -26,6 +26,9 @@ from .sem_oracle import (
 from .syntax import term_key
 
 BRUTE_FORCE_MAX = 8
+# disjoint_union prefixes right-hand state keys with this; no term key
+# can start with it, so the two state spaces' keys cannot collide
+UNION_PREFIX = "u2!"
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ def canonical_assignment(raw: Sequence[int]) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 #
 # Refinement reads each step's targets as state ids (see
-# explore.Transition), so each round only touches integers and raw
+# explore.RelationData), so each round only touches integers and raw
 # weights.  Weights of different domains can compare equal (True ==
 # Fraction(1)), so a signature keeps one slot per relation and label and
 # slots are only ever compared with the same slot of another state.
@@ -95,11 +98,6 @@ def _lifted_sig(entry, assignment: Sequence[int], sr: Semiring, inner_sr: Semiri
     return tuple(sorted(kv for kv in acc.items() if kv[1] != sr.zero))
 
 
-def _targets_at(data: RelationData, state_id: int, label: str) -> tuple:
-    step = data.transitions.get((state_id, label))
-    return () if step is None else step.targets
-
-
 def _state_signature(relations, state_id: int, assignment: Sequence[int]):
     parts = []
     for data in relations:
@@ -110,11 +108,9 @@ def _state_signature(relations, state_id: int, assignment: Sequence[int]):
             if step is None:
                 parts.append(())
             elif data.kind == "simple":
-                parts.append(_block_sum_sig(step.targets, assignment, sr))
+                parts.append(_block_sum_sig(step, assignment, sr))
             else:
-                parts.append(
-                    _lifted_sig(step.targets, assignment, sr, semiring_of(data.inner_tag))
-                )
+                parts.append(_lifted_sig(step, assignment, sr, semiring_of(data.inner_tag)))
     return tuple(parts)
 
 
@@ -190,8 +186,8 @@ def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
         sr = semiring_of(data.tag)
         fmt, zero = sr.fmt, sr.zero
         for label in data.labels:
-            entry_l = _targets_at(data, left, label)
-            entry_r = _targets_at(data, right, label)
+            entry_l = data.function_at(left, label)
+            entry_r = data.function_at(right, label)
             if data.kind == "simple":
                 sums_l = _block_sums(entry_l, assignment, sr)
                 sums_r = _block_sums(entry_r, assignment, sr)
@@ -287,11 +283,10 @@ def brute_force(fm: FutsModel) -> Partition:
             sr = semiring_of(data.tag)
             inner_sr = semiring_of(data.inner_tag) if data.inner_tag else None
             for label in data.labels:
-                step = data.transitions.get((state_id, label))
-                mask.append(step is not None)
-                if step is None:
+                entry = data.transitions.get((state_id, label))
+                mask.append(entry is not None)
+                if entry is None:
                     continue
-                entry = step.targets
                 if data.kind == "simple":
                     targets = tuple(sorted({t for t, _ in entry}))
                 else:
@@ -394,7 +389,7 @@ def oracle_partition_from(fm: FutsModel) -> Partition:
     if ctx is None:
         raise FutsError("oracle partition needs the exploration context")
     model = ctx.model
-    terms = [ctx.term_of(state.key) for state in fm.states]
+    terms = [ctx.term_of(state.term) for state in fm.states]
 
     def state_of(term) -> int:
         key = term_key(term)
@@ -438,7 +433,7 @@ def oracle_partition_from(fm: FutsModel) -> Partition:
                 for action in act_labels
             )
 
-    elif lang == "iml":
+    elif lang in ("iml", "tpc"):
         imoves = [
             {
                 action: tuple(
@@ -451,52 +446,37 @@ def oracle_partition_from(fm: FutsModel) -> Partition:
             }
             for term in terms
         ]
-        dmoves = [
-            tuple((rate, state_of(target)) for rate, target in delay_derivations(model, term))
-            for term in terms
-        ]
-
-        def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
-            parts = [
-                tuple(sorted({assignment[t] for t in imoves[state_id][action]}))
-                for action in act_labels
+        if lang == "iml":
+            dmoves = [
+                tuple((rate, state_of(target)) for rate, target in delay_derivations(model, term))
+                for term in terms
             ]
-            parts.append(fraction_sums(dmoves[state_id], assignment))
-            return tuple(parts)
 
-    elif lang == "tpc":
-        imoves = [
-            {
-                action: tuple(
-                    sorted(
-                        state_of(target)
-                        for target in interactive_transitions(model, term, action)
-                    )
-                )
-                for action in act_labels
-            }
-            for term in terms
-        ]
-        tmoves = [
-            tuple(
-                sorted(
-                    (amount, state_of(target))
-                    for amount, target in timed_transitions(model, term)
-                )
-            )
-            for term in terms
-        ]
+            def last_part(state_id: int, assignment: Sequence[int]) -> tuple:
+                return fraction_sums(dmoves[state_id], assignment)
 
-        def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
-            parts = [
-                tuple(sorted({assignment[t] for t in imoves[state_id][action]}))
-                for action in act_labels
-            ]
-            parts.append(
+        else:
+            tmoves = [
                 tuple(
+                    sorted(
+                        (amount, state_of(target))
+                        for amount, target in timed_transitions(model, term)
+                    )
+                )
+                for term in terms
+            ]
+
+            def last_part(state_id: int, assignment: Sequence[int]) -> tuple:
+                return tuple(
                     sorted({(amount, assignment[t]) for amount, t in tmoves[state_id]})
                 )
-            )
+
+        def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
+            parts = [
+                tuple(sorted({assignment[t] for t in imoves[state_id][action]}))
+                for action in act_labels
+            ]
+            parts.append(last_part(state_id, assignment))
             return tuple(parts)
 
     elif lang == "mal":
@@ -573,15 +553,12 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         if rep_state[block] is None:
             rep_state[block] = state
 
-    states = [
-        StateInfo(block, rep.key, rep.pretty) for block, rep in enumerate(rep_state)
-    ]
-    index = {rep.key: block for block, rep in enumerate(rep_state)}
+    states = [replace(rep, id=block) for block, rep in enumerate(rep_state)]
+    index = {state.key: state.id for state in states}
 
     def block_fn(sr: Semiring, entries: _SimpleEntries):
-        """The function from each block's representative to the block's total."""
-        sums = _block_sums(entries, assignment, sr)
-        return ff_make(sr.tag, [(rep_state[b].key, value) for b, value in sums.items()])
+        """The function from each block to the block's total."""
+        return ff_make(sr.tag, _block_sums(entries, assignment, sr).items())
 
     relations: List[RelationData] = []
     for data in fm.relations:
@@ -589,24 +566,16 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         quotient = RelationData(data.name, data.kind, data.tag, data.inner_tag, data.labels)
         for block, rep in enumerate(rep_state):
             for label in data.labels:
-                step = data.transitions.get((rep.id, label))
-                if step is None:
-                    continue
+                step = data.function_at(rep.id, label)
                 if data.kind == "simple":
-                    qfn = block_fn(sr, step.targets)
+                    qfn = block_fn(sr, step)
                 else:
                     inner_sr = semiring_of(data.inner_tag)
                     qfn = ff_make(
                         data.tag,
-                        [
-                            (block_fn(inner_sr, inner), outer_value)
-                            for inner, outer_value in step.targets
-                        ],
+                        [(block_fn(inner_sr, inner), outer_value) for inner, outer_value in step],
                     )
-                if qfn.entries:
-                    quotient.transitions[block, label] = index_function(
-                        qfn, data.kind, index.__getitem__
-                    )
+                quotient.store(block, label, qfn, lambda b: states[b].key, lambda b: b)
         relations.append(quotient)
 
     return FutsModel(
@@ -619,11 +588,11 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
     )
 
 
-def disjoint_union(left: FutsModel, right: FutsModel, prefix: str = "u2!") -> FutsModel:
+def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
     """Side-by-side union of two explored systems over the same relations.
 
-    The right-hand states are renamed with a prefix no term key can start
-    with, so the two state spaces cannot collide."""
+    The right-hand states follow the left-hand ones, and their keys get
+    :data:`UNION_PREFIX`."""
     if left.lang != right.lang:
         raise FutsError("cannot union systems of different languages")
     if len(left.relations) != len(right.relations) or any(
@@ -634,44 +603,25 @@ def disjoint_union(left: FutsModel, right: FutsModel, prefix: str = "u2!") -> Fu
 
     offset = len(left.states)
 
-    def rename_key(key: str) -> str:
-        return prefix + key
-
-    def rename_fn(fn, kind: str):
-        if kind == "simple":
-            return ff_make(
-                fn.tag, [(rename_key(key), value) for key, value in fn.entries]
-            )
-        return ff_make(
-            fn.tag,
-            [
-                (
-                    ff_make(
-                        inner.tag,
-                        [(rename_key(key), value) for key, value in inner.entries],
-                    ),
-                    outer_value,
-                )
-                for inner, outer_value in fn.entries
-            ],
-        )
+    def shifted(pairs) -> tuple:
+        return tuple((offset + target, value) for target, value in pairs)
 
     states = list(left.states) + [
-        StateInfo(offset + state.id, rename_key(state.key), state.pretty)
+        replace(state, id=offset + state.id, key=UNION_PREFIX + state.key)
         for state in right.states
     ]
-    index = dict(left.index)
-    for key, state_id in right.index.items():
-        index[rename_key(key)] = offset + state_id
+    index = {state.key: state.id for state in states}
 
     relations: List[RelationData] = []
     for dl, dr in zip(left.relations, right.relations):
         merged = RelationData(dl.name, dl.kind, dl.tag, dl.inner_tag, dl.labels)
         merged.transitions = dict(dl.transitions)
-        for (source, label), (fn, _) in dr.transitions.items():
-            merged.transitions[offset + source, label] = index_function(
-                rename_fn(fn, dl.kind), dl.kind, index.__getitem__
-            )
+        for (source, label), step in dr.transitions.items():
+            if dl.kind == "simple":
+                step = shifted(step)
+            else:
+                step = tuple((shifted(inner), value) for inner, value in step)
+            merged.transitions[offset + source, label] = step
         relations.append(merged)
 
     return FutsModel(

@@ -13,7 +13,6 @@ from typing import Dict, List, Tuple
 from .bisim import oracle_partition_from, refine
 from .errors import FutsError
 from .explore import FutsModel
-from .fsfun import ff_oplus
 from .sem_futs import tpc_max_delay
 from .sem_oracle import (
     action_distributions,
@@ -50,7 +49,7 @@ def _state_terms(fm: FutsModel):
     ctx = fm.ctx
     if ctx is None:
         raise FutsError("cross-checks need the exploration context")
-    return ctx.model, [(state, ctx.term_of(state.key)) for state in fm.states]
+    return ctx.model, [(state, ctx.term_of(state.term)) for state in fm.states]
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +64,7 @@ def apparent_rate_check(fm: FutsModel) -> CheckResult:
     failures: List[str] = []
     for state, term in pairs:
         for action in act.labels:
-            fn = act.function_at(state.id, action)
-            got = ff_oplus(fn)
+            got = sum((value for _, value in act.function_at(state.id, action)), Fraction(0))
             expected = pepa_apparent_rate(model, term, action)
             checked += 1
             if got != expected:
@@ -94,6 +92,7 @@ def agreement_check(fm: FutsModel) -> CheckResult:
     model, pairs = _state_terms(fm)
     lang = fm.lang
     act = _relation(fm, "act")
+    keys = [state.key for state in fm.states]
     checked = 0
     failures: List[str] = []
 
@@ -102,22 +101,24 @@ def agreement_check(fm: FutsModel) -> CheckResult:
 
     for state, term in pairs:
         for action in act.labels:
-            fn = act.function_at(state.id, action)
+            step = act.function_at(state.id, action)
             checked += 1
             if lang == "pepa":
-                got = dict(fn.entries)
+                got = {keys[t]: rate for t, rate in step}
                 expected = _fold_rates(pepa_transitions(model, term, action))
                 if got != expected:
                     fail(state, action, f"weights {got} != derivations {expected}")
             elif lang in ("iml", "tpc"):
-                got_set = {key for key, _ in fn.entries}
+                got_set = {keys[t] for t, _ in step}
                 expected_set = {
                     term_key(t) for t in interactive_transitions(model, term, action)
                 }
                 if got_set != expected_set:
                     fail(state, action, f"targets {got_set} != {expected_set}")
             else:  # mal: compare sets of folded distributions
-                got_dists = {frozenset(inner.entries) for inner, _ in fn.entries}
+                got_dists = {
+                    frozenset((keys[t], mass) for t, mass in inner) for inner, _ in step
+                }
                 expected_dists = {
                     frozenset(
                         (term_key(t), mass)
@@ -132,8 +133,7 @@ def agreement_check(fm: FutsModel) -> CheckResult:
         delay = _relation(fm, "delay")
         if delay is not None:
             label = delay.labels[0]
-            fn = delay.function_at(state.id, label)
-            got = dict(fn.entries)
+            got = {keys[t]: rate for t, rate in delay.function_at(state.id, label)}
             expected = _fold_rates(delay_derivations(model, term))
             checked += 1
             if got != expected:
@@ -142,8 +142,7 @@ def agreement_check(fm: FutsModel) -> CheckResult:
         tick = _relation(fm, "tick")
         if tick is not None:
             label = tick.labels[0]
-            fn = tick.function_at(state.id, label)
-            got = dict(fn.entries)
+            got = {keys[t]: amounts for t, amounts in tick.function_at(state.id, label)}
             expected_map: Dict[str, set] = {}
             for amount, target in timed_transitions(model, term):
                 expected_map.setdefault(term_key(target), set()).add(amount)
@@ -166,12 +165,13 @@ def tick_singleton_check(fm: FutsModel) -> CheckResult:
     tick = _relation(fm, "tick")
     checked = 0
     failures: List[str] = []
-    for (source, _), (fn, _) in tick.transitions.items():
-        for key, value in fn.entries:
+    for (source, _), step in tick.transitions.items():
+        for target, value in step:
             checked += 1
             if not isinstance(value, frozenset) or len(value) != 1:
                 failures.append(
-                    f"state {source} -> {key}: amount set {value!r} is not a singleton"
+                    f"state {source} -> {fm.states[target].key}: "
+                    f"amount set {value!r} is not a singleton"
                 )
     return CheckResult(
         "tick values are singletons", not failures, checked, tuple(failures)
@@ -207,12 +207,12 @@ def md_descent_check(fm: FutsModel) -> CheckResult:
     tick = _relation(fm, "tick")
     checked = 0
     failures: List[str] = []
-    for (source, _), (fn, _) in tick.transitions.items():
-        source_md = tpc_max_delay(ctx, fm.states[source].key)
-        for key, value in fn.entries:
+    for (source, _), step in tick.transitions.items():
+        source_md = tpc_max_delay(ctx, fm.states[source].term)
+        for target, value in step:
             for amount in sorted(value):
                 checked += 1
-                target_md = tpc_max_delay(ctx, key)
+                target_md = tpc_max_delay(ctx, fm.states[target].term)
                 if amount < 1 or target_md != source_md - amount:
                     failures.append(
                         f"state {source}: waited {amount}, max delay "
@@ -227,10 +227,10 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     act = _relation(fm, "act")
     checked = 0
     failures: List[str] = []
-    for (source, label), (fn, _) in act.transitions.items():
-        for inner, _ in fn.entries:
+    for (source, label), step in act.transitions.items():
+        for inner, _ in step:
             checked += 1
-            mass = ff_oplus(inner)
+            mass = sum((p for _, p in inner), Fraction(0))
             if mass != 1:
                 failures.append(
                     f"state {source} label {label}: branch masses sum to {mass}"

@@ -4,9 +4,9 @@
 initial term under all step relations of its language, producing a
 :class:`FutsModel`: an ordered state table (ids assigned in discovery
 order) plus, per relation, one transition table keyed by (source state
-id, label) that holds every non-zero weight function together with its
-targets as state ids.  Zero functions are implicit, so lookups default
-to the domain's zero.
+id, label) that holds every non-zero step once, as its targets' state
+ids and weights in the printed order of the targets.  Zero steps are
+implicit.
 
 Serializers render a model to deterministic JSON (states in
 exploration order, entries in canonical key order) or to Graphviz DOT
@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ExplorationLimitError
-from .fsfun import FinFn, ff_zero
+from .fsfun import FinFn
 from .semiring import semiring_of
 from .sem_futs import StepContext, futs_step, relation_labels, relation_specs
 from .syntax import Model, Term, pretty, term_actions
@@ -33,36 +33,15 @@ DEFAULT_MAX_STATES = 10_000
 
 @dataclass(frozen=True)
 class StateInfo:
-    """One discovered state: dense id, canonical key, readable text."""
+    """One discovered state: dense id, canonical key, readable text, and
+
+    its term id in the exploring :class:`StepContext`.
+    """
 
     id: int
     key: str
     pretty: str
-
-
-class Transition(NamedTuple):
-    """One non-zero step: the weight function, and its entries again in
-
-    the same order with state ids in place of state keys:
-    ``((target id, value), ...)`` for a simple relation, and
-    ``((((target id, value), ...), outer value), ...)`` for a nested one.
-    """
-
-    fn: FinFn
-    targets: tuple
-
-
-def index_function(fn: FinFn, kind: str, id_of: Callable[[str], int]) -> Transition:
-    """Pair ``fn`` with its targets, each state key mapped by ``id_of``."""
-    if kind == "simple":
-        return Transition(fn, tuple((id_of(key), value) for key, value in fn.entries))
-    return Transition(
-        fn,
-        tuple(
-            (tuple((id_of(key), value) for key, value in inner.entries), outer)
-            for inner, outer in fn.entries
-        ),
-    )
+    term: int
 
 
 @dataclass
@@ -74,12 +53,49 @@ class RelationData:
     tag: str
     inner_tag: Optional[str]
     labels: Tuple[str, ...]
-    # (source state id, label) -> non-zero step, in discovery order
-    transitions: Dict[Tuple[int, str], Transition] = field(default_factory=dict)
+    # (source state id, label) -> non-zero step, in discovery order: the
+    # ``((target id, weight), ...)`` of a simple relation, or the
+    # ``((((target id, weight), ...), weight), ...)`` of a nested one
+    transitions: Dict[Tuple[int, str], tuple] = field(default_factory=dict)
 
-    def function_at(self, state_id: int, label: str) -> FinFn:
-        step = self.transitions.get((state_id, label))
-        return ff_zero(self.tag) if step is None else step.fn
+    def function_at(self, state_id: int, label: str) -> tuple:
+        """The step of a state under a label; ``()`` when it is zero."""
+        return self.transitions.get((state_id, label), ())
+
+    def store(
+        self,
+        source: int,
+        label: str,
+        fn: FinFn,
+        text_of: Callable[[int], str],
+        id_of: Callable[[int], int],
+    ) -> None:
+        """Record ``fn`` as the step of ``source`` unless it is zero.
+
+        Entries go in the order of their keys' printed text (``text_of``)
+        and then of the printed distributions; each key is mapped to a
+        state id by ``id_of`` in that order.
+        """
+        if not fn.entries:
+            return
+
+        def by_text(entry):
+            return text_of(entry[0])
+
+        if self.kind == "simple":
+            step = tuple((id_of(k), v) for k, v in sorted(fn.entries, key=by_text))
+        else:
+            fmt = semiring_of(self.inner_tag).fmt
+            dists = [(sorted(inner.entries, key=by_text), value) for inner, value in fn.entries]
+            dists.sort(
+                key=lambda dist: "["
+                + ", ".join(f"{text_of(k)} -> {fmt(v)}" for k, v in dist[0])
+                + "]"
+            )
+            step = tuple(
+                (tuple((id_of(k), v) for k, v in inner), value) for inner, value in dists
+            )
+        self.transitions[source, label] = step
 
 
 @dataclass
@@ -117,12 +133,13 @@ def explore(
             labels = tuple(sorted(set(labels) | root_actions))
         relations.append(RelationData(s.name, s.kind, s.tag, s.inner_tag, labels))
 
+    state_of: Dict[int, int] = {}  # term id -> state id
     index: dict = {}
     states: List[StateInfo] = []
     queue: deque = deque()
 
-    def discover(key: str) -> int:
-        found = index.get(key)
+    def discover(term_id: int) -> int:
+        found = state_of.get(term_id)
         if found is not None:
             return found
         if len(states) >= max_states:
@@ -130,24 +147,24 @@ def explore(
                 f"exploration exceeded {max_states} states "
                 f"with {len(queue)} states still on the frontier"
             )
-        state_id = len(states)
+        state_id = state_of[term_id] = len(states)
+        key = ctx.text(term_id)
         index[key] = state_id
-        states.append(StateInfo(state_id, key, pretty(ctx.term_of(key))))
-        queue.append(key)
+        states.append(StateInfo(state_id, key, pretty(ctx.term_of(term_id)), term_id))
+        queue.append(term_id)
         return state_id
 
-    init_id = discover(ctx.init_key)
+    init_id = discover(ctx.init_id)
     for root in extra_roots:
         discover(ctx.register(root))
 
     while queue:
-        key = queue.popleft()
-        source = index[key]
+        term_id = queue.popleft()
+        source = state_of[term_id]
         for spec, data in zip(specs, relations):
             for label in data.labels:
-                fn = futs_step(ctx, key, spec.name, label)
-                if fn.entries:
-                    data.transitions[source, label] = index_function(fn, spec.kind, discover)
+                fn = futs_step(ctx, term_id, spec.name, label)
+                data.store(source, label, fn, ctx.text, discover)
 
     return FutsModel(model.lang, states, index, relations, init_id, ctx)
 
@@ -157,19 +174,20 @@ def explore(
 # ---------------------------------------------------------------------------
 
 
-def _entry_json(fn: FinFn) -> list:
-    fmt = semiring_of(fn.tag).fmt
-    out = []
-    for key, value in fn.entries:
-        if isinstance(key, FinFn):
-            out.append({"inner": _entry_json(key), "value": fmt(value)})
-        else:
-            out.append({"target": key, "value": fmt(value)})
-    return out
+def _entry_json(step: tuple, data: RelationData, keys: List[str]) -> list:
+    fmt = semiring_of(data.tag).fmt
+    if data.kind == "simple":
+        return [{"target": keys[t], "value": fmt(v)} for t, v in step]
+    inner_fmt = semiring_of(data.inner_tag).fmt
+    return [
+        {"inner": [{"target": keys[t], "value": inner_fmt(p)} for t, p in inner], "value": fmt(v)}
+        for inner, v in step
+    ]
 
 
 def to_json(fm: FutsModel) -> str:
     """Deterministic JSON rendering of an explored model."""
+    keys = [s.key for s in fm.states]
     doc = {
         "language": fm.lang,
         "init": fm.init_id,
@@ -183,9 +201,9 @@ def to_json(fm: FutsModel) -> str:
                     {
                         "source": source,
                         "label": label,
-                        "continuation": _entry_json(fn),
+                        "continuation": _entry_json(step, data, keys),
                     }
-                    for (source, label), (fn, _) in data.transitions.items()
+                    for (source, label), step in data.transitions.items()
                 ],
             }
             for data in fm.relations
@@ -219,7 +237,7 @@ def to_dot(fm: FutsModel) -> str:
         lines.append(f'  s{state.id} [label="{_dot_escape(state.pretty)}"];')
     for data in fm.relations:
         fmt = semiring_of(data.inner_tag if data.kind == "nested" else data.tag).fmt
-        for (source, label), (_, targets) in data.transitions.items():
+        for (source, label), targets in data.transitions.items():
             if data.kind == "nested":
                 for inner, _ in targets:
                     inline = _inline_distribution(inner, fmt)

@@ -10,51 +10,39 @@ the function's tag selects its semiring (see :mod:`.semiring`), and
 equality compares tags, so functions over different domains never
 compare equal even where their payloads do.
 
-Keys are usually canonical term strings.  For the calculus whose
-transitions carry probability distributions, the *outer* function's
-keys are themselves :class:`FinFn` values (the inner distributions);
-both key kinds can be ordered canonically via :func:`key_str`.
+Keys are usually term ids of one model's term table (see
+:class:`.sem_futs.StepContext`); any mutually ordered hashable keys
+work.  For the calculus whose transitions carry probability
+distributions, the *outer* function's keys are themselves
+:class:`FinFn` values (the inner distributions), which are ordered too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Tuple, Union
+from typing import Any, Callable, Hashable, Iterable, Tuple
 
 from .errors import FutsError, SemiringMismatchError, UnsupportedDiracError
 from .semiring import NATSET, semiring_of
 
-Key = Union[str, "FinFn"]
+Key = Hashable
 
 
 @dataclass(frozen=True)
 class FinFn:
     """A finite-support function into one weight domain.
 
-    ``entries`` holds only non-zero values, sorted by canonical key
-    text; construct instances through :func:`ff_make` (or the helpers
-    below), never directly, so the canonical invariants hold.
+    ``entries`` holds only non-zero values, sorted by key; construct
+    instances through :func:`ff_make` (or the helpers below), never
+    directly, so the canonical invariants hold.
     """
 
     tag: str
     entries: Tuple[Tuple[Key, Any], ...]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FinFn({self.tag}, {ff_key(self)})"
-
-
-def key_str(key: Key) -> str:
-    """Canonical text for a key (term string, or nested-function text)."""
-    if isinstance(key, FinFn):
-        return ff_key(key)
-    return key
-
-
-def ff_key(fn: FinFn) -> str:
-    """Canonical text for a whole function, e.g. ``[P -> 1/2, Q -> 1/2]``."""
-    fmt = semiring_of(fn.tag).fmt
-    parts = (f"{key_str(k)} -> {fmt(v)}" for k, v in fn.entries)
-    return "[" + ", ".join(parts) + "]"
+    def __lt__(self, other: FinFn) -> bool:
+        """Order by tag, then entries, so functions can key an outer function."""
+        return (self.tag, self.entries) < (other.tag, other.entries)
 
 
 def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
@@ -69,7 +57,7 @@ def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
         prev = acc.get(key)
         acc[key] = value if prev is None else sr.add(prev, value)
     kept = [(k, v) for k, v in acc.items() if v != sr.zero]
-    kept.sort(key=lambda kv: key_str(kv[0]))
+    kept.sort(key=lambda kv: kv[0])
     return FinFn(tag, tuple(kept))
 
 
@@ -140,9 +128,7 @@ def ff_lift_injective(
         for y, bv in b.entries:
             key = ctor(x, y)
             if key in seen:
-                raise FutsError(
-                    f"key builder is not injective: duplicate {key_str(key)!r}"
-                )
+                raise FutsError(f"key builder is not injective: duplicate {key!r}")
             seen.add(key)
             pairs.append((key, mul(av, bv)))
     return ff_make(a.tag, pairs)

@@ -16,9 +16,9 @@ function over continuation states:
   probability distributions* (continuation states weighted by exact
   probabilities), plus a ``delta`` relation like ``iml``'s.
 
-States are identified by their canonical term text; a
-:class:`StepContext` keeps the key-to-term registry and a memo of
-computed steps for one model.
+States are identified by integer term ids: a :class:`StepContext` is
+the hash-consed term table of one model, and every step function maps
+term ids to weights.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .errors import DelayCycleError, FutsError, UnguardedRecursionError, UnknownStateError
+from .errors import DelayCycleError, FutsError, UnguardedRecursionError
 from .fsfun import (
     FinFn,
     ff_add,
@@ -51,6 +51,7 @@ from .syntax import (
     Term,
     TimePrefix,
     alphabet,
+    map_children,
     term_key,
     unfold,
 )
@@ -106,46 +107,64 @@ def relation_labels(spec: RelationSpec, model: Model) -> Tuple[str, ...]:
 
 
 class StepContext:
-    """Per-model bookkeeping: key/term registry and a step memo."""
+    """The hash-consed term table of one model (Filliatre & Conchon, 2006).
+
+    Each distinct term is stored once, under a dense id, as a node whose
+    subterms are stored nodes too.  ``registry`` finds a term by its
+    *shape*: the node with each subterm replaced by its id, so one lookup
+    compares the class, the node's own fields and its children's ids.
+    Canonical text is rendered on first use, once per id.
+    """
 
     def __init__(self, model: Model):
         relation_specs(model.lang)  # validates the language
         self.model = model
-        self.registry: dict = {}
-        self.memo: dict = {}
-        self.init_key = self.register(model.init)
+        self.registry: dict = {}  # shape -> id
+        self._terms: list = []  # id -> stored node
+        self._by_object: dict = {}  # id() of a registered object -> term id
+        self._held: list = []  # registered outside objects, so id() stays unique
+        self._texts: dict = {}
+        self.init_id = self.register(model.init)
 
-    def register(self, term: Term) -> str:
-        key = term_key(term)
-        self.registry.setdefault(key, term)
-        return key
+    def intern(self, shape) -> int:
+        """The id of the term that ``shape`` (a node over child ids) stands for."""
+        found = self.registry.get(shape)
+        if found is None:
+            found = self.registry[shape] = len(self._terms)
+            node = map_children(shape, self._terms.__getitem__)
+            self._terms.append(node)
+            self._by_object[id(node)] = found
+        return found
 
-    def term_of(self, key: str) -> Term:
-        try:
-            return self.registry[key]
-        except KeyError:
-            raise UnknownStateError(f"unknown state key {key!r}") from None
+    def register(self, term: Term) -> int:
+        """The id of ``term``, interning it and its subterms if they are new."""
+        found = self._by_object.get(id(term))
+        if found is None:
+            found = self.intern(map_children(term, self.register))
+            self._by_object[id(term)] = found
+            self._held.append(term)
+        return found
+
+    def term_of(self, term_id: int) -> Term:
+        return self._terms[term_id]
+
+    def text(self, term_id: int) -> str:
+        """Canonical text of a term (:func:`term_key`), rendered once."""
+        text = self._texts.get(term_id)
+        if text is None:
+            text = self._texts[term_id] = term_key(self._terms[term_id])
+        return text
 
 
-def futs_step(ctx: StepContext, key: str, relation: str, label: str) -> FinFn:
-    """The weight function of state ``key`` under ``relation``/``label``.
-
-    Results are memoised per context, so exploring a model computes
-    every step once.
-    """
-    memo_key = (relation, label, key)
-    cached = ctx.memo.get(memo_key)
-    if cached is not None:
-        return cached
-    term = ctx.term_of(key)
+def futs_step(ctx: StepContext, term_id: int, relation: str, label: str) -> FinFn:
+    """The weight function, over term ids, of term ``term_id`` under
+    ``relation``/``label``."""
     lang = ctx.model.lang
     try:
         compute = _DISPATCH[(lang, relation)]
     except KeyError:
         raise ValueError(f"language {lang!r} has no relation {relation!r}") from None
-    result = compute(ctx, term, label)
-    ctx.memo[memo_key] = result
-    return result
+    return compute(ctx, ctx.term_of(term_id), label)
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +172,12 @@ def futs_step(ctx: StepContext, key: str, relation: str, label: str) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _pair_ctor(ctx: StepContext, cls, actions: frozenset) -> Callable[[str, str], str]:
-    """Key builder recombining two continuation states under a binary
+def _pair_ctor(ctx: StepContext, cls, actions: frozenset) -> Callable[[int, int], int]:
+    """Id builder recombining two continuation states under a binary
 
-    composition operator; injective because keys identify terms.
+    composition operator; injective because ids identify terms.
     """
-
-    def ctor(left_key: str, right_key: str) -> str:
-        ast = cls(actions, ctx.term_of(left_key), ctx.term_of(right_key))
-        return ctx.register(ast)
-
-    return ctor
-
-
-def _choice_ctor(ctx: StepContext) -> Callable[[str, str], str]:
-    def ctor(left_key: str, right_key: str) -> str:
-        ast = Choice(ctx.term_of(left_key), ctx.term_of(right_key))
-        return ctx.register(ast)
-
-    return ctor
+    return lambda left, right: ctx.intern(cls(actions, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +318,19 @@ def _tick_step(ctx: StepContext, term: Term, label: str) -> FinFn:
         if isinstance(t, (Nil, ActPrefix)):
             return zero
         if isinstance(t, TimePrefix):
-            pairs = []
-            for spent in range(1, t.delay):
-                remaining = TimePrefix(t.delay - spent, t.cont)
-                pairs.append((ctx.register(remaining), frozenset({spent})))
-            pairs.append((ctx.register(t.cont), frozenset({t.delay})))
+            cont = ctx.register(t.cont)
+            pairs = [
+                (ctx.intern(TimePrefix(t.delay - spent, cont)), frozenset({spent}))
+                for spent in range(1, t.delay)
+            ]
+            pairs.append((cont, frozenset({t.delay})))
             through = shift(t.delay, rec(t.cont))
             return ff_add(ff_make(NATSET, pairs), through)
         if isinstance(t, Choice):
             # both sides must agree on the amount of time passed
-            return ff_lift_injective(_choice_ctor(ctx), rec(t.left), rec(t.right))
+            return ff_lift_injective(
+                lambda left, right: ctx.intern(Choice(left, right)), rec(t.left), rec(t.right)
+            )
         if isinstance(t, Par):
             return ff_lift_injective(
                 _pair_ctor(ctx, Par, t.actions), rec(t.left), rec(t.right)
@@ -333,7 +342,7 @@ def _tick_step(ctx: StepContext, term: Term, label: str) -> FinFn:
     return rec(term)
 
 
-def tpc_max_delay(ctx: StepContext, key: str) -> int:
+def tpc_max_delay(ctx: StepContext, term_id: int) -> int:
     """The largest amount of time a state can let pass before it must
 
     act or stop: 0 for inert/action states, delay plus the rest for a
@@ -352,7 +361,7 @@ def tpc_max_delay(ctx: StepContext, key: str) -> int:
             ctx.model, t, active, rec, DelayCycleError, "computing the maximal delay"
         )
 
-    return rec(ctx.term_of(key))
+    return rec(ctx.term_of(term_id))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ one ``init Term`` line, and ``--`` comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Iterator, Optional, Tuple, Union
 
 from .errors import (
     DuplicateConstantError,
@@ -144,6 +144,17 @@ def children(term: Term) -> Tuple[Term, ...]:
     if isinstance(term, ProbPrefix):
         return tuple(cont for _, cont in term.branches)
     return (term.left, term.right)
+
+
+def map_children(term: Term, f: Callable[[Term], Any]) -> Term:
+    """``term`` with ``f`` applied to each immediate subterm; a leaf as it is."""
+    if isinstance(term, (Nil, Const)):
+        return term
+    if isinstance(term, ProbPrefix):
+        return ProbPrefix(term.action, tuple((p, f(cont)) for p, cont in term.branches))
+    if isinstance(term, _PREFIX_TYPES):
+        return replace(term, cont=f(term.cont))
+    return replace(term, left=f(term.left), right=f(term.right))
 
 
 def walk(term: Term) -> Iterator[Term]:

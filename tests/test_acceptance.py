@@ -29,12 +29,13 @@ from futsbench.crosscheck import (
     tick_singleton_check,
     time_determinism_check,
 )
-from futsbench.explore import explore, index_function, to_json
+from futsbench.explore import explore, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.semiring import TAGS, semiring_of
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model
 
+from idtext import as_text, fn_text, stored_text
 from modelgen import build_corpus, random_value
 
 LANGS = ("pepa", "iml", "tpc", "mal")
@@ -135,27 +136,47 @@ def test_criterion_02_golden_model_exact():
 
     act = fm.relations[0]
 
+    def fn_at(state, label):
+        return stored_text(fm, act, state, label)
+
     # the five non-zero weight functions, frozen
-    assert act.function_at(0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
-    assert act.function_at(1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
-    assert act.function_at(2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
-    assert act.function_at(3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
-    assert act.function_at(1, "b") == rat_fn(
+    assert fn_at(0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
+    assert fn_at(1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
+    assert fn_at(2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
+    assert fn_at(3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
+    assert fn_at(1, "b") == rat_fn(
         [("S0", "1/6"), ("S2", "1/2"), ("S3", "1/3")]
     )
     # and the displayed zero functions: no b-behaviour anywhere else
     for state in (0, 2, 3):
-        assert act.function_at(state, "b") == ff_zero("NNRAT")
+        assert fn_at(state, "b") == ff_zero("NNRAT")
     # every continuation is a probability distribution (total weight 1)
     for state in range(4):
-        assert ff_oplus(act.function_at(state, "a")) == Fraction(1)
-    assert ff_oplus(act.function_at(1, "b")) == Fraction(1)
+        assert ff_oplus(fn_at(state, "a")) == Fraction(1)
+    assert ff_oplus(fn_at(1, "b")) == Fraction(1)
     print("criterion 2: PASS — golden model reproduced exactly")
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3 — totality and determinism on random corpora
 # ---------------------------------------------------------------------------
+
+
+def printed_image(fm, data, fn, state_of):
+    """``fn`` over state ids, each distribution's targets and then the
+    distributions in the order of their printed text."""
+
+    def simple(entries):
+        pairs = ((state_of[t], v) for t, v in entries)
+        return tuple(sorted(pairs, key=lambda pair: fm.states[pair[0]].key))
+
+    if data.kind == "simple":
+        return simple(fn.entries)
+
+    def printed(dist):
+        return fn_text(as_text(data.inner_tag, dist[0], lambda t: fm.states[t].key))
+
+    return tuple(sorted(((simple(inner.entries), v) for inner, v in fn.entries), key=printed))
 
 
 def test_criterion_03_totality_and_determinism():
@@ -165,22 +186,27 @@ def test_criterion_03_totality_and_determinism():
         assert len(corpus) >= 100
         for fm in corpus:
             # one stored continuation per (state, label), keyed by the table:
-            # non-zero, and its state ids name exactly its function's keys
+            # a valid source and label, and non-zero
             for data in fm.relations:
                 for (source, label), step in data.transitions.items():
                     assert 0 <= source < len(fm.states) and label in data.labels
-                    assert step.fn.entries
-                    assert step == index_function(step.fn, data.kind, fm.index.__getitem__)
+                    assert step
             # total: every (state, label) evaluates to exactly one function,
-            # and evaluating again gives a structurally identical result
+            # evaluating again recomputes a structurally identical result,
+            # and the table stores that function's state-id image, in the
+            # printed order of its targets
             ctx = fm.ctx
             specs = relation_specs(lang)
+            state_of = {state.term: state.id for state in fm.states}
             for state in fm.states:
-                for spec in specs:
+                for spec, data in zip(specs, fm.relations):
                     for label in relation_labels(spec, ctx.model):
-                        once = futs_step(ctx, state.key, spec.name, label)
-                        again = futs_step(ctx, state.key, spec.name, label)
-                        assert once == again
+                        once = futs_step(ctx, state.term, spec.name, label)
+                        again = futs_step(ctx, state.term, spec.name, label)
+                        assert once == again and once is not again
+                        assert data.function_at(state.id, label) == printed_image(
+                            fm, data, once, state_of
+                        )
             # deterministic end to end: a fresh exploration is byte-identical
             assert to_json(explore(ctx.model, max_states=2000)) == to_json(fm)
         elapsed = time.monotonic() - start

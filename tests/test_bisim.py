@@ -19,6 +19,7 @@ from futsbench.errors import ExplorationLimitError, FutsError, SizeLimitError, U
 from futsbench.explore import explore
 from futsbench.syntax import parse_model, parse_term, term_key
 
+from idtext import stored_text
 from modelgen import random_model
 
 GOLDEN_PEPA = """
@@ -259,7 +260,7 @@ def test_minimize_folds_split_choice():
     q = minimize(fm, p)
     assert len(q.states) == p.n_blocks
     qid = p.assignment[root]
-    fn = q.relations[0].function_at(qid, "a")
+    fn = stored_text(q, q.relations[0], qid, "a")
     assert len(fn.entries) == 1
     key, value = fn.entries[0]
     assert key == "nil"
@@ -324,7 +325,7 @@ def test_nested_quotient_merges_inner_targets():
     p = refine(fm)
     q = minimize(fm, p)
     a_block = p.assignment[ids[2]]
-    fn = q.relations[0].function_at(a_block, "a")
+    fn = stored_text(q, q.relations[0], a_block, "a")
     assert len(fn.entries) == 1
     inner, outer = fn.entries[0]
     # Both halves of A's distribution landed in the same block.

@@ -14,6 +14,8 @@ from futsbench.explore import explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.syntax import parse_model, parse_term
 
+from idtext import stored_text
+
 GOLDEN_PEPA = """\
 S0 = (a, 1/2).S0 + (a, 1/2).S1
 S1 = (a, 1/2).S1 + (a, 1/2).S2 + (b, 1/6).S0 + (b, 1/2).S2 + (b, 1/3).S3
@@ -43,9 +45,9 @@ def test_self_loop_collapses_to_one_state():
     fm = explore(parse_model("X = a.X\ninit X\n", "iml"))
     assert [s.key for s in fm.states] == ["X"]
     act, delay = fm.relations
-    fn = act.function_at(0, "a")
+    fn = stored_text(fm, act, 0, "a")
     assert fn == ff_make("BOOL", [("X", True)])
-    assert delay.function_at(0, "delta") == ff_zero("NNRAT")
+    assert stored_text(fm, delay, 0, "delta") == ff_zero("NNRAT")
 
 
 def test_golden_model_states_and_functions():
@@ -54,32 +56,36 @@ def test_golden_model_states_and_functions():
     assert fm.init_id == 0
     (act,) = fm.relations
     assert act.labels == ("a", "b")
-    assert act.function_at(0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
-    assert act.function_at(1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
-    assert act.function_at(2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
-    assert act.function_at(3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
-    assert act.function_at(1, "b") == rat_fn(
+
+    def fn_at(state, label):
+        return stored_text(fm, act, state, label)
+
+    assert fn_at(0, "a") == rat_fn([("S0", "1/2"), ("S1", "1/2")])
+    assert fn_at(1, "a") == rat_fn([("S1", "1/2"), ("S2", "1/2")])
+    assert fn_at(2, "a") == rat_fn([("S2", "1/2"), ("S3", "1/2")])
+    assert fn_at(3, "a") == rat_fn([("S0", "1/2"), ("S3", "1/2")])
+    assert fn_at(1, "b") == rat_fn(
         [("S0", "1/6"), ("S2", "1/2"), ("S3", "1/3")]
     )
     for state in (0, 2, 3):
-        assert act.function_at(state, "b") == ff_zero("NNRAT")
+        assert fn_at(state, "b") == ff_zero("NNRAT")
     # every state's a-behaviour is a probability distribution
     for state in range(4):
-        assert ff_oplus(act.function_at(state, "a")) == Fraction(1)
+        assert ff_oplus(fn_at(state, "a")) == Fraction(1)
 
 
 def test_closure_every_support_key_is_a_state():
     text = "X = a.{1/2: nil [] 1/2: Y}\nY = 1.X\ninit X |[]| Y\n"
     fm = explore(parse_model(text, "mal"))
     for data in fm.relations:
-        for fn, _ in data.transitions.values():
+        for step in data.transitions.values():
             if data.kind == "nested":
-                for inner, _ in fn.entries:
-                    for key, _ in inner.entries:
-                        assert key in fm.index
+                for inner, _ in step:
+                    for target, _ in inner:
+                        assert 0 <= target < len(fm.states)
             else:
-                for key, _ in fn.entries:
-                    assert key in fm.index
+                for target, _ in step:
+                    assert 0 <= target < len(fm.states)
 
 
 def test_exploration_limit():

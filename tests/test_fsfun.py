@@ -9,7 +9,6 @@ from futsbench.errors import FutsError, SemiringMismatchError, UnsupportedDiracE
 from futsbench.fsfun import (
     ff_add,
     ff_dirac,
-    ff_key,
     ff_lift_injective,
     ff_make,
     ff_oplus,
@@ -18,6 +17,7 @@ from futsbench.fsfun import (
 )
 from futsbench.semiring import TAGS, TOP, semiring_of
 
+from idtext import fn_text
 from modelgen import random_finfn, random_value
 
 
@@ -41,9 +41,9 @@ def test_make_folds_duplicates_drops_zeros_and_sorts():
 
 
 def test_key_rendering():
-    assert ff_key(ff_zero("BOOL")) == "[]"
+    assert fn_text(ff_zero("BOOL")) == "[]"
     fn = ff_make("NNRAT", [("b.nil", Fraction(2)), ("a.nil", Fraction("1/2"))])
-    assert ff_key(fn) == "[a.nil -> 1/2, b.nil -> 2/1]"
+    assert fn_text(fn) == "[a.nil -> 1/2, b.nil -> 2/1]"
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -119,7 +119,7 @@ def test_nested_functions_as_keys():
     assert dict(outer.entries)[inner1] is True
     rebuilt = ff_make("NNRAT", [("Q", Fraction("1/2")), ("P", Fraction("1/2"))])
     assert dict(outer.entries)[rebuilt] is True
-    assert ff_key(outer) == "[[P -> 1/1] -> true, [P -> 1/2, Q -> 1/2] -> true]"
+    assert fn_text(outer) == "[[P -> 1/1] -> true, [P -> 1/2, Q -> 1/2] -> true]"
 
 
 def test_mismatched_domains_are_rejected():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from futsbench.errors import DelayCycleError, UnguardedRecursionError
-from futsbench.fsfun import ff_key, ff_make, ff_oplus, ff_zero
+from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.sem_futs import (
     StepContext,
     futs_step,
@@ -18,7 +18,10 @@ from futsbench.sem_futs import (
     relation_specs,
     tpc_max_delay,
 )
-from futsbench.syntax import parse_model, parse_term, term_key
+from futsbench.syntax import parse_model, parse_term, term_key, walk
+
+from idtext import fn_text, step_text
+from modelgen import build_corpus
 
 
 def ctx_for(text: str, lang: str) -> StepContext:
@@ -27,7 +30,7 @@ def ctx_for(text: str, lang: str) -> StepContext:
 
 def step_of(text: str, lang: str, relation: str, label: str, defs: str = ""):
     ctx = ctx_for(defs + f"init {text}\n", lang)
-    return ctx, futs_step(ctx, ctx.init_key, relation, label)
+    return ctx, step_text(ctx, ctx.init_id, relation, label)
 
 
 # ---------------------------------------------------------------------------
@@ -201,29 +204,29 @@ def test_tpc_tick_of_composition_synchronises_time():
 def test_tpc_delay_only_recursion_is_reported():
     ctx = ctx_for("X = (1).X\ninit X\n", "tpc")
     with pytest.raises(DelayCycleError):
-        futs_step(ctx, ctx.init_key, "tick", "tick")
+        futs_step(ctx, ctx.init_id, "tick", "tick")
     with pytest.raises(DelayCycleError):
-        tpc_max_delay(ctx, ctx.init_key)
+        tpc_max_delay(ctx, ctx.init_id)
     # recursion through an action prefix is fine
     ctx = ctx_for("X = (1).a.X\ninit X\n", "tpc")
-    fn = futs_step(ctx, ctx.init_key, "tick", "tick")
+    fn = step_text(ctx, ctx.init_id, "tick", "tick")
     assert fn == ff_make("NATSET", [("a.X", frozenset({1}))])
 
 
 def test_tpc_max_delay():
     ctx = ctx_for("X = (2).a.(3).nil\ninit X + (1).nil\n", "tpc")
-    xkey = ctx.register(parse_term("X", "tpc"))
-    assert tpc_max_delay(ctx, xkey) == 2
-    assert tpc_max_delay(ctx, ctx.init_key) == 1
+    xid = ctx.register(parse_term("X", "tpc"))
+    assert tpc_max_delay(ctx, xid) == 2
+    assert tpc_max_delay(ctx, ctx.init_id) == 1
     assert tpc_max_delay(ctx, ctx.register(parse_term("nil", "tpc"))) == 0
 
 
 def test_tpc_tick_amounts_descend_by_the_time_spent():
     ctx = ctx_for("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
-    seen = [ctx.init_key]
-    for key in seen:
-        fn = futs_step(ctx, key, "tick", "tick")
-        base = tpc_max_delay(ctx, key)
+    seen = [ctx.init_id]
+    for term_id in seen:
+        fn = futs_step(ctx, term_id, "tick", "tick")
+        base = tpc_max_delay(ctx, term_id)
         for target, value in fn.entries:
             assert len(value) == 1  # tick amounts are unique per target
             (amount,) = value
@@ -238,7 +241,7 @@ def test_tpc_tick_amounts_descend_by_the_time_spent():
 
 
 def inner_keys(fn):
-    return sorted(ff_key(k) for k, _ in fn.entries)
+    return sorted(fn_text(k) for k, _ in fn.entries)
 
 
 def test_mal_action_gives_a_distribution():
@@ -297,14 +300,24 @@ def test_mal_delay_relation():
 # ---------------------------------------------------------------------------
 
 
-def test_steps_are_memoised():
-    ctx, fn = step_of("(a, 1).nil", "pepa", "act", "a")
-    again = futs_step(ctx, ctx.init_key, "act", "a")
-    assert again is fn
-
-
 def test_unguarded_model_reports_rather_than_loops():
     model = parse_model("X = X + a.nil\ninit X\n", "iml")
     ctx = StepContext(model)
     with pytest.raises(UnguardedRecursionError):
-        futs_step(ctx, ctx.init_key, "act", "a")
+        futs_step(ctx, ctx.init_id, "act", "a")
+
+
+@pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
+def test_term_table_neither_merges_nor_splits_terms(lang):
+    corpus = build_corpus(lang, 40, 300, "table", depth=4, max_consts=4, max_par=3, max_def_par=0)
+    for fm in corpus:
+        ctx = fm.ctx
+        texts = [ctx.text(i) for i in range(len(ctx.registry))]
+        assert texts == [term_key(ctx.term_of(i)) for i in range(len(texts))]
+        assert len(set(texts)) == len(texts)
+        for state in fm.states:
+            assert ctx.register(parse_term(state.key, lang)) == state.term
+        # registering any term gives an id that prints as that term
+        model = ctx.model
+        for sub in (sub for body in [*model.defs.values(), model.init] for sub in walk(body)):
+            assert ctx.text(ctx.register(sub)) == term_key(sub)

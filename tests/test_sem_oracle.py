@@ -16,7 +16,7 @@ import futsbench.sem_oracle
 
 from futsbench.errors import DelayCycleError, TimedTransitionCapError
 from futsbench.fsfun import ff_oplus
-from futsbench.sem_futs import StepContext, futs_step
+from futsbench.sem_futs import StepContext
 from futsbench.sem_oracle import (
     action_distributions,
     delay_derivations,
@@ -27,6 +27,8 @@ from futsbench.sem_oracle import (
     timed_transitions,
 )
 from futsbench.syntax import parse_model, parse_term, term_key
+
+from idtext import step_text
 
 
 def model_of(lang, text=""):
@@ -220,7 +222,7 @@ def test_merge_distribution_drops_nothing_positive():
 def futs_entries(text, lang, relation, label, defs=""):
     model = parse_model(defs + f"init {text}\n", lang)
     ctx = StepContext(model)
-    fn = futs_step(ctx, ctx.init_key, relation, label)
+    fn = step_text(ctx, ctx.init_id, relation, label)
     return model, fn
 
 
