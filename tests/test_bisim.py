@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from futsbench import bisim
 from futsbench.bisim import (
     BRUTE_FORCE_MAX,
     Partition,
+    _refine_loop,
+    _state_signature,
     brute_force,
     canonical_assignment,
     disjoint_union,
@@ -20,7 +23,7 @@ from futsbench.explore import explore
 from futsbench.syntax import parse_model, parse_term, term_key
 
 from idtext import stored_text
-from modelgen import random_model
+from modelgen import build_corpus, random_model
 
 GOLDEN_PEPA = """
 S0 = (a, 1/2).S0 + (a, 1/2).S1
@@ -247,6 +250,77 @@ def test_refine_agrees_with_oracle_partition(lang):
             continue
         assert refine(fm) == oracle_partition_from(fm), f"{lang} seed {seed}"
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# The worklist engine against the round-based reference loop
+# ---------------------------------------------------------------------------
+
+
+def reference_partition(fm):
+    return _refine_loop(
+        len(fm.states), lambda state_id, a: _state_signature(fm.relations, state_id, a)
+    )
+
+
+def chain_model(n):
+    """One PEPA cycle of n distinct states, C0 -a-> C1 -a-> ... -b-> C0."""
+    lines = [f"C{i} = (a, 1).C{i + 1}" for i in range(n - 1)]
+    lines.append(f"C{n - 1} = (b, 1).C0")
+    return explore(parse_model("\n".join(lines) + "\ninit C0\n", "pepa"))
+
+
+def par_model(n):
+    """n independent two-state PEPA components (2^n states, n + 1 blocks)."""
+    lines = []
+    for i in range(n):
+        lines += [f"P{i} = (a, 1).Q{i}", f"Q{i} = (b, 2).P{i}"]
+    lines.append("init " + " <> ".join(f"P{i}" for i in range(n)))
+    return explore(parse_model("\n".join(lines) + "\n", "pepa"))
+
+
+@pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
+def test_refine_agrees_with_reference_loop_on_corpora(lang):
+    corpus = build_corpus(lang, 60, 8, "worklist-tiny", depth=2, max_consts=2)
+    corpus += build_corpus(
+        lang, 60, 200, "worklist", depth=5, max_consts=5, max_par=4, max_def_par=0,
+        min_states=2,
+    )
+    for fm in corpus:
+        assert refine(fm) == reference_partition(fm), fm.states[0].pretty
+    if lang == "mal":
+        assert any(
+            data.kind == "nested" and data.transitions
+            for fm in corpus
+            for data in fm.relations
+        )
+
+
+@pytest.mark.parametrize("make, n, blocks", [(chain_model, 300, 300), (par_model, 7, 8)])
+def test_refine_agrees_with_reference_loop_beyond_brute_force(make, n, blocks):
+    fm = make(n)
+    assert len(fm.states) > BRUTE_FORCE_MAX
+    p = refine(fm)
+    assert p.n_blocks == blocks
+    assert p == reference_partition(fm)
+
+
+def test_refine_re_signs_only_predecessors_of_moved_states(monkeypatch):
+    n = 2000
+    fm = chain_model(n)
+    calls = 0
+
+    def counting(relations, state_id, assignment):
+        nonlocal calls
+        calls += 1
+        return _state_signature(relations, state_id, assignment)
+
+    monkeypatch.setattr(bisim, "_state_signature", counting)
+    p = refine(fm)
+    assert p.n_blocks == n
+    # one full pass, then one predecessor per split; a round-based loop
+    # re-signs all n states in each of about n rounds
+    assert calls <= 4 * n
 
 
 # ---------------------------------------------------------------------------
