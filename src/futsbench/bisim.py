@@ -7,27 +7,20 @@ by worklist refinement that re-signs only the predecessors of states that
 changed block, with the largest part of each split keeping its block id
 (after Valmari & Franceschinis, "Simple O(m log n) time Markov chain
 lumping", TACAS 2010).  It also provides a brute-force oracle for small
-systems, builds an independent partition from the step-derivation oracle
-with a deliberately naive round-based loop, and constructs quotient
-systems.
+systems and constructs quotient systems.  The independent partition from
+the step-derivation oracle lives in `crosscheck`, which alone reads that
+oracle.
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, SizeLimitError, UnknownStateError
 from .explore import FutsModel, RelationData, StateInfo
 from .fsfun import ff_make
 from .semiring import Semiring, semiring_of
-from .sem_oracle import (
-    action_distributions,
-    delay_derivations,
-    interactive_transitions,
-    pepa_transitions,
-    timed_transitions,
-)
-from .syntax import term_key
+# unused here, but bench/tracing.py wraps bisim.term_key (ROADMAP item 6)
+from .syntax import term_key  # noqa: F401
 
 BRUTE_FORCE_MAX = 8
 # disjoint_union prefixes right-hand state keys with this; no term key
@@ -425,179 +418,6 @@ def brute_force(fm: FutsModel) -> Partition:
             "internal error: union of stable partitions is not stable"
         )
     return Partition(merged)
-
-
-# ---------------------------------------------------------------------------
-# Independent partition from the step-derivation oracle
-# ---------------------------------------------------------------------------
-
-
-# The deliberately naive round-based loop that criterion 6 checks the
-# worklist engine of `refine` against: every round re-signs every state.
-def _refine_loop(n_states: int, sig_of: Callable[[int, Sequence[int]], tuple]) -> Partition:
-    """Split blocks by signature until nothing splits any more."""
-    if n_states == 0:
-        return Partition(())
-    assignment = [0] * n_states
-    for _ in range(n_states + 1):
-        seen: Dict[tuple, int] = {}
-        new: List[int] = []
-        for state_id in range(n_states):
-            key = (assignment[state_id], sig_of(state_id, assignment))
-            if key not in seen:
-                seen[key] = len(seen)
-            new.append(seen[key])
-        if new == assignment:
-            return Partition(tuple(assignment))
-        assignment = new
-    raise FutsError("internal error: partition refinement did not stabilise")
-
-
-def oracle_partition_from(fm: FutsModel) -> Partition:
-    """Coarsest behavioural partition computed from step derivations only.
-
-    The state table comes from the exploration (so block ids line up with
-    `refine(fm)`), but every signature is built from the derivation-based
-    step functions, not from the weight functions."""
-    n_states = len(fm.states)
-    if n_states == 0:
-        return Partition(())
-    ctx = fm.ctx
-    if ctx is None:
-        raise FutsError("oracle partition needs the exploration context")
-    model = ctx.model
-    terms = [ctx.term_of(state.term) for state in fm.states]
-
-    def state_of(term) -> int:
-        key = term_key(term)
-        try:
-            return fm.index[key]
-        except KeyError:
-            raise UnknownStateError(
-                f"step-derivation target {key!r} is not an explored state"
-            ) from None
-
-    act_data = next(data for data in fm.relations if data.name == "act")
-    act_labels = act_data.labels
-
-    def fraction_sums(pairs, assignment):
-        acc: Dict[int, Fraction] = {}
-        for rate, target in pairs:
-            block = assignment[target]
-            acc[block] = acc.get(block, Fraction(0)) + rate
-        return tuple(
-            (block, rate)
-            for block, rate in sorted(acc.items(), key=lambda kv: kv[0])
-            if rate != 0
-        )
-
-    lang = fm.lang
-    if lang == "pepa":
-        moves = [
-            {
-                action: tuple(
-                    (rate, state_of(target))
-                    for rate, target in pepa_transitions(model, term, action)
-                )
-                for action in act_labels
-            }
-            for term in terms
-        ]
-
-        def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
-            return tuple(
-                fraction_sums(moves[state_id][action], assignment)
-                for action in act_labels
-            )
-
-    elif lang in ("iml", "tpc"):
-        imoves = [
-            {
-                action: tuple(
-                    sorted(
-                        state_of(target)
-                        for target in interactive_transitions(model, term, action)
-                    )
-                )
-                for action in act_labels
-            }
-            for term in terms
-        ]
-        if lang == "iml":
-            dmoves = [
-                tuple((rate, state_of(target)) for rate, target in delay_derivations(model, term))
-                for term in terms
-            ]
-
-            def last_part(state_id: int, assignment: Sequence[int]) -> tuple:
-                return fraction_sums(dmoves[state_id], assignment)
-
-        else:
-            tmoves = [
-                tuple(
-                    sorted(
-                        (amount, state_of(target))
-                        for amount, target in timed_transitions(model, term)
-                    )
-                )
-                for term in terms
-            ]
-
-            def last_part(state_id: int, assignment: Sequence[int]) -> tuple:
-                return tuple(
-                    sorted({(amount, assignment[t]) for amount, t in tmoves[state_id]})
-                )
-
-        def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
-            parts = [
-                tuple(sorted({assignment[t] for t in imoves[state_id][action]}))
-                for action in act_labels
-            ]
-            parts.append(last_part(state_id, assignment))
-            return tuple(parts)
-
-    elif lang == "mal":
-        amoves = [
-            {
-                action: tuple(
-                    tuple((state_of(target), mass) for target, mass in dist)
-                    for dist in action_distributions(model, term, action)
-                )
-                for action in act_labels
-            }
-            for term in terms
-        ]
-        dmoves = [
-            tuple((rate, state_of(target)) for rate, target in delay_derivations(model, term))
-            for term in terms
-        ]
-
-        def dist_class(dist, assignment):
-            acc: Dict[int, Fraction] = {}
-            for target, mass in dist:
-                block = assignment[target]
-                acc[block] = acc.get(block, Fraction(0)) + mass
-            return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
-
-        def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
-            parts = [
-                tuple(
-                    sorted(
-                        {
-                            dist_class(dist, assignment)
-                            for dist in amoves[state_id][action]
-                        }
-                    )
-                )
-                for action in act_labels
-            ]
-            parts.append(fraction_sums(dmoves[state_id], assignment))
-            return tuple(parts)
-
-    else:
-        raise FutsError(f"unsupported language {lang!r}")
-
-    return _refine_loop(n_states, sig_of)
 
 
 # ---------------------------------------------------------------------------

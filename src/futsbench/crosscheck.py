@@ -1,6 +1,13 @@
 """Cross-validation of the weight-function semantics against the
 step-derivation oracle, plus structural sanity checks.
 
+`oracle_moves` enumerates the classical oracle once per explored model:
+for each state and each (relation, label) slot, the oracle's derivations,
+with their targets resolved to state ids.  The agreement,
+time-determinism and correspondence checks all read that table.  The
+correspondence check builds the oracle's own partition from it with a
+deliberately naive round-based loop, independent of `refine`.
+
 Every check walks all explored states of one model and reports how many
 comparisons it made and which ones failed.  The `compare` CLI command and
 the acceptance suite both run these.
@@ -8,11 +15,11 @@ the acceptance suite both run these.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .bisim import oracle_partition_from, refine
-from .errors import FutsError
-from .explore import FutsModel
+from .bisim import Partition, refine
+from .errors import FutsError, UnknownStateError
+from .explore import FutsModel, RelationData
 from .sem_futs import tpc_max_delay
 from .sem_oracle import (
     action_distributions,
@@ -76,81 +83,133 @@ def apparent_rate_check(fm: FutsModel) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# The oracle's derivations, enumerated once per model
+# ---------------------------------------------------------------------------
+
+# The four shapes of a slot's derivations, by language and relation:
+RATED = "rated"  # ((rate, target), ...), one per derivation: PEPA act, IML/MAL delay
+SET = "set"  # frozenset of targets: IML/TPC act
+TIMED = "timed"  # frozenset of (amount, target): TPC tick
+DISTS = "dists"  # frozenset of distributions, frozensets of (target, mass): MAL act
+
+
+@dataclass(frozen=True)
+class OracleMoves:
+    """The oracle's derivations of every explored state, targets as state ids.
+
+    ``slots`` holds one (relation, label, shape) for each label of each of
+    the model's relations, in their order; ``rows[s][i]`` holds state
+    ``s``'s derivations for slot ``i``.
+    """
+
+    slots: Tuple[Tuple[RelationData, str, str], ...]
+    rows: Tuple[tuple, ...]
+
+
+def oracle_moves(fm: FutsModel) -> OracleMoves:
+    """Enumerate the classical oracle once for each state and slot."""
+    model, pairs = _state_terms(fm)
+    index = fm.index
+
+    def state_of(term) -> int:
+        key = term_key(term)
+        try:
+            return index[key]
+        except KeyError:
+            raise UnknownStateError(
+                f"step-derivation target {key!r} is not an explored state"
+            ) from None
+
+    slots = []
+    for data in fm.relations:
+        if data.name == "act":
+            shape = {"pepa": RATED, "mal": DISTS}.get(fm.lang, SET)
+        else:
+            shape = RATED if data.name == "delay" else TIMED
+        slots += [(data, label, shape) for label in data.labels]
+
+    rows = []
+    for _, term in pairs:
+        row = []
+        for data, label, shape in slots:
+            if shape == RATED:
+                if data.name == "act":
+                    derived = pepa_transitions(model, term, label)
+                else:
+                    derived = delay_derivations(model, term)
+                row.append(tuple((rate, state_of(target)) for rate, target in derived))
+            elif shape == SET:
+                targets = interactive_transitions(model, term, label)
+                row.append(frozenset(state_of(target) for target in targets))
+            elif shape == TIMED:
+                timed = timed_transitions(model, term)
+                row.append(frozenset((n, state_of(target)) for n, target in timed))
+            else:
+                row.append(
+                    frozenset(
+                        frozenset((state_of(target), mass) for target, mass in dist)
+                        for dist in action_distributions(model, term, label)
+                    )
+                )
+        rows.append(tuple(row))
+    return OracleMoves(tuple(slots), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
 # Target-for-target agreement between the two semantic routes
 # ---------------------------------------------------------------------------
 
 
-def _fold_rates(pairs) -> Dict[str, Fraction]:
-    acc: Dict[str, Fraction] = {}
+def _fold_rates(pairs) -> Dict[int, Fraction]:
+    acc: Dict[int, Fraction] = {}
     for rate, target in pairs:
-        key = term_key(target)
-        acc[key] = acc.get(key, Fraction(0)) + rate
-    return {key: rate for key, rate in acc.items() if rate != 0}
+        acc[target] = acc.get(target, Fraction(0)) + rate
+    return {target: rate for target, rate in acc.items() if rate != 0}
 
 
-def agreement_check(fm: FutsModel) -> CheckResult:
-    model, pairs = _state_terms(fm)
-    lang = fm.lang
-    act = _relation(fm, "act")
+def _named(shape: str, value, keys: Sequence[str]):
+    """A slot's value in the agreement check, its states named by their text."""
+    if shape == SET:
+        return {keys[t] for t in value}
+    if shape == DISTS:
+        return {frozenset((keys[t], mass) for t, mass in dist) for dist in value}
+    return {keys[t]: weight for t, weight in value.items()}
+
+
+_MISMATCH = {
+    RATED: "weights {} != derivations {}",
+    SET: "targets {} != {}",
+    TIMED: "tick amounts {} != derivations {}",
+    DISTS: "distributions {} != {}",
+}
+
+
+def agreement_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
     keys = [state.key for state in fm.states]
     checked = 0
     failures: List[str] = []
-
-    def fail(state, label, message):
-        failures.append(f"state {state.id} ({state.pretty}) label {label}: {message}")
-
-    for state, term in pairs:
-        for action in act.labels:
-            step = act.function_at(state.id, action)
+    for state, row in zip(fm.states, moves.rows):
+        for (data, label, shape), derived in zip(moves.slots, row):
+            step = data.function_at(state.id, label)
             checked += 1
-            if lang == "pepa":
-                got = {keys[t]: rate for t, rate in step}
-                expected = _fold_rates(pepa_transitions(model, term, action))
-                if got != expected:
-                    fail(state, action, f"weights {got} != derivations {expected}")
-            elif lang in ("iml", "tpc"):
-                got_set = {keys[t] for t, _ in step}
-                expected_set = {
-                    term_key(t) for t in interactive_transitions(model, term, action)
-                }
-                if got_set != expected_set:
-                    fail(state, action, f"targets {got_set} != {expected_set}")
-            else:  # mal: compare sets of folded distributions
-                got_dists = {
-                    frozenset((keys[t], mass) for t, mass in inner) for inner, _ in step
-                }
-                expected_dists = {
-                    frozenset(
-                        (term_key(t), mass)
-                        for t, mass in dist
-                        if mass != 0
-                    )
-                    for dist in action_distributions(model, term, action)
-                }
-                if got_dists != expected_dists:
-                    fail(state, action, f"distributions {got_dists} != {expected_dists}")
-
-        delay = _relation(fm, "delay")
-        if delay is not None:
-            label = delay.labels[0]
-            got = {keys[t]: rate for t, rate in delay.function_at(state.id, label)}
-            expected = _fold_rates(delay_derivations(model, term))
-            checked += 1
+            if shape == RATED:
+                got, expected = dict(step), _fold_rates(derived)
+            elif shape == SET:
+                got, expected = frozenset(t for t, _ in step), derived
+            elif shape == TIMED:
+                amounts: Dict[int, set] = {}
+                for amount, target in derived:
+                    amounts.setdefault(target, set()).add(amount)
+                got = dict(step)
+                expected = {target: frozenset(v) for target, v in amounts.items()}
+            else:
+                got, expected = {frozenset(inner) for inner, _ in step}, derived
             if got != expected:
-                fail(state, label, f"delay weights {got} != derivations {expected}")
-
-        tick = _relation(fm, "tick")
-        if tick is not None:
-            label = tick.labels[0]
-            got = {keys[t]: amounts for t, amounts in tick.function_at(state.id, label)}
-            expected_map: Dict[str, set] = {}
-            for amount, target in timed_transitions(model, term):
-                expected_map.setdefault(term_key(target), set()).add(amount)
-            expected = {key: frozenset(v) for key, v in expected_map.items()}
-            checked += 1
-            if got != expected:
-                fail(state, label, f"tick amounts {got} != derivations {expected}")
-
+                message = ("delay " if data.name == "delay" else "") + _MISMATCH[shape]
+                failures.append(
+                    f"state {state.id} ({state.pretty}) label {label}: "
+                    + message.format(_named(shape, got, keys), _named(shape, expected, keys))
+                )
     return CheckResult(
         "per-target semantics agreement", not failures, checked, tuple(failures)
     )
@@ -178,20 +237,20 @@ def tick_singleton_check(fm: FutsModel) -> CheckResult:
     )
 
 
-def time_determinism_check(fm: FutsModel) -> CheckResult:
-    model, pairs = _state_terms(fm)
+def time_determinism_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
+    keys = [state.key for state in fm.states]
+    tick = next(i for i, (_, _, shape) in enumerate(moves.slots) if shape == TIMED)
     checked = 0
     failures: List[str] = []
-    for state, term in pairs:
-        seen: Dict[int, str] = {}
-        for amount, target in timed_transitions(model, term):
+    for state, row in zip(fm.states, moves.rows):
+        seen: Dict[int, int] = {}
+        for amount, target in row[tick]:
             checked += 1
-            key = term_key(target)
-            other = seen.setdefault(amount, key)
-            if other != key:
+            other = seen.setdefault(amount, target)
+            if other != target:
                 failures.append(
                     f"state {state.id} ({state.pretty}): waiting {amount} reaches "
-                    f"both {other!r} and {key!r}"
+                    f"both {keys[other]!r} and {keys[target]!r}"
                 )
     return CheckResult(
         "oracle time-determinism", not failures, checked, tuple(failures)
@@ -240,22 +299,77 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     )
 
 
-def correspondence_check(fm: FutsModel) -> CheckResult:
-    fine = refine(fm)
-    oracle = oracle_partition_from(fm)
-    if fine == oracle:
-        return CheckResult(
-            "bisimilarity correspondence", True, len(fm.states), ()
+# The deliberately naive round-based loop that criterion 6 checks the
+# worklist engine of `refine` against: every round re-signs every state.
+def _refine_loop(n_states: int, sig_of: Callable[[int, Sequence[int]], tuple]) -> Partition:
+    """Split blocks by signature until nothing splits any more."""
+    if n_states == 0:
+        return Partition(())
+    assignment = [0] * n_states
+    for _ in range(n_states + 1):
+        seen: Dict[tuple, int] = {}
+        new: List[int] = []
+        for state_id in range(n_states):
+            key = (assignment[state_id], sig_of(state_id, assignment))
+            if key not in seen:
+                seen[key] = len(seen)
+            new.append(seen[key])
+        if new == assignment:
+            return Partition(tuple(assignment))
+        assignment = new
+    raise FutsError("internal error: partition refinement did not stabilise")
+
+
+def _block_totals(pairs, assignment: Sequence[int]) -> frozenset:
+    """Non-zero total weight per block of (weight, target) pairs."""
+    acc: Dict[int, Fraction] = {}
+    for weight, target in pairs:
+        block = assignment[target]
+        acc[block] = acc[block] + weight if block in acc else weight
+    return frozenset(item for item in acc.items() if item[1] != 0)
+
+
+def _oracle_part(shape: str, derived, assignment: Sequence[int]) -> frozenset:
+    """One slot of a state's signature, read off its derivations only."""
+    if shape == RATED:
+        return _block_totals(derived, assignment)
+    if shape == SET:
+        return frozenset(assignment[t] for t in derived)
+    if shape == TIMED:
+        return frozenset((n, assignment[t]) for n, t in derived)
+    return frozenset(
+        _block_totals(((mass, t) for t, mass in dist), assignment) for dist in derived
+    )
+
+
+def oracle_partition_from(moves: OracleMoves) -> Partition:
+    """Coarsest behavioural partition computed from step derivations only.
+
+    The table's rows follow the exploration's state ids (so block ids line
+    up with `refine`), but every signature is built from the oracle's
+    derivations, not from the weight functions."""
+    shapes = [shape for _, _, shape in moves.slots]
+    rows = moves.rows
+
+    def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
+        return tuple(
+            _oracle_part(shape, derived, assignment)
+            for shape, derived in zip(shapes, rows[state_id])
         )
-    return CheckResult(
-        "bisimilarity correspondence",
-        False,
-        len(fm.states),
-        (
+
+    return _refine_loop(len(rows), sig_of)
+
+
+def correspondence_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
+    fine = refine(fm)
+    oracle = oracle_partition_from(moves)
+    failures: Tuple[str, ...] = ()
+    if fine != oracle:
+        failures = (
             f"refinement found {fine.n_blocks} blocks, "
             f"step-derivation oracle {oracle.n_blocks}",
-        ),
-    )
+        )
+    return CheckResult("bisimilarity correspondence", not failures, len(fm.states), failures)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +383,13 @@ def run_checks(fm: FutsModel) -> List[CheckResult]:
     results: List[CheckResult] = []
     if lang == "pepa":
         results.append(apparent_rate_check(fm))
-    results.append(agreement_check(fm))
+    moves = oracle_moves(fm)
+    results.append(agreement_check(fm, moves))
     if lang == "tpc":
         results.append(tick_singleton_check(fm))
-        results.append(time_determinism_check(fm))
+        results.append(time_determinism_check(fm, moves))
         results.append(md_descent_check(fm))
     if lang == "mal":
         results.append(distribution_check(fm))
-    results.append(correspondence_check(fm))
+    results.append(correspondence_check(fm, moves))
     return results

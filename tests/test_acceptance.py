@@ -17,7 +17,6 @@ from futsbench.bisim import (
     brute_force,
     disjoint_union,
     minimize,
-    oracle_partition_from,
     refine,
 )
 from futsbench.cli import main as cli_main
@@ -26,6 +25,8 @@ from futsbench.crosscheck import (
     apparent_rate_check,
     distribution_check,
     md_descent_check,
+    oracle_moves,
+    oracle_partition_from,
     tick_singleton_check,
     time_determinism_check,
 )
@@ -238,7 +239,7 @@ def test_criterion_05_semantics_agreement():
     for lang in LANGS:
         checked = 0
         for fm in small_corpus(lang) + medium_corpus(lang):
-            result = agreement_check(fm)
+            result = agreement_check(fm, oracle_moves(fm))
             assert result.passed, f"{lang}: {result.failures[0]}"
             checked += result.checked
         assert checked > 0
@@ -257,7 +258,7 @@ def test_criterion_06_bisimilarity_correspondence():
         assert len(corpus) >= 200
         for fm in corpus:
             assert len(fm.states) <= 200
-            assert refine(fm) == oracle_partition_from(fm), fm.states[0].pretty
+            assert refine(fm) == oracle_partition_from(oracle_moves(fm)), fm.states[0].pretty
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"{lang}: {elapsed:.1f}s (budget 120s per language)"
         print(f"criterion 6 [{lang}]: PASS — {len(corpus)} models, {elapsed:.1f}s")
@@ -300,7 +301,7 @@ def test_criterion_08_structural_invariants():
         result = tick_singleton_check(fm)
         assert result.passed, result.failures[0]
         singleton += result.checked
-        result = time_determinism_check(fm)
+        result = time_determinism_check(fm, oracle_moves(fm))
         assert result.passed, result.failures[0]
         determinism += result.checked
         result = md_descent_check(fm)

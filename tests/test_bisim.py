@@ -8,16 +8,15 @@ from futsbench import bisim
 from futsbench.bisim import (
     BRUTE_FORCE_MAX,
     Partition,
-    _refine_loop,
     _state_signature,
     brute_force,
     canonical_assignment,
     disjoint_union,
     distinguish,
     minimize,
-    oracle_partition_from,
     refine,
 )
+from futsbench.crosscheck import _refine_loop, oracle_moves, oracle_partition_from
 from futsbench.errors import ExplorationLimitError, FutsError, SizeLimitError, UnknownStateError
 from futsbench.explore import explore
 from futsbench.syntax import parse_model, parse_term, term_key
@@ -99,7 +98,7 @@ def test_golden_model_blocks():
     # S1 is the only state with b-moves, so it sits alone.
     assert [s["S0"], s["S2"], s["S3"]].count(s["S1"]) == 0
     assert p == brute_force(fm)
-    assert p == oracle_partition_from(fm)
+    assert p == oracle_partition_from(oracle_moves(fm))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def test_mal_refine_matches_brute_force_and_oracle():
     fm, _ = explored(MAL_LIFT, "mal", roots=["B1", "B2", "A", "C", "D"])
     p = refine(fm)
     assert p == brute_force(fm)
-    assert p == oracle_partition_from(fm)
+    assert p == oracle_partition_from(oracle_moves(fm))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def test_refine_agrees_with_oracle_partition(lang):
             fm = explore(model, max_states=200)
         except ExplorationLimitError:
             continue
-        assert refine(fm) == oracle_partition_from(fm), f"{lang} seed {seed}"
+        assert refine(fm) == oracle_partition_from(oracle_moves(fm)), f"{lang} seed {seed}"
         checked += 1
 
 

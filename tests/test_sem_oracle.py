@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import futsbench.sem_oracle
+import futsbench
 
 from futsbench.errors import DelayCycleError, TimedTransitionCapError
 from futsbench.fsfun import ff_oplus
@@ -270,12 +270,26 @@ def test_routes_agree_mal():
 
 # ---------------------------------------------------------------------------
 # Independence: the oracle must not reuse the weight-function semantics,
-# or the cross-checks between the two would compare a route with itself
+# or the cross-checks between the two would compare a route with itself;
+# and refinement must not read the oracle, which only crosscheck does
 # ---------------------------------------------------------------------------
 
+SOURCE = Path(futsbench.__file__).parent
+PACKAGE = {"futsbench"} | {
+    f"futsbench.{path.stem}" for path in SOURCE.glob("*.py") if path.stem != "__init__"
+}
 
-def test_oracle_imports_only_errors_and_syntax():
-    tree = ast.parse(Path(futsbench.sem_oracle.__file__).read_text(encoding="utf-8"))
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("sem_oracle", PACKAGE - {"futsbench.errors", "futsbench.syntax"}),
+        ("bisim", {"futsbench.sem_oracle"}),
+    ],
+    ids=["sem_oracle", "bisim"],
+)
+def test_oracle_imports_only_errors_and_syntax(module, forbidden):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -286,5 +300,4 @@ def test_oracle_imports_only_errors_and_syntax():
                 imported.append(base)
             else:  # from . import name
                 imported += [base + alias.name for alias in node.names]
-    package = {name for name in imported if name.split(".")[0] == "futsbench"}
-    assert package == {"futsbench.errors", "futsbench.syntax"}, package
+    assert not forbidden & set(imported), forbidden & set(imported)
