@@ -44,13 +44,6 @@ class SemiringMismatchError(FutsError):
     """
 
 
-class UnsupportedDiracError(FutsError):
-    """A point-mass function was requested for a domain without a
-
-    distinguished unit element suitable for that purpose.
-    """
-
-
 class UnknownStateError(FutsError):
     """A weight function mentions a state outside the known state set."""
 

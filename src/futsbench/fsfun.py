@@ -15,6 +15,8 @@ Keys are usually term ids of one model's term table (see
 work.  For the calculus whose transitions carry probability
 distributions, the *outer* function's keys are themselves
 :class:`FinFn` values (the inner distributions), which are ordered too.
+A composition where one operand moves renames keys (:func:`ff_map_keys`);
+one where both move pairs them (:func:`ff_lift_injective`).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Tuple
 
-from .errors import FutsError, SemiringMismatchError, UnsupportedDiracError
-from .semiring import NATSET, semiring_of
+from .errors import FutsError, SemiringMismatchError
+from .semiring import semiring_of
 
 Key = Hashable
 
@@ -87,18 +89,9 @@ def ff_oplus(fn: FinFn) -> Any:
     return total
 
 
-def ff_dirac(tag: str, key: Key) -> FinFn:
-    """The point mass ``[key -> one]``.
-
-    Unsupported for the natural-set domain: its multiplicative unit is
-    the all-naturals sentinel, which is not a value the semantics may
-    assign to a single continuation.
-    """
-    if tag == NATSET:
-        raise UnsupportedDiracError(
-            "point-mass functions are not defined for the natural-set domain"
-        )
-    return FinFn(tag, ((key, semiring_of(tag).one),))
+def ff_map_keys(fn: Callable[[Key], Key], f: FinFn) -> FinFn:
+    """``f`` with each key ``k`` renamed to ``fn(k)``; colliding keys add up."""
+    return ff_make(f.tag, ((fn(k), v) for k, v in f.entries))
 
 
 def ff_scale(value: Any, fn: FinFn) -> FinFn:

@@ -16,28 +16,29 @@ function over continuation states:
   probability distributions* (continuation states weighted by exact
   probabilities), plus a ``delta`` relation like ``iml``'s.
 
-States are identified by integer term ids: a :class:`StepContext` is
-the hash-consed term table of one model, and every step function maps
-term ids to weights.
+States are integer term ids of one model's hash-consed term table, a
+:class:`StepContext`.  A step walker reads a term's shape (its node over
+child ids) and builds every continuation from those ids, never from terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
-from .errors import DelayCycleError, FutsError, UnguardedRecursionError
+from .errors import DelayCycleError, UnguardedRecursionError
 from .fsfun import (
     FinFn,
     ff_add,
-    ff_dirac,
     ff_lift_injective,
     ff_make,
+    ff_map_keys,
     ff_oplus,
     ff_scale,
     ff_zero,
 )
-from .semiring import BOOL, NATSET, NNRAT, TOP
+from .semiring import BOOL, NATSET, NNRAT
 from .syntax import (
     ActPrefix,
     Choice,
@@ -109,62 +110,63 @@ def relation_labels(spec: RelationSpec, model: Model) -> Tuple[str, ...]:
 class StepContext:
     """The hash-consed term table of one model (Filliatre & Conchon, 2006).
 
-    Each distinct term is stored once, under a dense id, as a node whose
-    subterms are stored nodes too.  ``registry`` finds a term by its
-    *shape*: the node with each subterm replaced by its id, so one lookup
-    compares the class, the node's own fields and its children's ids.
-    Canonical text is rendered on first use, once per id.
+    Each distinct term is stored once, under a dense id, as its *shape*:
+    the node with each subterm replaced by its id.  ``registry`` finds a
+    term by its shape, so one lookup compares the class, the node's own
+    fields and its children's ids.  ``defs`` maps each constant to its
+    body's id.  A term's node over stored subterm nodes (:meth:`term_of`)
+    and its canonical text are built on first use, once per id.
     """
 
     def __init__(self, model: Model):
         relation_specs(model.lang)  # validates the language
         self.model = model
+        self.lang = model.lang
         self.registry: dict = {}  # shape -> id
-        self._terms: list = []  # id -> stored node
-        self._by_object: dict = {}  # id() of a registered object -> term id
-        self._held: list = []  # registered outside objects, so id() stays unique
+        self._shapes: list = []  # id -> shape
+        self._terms: dict = {}  # id -> stored node, built on first use
         self._texts: dict = {}
         self.init_id = self.register(model.init)
+        self.defs = {name: self.register(body) for name, body in model.defs.items()}
 
     def intern(self, shape) -> int:
         """The id of the term that ``shape`` (a node over child ids) stands for."""
-        found = self.registry.get(shape)
-        if found is None:
-            found = self.registry[shape] = len(self._terms)
-            node = map_children(shape, self._terms.__getitem__)
-            self._terms.append(node)
-            self._by_object[id(node)] = found
+        found = self.registry.setdefault(shape, len(self._shapes))
+        if found == len(self._shapes):
+            self._shapes.append(shape)
         return found
 
     def register(self, term: Term) -> int:
-        """The id of ``term``, interning it and its subterms if they are new."""
-        found = self._by_object.get(id(term))
-        if found is None:
-            found = self.intern(map_children(term, self.register))
-            self._by_object[id(term)] = found
-            self._held.append(term)
-        return found
+        """The id of ``term``, built outside the table, interning its new subterms."""
+        return self.intern(map_children(term, self.register))
 
     def term_of(self, term_id: int) -> Term:
-        return self._terms[term_id]
+        node = self._terms.get(term_id)
+        if node is None:
+            node = self._terms[term_id] = map_children(self._shapes[term_id], self.term_of)
+        return node
+
+    def shape(self, term_id: int):
+        """The stored term ``term_id`` as a node whose subterms are ids."""
+        return self._shapes[term_id]
 
     def text(self, term_id: int) -> str:
         """Canonical text of a term (:func:`term_key`), rendered once."""
         text = self._texts.get(term_id)
         if text is None:
-            text = self._texts[term_id] = term_key(self._terms[term_id])
+            text = self._texts[term_id] = term_key(self.term_of(term_id))
         return text
 
 
 def futs_step(ctx: StepContext, term_id: int, relation: str, label: str) -> FinFn:
     """The weight function, over term ids, of term ``term_id`` under
     ``relation``/``label``."""
-    lang = ctx.model.lang
+    lang = ctx.lang
     try:
         compute = _DISPATCH[(lang, relation)]
     except KeyError:
         raise ValueError(f"language {lang!r} has no relation {relation!r}") from None
-    return compute(ctx, ctx.term_of(term_id), label)
+    return compute(ctx, term_id, label)
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +174,17 @@ def futs_step(ctx: StepContext, term_id: int, relation: str, label: str) -> FinF
 # ---------------------------------------------------------------------------
 
 
-def _pair_ctor(ctx: StepContext, cls, actions: frozenset) -> Callable[[int, int], int]:
-    """Id builder recombining two continuation states under a binary
+def _moves(ctx: StepContext, t) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+    """Key renamings into the composition shape ``t`` when only its left,
 
-    composition operator; injective because ids identify terms.
+    or only its right, operand moves.  The operand that stays put would
+    be a point mass of weight one, so a renaming replaces the product.
     """
-    return lambda left, right: ctx.intern(cls(actions, left, right))
+    cls = type(t)
+    return (
+        lambda x: ctx.intern(cls(t.actions, x, t.right)),
+        lambda y: ctx.intern(cls(t.actions, t.left, y)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,31 +192,26 @@ def _pair_ctor(ctx: StepContext, cls, actions: frozenset) -> Callable[[int, int]
 # ---------------------------------------------------------------------------
 
 
-def _pepa_act(ctx: StepContext, term: Term, label: str) -> FinFn:
+def _pepa_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
     zero = ff_zero(NNRAT)
     active: set = set()
 
-    def rec(t: Term) -> FinFn:
+    def rec(i: int) -> FinFn:
+        t = ctx.shape(i)
         if isinstance(t, Nil):
             return zero
         if isinstance(t, RatedPrefix):
             if t.action != label:
                 return zero
-            return ff_make(NNRAT, [(ctx.register(t.cont), t.rate)])
+            return ff_make(NNRAT, [(t.cont, t.rate)])
         if isinstance(t, Choice):
             return ff_add(rec(t.left), rec(t.right))
         if isinstance(t, Coop):
-            ctor = _pair_ctor(ctx, Coop, t.actions)
             left = rec(t.left)
             right = rec(t.right)
             if label not in t.actions:
-                moved_left = ff_lift_injective(
-                    ctor, left, ff_dirac(NNRAT, ctx.register(t.right))
-                )
-                moved_right = ff_lift_injective(
-                    ctor, ff_dirac(NNRAT, ctx.register(t.left)), right
-                )
-                return ff_add(moved_left, moved_right)
+                into_left, into_right = _moves(ctx, t)
+                return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
             total_left = ff_oplus(left)
             total_right = ff_oplus(right)
             if total_left == 0 or total_right == 0:
@@ -218,12 +220,13 @@ def _pepa_act(ctx: StepContext, term: Term, label: str) -> FinFn:
             # slower participant: scale the product of the two
             # functions so its total becomes min of the two totals
             factor = min(total_left, total_right) / (total_left * total_right)
-            return ff_scale(factor, ff_lift_injective(ctor, left, right))
-        return unfold(
-            ctx.model, t, active, rec, UnguardedRecursionError, "computing the action step"
-        )
+            pair = ff_lift_injective(
+                lambda x, y: ctx.intern(Coop(t.actions, x, y)), left, right
+            )
+            return ff_scale(factor, pair)
+        return unfold(ctx, t, active, rec, UnguardedRecursionError, "computing the action step")
 
-    return rec(term)
+    return rec(term_id)
 
 
 # ---------------------------------------------------------------------------
@@ -231,37 +234,32 @@ def _pepa_act(ctx: StepContext, term: Term, label: str) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _interactive_act(ctx: StepContext, term: Term, label: str) -> FinFn:
+def _interactive_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
     zero = ff_zero(BOOL)
     active: set = set()
 
-    def rec(t: Term) -> FinFn:
+    def rec(i: int) -> FinFn:
+        t = ctx.shape(i)
         if isinstance(t, (Nil, RatePrefix, TimePrefix)):
             return zero
         if isinstance(t, ActPrefix):
             if t.action != label:
                 return zero
-            return ff_make(BOOL, [(ctx.register(t.cont), True)])
+            return ff_make(BOOL, [(t.cont, True)])
         if isinstance(t, Choice):
             return ff_add(rec(t.left), rec(t.right))
         if isinstance(t, Par):
-            ctor = _pair_ctor(ctx, Par, t.actions)
             left = rec(t.left)
             right = rec(t.right)
             if label in t.actions:
-                return ff_lift_injective(ctor, left, right)
-            moved_left = ff_lift_injective(
-                ctor, left, ff_dirac(BOOL, ctx.register(t.right))
-            )
-            moved_right = ff_lift_injective(
-                ctor, ff_dirac(BOOL, ctx.register(t.left)), right
-            )
-            return ff_add(moved_left, moved_right)
-        return unfold(
-            ctx.model, t, active, rec, UnguardedRecursionError, "computing the action step"
-        )
+                return ff_lift_injective(
+                    lambda x, y: ctx.intern(Par(t.actions, x, y)), left, right
+                )
+            into_left, into_right = _moves(ctx, t)
+            return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
+        return unfold(ctx, t, active, rec, UnguardedRecursionError, "computing the action step")
 
-    return rec(term)
+    return rec(term_id)
 
 
 # ---------------------------------------------------------------------------
@@ -269,32 +267,27 @@ def _interactive_act(ctx: StepContext, term: Term, label: str) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _delay_step(ctx: StepContext, term: Term, label: str) -> FinFn:
+def _delay_step(ctx: StepContext, term_id: int, label: str) -> FinFn:
     zero = ff_zero(NNRAT)
     active: set = set()
 
-    def rec(t: Term) -> FinFn:
+    def rec(i: int) -> FinFn:
+        t = ctx.shape(i)
         if isinstance(t, (Nil, ActPrefix, ProbPrefix)):
             return zero
         if isinstance(t, RatePrefix):
-            return ff_make(NNRAT, [(ctx.register(t.cont), t.rate)])
+            return ff_make(NNRAT, [(t.cont, t.rate)])
         if isinstance(t, Choice):
             return ff_add(rec(t.left), rec(t.right))
         if isinstance(t, Par):
             # delays always interleave, independent of the action set
-            ctor = _pair_ctor(ctx, Par, t.actions)
-            moved_left = ff_lift_injective(
-                ctor, rec(t.left), ff_dirac(NNRAT, ctx.register(t.right))
+            into_left, into_right = _moves(ctx, t)
+            return ff_add(
+                ff_map_keys(into_left, rec(t.left)), ff_map_keys(into_right, rec(t.right))
             )
-            moved_right = ff_lift_injective(
-                ctor, ff_dirac(NNRAT, ctx.register(t.left)), rec(t.right)
-            )
-            return ff_add(moved_left, moved_right)
-        return unfold(
-            ctx.model, t, active, rec, UnguardedRecursionError, "computing the delay step"
-        )
+        return unfold(ctx, t, active, rec, UnguardedRecursionError, "computing the delay step")
 
-    return rec(term)
+    return rec(term_id)
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +295,37 @@ def _delay_step(ctx: StepContext, term: Term, label: str) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _tick_step(ctx: StepContext, term: Term, label: str) -> FinFn:
+def _tick_step(ctx: StepContext, term_id: int, label: str) -> FinFn:
     zero = ff_zero(NATSET)
     active: set = set()
 
     def shift(amount: int, fn: FinFn) -> FinFn:
-        pairs = []
-        for k, v in fn.entries:
-            if v is TOP:  # pragma: no cover - semantics never builds TOP
-                raise FutsError("cannot shift the all-naturals sentinel")
-            pairs.append((k, frozenset(m + amount for m in v)))
-        return ff_make(NATSET, pairs)
+        return ff_make(NATSET, [(k, frozenset(m + amount for m in v)) for k, v in fn.entries])
 
-    def rec(t: Term) -> FinFn:
+    def rec(i: int) -> FinFn:
+        t = ctx.shape(i)
         if isinstance(t, (Nil, ActPrefix)):
             return zero
         if isinstance(t, TimePrefix):
-            cont = ctx.register(t.cont)
             pairs = [
-                (ctx.intern(TimePrefix(t.delay - spent, cont)), frozenset({spent}))
+                (ctx.intern(TimePrefix(t.delay - spent, t.cont)), frozenset({spent}))
                 for spent in range(1, t.delay)
             ]
-            pairs.append((cont, frozenset({t.delay})))
+            pairs.append((t.cont, frozenset({t.delay})))
             through = shift(t.delay, rec(t.cont))
             return ff_add(ff_make(NATSET, pairs), through)
         if isinstance(t, Choice):
             # both sides must agree on the amount of time passed
             return ff_lift_injective(
-                lambda left, right: ctx.intern(Choice(left, right)), rec(t.left), rec(t.right)
+                lambda x, y: ctx.intern(Choice(x, y)), rec(t.left), rec(t.right)
             )
         if isinstance(t, Par):
             return ff_lift_injective(
-                _pair_ctor(ctx, Par, t.actions), rec(t.left), rec(t.right)
+                lambda x, y: ctx.intern(Par(t.actions, x, y)), rec(t.left), rec(t.right)
             )
-        return unfold(
-            ctx.model, t, active, rec, DelayCycleError, "computing the timed step"
-        )
+        return unfold(ctx, t, active, rec, DelayCycleError, "computing the timed step")
 
-    return rec(term)
+    return rec(term_id)
 
 
 def tpc_max_delay(ctx: StepContext, term_id: int) -> int:
@@ -350,18 +336,17 @@ def tpc_max_delay(ctx: StepContext, term_id: int) -> int:
     """
     active: set = set()
 
-    def rec(t: Term) -> int:
+    def rec(i: int) -> int:
+        t = ctx.shape(i)
         if isinstance(t, (Nil, ActPrefix)):
             return 0
         if isinstance(t, TimePrefix):
             return t.delay + rec(t.cont)
         if isinstance(t, (Choice, Par)):
             return min(rec(t.left), rec(t.right))
-        return unfold(
-            ctx.model, t, active, rec, DelayCycleError, "computing the maximal delay"
-        )
+        return unfold(ctx, t, active, rec, DelayCycleError, "computing the maximal delay")
 
-    return rec(ctx.term_of(term_id))
+    return rec(term_id)
 
 
 # ---------------------------------------------------------------------------
@@ -369,46 +354,36 @@ def tpc_max_delay(ctx: StepContext, term_id: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mal_act(ctx: StepContext, term: Term, label: str) -> FinFn:
+def _mal_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
     zero = ff_zero(BOOL)
     active: set = set()
 
-    def outer_dirac(inner: FinFn) -> FinFn:
-        return ff_make(BOOL, [(inner, True)])
-
-    def rec(t: Term) -> FinFn:
+    def rec(i: int) -> FinFn:
+        t = ctx.shape(i)
         if isinstance(t, (Nil, RatePrefix)):
             return zero
         if isinstance(t, ProbPrefix):
             if t.action != label:
                 return zero
-            inner = ff_make(
-                NNRAT, [(ctx.register(cont), p) for p, cont in t.branches]
-            )
-            return outer_dirac(inner)
+            return ff_make(BOOL, [(ff_make(NNRAT, [(c, p) for p, c in t.branches]), True)])
         if isinstance(t, Choice):
             return ff_add(rec(t.left), rec(t.right))
         if isinstance(t, Par):
-            inner_ctor = _pair_ctor(ctx, Par, t.actions)
-
-            def inner_par(mu1: FinFn, mu2: FinFn) -> FinFn:
-                return ff_lift_injective(inner_ctor, mu1, mu2)
-
             left = rec(t.left)
             right = rec(t.right)
             if label in t.actions:
-                return ff_lift_injective(inner_par, left, right)
-            still_right = outer_dirac(ff_dirac(NNRAT, ctx.register(t.right)))
-            still_left = outer_dirac(ff_dirac(NNRAT, ctx.register(t.left)))
+                # the product of two distributions pairs their targets
+                pair = partial(ff_lift_injective, lambda x, y: ctx.intern(Par(t.actions, x, y)))
+                return ff_lift_injective(pair, left, right)
+            # one side moves: rename the targets inside each distribution
+            into_left, into_right = _moves(ctx, t)
             return ff_add(
-                ff_lift_injective(inner_par, left, still_right),
-                ff_lift_injective(inner_par, still_left, right),
+                ff_map_keys(lambda mu: ff_map_keys(into_left, mu), left),
+                ff_map_keys(lambda mu: ff_map_keys(into_right, mu), right),
             )
-        return unfold(
-            ctx.model, t, active, rec, UnguardedRecursionError, "computing the action step"
-        )
+        return unfold(ctx, t, active, rec, UnguardedRecursionError, "computing the action step")
 
-    return rec(term)
+    return rec(term_id)
 
 
 _DISPATCH = {

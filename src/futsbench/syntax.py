@@ -175,23 +175,26 @@ class Model:
     init: Term
 
 
-def unfold(model: Model, term: Term, active: set, rec: Callable, error_cls, doing: str):
+def unfold(scope, term: Term, active: set, rec: Callable, error_cls, doing: str):
     """The last case of every semantic walker: ``rec`` of a constant's body.
 
-    ``active`` holds the constants being unfolded on the current path;
-    meeting one of them again means the recursion never crosses a
-    prefix, reported as ``error_cls``.  Walkers handle every other form
-    of their language before calling this, so any other term is foreign.
+    ``scope`` is a :class:`Model` (bodies are terms) or a term table,
+    :class:`.sem_futs.StepContext` (bodies are ids); only its ``lang``
+    and ``defs`` are read.  ``active`` holds the constants being unfolded
+    on the current path; meeting one of them again means the recursion
+    never crosses a prefix, reported as ``error_cls``.  Walkers handle
+    every other form of their language before calling this, so any other
+    term is foreign.
     """
     if not isinstance(term, Const):
-        raise FutsError(f"term form {type(term).__name__} is not part of {model.lang}")
+        raise FutsError(f"term form {type(term).__name__} is not part of {scope.lang}")
     name = term.name
     if name in active:
         raise error_cls(
             f"recursion through constant {name!r} does not terminate while {doing}"
         )
     active.add(name)
-    result = rec(model.defs[name])
+    result = rec(scope.defs[name])
     active.discard(name)
     return result
 

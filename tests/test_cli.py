@@ -1,11 +1,13 @@
 """Command-line interface: commands, exit codes, output formats."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import futsbench
 from futsbench.cli import main
 
 
@@ -237,10 +239,14 @@ def test_compare_language_specific_checks_present(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "m.pepa", "P = (a, 1).P\ninit P\n")
+    # run the package the suite imports, installed or not
+    package_root = os.path.dirname(os.path.dirname(futsbench.__file__))
+    search = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     proc = subprocess.run(
         [sys.executable, "-m", "futsbench.cli", "check", path],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))),
     )
     assert proc.returncode == 0
     assert "guarded" in proc.stdout

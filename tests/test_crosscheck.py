@@ -1,12 +1,13 @@
-"""The cross-checks' oracle table: enumerated once, every target explored."""
+"""The cross-checks' oracle table: enumerated once, every target explored,
+and the oracle partition built from it alone."""
 
 from fractions import Fraction
 
 import pytest
 
-from futsbench import crosscheck
+from futsbench import bisim, crosscheck
 from futsbench.cli import main
-from futsbench.crosscheck import oracle_moves, run_checks
+from futsbench.crosscheck import oracle_moves, oracle_partition_from, run_checks
 from futsbench.errors import UnknownStateError
 from futsbench.explore import explore
 from futsbench.syntax import parse_model, parse_term
@@ -74,3 +75,16 @@ def test_unexplored_oracle_target_is_a_diagnosed_error(tmp_path, capsys, monkeyp
     assert captured.err == (
         "error: step-derivation target '(b, 1).nil' is not an explored state\n"
     )
+
+
+@pytest.mark.parametrize("lang", sorted(MODELS))
+def test_oracle_partition_needs_neither_refine_nor_its_signatures(lang, monkeypatch):
+    fm = explore(parse_model(MODELS[lang], lang))
+    expected = bisim.refine(fm)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle partition must not use the FuTS refinement")
+
+    for module, name in [(bisim, "refine"), (crosscheck, "refine"), (bisim, "_state_signature")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert oracle_partition_from(oracle_moves(fm)) == expected

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from futsbench.errors import FutsError, SemiringMismatchError, UnsupportedDiracError
+from futsbench.errors import FutsError, SemiringMismatchError
 from futsbench.fsfun import (
     ff_add,
-    ff_dirac,
     ff_lift_injective,
     ff_make,
+    ff_map_keys,
     ff_oplus,
     ff_scale,
     ff_zero,
@@ -69,11 +69,14 @@ def test_total_weight_is_additive(tag):
     assert ff_oplus(ff_zero(tag)) == sr.zero
 
 
-def test_dirac():
-    assert ff_dirac("NNRAT", "P").entries == (("P", Fraction(1)),)
-    assert ff_dirac("BOOL", "P").entries == (("P", True),)
-    with pytest.raises(UnsupportedDiracError):
-        ff_dirac("NATSET", "P")
+def test_map_keys_adds_colliding_keys_and_keeps_the_tag():
+    fn = ff_make("NNRAT", [("P1", Fraction(1, 2)), ("P2", Fraction(1, 3)), ("Q", Fraction(1))])
+    renamed = ff_map_keys(lambda k: k[0], fn)
+    assert renamed.tag == "NNRAT"
+    assert renamed.entries == (("P", Fraction(5, 6)), ("Q", Fraction(1)))
+    flags = ff_map_keys(lambda k: "R", ff_make("BOOL", [("P", True), ("Q", True)]))
+    assert flags == ff_make("BOOL", [("R", True)])
+    assert ff_map_keys(str.lower, ff_zero("NATSET")) == ff_zero("NATSET")
 
 
 @pytest.mark.parametrize("tag", TAGS)

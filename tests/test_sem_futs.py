@@ -98,6 +98,9 @@ def test_pepa_interleaving():
     assert dict(fn.entries)["(nil <> (a, 3).nil)"] == Fraction(2)
     assert dict(fn.entries)["((a, 2).nil <> nil)"] == Fraction(3)
     assert ff_oplus(fn) == Fraction(5)
+    # both operands step onto the same composite term: the rates add up
+    _, fn = step_of("P <> P", "pepa", "act", "a", defs="P = (a, 1).P\n")
+    assert fn == ff_make("NNRAT", [("(P <> P)", Fraction(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,8 @@ def test_iml_interleaving_action_and_delay():
     _, fn = step_of("a.nil |[]| a.nil", "iml", "act", "a")
     assert [key for key, _ in fn.entries] == ["(a.nil |[]| nil)", "(nil |[]| a.nil)"]
     assert dict(fn.entries)["(a.nil |[]| nil)"] is True
+    _, fn = step_of("X |[]| X", "iml", "act", "a", defs="X = a.X\n")
+    assert fn == ff_make("BOOL", [("(X |[]| X)", True)])
     _, fn = step_of("1.nil |[a]| 2.nil", "iml", "delay", "delta")
     assert dict(fn.entries)["(nil |[a]| 2 . nil)"] == Fraction(1)
     assert dict(fn.entries)["(1 . nil |[a]| nil)"] == Fraction(2)
@@ -139,6 +144,8 @@ def test_iml_delay_ignores_sync_set():
     # delays interleave even when the composition synchronises actions
     _, fn = step_of("1.nil |[a]| 1.nil", "iml", "delay", "delta")
     assert ff_oplus(fn) == Fraction(2)
+    _, fn = step_of("Y |[a]| Y", "iml", "delay", "delta", defs="Y = 1 . Y\n")
+    assert fn == ff_make("NNRAT", [("(Y |[a]| Y)", Fraction(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +282,8 @@ def test_mal_interleaving_keeps_the_other_side_still():
         "[(a.{1: nil} |[]| nil) -> 1/1]",
         "[(nil |[]| a.{1: nil}) -> 1/1]",
     ]
+    _, fn = step_of("X |[]| X", "mal", "act", "a", defs="X = a.{1: X}\n")
+    assert inner_keys(fn) == ["[(X |[]| X) -> 1/1]"]
 
 
 def test_mal_inner_distributions_sum_to_one():
@@ -293,6 +302,8 @@ def test_mal_delay_relation():
     assert dict(fn.entries)["(2 . nil |[]| X)"] == Fraction(3)
     _, fn = step_of("a.{1: nil}", "mal", "delay", "delta")
     assert fn == ff_zero("NNRAT")
+    _, fn = step_of("Y |[a]| Y", "mal", "delay", "delta", defs="Y = 1 . Y\n")
+    assert fn == ff_make("NNRAT", [("(Y |[a]| Y)", Fraction(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +332,24 @@ def test_term_table_neither_merges_nor_splits_terms(lang):
         model = ctx.model
         for sub in (sub for body in [*model.defs.values(), model.init] for sub in walk(body)):
             assert ctx.text(ctx.register(sub)) == term_key(sub)
+
+
+@pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
+def test_step_walkers_never_register_terms(lang, monkeypatch):
+    corpus = build_corpus(lang, 30, 200, "walk", depth=4, max_consts=4, max_par=3, max_def_par=0)
+
+    def refuse(self, term):
+        raise AssertionError("a step walker registered a term instead of reading ids")
+
+    # every term a walker needs is in the table once it is built
+    monkeypatch.setattr(StepContext, "register", refuse)
+    moved = set()
+    for fm in corpus:
+        for state in fm.states:
+            for spec, data in zip(relation_specs(lang), fm.relations):
+                for label in data.labels:
+                    if futs_step(fm.ctx, state.term, spec.name, label).entries:
+                        moved.add(spec.name)
+            if lang == "tpc":
+                tpc_max_delay(fm.ctx, state.term)
+    assert moved == {spec.name for spec in relation_specs(lang)}
