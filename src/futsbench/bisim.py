@@ -6,26 +6,23 @@ of a stable partition.  This module computes the coarsest such partition
 by worklist refinement that re-signs only the predecessors of states that
 changed block, with the largest part of each split keeping its block id
 (after Valmari & Franceschinis, "Simple O(m log n) time Markov chain
-lumping", TACAS 2010).  It also provides a brute-force oracle for small
-systems and constructs quotient systems.  The independent partition from
-the step-derivation oracle lives in `crosscheck`, which alone reads that
-oracle.
+lumping", TACAS 2010).  A state's signature -- its steps pushed forward
+along the block map -- is the one definition of its behaviour under a
+partition: refinement splits on it, a witness is the first part where
+two signatures differ, and a quotient's steps are its blocks'
+signatures.  The independent partition from the step-derivation oracle
+lives in `crosscheck`, which alone reads that oracle.
 """
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import FutsError, SizeLimitError, UnknownStateError
+from .errors import FutsError, UnknownStateError
 from .explore import FutsModel, RelationData, StateInfo
 from .fsfun import ff_make
 from .semiring import Semiring, semiring_of
 # unused here, but bench/tracing.py wraps bisim.term_key (ROADMAP item 6)
 from .syntax import term_key  # noqa: F401
-
-BRUTE_FORCE_MAX = 8
-# disjoint_union prefixes right-hand state keys with this; no term key
-# can start with it, so the two state spaces' keys cannot collide
-UNION_PREFIX = "u2!"
 
 
 @dataclass(frozen=True)
@@ -66,21 +63,14 @@ def canonical_assignment(raw: Sequence[int]) -> Tuple[int, ...]:
 _SimpleEntries = Tuple[Tuple[int, Any], ...]
 
 
-def _block_sums(
-    entries: _SimpleEntries, assignment: Sequence[int], sr: Semiring
-) -> Dict[int, Any]:
-    """Non-zero total weight per block."""
+def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int], sr: Semiring):
+    """Canonical per-block totals: non-zero (block, weight) pairs sorted by block."""
     add = sr.add
     acc: Dict[int, Any] = {}
     for target, value in entries:
         block = assignment[target]
         acc[block] = add(acc[block], value) if block in acc else value
-    return {block: value for block, value in acc.items() if value != sr.zero}
-
-
-def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int], sr: Semiring):
-    """Canonical per-block totals: (block, weight) pairs sorted by block."""
-    return tuple(sorted(_block_sums(entries, assignment, sr).items()))
+    return tuple(sorted(kv for kv in acc.items() if kv[1] != sr.zero))
 
 
 def _lifted_sig(entry, assignment: Sequence[int], sr: Semiring, inner_sr: Semiring):
@@ -96,6 +86,8 @@ def _lifted_sig(entry, assignment: Sequence[int], sr: Semiring, inner_sr: Semiri
 
 
 def _state_signature(relations, state_id: int, assignment: Sequence[int]):
+    """A state's steps pushed forward along ``assignment``: one part per
+    relation and label, in that order."""
     parts = []
     for data in relations:
         table = data.transitions
@@ -212,10 +204,6 @@ class Witness:
     right: str
 
 
-def _inner_sig_text(inner_sig, fmt: Callable[[Any], str]) -> tuple:
-    return tuple((block, fmt(value)) for block, value in inner_sig)
-
-
 def _describe_inner_sig(text_sig) -> str:
     if not text_sig:
         return "distribution []"
@@ -227,197 +215,40 @@ def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
     """A (relation, label, block) witness for non-bisimilarity, or None."""
     _check_state_id(fm, left)
     _check_state_id(fm, right)
-    partition = refine(fm)
-    if partition.assignment[left] == partition.assignment[right]:
+    assignment = refine(fm).assignment
+    if assignment[left] == assignment[right]:
         return None
-    assignment = partition.assignment
-    for data in fm.relations:
+    parts_l = _state_signature(fm.relations, left, assignment)
+    parts_r = _state_signature(fm.relations, right, assignment)
+    slots = [(data, label) for data in fm.relations for label in data.labels]
+    for (data, label), part_l, part_r in zip(slots, parts_l, parts_r):
+        sums_l, sums_r = dict(part_l), dict(part_r)
+        if data.kind == "simple":
+            subjects = {block: f"block {block}" for block in sums_l.keys() | sums_r.keys()}
+            order = sorted(subjects)
+        else:
+            # take the inner classes in the order of their printed text, so
+            # the reported class does not depend on how raw weights sort
+            inner_fmt = semiring_of(data.inner_tag).fmt
+            texts = {
+                inner_sig: tuple((block, inner_fmt(value)) for block, value in inner_sig)
+                for inner_sig in sums_l.keys() | sums_r.keys()
+            }
+            order = sorted(texts, key=texts.__getitem__)
+            subjects = {inner_sig: _describe_inner_sig(text) for inner_sig, text in texts.items()}
         sr = semiring_of(data.tag)
-        fmt, zero = sr.fmt, sr.zero
-        for label in data.labels:
-            entry_l = data.function_at(left, label)
-            entry_r = data.function_at(right, label)
-            if data.kind == "simple":
-                sums_l = _block_sums(entry_l, assignment, sr)
-                sums_r = _block_sums(entry_r, assignment, sr)
-                for block in sorted(set(sums_l) | set(sums_r)):
-                    if sums_l.get(block) != sums_r.get(block):
-                        return Witness(
-                            data.name,
-                            label,
-                            f"block {block}",
-                            fmt(sums_l.get(block, zero)),
-                            fmt(sums_r.get(block, zero)),
-                        )
-            else:
-                inner_sr = semiring_of(data.inner_tag)
-                lift_l = dict(_lifted_sig(entry_l, assignment, sr, inner_sr))
-                lift_r = dict(_lifted_sig(entry_r, assignment, sr, inner_sr))
-                # search the inner classes in the order of their printed text, so
-                # the reported class does not depend on how raw weights sort
-                by_text = {
-                    _inner_sig_text(inner_sig, inner_sr.fmt): inner_sig
-                    for inner_sig in set(lift_l) | set(lift_r)
-                }
-                for text_sig in sorted(by_text):
-                    inner_sig = by_text[text_sig]
-                    if lift_l.get(inner_sig) != lift_r.get(inner_sig):
-                        return Witness(
-                            data.name,
-                            label,
-                            _describe_inner_sig(text_sig),
-                            fmt(lift_l.get(inner_sig, zero)),
-                            fmt(lift_r.get(inner_sig, zero)),
-                        )
+        for key in order:
+            if sums_l.get(key) != sums_r.get(key):
+                return Witness(
+                    data.name,
+                    label,
+                    subjects[key],
+                    sr.fmt(sums_l.get(key, sr.zero)),
+                    sr.fmt(sums_r.get(key, sr.zero)),
+                )
     raise FutsError(
         "internal error: states in different blocks have identical signatures"
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle (small systems)
-# ---------------------------------------------------------------------------
-
-
-def _all_assignments(n_states: int):
-    """Every partition of {0..n-1}, as canonical dense assignments."""
-    assignment = [0] * n_states
-
-    def rec(i: int, used: int):
-        if i == n_states:
-            yield tuple(assignment)
-            return
-        for block in range(used):
-            assignment[i] = block
-            yield from rec(i + 1, used)
-        assignment[i] = used
-        yield from rec(i + 1, used + 1)
-
-    yield from rec(1, 1)
-
-
-def brute_force(fm: FutsModel) -> Partition:
-    """Coarsest stable partition found by checking every partition.
-
-    Only usable on systems of at most BRUTE_FORCE_MAX states; the result is
-    the transitive-closure union of all partitions whose blocks agree on
-    per-block continuation totals for every relation and label.
-    """
-    n_states = len(fm.states)
-    if n_states > BRUTE_FORCE_MAX:
-        raise SizeLimitError(
-            f"brute-force bisimilarity is capped at {BRUTE_FORCE_MAX} states; "
-            f"this system has {n_states}"
-        )
-    if n_states == 0:
-        return Partition(())
-    # Raw-value signatures (no text rendering, set-based so nothing ever
-    # needs to order semiring values) keep the inner loop fast.
-    def raw_block_sums(entries, assignment, sr):
-        acc: Dict[int, Any] = {}
-        for target, value in entries:
-            block = assignment[target]
-            acc[block] = sr.add(acc[block], value) if block in acc else value
-        return frozenset(
-            (block, value) for block, value in acc.items() if value != sr.zero
-        )
-
-    # Per-state list of (kind, entry, target ids, slot, semiring, inner
-    # semiring) for each relation/label.
-    per_state: List[List[tuple]] = [[] for _ in range(n_states)]
-    label_mask: List[tuple] = []
-    for state_id in range(n_states):
-        mask = []
-        for data in fm.relations:
-            sr = semiring_of(data.tag)
-            inner_sr = semiring_of(data.inner_tag) if data.inner_tag else None
-            for label in data.labels:
-                entry = data.transitions.get((state_id, label))
-                mask.append(entry is not None)
-                if entry is None:
-                    continue
-                if data.kind == "simple":
-                    targets = tuple(sorted({t for t, _ in entry}))
-                else:
-                    targets = tuple(
-                        sorted({t for inner, _ in entry for t, _ in inner})
-                    )
-                per_state[state_id].append(
-                    (data.kind, entry, targets, len(mask) - 1, sr, inner_sr)
-                )
-        label_mask.append(tuple(mask))
-
-    sig_cache: Dict[tuple, tuple] = {}
-
-    def signature(state_id: int, assignment: Sequence[int]) -> tuple:
-        parts = []
-        for kind, entry, targets, slot, sr, inner_sr in per_state[state_id]:
-            cache_key = (state_id, slot, tuple(assignment[t] for t in targets))
-            part = sig_cache.get(cache_key)
-            if part is None:
-                if kind == "simple":
-                    part = raw_block_sums(entry, assignment, sr)
-                else:
-                    acc: Dict[frozenset, Any] = {}
-                    for inner_entries, outer_value in entry:
-                        isig = raw_block_sums(inner_entries, assignment, inner_sr)
-                        acc[isig] = (
-                            sr.add(acc[isig], outer_value)
-                            if isig in acc
-                            else outer_value
-                        )
-                    part = frozenset(
-                        (isig, value)
-                        for isig, value in acc.items()
-                        if value != sr.zero
-                    )
-                sig_cache[cache_key] = part
-            parts.append((slot, part))
-        return tuple(parts)
-
-    def is_stable(assignment: Sequence[int]) -> bool:
-        rep_mask: Dict[int, tuple] = {}
-        for state_id in range(n_states):
-            block = assignment[state_id]
-            mask = label_mask[state_id]
-            if rep_mask.setdefault(block, mask) != mask:
-                return False
-        rep_sig: Dict[int, tuple] = {}
-        for state_id in range(n_states):
-            block = assignment[state_id]
-            sig = signature(state_id, assignment)
-            if rep_sig.setdefault(block, sig) != sig:
-                return False
-        return True
-
-    parent = list(range(n_states))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for assignment in _all_assignments(n_states):
-        if is_stable(assignment):
-            leaders: Dict[int, int] = {}
-            for state_id, block in enumerate(assignment):
-                if block in leaders:
-                    union(leaders[block], state_id)
-                else:
-                    leaders[block] = state_id
-
-    merged = canonical_assignment([find(s) for s in range(n_states)])
-    if not is_stable(merged):
-        raise FutsError(
-            "internal error: union of stable partitions is not stable"
-        )
-    return Partition(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -435,44 +266,37 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         raise FutsError(
             f"partition covers {len(partition.assignment)} states, model has {n_states}"
         )
-    assignment = list(canonical_assignment(partition.assignment))
-    rep_sig: Dict[int, tuple] = {}
-    for state_id in range(n_states):
-        block = assignment[state_id]
-        sig = _state_signature(fm.relations, state_id, assignment)
-        if rep_sig.setdefault(block, sig) != sig:
-            raise FutsError("partition is not stable; refusing to quotient")
-
-    n_blocks = max(assignment) + 1
-    rep_state: List[StateInfo] = [None] * n_blocks  # type: ignore[list-item]
-    for state in fm.states:  # ids ascending, so first hit is least member
+    assignment = canonical_assignment(partition.assignment)
+    # blocks are numbered by least member, so in ascending id order each
+    # block is met first at its least member, and in block order
+    rep_state: List[StateInfo] = []
+    block_sig: List[tuple] = []
+    for state in fm.states:
         block = assignment[state.id]
-        if rep_state[block] is None:
-            rep_state[block] = state
+        sig = _state_signature(fm.relations, state.id, assignment)
+        if block == len(rep_state):
+            rep_state.append(state)
+            block_sig.append(sig)
+        elif block_sig[block] != sig:
+            raise FutsError("partition is not stable; refusing to quotient")
 
     states = [replace(rep, id=block) for block, rep in enumerate(rep_state)]
     index = {state.key: state.id for state in states}
 
-    def block_fn(sr: Semiring, entries: _SimpleEntries):
-        """The function from each block to the block's total."""
-        return ff_make(sr.tag, _block_sums(entries, assignment, sr).items())
-
+    # a block's step is its signature's part: block totals, or for nested
+    # relations the outer values already folded over equal inner totals
     relations: List[RelationData] = []
+    first = 0  # the part of the relation's first label in every signature
     for data in fm.relations:
-        sr = semiring_of(data.tag)
         quotient = RelationData(data.name, data.kind, data.tag, data.inner_tag, data.labels)
-        for block, rep in enumerate(rep_state):
-            for label in data.labels:
-                step = data.function_at(rep.id, label)
-                if data.kind == "simple":
-                    qfn = block_fn(sr, step)
-                else:
-                    inner_sr = semiring_of(data.inner_tag)
-                    qfn = ff_make(
-                        data.tag,
-                        [(block_fn(inner_sr, inner), outer_value) for inner, outer_value in step],
-                    )
+        for block, sig in enumerate(block_sig):
+            for slot, label in enumerate(data.labels, first):
+                part = sig[slot]
+                if data.kind == "nested":
+                    part = [(ff_make(data.inner_tag, inner), value) for inner, value in part]
+                qfn = ff_make(data.tag, part)
                 quotient.store(block, label, qfn, lambda b: states[b].key, lambda b: b)
+        first += len(data.labels)
         relations.append(quotient)
 
     return FutsModel(
@@ -484,48 +308,3 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         ctx=None,
     )
 
-
-def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
-    """Side-by-side union of two explored systems over the same relations.
-
-    The right-hand states follow the left-hand ones, and their keys get
-    :data:`UNION_PREFIX`."""
-    if left.lang != right.lang:
-        raise FutsError("cannot union systems of different languages")
-    if len(left.relations) != len(right.relations) or any(
-        dl.name != dr.name or dl.kind != dr.kind or dl.labels != dr.labels
-        for dl, dr in zip(left.relations, right.relations)
-    ):
-        raise FutsError("cannot union systems with different relations or labels")
-
-    offset = len(left.states)
-
-    def shifted(pairs) -> tuple:
-        return tuple((offset + target, value) for target, value in pairs)
-
-    states = list(left.states) + [
-        replace(state, id=offset + state.id, key=UNION_PREFIX + state.key)
-        for state in right.states
-    ]
-    index = {state.key: state.id for state in states}
-
-    relations: List[RelationData] = []
-    for dl, dr in zip(left.relations, right.relations):
-        merged = RelationData(dl.name, dl.kind, dl.tag, dl.inner_tag, dl.labels)
-        merged.transitions = dict(dl.transitions)
-        for (source, label), step in dr.transitions.items():
-            if dl.kind == "simple":
-                step = shifted(step)
-            else:
-                step = tuple((shifted(inner), value) for inner, value in step)
-            merged.transitions[offset + source, label] = step
-        relations.append(merged)
-
-    return FutsModel(
-        lang=left.lang,
-        states=states,
-        index=index,
-        relations=relations,
-        init_id=left.init_id,
-        ctx=None,
-    )

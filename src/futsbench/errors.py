@@ -2,7 +2,8 @@
 
 Every failure the toolchain can diagnose is raised as a subclass of
 :class:`FutsError`, so callers (and the CLI) can catch one type and map
-it to a diagnostic exit.
+it to a diagnostic exit.  The reference algorithms the tests compare
+against live with the tests and raise built-in errors.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class UnknownStateError(FutsError):
 
 class ExplorationLimitError(FutsError):
     """State-space exploration exceeded the configured state bound."""
-
-
-class SizeLimitError(FutsError):
-    """An exhaustive check was asked for on a system beyond its size cap."""
 
 
 class DelayCycleError(FutsError):

@@ -33,7 +33,7 @@ from .syntax import (
     unfold,
 )
 
-DEFAULT_TIMED_CAP = 10_000
+TIMED_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +184,20 @@ def delay_derivations(model: Model, term: Term) -> List[Tuple[Fraction, Term]]:
 # ---------------------------------------------------------------------------
 
 
-def timed_transitions(
-    model: Model, term: Term, cap: int = DEFAULT_TIMED_CAP
-) -> FrozenSet[Tuple[int, Term]]:
+def timed_transitions(model: Model, term: Term) -> FrozenSet[Tuple[int, Term]]:
     """All transitions ``term ==n==> target`` for positive amounts of
 
     time ``n``.  A delay prefix can be taken whole, split into a spent
     and a remaining part, or extended by time its continuation can
     pass; choices and compositions advance only in lockstep.  The
-    enumeration is capped defensively.
+    enumeration is capped at :data:`TIMED_CAP` transitions.
     """
     active: Set[str] = set()
 
     def guard(result: Set[Tuple[int, Term]]) -> FrozenSet[Tuple[int, Term]]:
-        if len(result) > cap:
+        if len(result) > TIMED_CAP:
             raise TimedTransitionCapError(
-                f"more than {cap} timed transitions from one state"
+                f"more than {TIMED_CAP} timed transitions from one state"
             )
         return frozenset(result)
 

@@ -505,14 +505,14 @@ def _check_lang(lang: str) -> str:
     return lang
 
 
-def parse_term(text: str, lang: str, lineno: int = 1) -> Term:
+def parse_term(text: str, lang: str) -> Term:
     """Parse one term (as used on the CLI and in ``init`` lines).
 
     Constants are not resolved here; use :func:`parse_model` or check
     the result against a model's definitions.
     """
     _check_lang(lang)
-    parser = _Parser(_lex_line(text, lineno), lang)
+    parser = _Parser(_lex_line(text, 1), lang)
     term = parser.parse_term()
     tok = parser.peek()
     if tok.kind != "eof":

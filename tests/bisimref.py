@@ -1,0 +1,218 @@
+"""Reference algorithms the acceptance criteria compare against.
+
+``brute_force`` finds the coarsest stable partition by checking every
+partition of a small system (criterion 7 compares ``refine`` with it).
+``disjoint_union`` puts a system and its quotient side by side, so one
+refinement can check that every state is bisimilar to its image
+(criterion 10).
+"""
+
+from dataclasses import replace
+from typing import Any, Dict, List, Sequence
+
+from futsbench.bisim import Partition, canonical_assignment
+from futsbench.errors import FutsError
+from futsbench.explore import FutsModel, RelationData
+from futsbench.semiring import semiring_of
+
+BRUTE_FORCE_MAX = 8
+# disjoint_union prefixes right-hand state keys with this; no term key
+# can start with it, so the two state spaces' keys cannot collide
+UNION_PREFIX = "u2!"
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle (small systems)
+# ---------------------------------------------------------------------------
+
+
+def _all_assignments(n_states: int):
+    """Every partition of {0..n-1}, as canonical dense assignments."""
+    assignment = [0] * n_states
+
+    def rec(i: int, used: int):
+        if i == n_states:
+            yield tuple(assignment)
+            return
+        for block in range(used):
+            assignment[i] = block
+            yield from rec(i + 1, used)
+        assignment[i] = used
+        yield from rec(i + 1, used + 1)
+
+    yield from rec(1, 1)
+
+
+def brute_force(fm: FutsModel) -> Partition:
+    """Coarsest stable partition found by checking every partition.
+
+    Only usable on systems of at most BRUTE_FORCE_MAX states; the result is
+    the transitive-closure union of all partitions whose blocks agree on
+    per-block continuation totals for every relation and label.
+    """
+    n_states = len(fm.states)
+    if n_states > BRUTE_FORCE_MAX:
+        raise ValueError(
+            f"brute-force bisimilarity is capped at {BRUTE_FORCE_MAX} states; "
+            f"this system has {n_states}"
+        )
+    if n_states == 0:
+        return Partition(())
+    # Raw-value signatures (no text rendering, set-based so nothing ever
+    # needs to order semiring values) keep the inner loop fast.
+    def raw_block_sums(entries, assignment, sr):
+        acc: Dict[int, Any] = {}
+        for target, value in entries:
+            block = assignment[target]
+            acc[block] = sr.add(acc[block], value) if block in acc else value
+        return frozenset(
+            (block, value) for block, value in acc.items() if value != sr.zero
+        )
+
+    # Per-state list of (kind, entry, target ids, slot, semiring, inner
+    # semiring) for each relation/label.
+    per_state: List[List[tuple]] = [[] for _ in range(n_states)]
+    label_mask: List[tuple] = []
+    for state_id in range(n_states):
+        mask = []
+        for data in fm.relations:
+            sr = semiring_of(data.tag)
+            inner_sr = semiring_of(data.inner_tag) if data.inner_tag else None
+            for label in data.labels:
+                entry = data.transitions.get((state_id, label))
+                mask.append(entry is not None)
+                if entry is None:
+                    continue
+                if data.kind == "simple":
+                    targets = tuple(sorted({t for t, _ in entry}))
+                else:
+                    targets = tuple(
+                        sorted({t for inner, _ in entry for t, _ in inner})
+                    )
+                per_state[state_id].append(
+                    (data.kind, entry, targets, len(mask) - 1, sr, inner_sr)
+                )
+        label_mask.append(tuple(mask))
+
+    sig_cache: Dict[tuple, tuple] = {}
+
+    def signature(state_id: int, assignment: Sequence[int]) -> tuple:
+        parts = []
+        for kind, entry, targets, slot, sr, inner_sr in per_state[state_id]:
+            cache_key = (state_id, slot, tuple(assignment[t] for t in targets))
+            part = sig_cache.get(cache_key)
+            if part is None:
+                if kind == "simple":
+                    part = raw_block_sums(entry, assignment, sr)
+                else:
+                    acc: Dict[frozenset, Any] = {}
+                    for inner_entries, outer_value in entry:
+                        isig = raw_block_sums(inner_entries, assignment, inner_sr)
+                        acc[isig] = (
+                            sr.add(acc[isig], outer_value)
+                            if isig in acc
+                            else outer_value
+                        )
+                    part = frozenset(
+                        (isig, value)
+                        for isig, value in acc.items()
+                        if value != sr.zero
+                    )
+                sig_cache[cache_key] = part
+            parts.append((slot, part))
+        return tuple(parts)
+
+    def is_stable(assignment: Sequence[int]) -> bool:
+        rep_mask: Dict[int, tuple] = {}
+        for state_id in range(n_states):
+            block = assignment[state_id]
+            mask = label_mask[state_id]
+            if rep_mask.setdefault(block, mask) != mask:
+                return False
+        rep_sig: Dict[int, tuple] = {}
+        for state_id in range(n_states):
+            block = assignment[state_id]
+            sig = signature(state_id, assignment)
+            if rep_sig.setdefault(block, sig) != sig:
+                return False
+        return True
+
+    parent = list(range(n_states))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for assignment in _all_assignments(n_states):
+        if is_stable(assignment):
+            leaders: Dict[int, int] = {}
+            for state_id, block in enumerate(assignment):
+                if block in leaders:
+                    union(leaders[block], state_id)
+                else:
+                    leaders[block] = state_id
+
+    merged = canonical_assignment([find(s) for s in range(n_states)])
+    if not is_stable(merged):
+        raise FutsError(
+            "internal error: union of stable partitions is not stable"
+        )
+    return Partition(merged)
+
+
+# ---------------------------------------------------------------------------
+# Disjoint union
+# ---------------------------------------------------------------------------
+
+
+def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
+    """Side-by-side union of two explored systems over the same relations.
+
+    The right-hand states follow the left-hand ones, and their keys get
+    :data:`UNION_PREFIX`."""
+    if left.lang != right.lang:
+        raise FutsError("cannot union systems of different languages")
+    if len(left.relations) != len(right.relations) or any(
+        dl.name != dr.name or dl.kind != dr.kind or dl.labels != dr.labels
+        for dl, dr in zip(left.relations, right.relations)
+    ):
+        raise FutsError("cannot union systems with different relations or labels")
+
+    offset = len(left.states)
+
+    def shifted(pairs) -> tuple:
+        return tuple((offset + target, value) for target, value in pairs)
+
+    states = list(left.states) + [
+        replace(state, id=offset + state.id, key=UNION_PREFIX + state.key)
+        for state in right.states
+    ]
+    index = {state.key: state.id for state in states}
+
+    relations: List[RelationData] = []
+    for dl, dr in zip(left.relations, right.relations):
+        merged = RelationData(dl.name, dl.kind, dl.tag, dl.inner_tag, dl.labels)
+        merged.transitions = dict(dl.transitions)
+        for (source, label), step in dr.transitions.items():
+            if dl.kind == "simple":
+                step = shifted(step)
+            else:
+                step = tuple((shifted(inner), value) for inner, value in step)
+            merged.transitions[offset + source, label] = step
+        relations.append(merged)
+
+    return FutsModel(
+        lang=left.lang,
+        states=states,
+        index=index,
+        relations=relations,
+        init_id=left.init_id,
+        ctx=None,
+    )

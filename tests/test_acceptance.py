@@ -13,12 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from futsbench.bisim import (
-    brute_force,
-    disjoint_union,
-    minimize,
-    refine,
-)
+from futsbench.bisim import minimize, refine
 from futsbench.cli import main as cli_main
 from futsbench.crosscheck import (
     agreement_check,
@@ -36,6 +31,7 @@ from futsbench.semiring import TAGS, semiring_of
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model
 
+from bisimref import brute_force, disjoint_union
 from idtext import as_text, fn_text, stored_text
 from modelgen import build_corpus, random_value
 

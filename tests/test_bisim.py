@@ -6,22 +6,21 @@ import pytest
 
 from futsbench import bisim
 from futsbench.bisim import (
-    BRUTE_FORCE_MAX,
     Partition,
+    Witness,
     _state_signature,
-    brute_force,
     canonical_assignment,
-    disjoint_union,
     distinguish,
     minimize,
     refine,
 )
 from futsbench.crosscheck import _refine_loop, oracle_moves, oracle_partition_from
-from futsbench.errors import ExplorationLimitError, FutsError, SizeLimitError, UnknownStateError
+from futsbench.errors import ExplorationLimitError, FutsError, UnknownStateError
 from futsbench.explore import explore
 from futsbench.syntax import parse_model, parse_term, term_key
 
-from idtext import stored_text
+from bisimref import BRUTE_FORCE_MAX, brute_force, disjoint_union
+from idtext import fn_text, stored_text
 from modelgen import build_corpus, random_model
 
 GOLDEN_PEPA = """
@@ -85,6 +84,14 @@ def test_pepa_self_loop_doubling_detected():
     assert {w.left, w.right} == {"1/1", "2/1"}
 
 
+def test_chain_witness_takes_the_lowest_numbered_block():
+    fm = chain_model(12)
+    c1, c9 = fm.index["C1"], fm.index["C9"]
+    # block 2 holds C2 and block 10 holds C10; as text, "block 10" sorts first
+    assert distinguish(fm, c1, c9) == Witness("act", "a", "block 2", "1/1", "0/1")
+    assert distinguish(fm, c9, c1) == Witness("act", "a", "block 2", "0/1", "1/1")
+
+
 def test_pepa_prefix_term_equals_constant_unfolding():
     text = "P = (a, 1).P\ninit P\n"
     fm, (l,) = explored(text, "pepa", roots=["(a,1).P"])
@@ -126,6 +133,12 @@ def test_iml_delay_rates_add_up():
     assert {w.left, w.right} == {"1/1", "1/2"}
 
 
+def test_iml_witness_takes_the_first_differing_part():
+    fm, (l, r) = explored("init nil\n", "iml", roots=["a.nil + 1 . nil", "b.nil + 2 . nil"])
+    # the a, b and delay parts all differ; relations come first, then labels
+    assert distinguish(fm, l, r) == Witness("act", "a", "block 0", "true", "false")
+
+
 def test_tpc_sequential_delays_flatten():
     fm, (l, r) = explored("init nil\n", "tpc", roots=["(1).(2).nil", "(3).nil"])
     assert distinguish(fm, l, r) is None
@@ -139,10 +152,7 @@ def test_tpc_choice_of_equal_delays():
 
 def test_tpc_different_delays_distinguished():
     fm, (l, r) = explored("init nil\n", "tpc", roots=["(2).a.nil", "(3).a.nil"])
-    w = distinguish(fm, l, r)
-    assert w is not None
-    assert w.relation == "tick"
-    assert w.label == "tick"
+    assert distinguish(fm, l, r) == Witness("tick", "tick", "block 1", "{}", "{1}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +190,7 @@ def test_mal_witness_takes_classes_in_printed_order():
     w = distinguish(fm, l, r)
     # nil (block 0) has mass 1/2, 1/3 and 1/4 in the three distributions;
     # "1/2" comes first as text, though not as a number
-    assert w.subject.startswith("distribution [block 0 -> 1/2,")
+    assert w.subject == "distribution [block 0 -> 1/2, block 3 -> 1/2]"
     assert (w.left, w.right) == ("true", "false")
 
 
@@ -201,7 +211,7 @@ def test_brute_force_size_cap():
     text += f"\nX{BRUTE_FORCE_MAX + 2} = nil\ninit X0\n"
     fm = explore(parse_model(text, "pepa"))
     assert len(fm.states) > BRUTE_FORCE_MAX
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError):
         brute_force(fm)
 
 
@@ -404,3 +414,18 @@ def test_nested_quotient_merges_inner_targets():
     # Both halves of A's distribution landed in the same block.
     assert len(inner.entries) == 1
     assert inner.entries[0][1] == 1
+
+    # two distributions that differ only in bisimilar targets fold into one
+    fm, (a,) = explored(
+        "B1 = c.{1: nil}\nB2 = c.{1: nil} + c.{1: nil}\n"
+        "A = a.{1/2: B1 [] 1/2: nil} + a.{1/2: B2 [] 1/2: nil}\ninit A\n",
+        "mal",
+        roots=["A"],
+    )
+    p = refine(fm)
+    assert (len(fm.states), p.n_blocks) == (4, 3)
+    q = minimize(fm, p)
+    fn = stored_text(q, q.relations[0], p.assignment[a], "a")
+    assert [(fn_text(inner), outer) for inner, outer in fn.entries] == [
+        ("[B1 -> 1/2, nil -> 1/2]", True)
+    ]
