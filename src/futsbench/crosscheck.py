@@ -5,8 +5,10 @@ step-derivation oracle, plus structural sanity checks.
 for each state and each (relation, label) slot, the oracle's derivations,
 with their targets resolved to state ids.  The agreement,
 time-determinism and correspondence checks all read that table.  The
-correspondence check builds the oracle's own partition from it with a
-deliberately naive round-based loop, independent of `refine`.
+correspondence check builds the oracle's own partition from it alone, by
+splitter-driven refinement over the derivations' incoming moves -- a
+different algorithm from the worklist engine of `refine`, which it never
+calls.
 
 Every check walks all explored states of one model and reports how many
 comparisons it made and which ones failed.  The `compare` CLI command and
@@ -15,9 +17,9 @@ the acceptance suite both run these.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from .bisim import Partition, refine
+from .bisim import Partition, canonical_assignment, refine
 from .errors import FutsError, UnknownStateError
 from .explore import FutsModel, RelationData
 from .sem_futs import tpc_max_delay
@@ -299,65 +301,148 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     )
 
 
-# The deliberately naive round-based loop that criterion 6 checks the
-# worklist engine of `refine` against: every round re-signs every state.
-def _refine_loop(n_states: int, sig_of: Callable[[int, Sequence[int]], tuple]) -> Partition:
-    """Split blocks by signature until nothing splits any more."""
-    if n_states == 0:
-        return Partition(())
-    assignment = [0] * n_states
-    for _ in range(n_states + 1):
-        seen: Dict[tuple, int] = {}
-        new: List[int] = []
-        for state_id in range(n_states):
-            key = (assignment[state_id], sig_of(state_id, assignment))
-            if key not in seen:
-                seen[key] = len(seen)
-            new.append(seen[key])
-        if new == assignment:
-            return Partition(tuple(assignment))
-        assignment = new
-    raise FutsError("internal error: partition refinement did not stabilise")
-
-
-def _block_totals(pairs, assignment: Sequence[int]) -> frozenset:
-    """Non-zero total weight per block of (weight, target) pairs."""
-    acc: Dict[int, Fraction] = {}
-    for weight, target in pairs:
-        block = assignment[target]
-        acc[block] = acc[block] + weight if block in acc else weight
-    return frozenset(item for item in acc.items() if item[1] != 0)
-
-
-def _oracle_part(shape: str, derived, assignment: Sequence[int]) -> frozenset:
-    """One slot of a state's signature, read off its derivations only."""
-    if shape == RATED:
-        return _block_totals(derived, assignment)
-    if shape == SET:
-        return frozenset(assignment[t] for t in derived)
-    if shape == TIMED:
-        return frozenset((n, assignment[t]) for n, t in derived)
-    return frozenset(
-        _block_totals(((mass, t) for t, mass in dist), assignment) for dist in derived
-    )
+def _split(members: List[set], block_of: List[int], keys) -> List[Tuple[int, List[int]]]:
+    """Split each block by the keys of those of its members that ``keys``
+    pairs with a non-empty key; its other members share one part.  The
+    largest part keeps the block's id, so only the members of the other
+    parts are relabelled.  Returns (block, new block ids) for each block
+    that split."""
+    keyed: Dict[int, Dict[Any, list]] = {}
+    for item, key in keys:
+        if key:
+            by_key = keyed.setdefault(block_of[item], {})
+            if key in by_key:
+                by_key[key].append(item)
+            else:
+                by_key[key] = [item]
+    splits = []
+    for block, by_key in keyed.items():
+        rest = members[block]
+        parts = list(by_key.values())
+        if len(parts) == 1 and len(parts[0]) == len(rest):
+            continue
+        for part in parts:
+            rest.difference_update(part)
+        if rest:
+            parts.append(rest)
+        parts.sort(key=len)
+        largest = parts.pop()
+        members[block] = largest if largest is rest else set(largest)
+        new = []
+        for part in parts:
+            new_block = len(members)
+            members.append(part if part is rest else set(part))
+            for item in part:
+                block_of[item] = new_block
+            new.append(new_block)
+        splits.append((block, new))
+    return splits
 
 
 def oracle_partition_from(moves: OracleMoves) -> Partition:
     """Coarsest behavioural partition computed from step derivations only.
 
-    The table's rows follow the exploration's state ids (so block ids line
-    up with `refine`), but every signature is built from the oracle's
-    derivations, not from the weight functions."""
+    Splitter-driven refinement: each queued block of states is a splitter,
+    and every state is keyed by what its derivations put into it, slot by
+    slot -- a ``rated`` slot its total rate, a ``set`` slot presence, a
+    ``timed`` slot presence per amount.  MAL's distributions form a second
+    partition: a class of distributions splits by its mass into the
+    splitter (Derisavi, Hermanns & Sanders, "Optimal state-space lumping
+    in Markov chains", IPL 2003), and a state by its set of distribution
+    classes per slot.  Rates and masses subtract, so when every slot is
+    ``rated`` or ``dists`` the largest part of a split is queued only if
+    its block already was (Hopcroft's trick, as in Paige & Tarjan, "Three
+    partition refinement algorithms", SIAM J. Comput. 1987); presence
+    does not, so otherwise every part is queued (Kanellakis & Smolka).
+    The table's rows follow the exploration's state ids, so block ids
+    line up with `refine`."""
     shapes = [shape for _, _, shape in moves.slots]
     rows = moves.rows
+    n_states = len(rows)
+    # every move into a state as (source, key, rate), where the key is the
+    # slot, or (slot, amount) for a timed move, and the rate is None where
+    # only presence counts; and (distribution, mass) for each distinct
+    # distribution with a branch into the state
+    incoming: List[list] = [[] for _ in range(n_states)]
+    dist_in: List[list] = [[] for _ in range(n_states)]
+    dist_ids: Dict[frozenset, int] = {}
+    owners: List[list] = []  # distribution -> the (state, slot)s offering it
+    for source, row in enumerate(rows):
+        for slot, (shape, derived) in enumerate(zip(shapes, row)):
+            if shape == RATED:
+                for rate, target in derived:
+                    incoming[target].append((source, slot, rate))
+            elif shape == SET:
+                for target in derived:
+                    incoming[target].append((source, slot, None))
+            elif shape == TIMED:
+                for amount, target in derived:
+                    incoming[target].append((source, (slot, amount), None))
+            else:
+                for dist in derived:
+                    dist_id = dist_ids.get(dist)
+                    if dist_id is None:
+                        dist_id = dist_ids[dist] = len(owners)
+                        owners.append([])
+                        for target, mass in dist:
+                            dist_in[target].append((dist_id, mass))
+                    owners[dist_id].append((source, slot))
 
-    def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
-        return tuple(
-            _oracle_part(shape, derived, assignment)
-            for shape, derived in zip(shapes, rows[state_id])
+    block_of = [0] * n_states
+    members = [set(range(n_states))]
+    class_of = [0] * len(owners)
+    classes = [set(range(len(owners)))]
+    hopcroft = all(shape in (RATED, DISTS) for shape in shapes)
+    queue = [0]
+    queued = [True]
+
+    def split_states(keys) -> None:
+        for block, new in _split(members, block_of, keys):
+            if not (hopcroft or queued[block]):
+                queue.append(block)
+                queued[block] = True
+            queue.extend(new)
+            queued.extend([True] * len(new))
+
+    def rekey_owners(dist_classes) -> None:
+        """Key the states offering distributions of these classes by the
+        classes those distributions are in now."""
+        keys: Dict[int, set] = {}
+        for dist_class in dist_classes:
+            for dist_id in classes[dist_class]:
+                for state, slot in owners[dist_id]:
+                    keys.setdefault(state, set()).add((slot, class_of[dist_id]))
+        split_states((state, frozenset(key)) for state, key in keys.items())
+
+    # the first split keys every state, even one without moves, by the
+    # slots it offers distributions in (all distributions start in class 0)
+    rekey_owners([0])
+    while queue:
+        splitter = queue.pop()
+        queued[splitter] = False
+        into: Dict[int, dict] = {}
+        mass: Dict[int, Any] = {}
+        for target in members[splitter]:
+            for source, key, rate in incoming[target]:
+                acc = into.get(source)
+                if acc is None:
+                    acc = into[source] = {}
+                if rate is None:
+                    acc[key] = True
+                elif key in acc:
+                    acc[key] += rate
+                else:
+                    acc[key] = rate
+            for dist_id, m in dist_in[target]:
+                mass[dist_id] = mass[dist_id] + m if dist_id in mass else m
+        # a zero total counts as no move
+        split_states(
+            (state, frozenset(item for item in acc.items() if item[1]))
+            for state, acc in into.items()
         )
-
-    return _refine_loop(len(rows), sig_of)
+        split = _split(classes, class_of, mass.items())
+        rekey_owners([c for block, new in split for c in (block, *new)])
+    return Partition(canonical_assignment(block_of))
 
 
 def correspondence_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:

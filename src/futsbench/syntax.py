@@ -23,7 +23,7 @@ one ``init Term`` line, and ``--`` comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Optional, Tuple, Union
 
@@ -150,11 +150,21 @@ def map_children(term: Term, f: Callable[[Term], Any]) -> Term:
     """``term`` with ``f`` applied to each immediate subterm; a leaf as it is."""
     if isinstance(term, (Nil, Const)):
         return term
+    if isinstance(term, RatedPrefix):
+        return RatedPrefix(term.action, term.rate, f(term.cont))
+    if isinstance(term, ActPrefix):
+        return ActPrefix(term.action, f(term.cont))
+    if isinstance(term, RatePrefix):
+        return RatePrefix(term.rate, f(term.cont))
+    if isinstance(term, TimePrefix):
+        return TimePrefix(term.delay, f(term.cont))
     if isinstance(term, ProbPrefix):
         return ProbPrefix(term.action, tuple((p, f(cont)) for p, cont in term.branches))
-    if isinstance(term, _PREFIX_TYPES):
-        return replace(term, cont=f(term.cont))
-    return replace(term, left=f(term.left), right=f(term.right))
+    if isinstance(term, Choice):
+        return Choice(f(term.left), f(term.right))
+    if isinstance(term, Coop):
+        return Coop(term.actions, f(term.left), f(term.right))
+    return Par(term.actions, f(term.left), f(term.right))
 
 
 def walk(term: Term) -> Iterator[Term]:

@@ -4,13 +4,18 @@
 partition of a small system (criterion 7 compares ``refine`` with it).
 ``disjoint_union`` puts a system and its quotient side by side, so one
 refinement can check that every state is bisimilar to its image
-(criterion 10).
+(criterion 10).  ``_refine_loop`` is the deliberately naive round-based
+loop, re-signing every state each round, that ``refine`` is checked
+against, and ``naive_oracle_partition`` runs it on the oracle's
+derivations to check ``crosscheck.oracle_partition_from``.
 """
 
 from dataclasses import replace
-from typing import Any, Dict, List, Sequence
+from fractions import Fraction
+from typing import Any, Callable, Dict, List, Sequence
 
 from futsbench.bisim import Partition, canonical_assignment
+from futsbench.crosscheck import RATED, SET, TIMED, OracleMoves
 from futsbench.errors import FutsError
 from futsbench.explore import FutsModel, RelationData
 from futsbench.semiring import semiring_of
@@ -216,3 +221,64 @@ def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
         init_id=left.init_id,
         ctx=None,
     )
+
+
+# ---------------------------------------------------------------------------
+# Round-based refinement
+# ---------------------------------------------------------------------------
+
+
+def _refine_loop(n_states: int, sig_of: Callable[[int, Sequence[int]], tuple]) -> Partition:
+    """Split blocks by signature until nothing splits any more."""
+    if n_states == 0:
+        return Partition(())
+    assignment = [0] * n_states
+    for _ in range(n_states + 1):
+        seen: Dict[tuple, int] = {}
+        new: List[int] = []
+        for state_id in range(n_states):
+            key = (assignment[state_id], sig_of(state_id, assignment))
+            if key not in seen:
+                seen[key] = len(seen)
+            new.append(seen[key])
+        if new == assignment:
+            return Partition(tuple(assignment))
+        assignment = new
+    raise FutsError("internal error: partition refinement did not stabilise")
+
+
+def _block_totals(pairs, assignment: Sequence[int]) -> frozenset:
+    """Non-zero total weight per block of (weight, target) pairs."""
+    acc: Dict[int, Fraction] = {}
+    for weight, target in pairs:
+        block = assignment[target]
+        acc[block] = acc[block] + weight if block in acc else weight
+    return frozenset(item for item in acc.items() if item[1] != 0)
+
+
+def _oracle_part(shape: str, derived, assignment: Sequence[int]) -> frozenset:
+    """One slot of a state's signature, read off its derivations only."""
+    if shape == RATED:
+        return _block_totals(derived, assignment)
+    if shape == SET:
+        return frozenset(assignment[t] for t in derived)
+    if shape == TIMED:
+        return frozenset((n, assignment[t]) for n, t in derived)
+    return frozenset(
+        _block_totals(((mass, t) for t, mass in dist), assignment) for dist in derived
+    )
+
+
+def naive_oracle_partition(moves: OracleMoves) -> Partition:
+    """The oracle's partition by the round-based loop: every round re-signs
+    every state from its derivations."""
+    shapes = [shape for _, _, shape in moves.slots]
+    rows = moves.rows
+
+    def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
+        return tuple(
+            _oracle_part(shape, derived, assignment)
+            for shape, derived in zip(shapes, rows[state_id])
+        )
+
+    return _refine_loop(len(rows), sig_of)

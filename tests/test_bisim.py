@@ -14,12 +14,18 @@ from futsbench.bisim import (
     minimize,
     refine,
 )
-from futsbench.crosscheck import _refine_loop, oracle_moves, oracle_partition_from
+from futsbench.crosscheck import oracle_moves, oracle_partition_from
 from futsbench.errors import ExplorationLimitError, FutsError, UnknownStateError
 from futsbench.explore import explore
 from futsbench.syntax import parse_model, parse_term, term_key
 
-from bisimref import BRUTE_FORCE_MAX, brute_force, disjoint_union
+from bisimref import (
+    BRUTE_FORCE_MAX,
+    _refine_loop,
+    brute_force,
+    disjoint_union,
+    naive_oracle_partition,
+)
 from idtext import fn_text, stored_text
 from modelgen import build_corpus, random_model
 
@@ -202,6 +208,43 @@ def test_mal_refine_matches_brute_force_and_oracle():
 
 
 # ---------------------------------------------------------------------------
+# The oracle partition's first split and key rules
+# ---------------------------------------------------------------------------
+
+
+def oracle_partition(fm):
+    """The oracle's partition, checked against `refine`'s."""
+    p = oracle_partition_from(oracle_moves(fm))
+    assert p == refine(fm)
+    return p
+
+
+def test_oracle_first_split_separates_a_distribution_from_deadlock():
+    # the one distribution has mass 1 into the one first block, so only
+    # keying every state by the slots it offers distributions in splits
+    roots = ["c.{2/5: X0 [] 3/5: X0}", "X0"]
+    fm, _ = explored("X0 = nil\ninit X0\n", "mal", roots=roots)
+    assert oracle_partition(fm).n_blocks == len(fm.states) == 2
+
+
+def test_oracle_interactive_moves_count_presence_not_multiplicity():
+    text = "X = b.X\nY = b.Y\ninit X\n"
+    fm, (both, one, x, y) = explored(text, "iml", roots=["a.X + a.Y", "a.X", "X", "Y"])
+    p = oracle_partition(fm)
+    assert p.n_blocks == 2
+    assert p.assignment[x] == p.assignment[y]
+    assert p.assignment[both] == p.assignment[one]
+
+
+def test_oracle_tick_amounts_into_one_block_match():
+    text = "X = a.X\nY = a.Y\ninit X\n"
+    fm, (wx, wy, longer) = explored(text, "tpc", roots=["(1).X", "(1).Y", "(2).X"])
+    a = oracle_partition(fm).assignment
+    assert a[wx] == a[wy]
+    assert a[longer] != a[wx]
+
+
+# ---------------------------------------------------------------------------
 # Brute force guard rails
 # ---------------------------------------------------------------------------
 
@@ -297,6 +340,10 @@ def test_refine_agrees_with_reference_loop_on_corpora(lang):
     )
     for fm in corpus:
         assert refine(fm) == reference_partition(fm), fm.states[0].pretty
+        moves = oracle_moves(fm)
+        assert oracle_partition_from(moves) == naive_oracle_partition(moves), (
+            fm.states[0].pretty
+        )
     if lang == "mal":
         assert any(
             data.kind == "nested" and data.transitions
@@ -312,6 +359,11 @@ def test_refine_agrees_with_reference_loop_beyond_brute_force(make, n, blocks):
     p = refine(fm)
     assert p.n_blocks == blocks
     assert p == reference_partition(fm)
+
+
+@pytest.mark.parametrize("make, n, blocks", [(chain_model, 1000, 1000), (par_model, 10, 11)])
+def test_oracle_partition_beyond_the_reference_loop(make, n, blocks):
+    assert oracle_partition(make(n)).n_blocks == blocks
 
 
 def test_refine_re_signs_only_predecessors_of_moved_states(monkeypatch):

@@ -25,6 +25,8 @@ from futsbench.syntax import (
     TimePrefix,
     alphabet,
     check_guarded,
+    children,
+    map_children,
     parse_model,
     parse_term,
     pretty,
@@ -232,6 +234,30 @@ def test_sync_set_order_is_normalised():
     t2 = parse_term("nil <b, a> nil", "pepa")
     assert t1 == t2
     assert term_key(t1) == term_key(t2)
+
+
+# one term of each of the ten forms, with children where the form has them
+EVERY_FORM = [
+    Nil(),
+    Const("X"),
+    RatedPrefix("a", Fraction(3, 2), Const("X")),
+    ActPrefix("a", Const("X")),
+    RatePrefix(Fraction(2), Const("X")),
+    TimePrefix(3, Const("X")),
+    ProbPrefix("a", ((Fraction(1, 3), Const("X")), (Fraction(2, 3), Nil()))),
+    Choice(Const("X"), Nil()),
+    Coop(frozenset({"a", "b"}), Const("X"), Nil()),
+    Par(frozenset({"a"}), Const("X"), Nil()),
+]
+
+
+@pytest.mark.parametrize("term", EVERY_FORM, ids=lambda t: type(t).__name__)
+def test_map_children_rebuilds_each_form(term):
+    assert map_children(term, lambda c: c) == term
+    mapped = map_children(term, lambda c: Const("Z"))
+    assert type(mapped) is type(term)
+    assert children(mapped) == tuple(Const("Z") for _ in children(term))
+    assert map_children(mapped, lambda c: c) == mapped
 
 
 @pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
