@@ -271,9 +271,9 @@ def md_descent_check(fm: FutsModel) -> CheckResult:
     for (source, _), step in tick.transitions.items():
         source_md = tpc_max_delay(ctx, fm.states[source].term)
         for target, value in step:
+            target_md = tpc_max_delay(ctx, fm.states[target].term)
             for amount in sorted(value):
                 checked += 1
-                target_md = tpc_max_delay(ctx, fm.states[target].term)
                 if amount < 1 or target_md != source_md - amount:
                     failures.append(
                         f"state {source}: waited {amount}, max delay "

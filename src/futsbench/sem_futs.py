@@ -60,6 +60,7 @@ from .syntax import (
 ACT = "act"
 DELAY = "delay"
 TICK = "tick"
+MAX_DELAY = "max-delay"  # memo key of tpc_max_delay, beside the relations
 
 DELTA_LABEL = "delta"
 TICK_LABEL = "tick"
@@ -116,6 +117,15 @@ class StepContext:
     fields and its children's ids.  ``defs`` maps each constant to its
     body's id.  A term's node over stored subterm nodes (:meth:`term_of`)
     and its canonical text are built on first use, once per id.
+
+    The table also memoises steps: :meth:`memo` holds one dict per
+    relation and label, from a term id to its step.  A walker fills it
+    for every proper structural child of a choice or composition, so the
+    operands that states share (equal subterms have one id) are walked
+    once per model and a state's step costs the size of its own step.
+    The term a walk starts from, and the constants unfolded from it, are
+    always recomputed, and a walk that raises stores nothing for the
+    terms it could not finish.
     """
 
     def __init__(self, model: Model):
@@ -126,6 +136,7 @@ class StepContext:
         self._shapes: list = []  # id -> shape
         self._terms: dict = {}  # id -> stored node, built on first use
         self._texts: dict = {}
+        self._memos: dict = {}  # (relation, label) -> {term id -> step}
         self.init_id = self.register(model.init)
         self.defs = {name: self.register(body) for name, body in model.defs.items()}
 
@@ -150,6 +161,16 @@ class StepContext:
         """The stored term ``term_id`` as a node whose subterms are ids."""
         return self._shapes[term_id]
 
+    def memo(self, relation: str, label: str) -> dict:
+        """The memoised steps of one relation (or :data:`MAX_DELAY`) and
+
+        label, by term id.
+        """
+        found = self._memos.get((relation, label))
+        if found is None:
+            found = self._memos[relation, label] = {}
+        return found
+
     def text(self, term_id: int) -> str:
         """Canonical text of a term (:func:`term_key`), rendered once."""
         text = self._texts.get(term_id)
@@ -166,12 +187,20 @@ def futs_step(ctx: StepContext, term_id: int, relation: str, label: str) -> FinF
         compute = _DISPATCH[(lang, relation)]
     except KeyError:
         raise ValueError(f"language {lang!r} has no relation {relation!r}") from None
-    return compute(ctx, term_id, label)
+    return compute(ctx, term_id, label, ctx.memo(relation, label))
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
+
+
+def _once(memo: dict, rec: Callable, i: int):
+    """``rec(i)``, kept in ``memo``: each term id is walked once per table."""
+    found = memo.get(i)
+    if found is None:
+        found = memo[i] = rec(i)
+    return found
 
 
 def _moves(ctx: StepContext, t) -> Tuple[Callable[[int], int], Callable[[int], int]]:
@@ -192,7 +221,7 @@ def _moves(ctx: StepContext, t) -> Tuple[Callable[[int], int], Callable[[int], i
 # ---------------------------------------------------------------------------
 
 
-def _pepa_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
+def _pepa_act(ctx: StepContext, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(NNRAT)
     active: set = set()
 
@@ -205,10 +234,10 @@ def _pepa_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
                 return zero
             return ff_make(NNRAT, [(t.cont, t.rate)])
         if isinstance(t, Choice):
-            return ff_add(rec(t.left), rec(t.right))
+            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
         if isinstance(t, Coop):
-            left = rec(t.left)
-            right = rec(t.right)
+            left = _once(memo, rec, t.left)
+            right = _once(memo, rec, t.right)
             if label not in t.actions:
                 into_left, into_right = _moves(ctx, t)
                 return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
@@ -234,7 +263,7 @@ def _pepa_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _interactive_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
+def _interactive_act(ctx: StepContext, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(BOOL)
     active: set = set()
 
@@ -247,10 +276,10 @@ def _interactive_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
                 return zero
             return ff_make(BOOL, [(t.cont, True)])
         if isinstance(t, Choice):
-            return ff_add(rec(t.left), rec(t.right))
+            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
         if isinstance(t, Par):
-            left = rec(t.left)
-            right = rec(t.right)
+            left = _once(memo, rec, t.left)
+            right = _once(memo, rec, t.right)
             if label in t.actions:
                 return ff_lift_injective(
                     lambda x, y: ctx.intern(Par(t.actions, x, y)), left, right
@@ -267,7 +296,7 @@ def _interactive_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _delay_step(ctx: StepContext, term_id: int, label: str) -> FinFn:
+def _delay_step(ctx: StepContext, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(NNRAT)
     active: set = set()
 
@@ -278,12 +307,13 @@ def _delay_step(ctx: StepContext, term_id: int, label: str) -> FinFn:
         if isinstance(t, RatePrefix):
             return ff_make(NNRAT, [(t.cont, t.rate)])
         if isinstance(t, Choice):
-            return ff_add(rec(t.left), rec(t.right))
+            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
         if isinstance(t, Par):
             # delays always interleave, independent of the action set
             into_left, into_right = _moves(ctx, t)
             return ff_add(
-                ff_map_keys(into_left, rec(t.left)), ff_map_keys(into_right, rec(t.right))
+                ff_map_keys(into_left, _once(memo, rec, t.left)),
+                ff_map_keys(into_right, _once(memo, rec, t.right)),
             )
         return unfold(ctx, t, active, rec, UnguardedRecursionError, "computing the delay step")
 
@@ -295,7 +325,7 @@ def _delay_step(ctx: StepContext, term_id: int, label: str) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _tick_step(ctx: StepContext, term_id: int, label: str) -> FinFn:
+def _tick_step(ctx: StepContext, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(NATSET)
     active: set = set()
 
@@ -317,11 +347,15 @@ def _tick_step(ctx: StepContext, term_id: int, label: str) -> FinFn:
         if isinstance(t, Choice):
             # both sides must agree on the amount of time passed
             return ff_lift_injective(
-                lambda x, y: ctx.intern(Choice(x, y)), rec(t.left), rec(t.right)
+                lambda x, y: ctx.intern(Choice(x, y)),
+                _once(memo, rec, t.left),
+                _once(memo, rec, t.right),
             )
         if isinstance(t, Par):
             return ff_lift_injective(
-                lambda x, y: ctx.intern(Par(t.actions, x, y)), rec(t.left), rec(t.right)
+                lambda x, y: ctx.intern(Par(t.actions, x, y)),
+                _once(memo, rec, t.left),
+                _once(memo, rec, t.right),
             )
         return unfold(ctx, t, active, rec, DelayCycleError, "computing the timed step")
 
@@ -333,10 +367,12 @@ def tpc_max_delay(ctx: StepContext, term_id: int) -> int:
 
     act or stop: 0 for inert/action states, delay plus the rest for a
     time prefix, the minimum over branches of a choice or composition.
+    Every term's result, the start's included, is memoised in the table.
     """
+    memo = ctx.memo(MAX_DELAY, TICK_LABEL)
     active: set = set()
 
-    def rec(i: int) -> int:
+    def walk(i: int) -> int:
         t = ctx.shape(i)
         if isinstance(t, (Nil, ActPrefix)):
             return 0
@@ -346,6 +382,9 @@ def tpc_max_delay(ctx: StepContext, term_id: int) -> int:
             return min(rec(t.left), rec(t.right))
         return unfold(ctx, t, active, rec, DelayCycleError, "computing the maximal delay")
 
+    def rec(i: int) -> int:
+        return _once(memo, walk, i)
+
     return rec(term_id)
 
 
@@ -354,7 +393,7 @@ def tpc_max_delay(ctx: StepContext, term_id: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mal_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
+def _mal_act(ctx: StepContext, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(BOOL)
     active: set = set()
 
@@ -367,10 +406,10 @@ def _mal_act(ctx: StepContext, term_id: int, label: str) -> FinFn:
                 return zero
             return ff_make(BOOL, [(ff_make(NNRAT, [(c, p) for p, c in t.branches]), True)])
         if isinstance(t, Choice):
-            return ff_add(rec(t.left), rec(t.right))
+            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
         if isinstance(t, Par):
-            left = rec(t.left)
-            right = rec(t.right)
+            left = _once(memo, rec, t.left)
+            right = _once(memo, rec, t.right)
             if label in t.actions:
                 # the product of two distributions pairs their targets
                 pair = partial(ff_lift_injective, lambda x, y: ctx.intern(Par(t.actions, x, y)))

@@ -1,8 +1,9 @@
 """Acceptance suite: ten binding criteria, one test per criterion.
 
 `pytest -v tests/test_acceptance.py` prints one PASSED/FAILED line per
-criterion.  Every test pins its own wall-clock budget and uses exact
-(rational/set/boolean) equality throughout — no tolerances anywhere.
+criterion (and per companion test of a criterion).  Every test pins its
+own wall-clock budget and uses exact (rational/set/boolean) equality
+throughout — no tolerances anywhere.
 """
 
 import json
@@ -28,11 +29,11 @@ from futsbench.crosscheck import (
 from futsbench.explore import explore, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.semiring import TAGS, semiring_of
-from futsbench.sem_futs import futs_step, relation_labels, relation_specs
+from futsbench.sem_futs import StepContext, futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model
 
 from bisimref import brute_force, disjoint_union
-from idtext import as_text, fn_text, stored_text
+from idtext import as_text, fn_text, step_text, stored_text
 from modelgen import build_corpus, random_value
 
 LANGS = ("pepa", "iml", "tpc", "mal")
@@ -209,6 +210,27 @@ def test_criterion_03_totality_and_determinism():
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"{lang}: {elapsed:.1f}s (budget 60s per language)"
         print(f"criterion 3 [{lang}]: PASS — {len(corpus)} models, {elapsed:.1f}s")
+
+
+def test_warm_step_memo_agrees_with_a_cold_one():
+    # the exploring table has memoised the steps of every shared subterm;
+    # a fresh table of the same model walks each state's term from scratch.
+    # Ids differ between tables, so steps compare by target text.
+    for lang in LANGS:
+        start = time.monotonic()
+        for fm in small_corpus(lang):
+            warm = fm.ctx
+            specs = relation_specs(lang)
+            for state in fm.states:
+                for spec in specs:
+                    for label in relation_labels(spec, warm.model):
+                        cold = StepContext(warm.model)
+                        cold_id = cold.register(warm.term_of(state.term))
+                        assert step_text(warm, state.term, spec.name, label) == step_text(
+                            cold, cold_id, spec.name, label
+                        )
+        elapsed = time.monotonic() - start
+        assert elapsed < 60.0, f"{lang}: {elapsed:.1f}s (budget 60s per language)"
 
 
 # ---------------------------------------------------------------------------

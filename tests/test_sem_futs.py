@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from futsbench.errors import DelayCycleError, UnguardedRecursionError
+from futsbench.explore import explore
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.sem_futs import (
     StepContext,
@@ -316,6 +317,76 @@ def test_unguarded_model_reports_rather_than_loops():
     ctx = StepContext(model)
     with pytest.raises(UnguardedRecursionError):
         futs_step(ctx, ctx.init_id, "act", "a")
+
+
+@pytest.mark.parametrize(
+    "lang, prefix, par",
+    [
+        ("pepa", "(a, 1).", "<>"),
+        ("iml", "a.", "|[]|"),
+        ("tpc", "a.", "|[]|"),
+        ("mal", "a.", "|[]|"),
+    ],
+)
+def test_unguarded_recursion_is_never_memoised(lang, prefix, par):
+    cont = "{1: P}" if lang == "mal" else "P"
+    ctx = ctx_for(f"P = {prefix}{cont}\nX = X + {prefix}{cont}\ninit P {par} P\n", lang)
+    bad = [
+        ctx.register(parse_term(text, lang))
+        for text in ("X", f"P {par} X", f"(P {par} P) {par} X", "X + P")
+    ]
+    good = step_text(ctx, ctx.init_id, "act", "a")
+    assert good.entries
+    for _ in range(2):
+        for term_id in bad:
+            with pytest.raises(UnguardedRecursionError):
+                futs_step(ctx, term_id, "act", "a")
+        # the memo warmed by the good state still gives the same step
+        assert step_text(ctx, ctx.init_id, "act", "a") == good
+
+
+def test_delay_cycle_is_never_memoised():
+    ctx = ctx_for("X = (1).X\nP = a.(1).P\ninit (1).P |[]| (2).P\n", "tpc")
+    bad = [
+        ctx.register(parse_term(text, "tpc"))
+        for text in ("X", "(1).P |[]| X", "((1).P |[]| P) |[]| X", "X + (1).P")
+    ]
+    good = step_text(ctx, ctx.init_id, "tick", "tick")
+    assert good.entries and tpc_max_delay(ctx, ctx.init_id) == 1
+    for _ in range(2):
+        for term_id in bad:
+            with pytest.raises(DelayCycleError):
+                futs_step(ctx, term_id, "tick", "tick")
+            with pytest.raises(DelayCycleError):
+                tpc_max_delay(ctx, term_id)
+        assert step_text(ctx, ctx.init_id, "tick", "tick") == good
+        assert tpc_max_delay(ctx, ctx.init_id) == 1
+
+
+def test_a_warm_step_reads_as_many_shapes_however_wide_the_state(monkeypatch):
+    # par-N: every state of ``P0 <> ... <> P(N-1)`` is a left-nested
+    # cooperation whose operands earlier states have already stepped
+    shape = StepContext.shape
+    reads = []
+    for n in (4, 6, 8):
+        defs = "".join(f"P{i} = (a, 1).Q{i}\nQ{i} = (b, 2).P{i}\n" for i in range(n))
+        init = " <> ".join(f"P{i}" for i in range(n))
+        fm = explore(parse_model(f"{defs}init {init}\n", "pepa"))
+        assert len(fm.states) == 2**n
+        count = 0
+
+        def counting(self, term_id):
+            nonlocal count
+            count += 1
+            return shape(self, term_id)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(StepContext, "shape", counting)
+            for state in (fm.states[0], fm.states[-1]):
+                for label in ("a", "b"):
+                    futs_step(fm.ctx, state.term, "act", label)
+        reads.append(count)
+    assert reads[0] == reads[1] == reads[2]
 
 
 @pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
