@@ -17,17 +17,11 @@ from typing import Optional, Sequence
 
 from .bisim import distinguish, minimize, refine
 from .crosscheck import run_checks
-from .errors import FutsError, UndefinedConstantError
+from .errors import FutsError
 from .explore import DEFAULT_MAX_STATES, explore, to_dot, to_json
-from .syntax import (
-    LANGUAGES,
-    Const,
-    check_guarded,
-    load_model,
-    parse_term,
-    term_key,
-    walk,
-)
+from .syntax import LANGUAGES, check_guarded, load_model, parse_term
+# unused here, but bench/tracing.py wraps cli.term_key (ROADMAP item 7)
+from .syntax import term_key  # noqa: F401
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -109,17 +103,6 @@ def _load(args):
     return model
 
 
-def _parse_root(text: str, model):
-    """A command-line term, with every constant it names defined by ``model``."""
-    term = parse_term(text, model.lang)
-    for sub in walk(term):
-        if isinstance(sub, Const) and sub.name not in model.defs:
-            raise UndefinedConstantError(
-                f"undefined process constant {sub.name!r} in {text!r}"
-            )
-    return term
-
-
 def _run(args) -> int:
     if args.command == "check":
         model = _load(args)
@@ -135,11 +118,11 @@ def _run(args) -> int:
 
     if args.command == "bisim":
         model = _load(args)
-        left = _parse_root(args.left, model)
-        right = _parse_root(args.right, model)
+        left = parse_term(args.left, model)
+        right = parse_term(args.right, model)
         fm = explore(model, max_states=args.max_states, extra_roots=[left, right])
-        left_id = fm.index[term_key(left)]
-        right_id = fm.index[term_key(right)]
+        left_id = fm.index[model.text(left)]
+        right_id = fm.index[model.text(right)]
         witness = distinguish(fm, left_id, right_id)
         if witness is None:
             print("BISIMILAR")
@@ -182,7 +165,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser and the term walkers recurse once per nesting level
+        # parentheses and braces in the parser, and in build, bisim, minimize
+        # and compare every term walker, recurse once per nesting level
         print(f"error: {args.file}: the model nests too deeply to process", file=sys.stderr)
         return 2
 

@@ -55,10 +55,10 @@ def _relation(fm: FutsModel, name: str):
 
 
 def _state_terms(fm: FutsModel):
-    ctx = fm.ctx
-    if ctx is None:
+    model = fm.ctx
+    if model is None:
         raise FutsError("cross-checks need the exploration context")
-    return ctx.model, [(state, ctx.term_of(state.term)) for state in fm.states]
+    return model, [(state, model.term_of(state.term)) for state in fm.states]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import ExplorationLimitError
 from .fsfun import FinFn
 from .semiring import semiring_of
-from .sem_futs import StepContext, futs_step, relation_labels, relation_specs
-from .syntax import Model, Term, pretty, term_actions
+from .sem_futs import futs_step, relation_labels, relation_specs
+from .syntax import Model, pretty
 
 DEFAULT_MAX_STATES = 10_000
 
@@ -35,7 +35,7 @@ DEFAULT_MAX_STATES = 10_000
 class StateInfo:
     """One discovered state: dense id, canonical key, readable text, and
 
-    its term id in the exploring :class:`StepContext`.
+    its term id in the explored model's term table.
     """
 
     id: int
@@ -107,30 +107,24 @@ class FutsModel:
     index: dict  # canonical key -> state id
     relations: List[RelationData]
     init_id: int
-    ctx: Optional[StepContext] = None  # kept for callers needing term access
+    ctx: Optional[Model] = None  # the explored model, for callers needing term access
 
 
 def explore(
     model: Model,
     max_states: int = DEFAULT_MAX_STATES,
-    extra_roots: Sequence[Term] = (),
+    extra_roots: Sequence[int] = (),
 ) -> FutsModel:
     """Breadth-first closure of the model's initial term (plus any
 
-    extra root terms) under every relation of its language.
+    extra root terms, ids in its table) under every relation of its
+    language.  The states' terms, and the steps memoised on the way, are
+    kept in the model's table.
     """
-    ctx = StepContext(model)
     specs = relation_specs(model.lang)
-    # Action labels must also cover the extra roots, which may mention
-    # actions the model's own definitions never use.
-    root_actions: set = set()
-    for root in extra_roots:
-        root_actions.update(term_actions(root))
     relations = []
     for s in specs:
-        labels = relation_labels(s, model)
-        if s.fixed_labels is None and root_actions:
-            labels = tuple(sorted(set(labels) | root_actions))
+        labels = relation_labels(s, model, extra_roots)
         relations.append(RelationData(s.name, s.kind, s.tag, s.inner_tag, labels))
 
     state_of: Dict[int, int] = {}  # term id -> state id
@@ -148,25 +142,25 @@ def explore(
                 f"with {len(queue)} states still on the frontier"
             )
         state_id = state_of[term_id] = len(states)
-        key = ctx.text(term_id)
+        key = model.text(term_id)
         index[key] = state_id
-        states.append(StateInfo(state_id, key, pretty(ctx.term_of(term_id)), term_id))
+        states.append(StateInfo(state_id, key, pretty(model.term_of(term_id)), term_id))
         queue.append(term_id)
         return state_id
 
-    init_id = discover(ctx.init_id)
+    init_id = discover(model.init)
     for root in extra_roots:
-        discover(ctx.register(root))
+        discover(root)
 
     while queue:
         term_id = queue.popleft()
         source = state_of[term_id]
         for spec, data in zip(specs, relations):
             for label in data.labels:
-                fn = futs_step(ctx, term_id, spec.name, label)
-                data.store(source, label, fn, ctx.text, discover)
+                fn = futs_step(model, term_id, spec.name, label)
+                data.store(source, label, fn, model.text, discover)
 
-    return FutsModel(model.lang, states, index, relations, init_id, ctx)
+    return FutsModel(model.lang, states, index, relations, init_id, model)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ equality compares tags, so functions over different domains never
 compare equal even where their payloads do.
 
 Keys are usually term ids of one model's term table (see
-:class:`.sem_futs.StepContext`); any mutually ordered hashable keys
+:class:`.syntax.Model`); any mutually ordered hashable keys
 work.  For the calculus whose transitions carry probability
 distributions, the *outer* function's keys are themselves
 :class:`FinFn` values (the inner distributions), which are ordered too.

@@ -48,6 +48,7 @@ def pepa_apparent_rate(model: Model, term: Term, action: str) -> Fraction:
     composition adds for free actions and takes the minimum for
     synchronised ones.
     """
+    bodies = model.bodies()
     active: Set[str] = set()
 
     def rec(t: Term) -> Fraction:
@@ -62,7 +63,8 @@ def pepa_apparent_rate(model: Model, term: Term, action: str) -> Fraction:
                 return min(rec(t.left), rec(t.right))
             return rec(t.left) + rec(t.right)
         return unfold(
-            model, t, active, rec, UnguardedRecursionError, "enumerating apparent rates"
+            model.lang, bodies, t, active, rec, UnguardedRecursionError,
+            "enumerating apparent rates",
         )
 
     return rec(term)
@@ -73,6 +75,7 @@ def pepa_transitions(model: Model, term: Term, action: str) -> List[Tuple[Fracti
 
     element per derivation.
     """
+    bodies = model.bodies()
     active: Set[str] = set()
 
     def rec(t: Term) -> List[Tuple[Fraction, Term]]:
@@ -108,7 +111,7 @@ def pepa_transitions(model: Model, term: Term, action: str) -> List[Tuple[Fracti
                     out.append((rate, Coop(t.actions, target_l, target_r)))
             return out
         return unfold(
-            model, t, active, rec, UnguardedRecursionError, "enumerating transitions"
+            model.lang, bodies, t, active, rec, UnguardedRecursionError, "enumerating transitions"
         )
 
     return rec(term)
@@ -124,6 +127,7 @@ def interactive_transitions(model: Model, term: Term, action: str) -> FrozenSet[
 
     unrated actions (a plain transition relation, so a set).
     """
+    bodies = model.bodies()
     active: Set[str] = set()
 
     def rec(t: Term) -> FrozenSet[Term]:
@@ -146,7 +150,7 @@ def interactive_transitions(model: Model, term: Term, action: str) -> FrozenSet[
             moved |= {Par(t.actions, t.left, target) for target in rec(t.right)}
             return frozenset(moved)
         return unfold(
-            model, t, active, rec, UnguardedRecursionError, "enumerating transitions"
+            model.lang, bodies, t, active, rec, UnguardedRecursionError, "enumerating transitions"
         )
 
     return rec(term)
@@ -159,6 +163,7 @@ def interactive_transitions(model: Model, term: Term, action: str) -> FrozenSet[
 
 def delay_derivations(model: Model, term: Term) -> List[Tuple[Fraction, Term]]:
     """All rated delay derivations; duplicates count separately."""
+    bodies = model.bodies()
     active: Set[str] = set()
 
     def rec(t: Term) -> List[Tuple[Fraction, Term]]:
@@ -173,7 +178,8 @@ def delay_derivations(model: Model, term: Term) -> List[Tuple[Fraction, Term]]:
             moved += [(rate, Par(t.actions, t.left, target)) for rate, target in rec(t.right)]
             return moved
         return unfold(
-            model, t, active, rec, UnguardedRecursionError, "enumerating delay derivations"
+            model.lang, bodies, t, active, rec, UnguardedRecursionError,
+            "enumerating delay derivations",
         )
 
     return rec(term)
@@ -192,6 +198,7 @@ def timed_transitions(model: Model, term: Term) -> FrozenSet[Tuple[int, Term]]:
     pass; choices and compositions advance only in lockstep.  The
     enumeration is capped at :data:`TIMED_CAP` transitions.
     """
+    bodies = model.bodies()
     active: Set[str] = set()
 
     def guard(result: Set[Tuple[int, Term]]) -> FrozenSet[Tuple[int, Term]]:
@@ -232,7 +239,7 @@ def timed_transitions(model: Model, term: Term) -> FrozenSet[Tuple[int, Term]]:
             }
             return guard(out)
         return unfold(
-            model, t, active, rec, DelayCycleError, "enumerating timed transitions"
+            model.lang, bodies, t, active, rec, DelayCycleError, "enumerating timed transitions"
         )
 
     return rec(term)
@@ -261,6 +268,7 @@ def action_distributions(model: Model, term: Term, action: str) -> FrozenSet[Dis
 
     ``action`` transition.
     """
+    bodies = model.bodies()
     active: Set[str] = set()
 
     def rec(t: Term) -> FrozenSet[Distribution]:
@@ -297,7 +305,8 @@ def action_distributions(model: Model, term: Term, action: str) -> FrozenSet[Dis
             }
             return frozenset(out)
         return unfold(
-            model, t, active, rec, UnguardedRecursionError, "enumerating action distributions"
+            model.lang, bodies, t, active, rec, UnguardedRecursionError,
+            "enumerating action distributions",
         )
 
     return rec(term)

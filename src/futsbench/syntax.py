@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import (
     DuplicateConstantError,
@@ -167,44 +168,90 @@ def map_children(term: Term, f: Callable[[Term], Any]) -> Term:
     return Par(term.actions, f(term.left), f(term.right))
 
 
-def walk(term: Term) -> Iterator[Term]:
-    """All subterms, preorder."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        yield t
-        stack.extend(reversed(children(t)))
-
-
-@dataclass
 class Model:
-    """A parsed model: language, ordered definitions, initial term."""
+    """A parsed model and its hash-consed term table (Filliatre & Conchon, 2006).
 
-    lang: str
-    defs: dict
-    init: Term
+    Each distinct term is stored once, under a dense id, as its *shape*:
+    the node with each subterm replaced by its id.  The parser interns
+    each node as it reads it, children first, so ids follow parse order,
+    and ``registry`` finds a term by its shape in one lookup.  ``defs``
+    maps each constant to its body's id, ``init`` is the initial term's
+    id.  A term's node (:meth:`term_of`) and its canonical text are built
+    on first use, once per id.  :meth:`memo` holds the semantics'
+    memoised steps, one dict per relation and label, by term id.
+    """
+
+    def __init__(self, lang: str):
+        if lang not in LANGUAGES:
+            raise ValueError(f"unknown language {lang!r}; expected one of {', '.join(LANGUAGES)}")
+        self.lang = lang
+        self.defs: dict = {}  # constant name -> body id
+        self.init: Optional[int] = None  # id of the initial term
+        self.registry: dict = {}  # shape -> id
+        self._shapes: list = []  # id -> shape
+        self._terms: dict = {}  # id -> stored node, built on first use
+        self._texts: dict = {}
+        self._bodies: Optional[dict] = None
+        self._memos: dict = {}  # (relation, label) -> {term id -> step}
+
+    def intern(self, shape) -> int:
+        """The id of the term that ``shape`` (a node over child ids) stands for."""
+        found = self.registry.setdefault(shape, len(self._shapes))
+        if found == len(self._shapes):
+            self._shapes.append(shape)
+        return found
+
+    def shape(self, term_id: int):
+        """The stored term ``term_id`` as a node whose subterms are ids."""
+        return self._shapes[term_id]
+
+    def term_of(self, term_id: int) -> Term:
+        node = self._terms.get(term_id)
+        if node is None:
+            node = self._terms[term_id] = map_children(self._shapes[term_id], self.term_of)
+        return node
+
+    def bodies(self) -> dict:
+        """Each constant's body as a node (:meth:`term_of`), by name, built once."""
+        if self._bodies is None:
+            self._bodies = {name: self.term_of(body) for name, body in self.defs.items()}
+        return self._bodies
+
+    def text(self, term_id: int) -> str:
+        """Canonical text of a term (:func:`term_key`), rendered once."""
+        text = self._texts.get(term_id)
+        if text is None:
+            text = self._texts[term_id] = term_key(self.term_of(term_id))
+        return text
+
+    def memo(self, relation: str, label: str) -> dict:
+        """The memoised steps of one relation and label, by term id."""
+        found = self._memos.get((relation, label))
+        if found is None:
+            found = self._memos[relation, label] = {}
+        return found
 
 
-def unfold(scope, term: Term, active: set, rec: Callable, error_cls, doing: str):
+def unfold(lang: str, bodies: dict, term, active: set, rec: Callable, error_cls, doing: str):
     """The last case of every semantic walker: ``rec`` of a constant's body.
 
-    ``scope`` is a :class:`Model` (bodies are terms) or a term table,
-    :class:`.sem_futs.StepContext` (bodies are ids); only its ``lang``
-    and ``defs`` are read.  ``active`` holds the constants being unfolded
+    ``bodies`` maps each constant of a ``lang`` model to its body in the
+    form ``rec`` takes: an id (:attr:`Model.defs`) or a node
+    (:meth:`Model.bodies`).  ``active`` holds the constants being unfolded
     on the current path; meeting one of them again means the recursion
     never crosses a prefix, reported as ``error_cls``.  Walkers handle
     every other form of their language before calling this, so any other
     term is foreign.
     """
     if not isinstance(term, Const):
-        raise FutsError(f"term form {type(term).__name__} is not part of {scope.lang}")
+        raise FutsError(f"term form {type(term).__name__} is not part of {lang}")
     name = term.name
     if name in active:
         raise error_cls(
             f"recursion through constant {name!r} does not terminate while {doing}"
         )
     active.add(name)
-    result = rec(scope.defs[name])
+    result = rec(bodies[name])
     active.discard(name)
     return result
 
@@ -296,10 +343,13 @@ def _is_action_name(name: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, tokens: list, lang: str):
+    """Reads one line's tokens, interning each node into ``model``'s table."""
+
+    def __init__(self, tokens: list, model: Model):
         self.tokens = tokens
         self.pos = 0
-        self.lang = lang
+        self.lang = model.lang
+        self.intern = model.intern
         self.const_sites: list = []  # (name, line, col) per occurrence
 
     # -- token plumbing ----------------------------------------------------
@@ -366,26 +416,31 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
 
-    def parse_term(self) -> Term:
+    def parse_term(self) -> int:
         left = self.parse_choice()
         while True:
             if self.lang == "pepa" and self.at_sym("<"):
                 actions = self.parse_action_set("<", ">")
-                right = self.parse_choice()
-                left = Coop(actions, left, right)
+                left = self.intern(Coop(actions, left, self.parse_choice()))
             elif self.lang != "pepa" and self.at_sym("|["):
                 actions = self.parse_action_set("|[", "]|")
-                right = self.parse_choice()
-                left = Par(actions, left, right)
+                left = self.intern(Par(actions, left, self.parse_choice()))
             else:
                 return left
 
-    def parse_choice(self) -> Term:
+    def parse_line(self) -> int:
+        """The term that takes up the rest of the line."""
+        term = self.parse_term()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise self.error(f"unexpected trailing input {tok.text!r}", tok)
+        return term
+
+    def parse_choice(self) -> int:
         left = self.parse_prefix()
         while self.at_sym("+"):
             self.advance()
-            right = self.parse_prefix()
-            left = Choice(left, right)
+            left = self.intern(Choice(left, self.parse_prefix()))
         return left
 
     def parse_action_set(self, opener: str, closer: str) -> frozenset:
@@ -408,12 +463,30 @@ class _Parser:
         self.expect_sym(closer)
         return frozenset(names)
 
-    def parse_prefix(self) -> Term:
+    def parse_prefix(self) -> int:
+        """A chain of prefixes and the term it ends in, read in a loop and
+
+        interned from the inside out.
+        """
+        prefixes = []
+        head = self.parse_head()
+        while callable(head):
+            prefixes.append(head)
+            head = self.parse_head()
+        for make in reversed(prefixes):
+            head = self.intern(make(head))
+        return head
+
+    def parse_head(self) -> Union[int, Callable[[int], Term]]:
+        """One prefix, as the map from its continuation's id to its shape;
+
+        or the id of a term that no prefix starts.
+        """
         tok = self.peek()
         if tok.kind == "ident":
             if tok.text == "nil":
                 self.advance()
-                return Nil()
+                return self.intern(Nil())
             if _is_const_name(tok.text):
                 nxt = self.peek(1)
                 if nxt.kind == "sym" and nxt.text == ".":
@@ -422,24 +495,24 @@ class _Parser:
                     )
                 self.advance()
                 self.const_sites.append((tok.text, tok.line, tok.col))
-                return Const(tok.text)
+                return self.intern(Const(tok.text))
             if _is_action_name(tok.text):
-                return self.parse_action_prefix()
+                return self.parse_action_head()
             raise self.error(f"unexpected keyword {tok.text!r}", tok)
         if tok.kind == "number":
             if self.lang in ("iml", "mal"):
                 rate = self.parse_positive_rational("rate")
                 self.expect_sym(".")
-                return RatePrefix(rate, self.parse_prefix())
+                return partial(RatePrefix, rate)
             raise self.error("numeric delay-rate prefixes are not part of this language", tok)
         if tok.kind == "sym" and tok.text == "(":
             if self.lang == "pepa":
                 nxt = self.peek(1)
                 after = self.peek(2)
                 if nxt.kind == "ident" and after.kind == "sym" and after.text == ",":
-                    return self.parse_rated_prefix()
+                    return self.parse_rated_head()
             if self.lang == "tpc" and self.peek(1).kind == "number":
-                return self.parse_time_prefix()
+                return self.parse_time_head()
             self.advance()
             term = self.parse_term()
             self.expect_sym(")")
@@ -447,7 +520,7 @@ class _Parser:
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise self.error(f"expected a process term, found {shown!r}", tok)
 
-    def parse_action_prefix(self) -> Term:
+    def parse_action_head(self) -> Union[int, Callable[[int], Term]]:
         tok = self.advance()  # the action name
         action = tok.text
         if self.lang == "pepa":
@@ -458,10 +531,10 @@ class _Parser:
         if self.lang == "mal":
             return self.parse_prob_branches(action)
         if self.lang in ("iml", "tpc"):
-            return ActPrefix(action, self.parse_prefix())
+            return partial(ActPrefix, action)
         raise self.error(f"unsupported language {self.lang!r}", tok)  # pragma: no cover
 
-    def parse_rated_prefix(self) -> Term:
+    def parse_rated_head(self) -> Callable[[int], Term]:
         self.expect_sym("(")
         tok = self.peek()
         if tok.kind != "ident" or not _is_action_name(tok.text):
@@ -471,16 +544,16 @@ class _Parser:
         rate = self.parse_positive_rational("rate")
         self.expect_sym(")")
         self.expect_sym(".")
-        return RatedPrefix(action, rate, self.parse_prefix())
+        return partial(RatedPrefix, action, rate)
 
-    def parse_time_prefix(self) -> Term:
+    def parse_time_head(self) -> Callable[[int], Term]:
         self.expect_sym("(")
         delay = self.parse_positive_int("delay")
         self.expect_sym(")")
         self.expect_sym(".")
-        return TimePrefix(delay, self.parse_prefix())
+        return partial(TimePrefix, delay)
 
-    def parse_prob_branches(self, action: str) -> Term:
+    def parse_prob_branches(self, action: str) -> int:
         open_tok = self.peek()
         if not self.at_sym("{"):
             raise self.error(
@@ -506,37 +579,27 @@ class _Parser:
         total = sum(p for p, _ in branches)
         if total != 1:
             raise self.error(f"probabilities sum to {total}", open_tok)
-        return ProbPrefix(action, tuple(branches))
+        return self.intern(ProbPrefix(action, tuple(branches)))
 
 
-def _check_lang(lang: str) -> str:
-    if lang not in LANGUAGES:
-        raise ValueError(f"unknown language {lang!r}; expected one of {', '.join(LANGUAGES)}")
-    return lang
+def parse_term(text: str, model: Model) -> int:
+    """Parse one command-line term into ``model``'s table and return its id.
 
-
-def parse_term(text: str, lang: str) -> Term:
-    """Parse one term (as used on the CLI and in ``init`` lines).
-
-    Constants are not resolved here; use :func:`parse_model` or check
-    the result against a model's definitions.
+    Every constant the term names must be defined by ``model``.
     """
-    _check_lang(lang)
-    parser = _Parser(_lex_line(text, 1), lang)
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"unexpected trailing input {tok.text!r}", tok)
+    parser = _Parser(_lex_line(text, 1), model)
+    term = parser.parse_line()
+    for name, _, _ in parser.const_sites:
+        if name not in model.defs:
+            raise UndefinedConstantError(f"undefined process constant {name!r} in {text!r}")
     return term
 
 
 def parse_model(text: str, lang: str) -> Model:
     """Parse a whole model file: definitions plus one ``init`` line."""
-    _check_lang(lang)
-    defs: dict = {}
+    model = Model(lang)
     def_lines: dict = {}
     const_sites: list = []
-    init_term: Optional[Term] = None
     saw_anything = False
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -545,34 +608,26 @@ def parse_model(text: str, lang: str) -> Model:
             continue
         saw_anything = True
         head = tokens[0]
+        parser = _Parser(tokens, model)
         if head.kind == "ident" and head.text == "init":
-            if init_term is not None:
+            if model.init is not None:
                 raise ParseError("duplicate 'init' line", head.line, head.col)
-            parser = _Parser(tokens, lang)
             parser.advance()  # 'init'
-            init_term = parser.parse_term()
-            tok = parser.peek()
-            if tok.kind != "eof":
-                raise parser.error(f"unexpected trailing input {tok.text!r}", tok)
+            model.init = parser.parse_line()
             const_sites.extend(parser.const_sites)
             continue
         if head.kind == "ident" and _is_const_name(head.text):
             eq = tokens[1] if len(tokens) > 1 else None
             if eq is not None and eq.kind == "sym" and eq.text == "=":
                 name = head.text
-                if name in defs:
+                if name in model.defs:
                     raise DuplicateConstantError(
                         f"constant {name!r} defined at line {def_lines[name]} "
                         f"and line {lineno}"
                     )
-                parser = _Parser(tokens, lang)
                 parser.advance()  # name
                 parser.advance()  # '='
-                body = parser.parse_term()
-                tok = parser.peek()
-                if tok.kind != "eof":
-                    raise parser.error(f"unexpected trailing input {tok.text!r}", tok)
-                defs[name] = body
+                model.defs[name] = parser.parse_line()
                 def_lines[name] = lineno
                 const_sites.extend(parser.const_sites)
                 continue
@@ -583,14 +638,14 @@ def parse_model(text: str, lang: str) -> Model:
         )
     if not saw_anything:
         raise ParseError("model file is empty", 1, 1)
-    if init_term is None:
+    if model.init is None:
         raise ParseError("missing 'init' line", lineno or 1, 1)
     for name, line, col in const_sites:
-        if name not in defs:
+        if name not in model.defs:
             raise UndefinedConstantError(
                 f"undefined process constant {name!r} (line {line}, column {col})"
             )
-    return Model(lang, defs, init_term)
+    return model
 
 
 def load_model(path: str, lang: Optional[str] = None) -> Model:
@@ -620,23 +675,11 @@ def load_model(path: str, lang: Optional[str] = None) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def undefined_constants(model: Model) -> list:
-    """Names of constants referenced anywhere but never defined."""
-    missing = []
-    terms = list(model.defs.values()) + [model.init]
-    for term in terms:
-        for sub in walk(term):
-            if isinstance(sub, Const) and sub.name not in model.defs:
-                if sub.name not in missing:
-                    missing.append(sub.name)
-    return missing
-
-
-def _naked_constants(term: Term) -> Iterator[str]:
+def _naked_constants(model: Model, term_id: int) -> Iterator[str]:
     """Constants reachable without crossing any prefix."""
-    stack = [term]
+    stack = [term_id]
     while stack:
-        t = stack.pop()
+        t = model.shape(stack.pop())
         if isinstance(t, Const):
             yield t.name
         elif isinstance(t, (Choice, Coop, Par)):
@@ -650,53 +693,57 @@ def check_guarded(model: Model) -> None:
 
     crossing a prefix (such recursion has no well-defined behaviour).
     """
-    missing = undefined_constants(model)
-    if missing:
-        raise UndefinedConstantError(f"undefined process constant {missing[0]!r}")
-    graph = {name: sorted(set(_naked_constants(body))) for name, body in model.defs.items()}
-    state: dict = {}  # name -> "active" | "done"
-    path: list = []
-
-    def visit(name: str) -> None:
-        status = state.get(name)
-        if status == "done":
-            return
-        if status == "active":
-            cycle = path[path.index(name):] + [name]
-            raise UnguardedRecursionError(
-                f"constant {cycle[0]!r} is not guarded: " + " -> ".join(cycle)
-            )
-        state[name] = "active"
-        path.append(name)
-        for dep in graph[name]:
-            visit(dep)
-        path.pop()
-        state[name] = "done"
-
-    for name in model.defs:
-        visit(name)
-
-
-def term_actions(term: Term) -> set:
-    """All action names occurring in one term (prefixes and sync sets)."""
-    actions = set()
-    for sub in walk(term):
-        if isinstance(sub, (RatedPrefix, ActPrefix, ProbPrefix)):
-            actions.add(sub.action)
-        elif isinstance(sub, (Coop, Par)):
-            actions.update(sub.actions)
-    return actions
+    graph = {
+        name: sorted(set(_naked_constants(model, body))) for name, body in model.defs.items()
+    }
+    active: set = set()
+    done: set = set()
+    for start in model.defs:
+        if start in done:
+            continue
+        # depth first: the path, and the successors each of its names has left
+        path = [start]
+        active.add(start)
+        pending = [iter(graph[start])]
+        while pending:
+            name = next(pending[-1], None)
+            if name is None:
+                pending.pop()
+                name = path.pop()
+                active.discard(name)
+                done.add(name)
+            elif name in active:
+                cycle = path[path.index(name):] + [name]
+                raise UnguardedRecursionError(
+                    f"constant {cycle[0]!r} is not guarded: " + " -> ".join(cycle)
+                )
+            elif name not in done:
+                path.append(name)
+                active.add(name)
+                pending.append(iter(graph[name]))
 
 
-def alphabet(model: Model) -> list:
-    """All action names occurring anywhere in the model, sorted.
+def alphabet(model: Model, roots: Iterable[int] = ()) -> list:
+    """All action names occurring in the definitions, the initial term and
 
-    Both prefix actions and synchronisation-set members count, so the
-    label set of a model is stable across exploration.
+    the terms ``roots``, sorted.  Both prefix actions and
+    synchronisation-set members count, so the label set of a model is
+    stable across exploration.
     """
     actions = set()
-    for term in list(model.defs.values()) + [model.init]:
-        actions.update(term_actions(term))
+    seen = set()
+    stack = [*model.defs.values(), model.init, *roots]
+    while stack:
+        term_id = stack.pop()
+        if term_id in seen:
+            continue
+        seen.add(term_id)
+        t = model.shape(term_id)
+        if isinstance(t, (RatedPrefix, ActPrefix, ProbPrefix)):
+            actions.add(t.action)
+        elif isinstance(t, (Coop, Par)):
+            actions.update(t.actions)
+        stack.extend(children(t))
     return sorted(actions)
 
 

@@ -61,6 +61,9 @@ from futsbench.syntax import (
     RatedPrefix,
     RatePrefix,
     TimePrefix,
+    children,
+    parse_model,
+    term_key,
 )
 
 ACTIONS = ("a", "b", "c")
@@ -149,16 +152,43 @@ def random_term(
     raise AssertionError(kind)
 
 
-def random_model(
-    rng: random.Random, lang: str, max_consts: int = 4, depth: int = 3
-) -> Model:
-    """A random well-formed, guarded model."""
+def random_model_terms(rng: random.Random, lang: str, max_consts: int = 4, depth: int = 3):
+    """The definitions (by name) and initial term of a random well-formed,
+
+    guarded model, as trees.
+    """
     n_consts = rng.randint(1, max_consts)
     defs = {}
     for i in range(n_consts):
         defs[f"X{i}"] = random_term(rng, lang, n_consts, i, guarded=False, depth=depth)
     init = random_term(rng, lang, n_consts, n_consts, guarded=False, depth=depth)
-    return Model(lang, defs, init)
+    return defs, init
+
+
+def model_text(defs: dict, init) -> str:
+    """The model file with these definitions and initial term (trees)."""
+    lines = [f"{name} = {term_key(body)}\n" for name, body in defs.items()]
+    return "".join(lines) + f"init {term_key(init)}\n"
+
+
+def model_of(lang: str, defs: dict, init) -> Model:
+    """The model with these definitions and initial term, parsed from their
+
+    canonical text, so its table interns every node.
+    """
+    return parse_model(model_text(defs, init), lang)
+
+
+def fresh_copy(model: Model) -> Model:
+    """The same model parsed again, into a table of its own."""
+    return model_of(model.lang, model.bodies(), model.term_of(model.init))
+
+
+def random_model(
+    rng: random.Random, lang: str, max_consts: int = 4, depth: int = 3
+) -> Model:
+    """A random well-formed, guarded model."""
+    return model_of(lang, *random_model_terms(rng, lang, max_consts, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +196,15 @@ def random_model(
 # ---------------------------------------------------------------------------
 
 
-def _count_parallel(terms) -> int:
-    from futsbench.syntax import walk
-
-    return sum(
-        isinstance(sub, (Coop, Par)) for term in terms for sub in walk(term)
-    )
-
-
-def parallel_degree(model: Model) -> int:
-    """How many parallel-composition nodes the model's syntax contains."""
-    return _count_parallel(list(model.defs.values()) + [model.init])
-
-
-def defs_parallel_degree(model: Model) -> int:
-    """Parallel-composition nodes inside constant definitions only."""
-    return _count_parallel(list(model.defs.values()))
+def count_parallel(terms) -> int:
+    """How many parallel-composition nodes the trees ``terms`` contain."""
+    count = 0
+    stack = list(terms)
+    while stack:
+        term = stack.pop()
+        count += isinstance(term, (Coop, Par))
+        stack.extend(children(term))
+    return count
 
 
 def build_corpus(
@@ -213,15 +236,15 @@ def build_corpus(
     seed = 0
     while len(out) < count:
         seed += 1
-        model = random_model(
+        defs, init = random_model_terms(
             random.Random(f"{lang}-{tag}-{seed}"), lang, max_consts=max_consts, depth=depth
         )
-        if parallel_degree(model) > max_par:
+        if count_parallel([*defs.values(), init]) > max_par:
             continue
-        if max_def_par is not None and defs_parallel_degree(model) > max_def_par:
+        if max_def_par is not None and count_parallel(defs.values()) > max_def_par:
             continue
         try:
-            fm = explore(model, max_states=max_states)
+            fm = explore(model_of(lang, defs, init), max_states=max_states)
         except ExplorationLimitError:
             continue
         if len(fm.states) < min_states:

@@ -29,12 +29,12 @@ from futsbench.crosscheck import (
 from futsbench.explore import explore, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.semiring import TAGS, semiring_of
-from futsbench.sem_futs import StepContext, futs_step, relation_labels, relation_specs
-from futsbench.syntax import parse_model
+from futsbench.sem_futs import futs_step, relation_labels, relation_specs
+from futsbench.syntax import parse_model, parse_term
 
 from bisimref import brute_force, disjoint_union
 from idtext import as_text, fn_text, step_text, stored_text
-from modelgen import build_corpus, random_value
+from modelgen import build_corpus, fresh_copy, model_text, random_value
 
 LANGS = ("pepa", "iml", "tpc", "mal")
 
@@ -193,20 +193,20 @@ def test_criterion_03_totality_and_determinism():
             # evaluating again recomputes a structurally identical result,
             # and the table stores that function's state-id image, in the
             # printed order of its targets
-            ctx = fm.ctx
+            model = fm.ctx
             specs = relation_specs(lang)
             state_of = {state.term: state.id for state in fm.states}
             for state in fm.states:
                 for spec, data in zip(specs, fm.relations):
-                    for label in relation_labels(spec, ctx.model):
-                        once = futs_step(ctx, state.term, spec.name, label)
-                        again = futs_step(ctx, state.term, spec.name, label)
+                    for label in relation_labels(spec, model):
+                        once = futs_step(model, state.term, spec.name, label)
+                        again = futs_step(model, state.term, spec.name, label)
                         assert once == again and once is not again
                         assert data.function_at(state.id, label) == printed_image(
                             fm, data, once, state_of
                         )
             # deterministic end to end: a fresh exploration is byte-identical
-            assert to_json(explore(ctx.model, max_states=2000)) == to_json(fm)
+            assert to_json(explore(fresh_copy(model), max_states=2000)) == to_json(fm)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"{lang}: {elapsed:.1f}s (budget 60s per language)"
         print(f"criterion 3 [{lang}]: PASS — {len(corpus)} models, {elapsed:.1f}s")
@@ -214,18 +214,19 @@ def test_criterion_03_totality_and_determinism():
 
 def test_warm_step_memo_agrees_with_a_cold_one():
     # the exploring table has memoised the steps of every shared subterm;
-    # a fresh table of the same model walks each state's term from scratch.
-    # Ids differ between tables, so steps compare by target text.
+    # the same model parsed into a fresh table walks each state's term from
+    # scratch.  Ids differ between tables, so steps compare by target text.
     for lang in LANGS:
         start = time.monotonic()
         for fm in small_corpus(lang):
             warm = fm.ctx
+            text = model_text(warm.bodies(), warm.term_of(warm.init))
             specs = relation_specs(lang)
             for state in fm.states:
                 for spec in specs:
-                    for label in relation_labels(spec, warm.model):
-                        cold = StepContext(warm.model)
-                        cold_id = cold.register(warm.term_of(state.term))
+                    for label in relation_labels(spec, warm):
+                        cold = parse_model(text, lang)
+                        cold_id = parse_term(state.key, cold)
                         assert step_text(warm, state.term, spec.name, label) == step_text(
                             cold, cold_id, spec.name, label
                         )

@@ -17,7 +17,7 @@ from futsbench.bisim import (
 from futsbench.crosscheck import oracle_moves, oracle_partition_from
 from futsbench.errors import ExplorationLimitError, FutsError, UnknownStateError
 from futsbench.explore import explore
-from futsbench.syntax import parse_model, parse_term, term_key
+from futsbench.syntax import parse_model, parse_term
 
 from bisimref import (
     BRUTE_FORCE_MAX,
@@ -40,9 +40,9 @@ init S0
 
 def explored(text, lang, roots=()):
     model = parse_model(text, lang)
-    root_terms = [parse_term(t, lang) for t in roots]
+    root_terms = [parse_term(t, model) for t in roots]
     fm = explore(model, extra_roots=root_terms)
-    ids = [fm.index[term_key(t)] for t in root_terms]
+    ids = [fm.index[model.text(t)] for t in root_terms]
     return fm, ids
 
 

@@ -60,12 +60,13 @@ def test_oracle_is_enumerated_once_per_compare(lang, monkeypatch):
 
 def test_unexplored_oracle_target_is_a_diagnosed_error(tmp_path, capsys, monkeypatch):
     text = "P = (a, 1).P\ninit P\n"
-    stray = parse_term("(b, 1).nil", "pepa")
+    model = parse_model(text, "pepa")
+    stray = model.term_of(parse_term("(b, 1).nil", model))
     monkeypatch.setattr(
         crosscheck, "pepa_transitions", lambda model, term, action: [(Fraction(1), stray)]
     )
     with pytest.raises(UnknownStateError, match="step-derivation target"):
-        oracle_moves(explore(parse_model(text, "pepa")))
+        oracle_moves(explore(model))
 
     path = tmp_path / "m.pepa"
     path.write_text(text)

@@ -95,8 +95,8 @@ def test_exploration_limit():
 
 def test_extra_roots_are_explored():
     model = parse_model(GOLDEN_PEPA, "pepa")
-    left = parse_term("S2", "pepa")
-    right = parse_term("(a, 1).nil", "pepa")
+    left = parse_term("S2", model)
+    right = parse_term("(a, 1).nil", model)
     fm = explore(model, extra_roots=[left, right])
     assert "(a, 1).nil" in fm.index
     assert "S2" in fm.index

@@ -12,26 +12,16 @@ import pytest
 from futsbench.errors import DelayCycleError, UnguardedRecursionError
 from futsbench.explore import explore
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
-from futsbench.sem_futs import (
-    StepContext,
-    futs_step,
-    relation_labels,
-    relation_specs,
-    tpc_max_delay,
-)
-from futsbench.syntax import parse_model, parse_term, term_key, walk
+from futsbench.sem_futs import futs_step, relation_labels, relation_specs, tpc_max_delay
+from futsbench.syntax import Model, children, parse_model, parse_term, term_key
 
 from idtext import fn_text, step_text
-from modelgen import build_corpus
-
-
-def ctx_for(text: str, lang: str) -> StepContext:
-    return StepContext(parse_model(text, lang))
+from modelgen import build_corpus, fresh_copy
 
 
 def step_of(text: str, lang: str, relation: str, label: str, defs: str = ""):
-    ctx = ctx_for(defs + f"init {text}\n", lang)
-    return ctx, step_text(ctx, ctx.init_id, relation, label)
+    model = parse_model(defs + f"init {text}\n", lang)
+    return model, step_text(model, model.init, relation, label)
 
 
 # ---------------------------------------------------------------------------
@@ -210,35 +200,35 @@ def test_tpc_tick_of_composition_synchronises_time():
 
 
 def test_tpc_delay_only_recursion_is_reported():
-    ctx = ctx_for("X = (1).X\ninit X\n", "tpc")
+    model = parse_model("X = (1).X\ninit X\n", "tpc")
     with pytest.raises(DelayCycleError):
-        futs_step(ctx, ctx.init_id, "tick", "tick")
+        futs_step(model, model.init, "tick", "tick")
     with pytest.raises(DelayCycleError):
-        tpc_max_delay(ctx, ctx.init_id)
+        tpc_max_delay(model, model.init)
     # recursion through an action prefix is fine
-    ctx = ctx_for("X = (1).a.X\ninit X\n", "tpc")
-    fn = step_text(ctx, ctx.init_id, "tick", "tick")
+    model = parse_model("X = (1).a.X\ninit X\n", "tpc")
+    fn = step_text(model, model.init, "tick", "tick")
     assert fn == ff_make("NATSET", [("a.X", frozenset({1}))])
 
 
 def test_tpc_max_delay():
-    ctx = ctx_for("X = (2).a.(3).nil\ninit X + (1).nil\n", "tpc")
-    xid = ctx.register(parse_term("X", "tpc"))
-    assert tpc_max_delay(ctx, xid) == 2
-    assert tpc_max_delay(ctx, ctx.init_id) == 1
-    assert tpc_max_delay(ctx, ctx.register(parse_term("nil", "tpc"))) == 0
+    model = parse_model("X = (2).a.(3).nil\ninit X + (1).nil\n", "tpc")
+    xid = parse_term("X", model)
+    assert tpc_max_delay(model, xid) == 2
+    assert tpc_max_delay(model, model.init) == 1
+    assert tpc_max_delay(model, parse_term("nil", model)) == 0
 
 
 def test_tpc_tick_amounts_descend_by_the_time_spent():
-    ctx = ctx_for("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
-    seen = [ctx.init_id]
+    model = parse_model("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
+    seen = [model.init]
     for term_id in seen:
-        fn = futs_step(ctx, term_id, "tick", "tick")
-        base = tpc_max_delay(ctx, term_id)
+        fn = futs_step(model, term_id, "tick", "tick")
+        base = tpc_max_delay(model, term_id)
         for target, value in fn.entries:
             assert len(value) == 1  # tick amounts are unique per target
             (amount,) = value
-            assert tpc_max_delay(ctx, target) == base - amount
+            assert tpc_max_delay(model, target) == base - amount
             if target not in seen:
                 seen.append(target)
 
@@ -314,9 +304,8 @@ def test_mal_delay_relation():
 
 def test_unguarded_model_reports_rather_than_loops():
     model = parse_model("X = X + a.nil\ninit X\n", "iml")
-    ctx = StepContext(model)
     with pytest.raises(UnguardedRecursionError):
-        futs_step(ctx, ctx.init_id, "act", "a")
+        futs_step(model, model.init, "act", "a")
 
 
 @pytest.mark.parametrize(
@@ -330,43 +319,43 @@ def test_unguarded_model_reports_rather_than_loops():
 )
 def test_unguarded_recursion_is_never_memoised(lang, prefix, par):
     cont = "{1: P}" if lang == "mal" else "P"
-    ctx = ctx_for(f"P = {prefix}{cont}\nX = X + {prefix}{cont}\ninit P {par} P\n", lang)
+    model = parse_model(f"P = {prefix}{cont}\nX = X + {prefix}{cont}\ninit P {par} P\n", lang)
     bad = [
-        ctx.register(parse_term(text, lang))
+        parse_term(text, model)
         for text in ("X", f"P {par} X", f"(P {par} P) {par} X", "X + P")
     ]
-    good = step_text(ctx, ctx.init_id, "act", "a")
+    good = step_text(model, model.init, "act", "a")
     assert good.entries
     for _ in range(2):
         for term_id in bad:
             with pytest.raises(UnguardedRecursionError):
-                futs_step(ctx, term_id, "act", "a")
+                futs_step(model, term_id, "act", "a")
         # the memo warmed by the good state still gives the same step
-        assert step_text(ctx, ctx.init_id, "act", "a") == good
+        assert step_text(model, model.init, "act", "a") == good
 
 
 def test_delay_cycle_is_never_memoised():
-    ctx = ctx_for("X = (1).X\nP = a.(1).P\ninit (1).P |[]| (2).P\n", "tpc")
+    model = parse_model("X = (1).X\nP = a.(1).P\ninit (1).P |[]| (2).P\n", "tpc")
     bad = [
-        ctx.register(parse_term(text, "tpc"))
+        parse_term(text, model)
         for text in ("X", "(1).P |[]| X", "((1).P |[]| P) |[]| X", "X + (1).P")
     ]
-    good = step_text(ctx, ctx.init_id, "tick", "tick")
-    assert good.entries and tpc_max_delay(ctx, ctx.init_id) == 1
+    good = step_text(model, model.init, "tick", "tick")
+    assert good.entries and tpc_max_delay(model, model.init) == 1
     for _ in range(2):
         for term_id in bad:
             with pytest.raises(DelayCycleError):
-                futs_step(ctx, term_id, "tick", "tick")
+                futs_step(model, term_id, "tick", "tick")
             with pytest.raises(DelayCycleError):
-                tpc_max_delay(ctx, term_id)
-        assert step_text(ctx, ctx.init_id, "tick", "tick") == good
-        assert tpc_max_delay(ctx, ctx.init_id) == 1
+                tpc_max_delay(model, term_id)
+        assert step_text(model, model.init, "tick", "tick") == good
+        assert tpc_max_delay(model, model.init) == 1
 
 
 def test_a_warm_step_reads_as_many_shapes_however_wide_the_state(monkeypatch):
     # par-N: every state of ``P0 <> ... <> P(N-1)`` is a left-nested
     # cooperation whose operands earlier states have already stepped
-    shape = StepContext.shape
+    shape = Model.shape
     reads = []
     for n in (4, 6, 8):
         defs = "".join(f"P{i} = (a, 1).Q{i}\nQ{i} = (b, 2).P{i}\n" for i in range(n))
@@ -381,7 +370,7 @@ def test_a_warm_step_reads_as_many_shapes_however_wide_the_state(monkeypatch):
             return shape(self, term_id)
 
         with monkeypatch.context() as patched:
-            patched.setattr(StepContext, "shape", counting)
+            patched.setattr(Model, "shape", counting)
             for state in (fm.states[0], fm.states[-1]):
                 for label in ("a", "b"):
                     futs_step(fm.ctx, state.term, "act", label)
@@ -393,27 +382,41 @@ def test_a_warm_step_reads_as_many_shapes_however_wide_the_state(monkeypatch):
 def test_term_table_neither_merges_nor_splits_terms(lang):
     corpus = build_corpus(lang, 40, 300, "table", depth=4, max_consts=4, max_par=3, max_def_par=0)
     for fm in corpus:
-        ctx = fm.ctx
-        texts = [ctx.text(i) for i in range(len(ctx.registry))]
-        assert texts == [term_key(ctx.term_of(i)) for i in range(len(texts))]
+        model = fm.ctx
+        texts = [model.text(i) for i in range(len(model.registry))]
+        assert texts == [term_key(model.term_of(i)) for i in range(len(texts))]
         assert len(set(texts)) == len(texts)
+        size = len(model.registry)
         for state in fm.states:
-            assert ctx.register(parse_term(state.key, lang)) == state.term
-        # registering any term gives an id that prints as that term
-        model = ctx.model
-        for sub in (sub for body in [*model.defs.values(), model.init] for sub in walk(body)):
-            assert ctx.text(ctx.register(sub)) == term_key(sub)
+            assert parse_term(state.key, model) == state.term
+        assert len(model.registry) == size
+        # parsed afresh, the model file holds one id per distinct subterm
+        stack = [*model.bodies().values(), model.term_of(model.init)]
+        subterms = set()
+        while stack:
+            term = stack.pop()
+            subterms.add(term_key(term))
+            stack.extend(children(term))
+        assert len(fresh_copy(model).registry) == len(subterms)
+
+
+def test_a_subterm_written_twice_gets_one_id():
+    model = parse_model("X = a.b.nil + a.b.nil\ninit a.b.nil |[]| X\n", "iml")
+    choice = model.shape(model.defs["X"])
+    par = model.shape(model.init)
+    assert choice.left == choice.right == par.left
+    assert len(model.registry) == 6  # nil, b.nil, a.b.nil, the choice, X, the composition
 
 
 @pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
-def test_step_walkers_never_register_terms(lang, monkeypatch):
+def test_step_walkers_read_only_shapes(lang, monkeypatch):
     corpus = build_corpus(lang, 30, 200, "walk", depth=4, max_consts=4, max_par=3, max_def_par=0)
 
-    def refuse(self, term):
-        raise AssertionError("a step walker registered a term instead of reading ids")
+    def refuse(self, term_id):
+        raise AssertionError("a step walker built a term node instead of reading shapes")
 
-    # every term a walker needs is in the table once it is built
-    monkeypatch.setattr(StepContext, "register", refuse)
+    # a walker reads shapes and builds its targets from ids, never from nodes
+    monkeypatch.setattr(Model, "term_of", refuse)
     moved = set()
     for fm in corpus:
         for state in fm.states:

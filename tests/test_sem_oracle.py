@@ -16,7 +16,6 @@ import futsbench
 
 from futsbench.errors import DelayCycleError, TimedTransitionCapError
 from futsbench.fsfun import ff_oplus
-from futsbench.sem_futs import StepContext
 from futsbench.sem_oracle import (
     action_distributions,
     delay_derivations,
@@ -35,8 +34,8 @@ def model_of(lang, text=""):
     return parse_model(text + "init nil\n", lang)
 
 
-def term_of(lang, text):
-    return parse_term(text, lang)
+def term_of(model, text):
+    return model.term_of(parse_term(text, model))
 
 
 # ---------------------------------------------------------------------------
@@ -46,28 +45,28 @@ def term_of(lang, text):
 
 def test_apparent_rate():
     model = model_of("pepa", "X = (a, 1).X\n")
-    t = term_of("pepa", "(a, 2).nil + (a, 1).X")
+    t = term_of(model, "(a, 2).nil + (a, 1).X")
     assert pepa_apparent_rate(model, t, "a") == 3
     assert pepa_apparent_rate(model, t, "b") == 0
-    sync = term_of("pepa", "((a, 2).nil + (a, 1).X) <a> (a, 1).nil")
+    sync = term_of(model, "((a, 2).nil + (a, 1).X) <a> (a, 1).nil")
     assert pepa_apparent_rate(model, sync, "a") == 1
-    free = term_of("pepa", "(a, 2).nil <> (a, 3).nil")
+    free = term_of(model, "(a, 2).nil <> (a, 3).nil")
     assert pepa_apparent_rate(model, free, "a") == 5
-    assert pepa_apparent_rate(model, term_of("pepa", "X"), "a") == 1
+    assert pepa_apparent_rate(model, term_of(model, "X"), "a") == 1
 
 
 def test_pepa_transitions_keep_derivations_apart():
     model = model_of("pepa")
-    t = term_of("pepa", "(a, 1).nil + (a, 1).nil")
+    t = term_of(model, "(a, 1).nil + (a, 1).nil")
     derivs = pepa_transitions(model, t, "a")
     assert len(derivs) == 2
     assert all(rate == 1 for rate, _ in derivs)
-    assert sum(rate for rate, target in derivs if target == term_of("pepa", "nil")) == 2
+    assert sum(rate for rate, target in derivs if target == term_of(model, "nil")) == 2
 
 
 def test_pepa_sync_transition_rates():
     model = model_of("pepa", "X = (a, 1).X\n")
-    t = term_of("pepa", "((a, 2).nil + (a, 1).X) <a> (a, 1).nil")
+    t = term_of(model, "((a, 2).nil + (a, 1).X) <a> (a, 1).nil")
     derivs = pepa_transitions(model, t, "a")
     by_target = {}
     for rate, target in derivs:
@@ -85,24 +84,24 @@ def test_pepa_sync_transition_rates():
 
 def test_interactive_transitions():
     model = model_of("iml", "X = a.X\n")
-    t = term_of("iml", "a.nil + a.X")
+    t = term_of(model, "a.nil + a.X")
     assert {term_key(s) for s in interactive_transitions(model, t, "a")} == {"nil", "X"}
-    sync = term_of("iml", "a.nil |[a]| a.X")
+    sync = term_of(model, "a.nil |[a]| a.X")
     assert {term_key(s) for s in interactive_transitions(model, sync, "a")} == {
         "(nil |[a]| X)"
     }
     assert interactive_transitions(model, sync, "b") == frozenset()
-    blocked = term_of("iml", "a.nil |[a]| b.nil")
+    blocked = term_of(model, "a.nil |[a]| b.nil")
     assert interactive_transitions(model, blocked, "a") == frozenset()
 
 
 def test_delay_derivations_are_a_multiset():
     model = model_of("iml")
-    t = term_of("iml", "1/2 . nil + 1/2 . nil")
+    t = term_of(model, "1/2 . nil + 1/2 . nil")
     derivs = delay_derivations(model, t)
     assert len(derivs) == 2
-    assert sum(rate for rate, target in derivs if target == term_of("iml", "nil")) == 1
-    par = term_of("iml", "1.nil |[a]| 2.nil")
+    assert sum(rate for rate, target in derivs if target == term_of(model, "nil")) == 1
+    par = term_of(model, "1.nil |[a]| 2.nil")
     targets = {term_key(target): rate for rate, target in delay_derivations(model, par)}
     assert targets == {
         "(nil |[a]| 2 . nil)": Fraction(1),
@@ -124,13 +123,13 @@ def as_timed_dict(trans):
 
 def test_timed_transitions_of_a_delay():
     model = model_of("tpc")
-    t = term_of("tpc", "(2).a.nil")
+    t = term_of(model, "(2).a.nil")
     assert as_timed_dict(timed_transitions(model, t)) == {
         "(1).a.nil": {1},
         "a.nil": {2},
     }
     # passing time continues into the continuation's delays
-    t = term_of("tpc", "(1).(2).nil")
+    t = term_of(model, "(1).(2).nil")
     assert as_timed_dict(timed_transitions(model, t)) == {
         "(2).nil": {1},
         "(1).nil": {2},
@@ -140,31 +139,31 @@ def test_timed_transitions_of_a_delay():
 
 def test_timed_transitions_synchronise_branches():
     model = model_of("tpc")
-    t = term_of("tpc", "(2).nil + (3).nil")
+    t = term_of(model, "(2).nil + (3).nil")
     assert as_timed_dict(timed_transitions(model, t)) == {
         "((1).nil + (2).nil)": {1},
         "(nil + (1).nil)": {2},
     }
-    t = term_of("tpc", "(2).nil |[]| a.nil")
+    t = term_of(model, "(2).nil |[]| a.nil")
     assert timed_transitions(model, t) == frozenset()
 
 
 def test_timed_transitions_are_time_deterministic():
     model = parse_model("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
     per_amount = {}
-    for amount, target in timed_transitions(model, model.init):
+    for amount, target in timed_transitions(model, model.term_of(model.init)):
         assert amount not in per_amount
         per_amount[amount] = target
 
 
 def test_timed_cap_and_cycle_are_reported():
     model = model_of("tpc")
-    assert len(timed_transitions(model, term_of("tpc", "(10000).nil"))) == 10_000
+    assert len(timed_transitions(model, term_of(model, "(10000).nil"))) == 10_000
     with pytest.raises(TimedTransitionCapError):
-        timed_transitions(model, term_of("tpc", "(10001).nil"))
+        timed_transitions(model, term_of(model, "(10001).nil"))
     cyclic = parse_model("X = (1).X\ninit X\n", "tpc")
     with pytest.raises(DelayCycleError):
-        timed_transitions(cyclic, cyclic.init)
+        timed_transitions(cyclic, cyclic.term_of(cyclic.init))
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +177,13 @@ def as_dist_set(dists):
 
 def test_action_distributions():
     model = model_of("mal", "X = 1.X\n")
-    t = term_of("mal", "a.{1/2: nil [] 1/2: X}")
+    t = term_of(model, "a.{1/2: nil [] 1/2: X}")
     assert as_dist_set(action_distributions(model, t, "a")) == {
         frozenset({("nil", Fraction(1, 2)), ("X", Fraction(1, 2))})
     }
     assert action_distributions(model, t, "b") == frozenset()
     # equal branches merge into one point
-    t = term_of("mal", "a.{1/2: nil [] 1/2: nil}")
+    t = term_of(model, "a.{1/2: nil [] 1/2: nil}")
     assert as_dist_set(action_distributions(model, t, "a")) == {
         frozenset({("nil", Fraction(1))})
     }
@@ -192,7 +191,7 @@ def test_action_distributions():
 
 def test_action_distribution_sync_multiplies():
     model = model_of("mal", "P = 1.P\nQ = 1.Q\n")
-    t = term_of("mal", "a.{1/2: nil [] 1/2: P} |[a]| a.{1: Q}")
+    t = term_of(model, "a.{1/2: nil [] 1/2: P} |[a]| a.{1: Q}")
     assert as_dist_set(action_distributions(model, t, "a")) == {
         frozenset(
             {("(nil |[a]| Q)", Fraction(1, 2)), ("(P |[a]| Q)", Fraction(1, 2))}
@@ -202,7 +201,7 @@ def test_action_distribution_sync_multiplies():
 
 def test_action_distribution_interleaving():
     model = model_of("mal")
-    t = term_of("mal", "a.{1: nil} |[]| a.{1: nil}")
+    t = term_of(model, "a.{1: nil} |[]| a.{1: nil}")
     assert as_dist_set(action_distributions(model, t, "a")) == {
         frozenset({("(nil |[]| a.{1: nil})", Fraction(1))}),
         frozenset({("(a.{1: nil} |[]| nil)", Fraction(1))}),
@@ -210,7 +209,7 @@ def test_action_distribution_interleaving():
 
 
 def test_merge_distribution_drops_nothing_positive():
-    t1 = term_of("mal", "nil")
+    t1 = term_of(model_of("mal"), "nil")
     merged = merge_distribution([(t1, Fraction(1, 3)), (t1, Fraction(2, 3))])
     assert merged == frozenset({(t1, Fraction(1))})
 
@@ -222,33 +221,31 @@ def test_merge_distribution_drops_nothing_positive():
 
 def futs_entries(text, lang, relation, label, defs=""):
     model = parse_model(defs + f"init {text}\n", lang)
-    ctx = StepContext(model)
-    fn = step_text(ctx, ctx.init_id, relation, label)
-    return model, fn
+    return model, model.term_of(model.init), step_text(model, model.init, relation, label)
 
 
 def test_routes_agree_pepa():
     text = "((a, 2).nil + (a, 1).X) <a> ((a, 1).nil <> (b, 5).X)"
-    model, fn = futs_entries(text, "pepa", "act", "a", defs="X = (a, 1).X\n")
+    model, init, fn = futs_entries(text, "pepa", "act", "a", defs="X = (a, 1).X\n")
     got = dict(fn.entries)
     by_target = {}
-    for rate, target in pepa_transitions(model, model.init, "a"):
+    for rate, target in pepa_transitions(model, init, "a"):
         key = term_key(target)
         by_target[key] = by_target.get(key, Fraction(0)) + rate
     assert got == by_target
-    assert ff_oplus(fn) == pepa_apparent_rate(model, model.init, "a")
+    assert ff_oplus(fn) == pepa_apparent_rate(model, init, "a")
 
 
 def test_routes_agree_iml():
     text = "(a.nil + 1/2 . nil) |[a]| (a.b.nil + 1/3 . nil)"
-    model, fn = futs_entries(text, "iml", "act", "a")
+    model, init, fn = futs_entries(text, "iml", "act", "a")
     got = {k for k, _ in fn.entries}
-    want = {term_key(t) for t in interactive_transitions(model, model.init, "a")}
+    want = {term_key(t) for t in interactive_transitions(model, init, "a")}
     assert got == want
-    model, fn = futs_entries(text, "iml", "delay", "delta")
+    model, init, fn = futs_entries(text, "iml", "delay", "delta")
     got = dict(fn.entries)
     by_target = {}
-    for rate, target in delay_derivations(model, model.init):
+    for rate, target in delay_derivations(model, init):
         key = term_key(target)
         by_target[key] = by_target.get(key, Fraction(0)) + rate
     assert got == by_target
@@ -256,16 +253,16 @@ def test_routes_agree_iml():
 
 def test_routes_agree_tpc():
     text = "((2).a.nil + (3).nil) |[a]| (1).(2).b.nil"
-    model, fn = futs_entries(text, "tpc", "tick", "tick")
+    model, init, fn = futs_entries(text, "tpc", "tick", "tick")
     got = {k: set(v) for k, v in fn.entries}
-    assert got == as_timed_dict(timed_transitions(model, model.init))
+    assert got == as_timed_dict(timed_transitions(model, init))
 
 
 def test_routes_agree_mal():
     text = "(a.{1/2: nil [] 1/2: X} + a.{1: nil}) |[]| 2.nil"
-    model, fn = futs_entries(text, "mal", "act", "a", defs="X = 1.X\n")
+    model, init, fn = futs_entries(text, "mal", "act", "a", defs="X = 1.X\n")
     got = {frozenset(inner.entries) for inner, _ in fn.entries}
-    want = as_dist_set(action_distributions(model, model.init, "a"))
+    want = as_dist_set(action_distributions(model, init, "a"))
     assert got == want
 
 
@@ -302,3 +299,11 @@ def test_oracle_imports_only_errors_and_syntax(module, forbidden):
             else:  # from . import name
                 imported += [base + alias.name for alias in node.names]
     assert not forbidden & set(imported), forbidden & set(imported)
+
+
+def test_oracle_interns_nothing():
+    # the oracle walks term nodes; only the state-to-function route adds
+    # terms to a model's table
+    tree = ast.parse((SOURCE / "sem_oracle.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"intern", "registry"}

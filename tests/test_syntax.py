@@ -32,9 +32,15 @@ from futsbench.syntax import (
     pretty,
     term_key,
 )
-from futsbench.syntax import _naked_constants  # white-box: guardedness oracle
 
 from modelgen import random_model, random_term
+
+
+def parsed(text, lang):
+    """``text`` parsed into a model that defines ``X`` and ``X0``-``X2``, as a node."""
+    model = parse_model("X = nil\nX0 = nil\nX1 = nil\nX2 = nil\ninit nil\n", lang)
+    return model.term_of(parse_term(text, model))
+
 
 # ---------------------------------------------------------------------------
 # Parsing the four languages
@@ -42,7 +48,7 @@ from modelgen import random_model, random_term
 
 
 def test_parse_pepa_term():
-    t = parse_term("(a, 3/2).nil + (b, 0.5).X <a,b> nil", "pepa")
+    t = parsed("(a, 3/2).nil + (b, 0.5).X <a,b> nil", "pepa")
     assert t == Coop(
         frozenset({"a", "b"}),
         Choice(
@@ -55,11 +61,11 @@ def test_parse_pepa_term():
 
 def test_parse_pepa_empty_sync_set():
     for text in ("nil <> nil", "nil < > nil"):
-        assert parse_term(text, "pepa") == Coop(frozenset(), Nil(), Nil())
+        assert parsed(text, "pepa") == Coop(frozenset(), Nil(), Nil())
 
 
 def test_parse_iml_term():
-    t = parse_term("a.nil + 3/2 . X |[a]| 2.nil", "iml")
+    t = parsed("a.nil + 3/2 . X |[a]| 2.nil", "iml")
     assert t == Par(
         frozenset({"a"}),
         Choice(ActPrefix("a", Nil()), RatePrefix(Fraction(3, 2), Const("X"))),
@@ -68,17 +74,17 @@ def test_parse_iml_term():
 
 
 def test_parse_tpc_term():
-    t = parse_term("(3).a.nil |[]| b.nil", "tpc")
+    t = parsed("(3).a.nil |[]| b.nil", "tpc")
     assert t == Par(
         frozenset(),
         TimePrefix(3, ActPrefix("a", Nil())),
         ActPrefix("b", Nil()),
     )
-    assert parse_term("nil |[ ]| nil", "tpc") == Par(frozenset(), Nil(), Nil())
+    assert parsed("nil |[ ]| nil", "tpc") == Par(frozenset(), Nil(), Nil())
 
 
 def test_parse_mal_term():
-    t = parse_term("a.{1/3: nil [] 2/3: X} + 1/2 . nil", "mal")
+    t = parsed("a.{1/3: nil [] 2/3: X} + 1/2 . nil", "mal")
     assert t == Choice(
         ProbPrefix(
             "a", ((Fraction(1, 3), Nil()), (Fraction(2, 3), Const("X")))
@@ -88,29 +94,29 @@ def test_parse_mal_term():
 
 
 def test_prefix_binds_tightest_and_ops_are_left_associative():
-    t = parse_term("a.nil + b.nil + c.nil", "iml")
+    t = parsed("a.nil + b.nil + c.nil", "iml")
     assert t == Choice(
         Choice(ActPrefix("a", Nil()), ActPrefix("b", Nil())), ActPrefix("c", Nil())
     )
-    t = parse_term("nil |[a]| nil |[b]| nil", "iml")
+    t = parsed("nil |[a]| nil |[b]| nil", "iml")
     assert t == Par(frozenset({"b"}), Par(frozenset({"a"}), Nil(), Nil()), Nil())
     # the composition operator is looser than choice
-    t = parse_term("a.nil + b.nil |[a]| c.nil", "iml")
+    t = parsed("a.nil + b.nil |[a]| c.nil", "iml")
     assert isinstance(t, Par) and isinstance(t.left, Choice)
     # a prefix continuation is the next prefix, not the whole choice
-    t = parse_term("a.b.nil + c.nil", "iml")
+    t = parsed("a.b.nil + c.nil", "iml")
     assert t == Choice(ActPrefix("a", ActPrefix("b", Nil())), ActPrefix("c", Nil()))
 
 
 def test_parse_parenthesised_groups():
-    t = parse_term("a.(b.nil + c.nil)", "iml")
+    t = parsed("a.(b.nil + c.nil)", "iml")
     assert t == ActPrefix("a", Choice(ActPrefix("b", Nil()), ActPrefix("c", Nil())))
 
 
 def test_decimal_rates_become_exact_fractions():
-    t = parse_term("(a, 0.25).nil", "pepa")
+    t = parsed("(a, 0.25).nil", "pepa")
     assert t.rate == Fraction(1, 4)
-    t = parse_term("0.1.nil", "iml")
+    t = parsed("0.1.nil", "iml")
     assert t == RatePrefix(Fraction(1, 10), Nil())
 
 
@@ -121,7 +127,7 @@ def test_decimal_rates_become_exact_fractions():
 
 def expect_parse_error(text, lang, fragment):
     with pytest.raises(ParseError) as err:
-        parse_term(text, lang)
+        parsed(text, lang)
     assert fragment in str(err.value)
     return err.value
 
@@ -156,7 +162,7 @@ def test_probability_validation():
     expect_parse_error("a.{3/2: nil}", "mal", "at most 1")
     expect_parse_error("a.{0: nil [] 1: nil}", "mal", "must be positive")
     # a single certain branch is fine
-    t = parse_term("a.{1: nil}", "mal")
+    t = parsed("a.{1: nil}", "mal")
     assert t == ProbPrefix("a", ((Fraction(1), Nil()),))
 
 
@@ -175,7 +181,8 @@ init X
 def test_parse_model_file():
     model = parse_model(GOOD_IML, "iml")
     assert list(model.defs) == ["X", "Y"]
-    assert model.init == Const("X")
+    assert model.term_of(model.init) == Const("X")
+    assert model.shape(model.defs["Y"]) == Par(frozenset(), model.init, model.intern(Nil()))
     check_guarded(model)  # the naked reference to X sits under a.<...>
 
 
@@ -219,19 +226,19 @@ def test_alphabet_includes_sync_sets():
 
 
 def test_term_key_examples():
-    t = parse_term("a.nil + b.nil", "iml")
+    t = parsed("a.nil + b.nil", "iml")
     assert term_key(t) == "(a.nil + b.nil)"
-    t = parse_term("(a, 3/2).nil <b,a> nil", "pepa")
+    t = parsed("(a, 3/2).nil <b,a> nil", "pepa")
     assert term_key(t) == "((a, 3/2).nil <a,b> nil)"
-    t = parse_term("a.{1/2: nil [] 1/2: X}", "mal")
+    t = parsed("a.{1/2: nil [] 1/2: X}", "mal")
     assert term_key(t) == "a.{1/2: nil [] 1/2: X}"
-    t = parse_term("(2).nil |[]| nil", "tpc")
+    t = parsed("(2).nil |[]| nil", "tpc")
     assert term_key(t) == "((2).nil |[]| nil)"
 
 
 def test_sync_set_order_is_normalised():
-    t1 = parse_term("nil <a,b> nil", "pepa")
-    t2 = parse_term("nil <b, a> nil", "pepa")
+    t1 = parsed("nil <a,b> nil", "pepa")
+    t2 = parsed("nil <b, a> nil", "pepa")
     assert t1 == t2
     assert term_key(t1) == term_key(t2)
 
@@ -266,9 +273,9 @@ def test_term_key_round_trips(lang):
     for _ in range(250):
         t = random_term(rng, lang, n_consts=3, cur_index=3, depth=3)
         key = term_key(t)
-        assert parse_term(key, lang) == t, key
+        assert parsed(key, lang) == t, key
         # keys are stable
-        assert term_key(parse_term(key, lang)) == key
+        assert term_key(parsed(key, lang)) == key
 
 
 @pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
@@ -276,17 +283,17 @@ def test_pretty_round_trips(lang):
     rng = random.Random(hash(lang) & 0xFFF)
     for _ in range(250):
         t = random_term(rng, lang, n_consts=3, cur_index=3, depth=3)
-        assert parse_term(pretty(t), lang) == t, pretty(t)
+        assert parsed(pretty(t), lang) == t, pretty(t)
 
 
 def test_pretty_minimises_parentheses():
-    t = parse_term("a.nil + b.nil + c.nil", "iml")
+    t = parsed("a.nil + b.nil + c.nil", "iml")
     assert pretty(t) == "a.nil + b.nil + c.nil"
-    t = parse_term("a.(b.nil + c.nil)", "iml")
+    t = parsed("a.(b.nil + c.nil)", "iml")
     assert pretty(t) == "a.(b.nil + c.nil)"
-    t = parse_term("(a.nil + b.nil) |[a]| nil", "iml")
+    t = parsed("(a.nil + b.nil) |[a]| nil", "iml")
     assert pretty(t) == "a.nil + b.nil |[a]| nil"
-    t = parse_term("nil |[a]| (nil |[b]| nil)", "iml")
+    t = parsed("nil |[a]| (nil |[b]| nil)", "iml")
     assert pretty(t) == "nil |[a]| (nil |[b]| nil)"
 
 
@@ -316,17 +323,23 @@ def _substitute_naked(term, defs):
     return term
 
 
+def _has_naked_constant(term):
+    if isinstance(term, Const):
+        return True
+    return isinstance(term, (Choice, Coop, Par)) and any(map(_has_naked_constant, children(term)))
+
+
 def _guarded_by_unfolding(model):
     """Oracle: a model is guarded iff repeatedly expanding unprotected
 
     constants reaches a term with none left within #definitions steps.
     """
-    for body in list(model.defs.values()) + [model.init]:
-        term = body
-        for _ in range(len(model.defs) + 1):
-            if not any(True for _ in _naked_constants(term)):
+    bodies = model.bodies()
+    for body in [*bodies.values(), model.term_of(model.init)]:
+        for _ in range(len(bodies) + 1):
+            if not _has_naked_constant(body):
                 break
-            term = _substitute_naked(term, model.defs)
+            body = _substitute_naked(body, bodies)
         else:
             return False
     return True
