@@ -19,9 +19,9 @@ from .bisim import distinguish, minimize, refine
 from .crosscheck import run_checks
 from .errors import FutsError
 from .explore import DEFAULT_MAX_STATES, explore, to_dot, to_json
-from .syntax import LANGUAGES, check_guarded, load_model, parse_term
-# unused here, but bench/tracing.py wraps cli.term_key (ROADMAP item 7)
-from .syntax import term_key  # noqa: F401
+from .syntax import LANGUAGES, load_model, parse_term
+# unused here, but bench/tracing.py wraps cli.check_guarded and cli.term_key (ROADMAP item 7)
+from .syntax import check_guarded, term_key  # noqa: F401
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -97,27 +97,21 @@ def _emit(text: str, output: Optional[str]) -> None:
             handle.write(text)
 
 
-def _load(args):
-    model = load_model(args.file, args.lang)
-    check_guarded(model)
-    return model
-
-
 def _run(args) -> int:
     if args.command == "check":
-        model = _load(args)
+        model = load_model(args.file, args.lang)
         print(f"ok: {len(model.defs)} definitions, language {model.lang}, guarded")
         return 0
 
     if args.command == "build":
-        model = _load(args)
+        model = load_model(args.file, args.lang)
         fm = explore(model, max_states=args.max_states)
         text = to_json(fm) if args.format == "json" else to_dot(fm)
         _emit(text, args.output)
         return 0
 
     if args.command == "bisim":
-        model = _load(args)
+        model = load_model(args.file, args.lang)
         left = parse_term(args.left, model)
         right = parse_term(args.right, model)
         fm = explore(model, max_states=args.max_states, extra_roots=[left, right])
@@ -136,14 +130,14 @@ def _run(args) -> int:
         return 1
 
     if args.command == "minimize":
-        model = _load(args)
+        model = load_model(args.file, args.lang)
         fm = explore(model, max_states=args.max_states)
         quotient = minimize(fm, refine(fm))
         _emit(to_json(quotient), args.output)
         return 0
 
     if args.command == "compare":
-        model = _load(args)
+        model = load_model(args.file, args.lang)
         fm = explore(model, max_states=args.max_states)
         results = run_checks(fm)
         for result in results:

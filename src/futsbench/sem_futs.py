@@ -25,8 +25,9 @@ A walker memoises in the table (:meth:`.syntax.Model.memo`) the step of
 every proper structural child of a choice or composition, so the
 operands that states share are walked once per model and a state's step
 costs the size of its own step.  The term a walk starts from, and the
-constants unfolded from it, are always recomputed, and a walk that raises
-stores nothing for the terms it could not finish.
+constant bodies read from it, are always recomputed.  A model is guarded
+by construction (:func:`.syntax.check_guarded`), so a walker steps a
+constant as its body, read from ``model.defs``, and every walk ends.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Tuple
 
-from .errors import DelayCycleError, UnguardedRecursionError
 from .fsfun import (
     FinFn,
     ff_add,
@@ -59,7 +59,6 @@ from .syntax import (
     RatePrefix,
     TimePrefix,
     alphabet,
-    unfold,
 )
 # unused here, but bench/tracing.py wraps sem_futs.term_key (ROADMAP item 7)
 from .syntax import term_key  # noqa: F401
@@ -159,7 +158,6 @@ def _moves(model: Model, t) -> Tuple[Callable[[int], int], Callable[[int], int]]
 
 def _pepa_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(NNRAT)
-    active: set = set()
 
     def rec(i: int) -> FinFn:
         t = model.shape(i)
@@ -189,10 +187,7 @@ def _pepa_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
                 lambda x, y: model.intern(Coop(t.actions, x, y)), left, right
             )
             return ff_scale(factor, pair)
-        return unfold(
-            model.lang, model.defs, t, active, rec, UnguardedRecursionError,
-            "computing the action step",
-        )
+        return rec(model.defs[t.name])
 
     return rec(term_id)
 
@@ -204,7 +199,6 @@ def _pepa_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
 
 def _interactive_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(BOOL)
-    active: set = set()
 
     def rec(i: int) -> FinFn:
         t = model.shape(i)
@@ -225,10 +219,7 @@ def _interactive_act(model: Model, term_id: int, label: str, memo: dict) -> FinF
                 )
             into_left, into_right = _moves(model, t)
             return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
-        return unfold(
-            model.lang, model.defs, t, active, rec, UnguardedRecursionError,
-            "computing the action step",
-        )
+        return rec(model.defs[t.name])
 
     return rec(term_id)
 
@@ -240,7 +231,6 @@ def _interactive_act(model: Model, term_id: int, label: str, memo: dict) -> FinF
 
 def _delay_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(NNRAT)
-    active: set = set()
 
     def rec(i: int) -> FinFn:
         t = model.shape(i)
@@ -257,10 +247,7 @@ def _delay_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
                 ff_map_keys(into_left, _once(memo, rec, t.left)),
                 ff_map_keys(into_right, _once(memo, rec, t.right)),
             )
-        return unfold(
-            model.lang, model.defs, t, active, rec, UnguardedRecursionError,
-            "computing the delay step",
-        )
+        return rec(model.defs[t.name])
 
     return rec(term_id)
 
@@ -272,7 +259,6 @@ def _delay_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
 
 def _tick_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(NATSET)
-    active: set = set()
 
     def shift(amount: int, fn: FinFn) -> FinFn:
         return ff_make(NATSET, [(k, frozenset(m + amount for m in v)) for k, v in fn.entries])
@@ -302,10 +288,7 @@ def _tick_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
                 _once(memo, rec, t.left),
                 _once(memo, rec, t.right),
             )
-        return unfold(
-            model.lang, model.defs, t, active, rec, DelayCycleError,
-            "computing the timed step",
-        )
+        return rec(model.defs[t.name])
 
     return rec(term_id)
 
@@ -318,7 +301,6 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
     Every term's result, the start's included, is memoised in the table.
     """
     memo = model.memo(MAX_DELAY, TICK_LABEL)
-    active: set = set()
 
     def walk(i: int) -> int:
         t = model.shape(i)
@@ -328,10 +310,7 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
             return t.delay + rec(t.cont)
         if isinstance(t, (Choice, Par)):
             return min(rec(t.left), rec(t.right))
-        return unfold(
-            model.lang, model.defs, t, active, rec, DelayCycleError,
-            "computing the maximal delay",
-        )
+        return rec(model.defs[t.name])
 
     def rec(i: int) -> int:
         return _once(memo, walk, i)
@@ -346,7 +325,6 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
 
 def _mal_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
     zero = ff_zero(BOOL)
-    active: set = set()
 
     def rec(i: int) -> FinFn:
         t = model.shape(i)
@@ -371,10 +349,7 @@ def _mal_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
                 ff_map_keys(lambda mu: ff_map_keys(into_left, mu), left),
                 ff_map_keys(lambda mu: ff_map_keys(into_right, mu), right),
             )
-        return unfold(
-            model.lang, model.defs, t, active, rec, UnguardedRecursionError,
-            "computing the action step",
-        )
+        return rec(model.defs[t.name])
 
     return rec(term_id)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import FrozenSet, List, Set, Tuple
 
-from .errors import DelayCycleError, TimedTransitionCapError, UnguardedRecursionError
+from .errors import TimedTransitionCapError
 from .syntax import (
     ActPrefix,
     Choice,
@@ -30,7 +30,6 @@ from .syntax import (
     RatePrefix,
     Term,
     TimePrefix,
-    unfold,
 )
 
 TIMED_CAP = 10_000
@@ -49,7 +48,6 @@ def pepa_apparent_rate(model: Model, term: Term, action: str) -> Fraction:
     synchronised ones.
     """
     bodies = model.bodies()
-    active: Set[str] = set()
 
     def rec(t: Term) -> Fraction:
         if isinstance(t, Nil):
@@ -62,10 +60,7 @@ def pepa_apparent_rate(model: Model, term: Term, action: str) -> Fraction:
             if action in t.actions:
                 return min(rec(t.left), rec(t.right))
             return rec(t.left) + rec(t.right)
-        return unfold(
-            model.lang, bodies, t, active, rec, UnguardedRecursionError,
-            "enumerating apparent rates",
-        )
+        return rec(bodies[t.name])
 
     return rec(term)
 
@@ -76,7 +71,6 @@ def pepa_transitions(model: Model, term: Term, action: str) -> List[Tuple[Fracti
     element per derivation.
     """
     bodies = model.bodies()
-    active: Set[str] = set()
 
     def rec(t: Term) -> List[Tuple[Fraction, Term]]:
         if isinstance(t, Nil):
@@ -110,9 +104,7 @@ def pepa_transitions(model: Model, term: Term, action: str) -> List[Tuple[Fracti
                     )
                     out.append((rate, Coop(t.actions, target_l, target_r)))
             return out
-        return unfold(
-            model.lang, bodies, t, active, rec, UnguardedRecursionError, "enumerating transitions"
-        )
+        return rec(bodies[t.name])
 
     return rec(term)
 
@@ -128,7 +120,6 @@ def interactive_transitions(model: Model, term: Term, action: str) -> FrozenSet[
     unrated actions (a plain transition relation, so a set).
     """
     bodies = model.bodies()
-    active: Set[str] = set()
 
     def rec(t: Term) -> FrozenSet[Term]:
         if isinstance(t, (Nil, RatePrefix, TimePrefix)):
@@ -149,9 +140,7 @@ def interactive_transitions(model: Model, term: Term, action: str) -> FrozenSet[
             moved = {Par(t.actions, target, t.right) for target in rec(t.left)}
             moved |= {Par(t.actions, t.left, target) for target in rec(t.right)}
             return frozenset(moved)
-        return unfold(
-            model.lang, bodies, t, active, rec, UnguardedRecursionError, "enumerating transitions"
-        )
+        return rec(bodies[t.name])
 
     return rec(term)
 
@@ -164,7 +153,6 @@ def interactive_transitions(model: Model, term: Term, action: str) -> FrozenSet[
 def delay_derivations(model: Model, term: Term) -> List[Tuple[Fraction, Term]]:
     """All rated delay derivations; duplicates count separately."""
     bodies = model.bodies()
-    active: Set[str] = set()
 
     def rec(t: Term) -> List[Tuple[Fraction, Term]]:
         if isinstance(t, (Nil, ActPrefix, ProbPrefix)):
@@ -177,10 +165,7 @@ def delay_derivations(model: Model, term: Term) -> List[Tuple[Fraction, Term]]:
             moved = [(rate, Par(t.actions, target, t.right)) for rate, target in rec(t.left)]
             moved += [(rate, Par(t.actions, t.left, target)) for rate, target in rec(t.right)]
             return moved
-        return unfold(
-            model.lang, bodies, t, active, rec, UnguardedRecursionError,
-            "enumerating delay derivations",
-        )
+        return rec(bodies[t.name])
 
     return rec(term)
 
@@ -199,7 +184,6 @@ def timed_transitions(model: Model, term: Term) -> FrozenSet[Tuple[int, Term]]:
     enumeration is capped at :data:`TIMED_CAP` transitions.
     """
     bodies = model.bodies()
-    active: Set[str] = set()
 
     def guard(result: Set[Tuple[int, Term]]) -> FrozenSet[Tuple[int, Term]]:
         if len(result) > TIMED_CAP:
@@ -238,9 +222,7 @@ def timed_transitions(model: Model, term: Term) -> FrozenSet[Tuple[int, Term]]:
                 if n == m
             }
             return guard(out)
-        return unfold(
-            model.lang, bodies, t, active, rec, DelayCycleError, "enumerating timed transitions"
-        )
+        return rec(bodies[t.name])
 
     return rec(term)
 
@@ -269,7 +251,6 @@ def action_distributions(model: Model, term: Term, action: str) -> FrozenSet[Dis
     ``action`` transition.
     """
     bodies = model.bodies()
-    active: Set[str] = set()
 
     def rec(t: Term) -> FrozenSet[Distribution]:
         if isinstance(t, (Nil, RatePrefix)):
@@ -304,9 +285,6 @@ def action_distributions(model: Model, term: Term, action: str) -> FrozenSet[Dis
                 for dist_r in right
             }
             return frozenset(out)
-        return unfold(
-            model.lang, bodies, t, active, rec, UnguardedRecursionError,
-            "enumerating action distributions",
-        )
+        return rec(bodies[t.name])
 
     return rec(term)

@@ -29,8 +29,8 @@ from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import (
+    DelayCycleError,
     DuplicateConstantError,
-    FutsError,
     ModelFileError,
     ParseError,
     UndefinedConstantError,
@@ -179,6 +179,9 @@ class Model:
     id.  A term's node (:meth:`term_of`) and its canonical text are built
     on first use, once per id.  :meth:`memo` holds the semantics'
     memoised steps, one dict per relation and label, by term id.
+    :func:`parse_model` builds every model and checks it with
+    :func:`check_guarded`, so models are guarded by construction and a
+    walker unfolds a constant with no cycle detection of its own.
     """
 
     def __init__(self, lang: str):
@@ -230,30 +233,6 @@ class Model:
         if found is None:
             found = self._memos[relation, label] = {}
         return found
-
-
-def unfold(lang: str, bodies: dict, term, active: set, rec: Callable, error_cls, doing: str):
-    """The last case of every semantic walker: ``rec`` of a constant's body.
-
-    ``bodies`` maps each constant of a ``lang`` model to its body in the
-    form ``rec`` takes: an id (:attr:`Model.defs`) or a node
-    (:meth:`Model.bodies`).  ``active`` holds the constants being unfolded
-    on the current path; meeting one of them again means the recursion
-    never crosses a prefix, reported as ``error_cls``.  Walkers handle
-    every other form of their language before calling this, so any other
-    term is foreign.
-    """
-    if not isinstance(term, Const):
-        raise FutsError(f"term form {type(term).__name__} is not part of {lang}")
-    name = term.name
-    if name in active:
-        raise error_cls(
-            f"recursion through constant {name!r} does not terminate while {doing}"
-        )
-    active.add(name)
-    result = rec(bodies[name])
-    active.discard(name)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +575,11 @@ def parse_term(text: str, model: Model) -> int:
 
 
 def parse_model(text: str, lang: str) -> Model:
-    """Parse a whole model file: definitions plus one ``init`` line."""
+    """Parse a whole model file: definitions plus one ``init`` line.
+
+    The model is refused unless every constant it uses is defined and its
+    recursion is guarded (:func:`check_guarded`).
+    """
     model = Model(lang)
     def_lines: dict = {}
     const_sites: list = []
@@ -645,6 +628,7 @@ def parse_model(text: str, lang: str) -> Model:
             raise UndefinedConstantError(
                 f"undefined process constant {name!r} (line {line}, column {col})"
             )
+    check_guarded(model)
     return model
 
 
@@ -675,26 +659,26 @@ def load_model(path: str, lang: Optional[str] = None) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _naked_constants(model: Model, term_id: int) -> Iterator[str]:
-    """Constants reachable without crossing any prefix."""
+def _naked_constants(model: Model, term_id: int, through: tuple) -> Iterator[str]:
+    """Constants reachable from a term through the forms ``through`` only."""
     stack = [term_id]
     while stack:
         t = model.shape(stack.pop())
         if isinstance(t, Const):
             yield t.name
-        elif isinstance(t, (Choice, Coop, Par)):
-            stack.append(t.right)
-            stack.append(t.left)
-        # any prefix form guards its continuation
+        elif isinstance(t, through):
+            stack.extend(children(t))
+        # any other form guards its subterms
 
 
-def check_guarded(model: Model) -> None:
-    """Reject models whose constants can reach themselves without
+def _refuse_cycle(model: Model, through: tuple, error_cls, what: str) -> None:
+    """Raise ``error_cls`` naming a cycle of constants that reach each other
 
-    crossing a prefix (such recursion has no well-defined behaviour).
+    through the forms ``through`` only, if there is one.
     """
     graph = {
-        name: sorted(set(_naked_constants(model, body))) for name, body in model.defs.items()
+        name: sorted(set(_naked_constants(model, body, through)))
+        for name, body in model.defs.items()
     }
     active: set = set()
     done: set = set()
@@ -714,13 +698,29 @@ def check_guarded(model: Model) -> None:
                 done.add(name)
             elif name in active:
                 cycle = path[path.index(name):] + [name]
-                raise UnguardedRecursionError(
-                    f"constant {cycle[0]!r} is not guarded: " + " -> ".join(cycle)
-                )
+                raise error_cls(f"constant {cycle[0]!r} {what}: " + " -> ".join(cycle))
             elif name not in done:
                 path.append(name)
                 active.add(name)
                 pending.append(iter(graph[name]))
+
+
+def check_guarded(model: Model) -> None:
+    """Reject models whose recursion a semantic walker could unfold forever.
+
+    A constant that reaches itself without crossing a prefix has no
+    well-defined behaviour (:class:`UnguardedRecursionError`).  In ``tpc``
+    only action prefixes guard: the timed step, the maximal delay and the
+    timed transitions walk through delay prefixes, so a constant that
+    reaches itself crossing only delays, as in ``X = (1).X``, would let
+    unbounded time pass (:class:`DelayCycleError`).  Every constant is
+    checked, whether or not the initial term reaches it.
+    """
+    _refuse_cycle(model, (Choice, Coop, Par), UnguardedRecursionError, "is not guarded")
+    if model.lang == "tpc":
+        _refuse_cycle(
+            model, (Choice, Par, TimePrefix), DelayCycleError, "recurses through delays only"
+        )
 
 
 def alphabet(model: Model, roots: Iterable[int] = ()) -> list:

@@ -45,6 +45,27 @@ def test_check_unguarded_names_constant(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text", ["X = (1).X\ninit X\n", "X = (1).X\nY = a.Y\ninit Y\n"], ids=["init", "unreached"]
+)
+@pytest.mark.parametrize("command", ["check", "build", "compare"])
+def test_delay_only_recursion_is_refused_by_every_command(tmp_path, capsys, command, text):
+    path = write(tmp_path, "m.tpc", text)
+    code, out, err = run_main(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == "error: constant 'X' recurses through delays only: X -> X\n"
+
+
+@pytest.mark.parametrize(
+    "name, text", [("m.tpc", "X = (1).a.X\ninit X\n"), ("m.mal", "Y = 1 . Y\ninit Y\n")]
+)
+@pytest.mark.parametrize("command", ["check", "build", "compare"])
+def test_recursion_through_an_action_or_a_rate_passes(tmp_path, capsys, command, name, text):
+    path = write(tmp_path, name, text)
+    code, out, err = run_main(capsys, command, path)
+    assert (code, err) == (0, "")
+
+
 def test_check_parse_error_position(tmp_path, capsys):
     path = write(tmp_path, "m.pepa", "P = (a, ).P\ninit P\n")
     code, out, err = run_main(capsys, "check", path)

@@ -200,15 +200,16 @@ def test_tpc_tick_of_composition_synchronises_time():
 
 
 def test_tpc_delay_only_recursion_is_reported():
-    model = parse_model("X = (1).X\ninit X\n", "tpc")
-    with pytest.raises(DelayCycleError):
-        futs_step(model, model.init, "tick", "tick")
-    with pytest.raises(DelayCycleError):
-        tpc_max_delay(model, model.init)
+    # the tick step of X would be infinite, so the parser refuses the model
+    with pytest.raises(DelayCycleError, match="X -> X"):
+        parse_model("X = (1).X\ninit X\n", "tpc")
+    with pytest.raises(DelayCycleError, match="X -> Y -> X"):
+        parse_model("X = (1).Y + (2).nil\nY = (1).nil |[]| (2).X\ninit X\n", "tpc")
     # recursion through an action prefix is fine
     model = parse_model("X = (1).a.X\ninit X\n", "tpc")
     fn = step_text(model, model.init, "tick", "tick")
     assert fn == ff_make("NATSET", [("a.X", frozenset({1}))])
+    assert tpc_max_delay(model, model.init) == 1
 
 
 def test_tpc_max_delay():
@@ -303,9 +304,8 @@ def test_mal_delay_relation():
 
 
 def test_unguarded_model_reports_rather_than_loops():
-    model = parse_model("X = X + a.nil\ninit X\n", "iml")
-    with pytest.raises(UnguardedRecursionError):
-        futs_step(model, model.init, "act", "a")
+    with pytest.raises(UnguardedRecursionError, match="X -> X"):
+        parse_model("X = X + a.nil\ninit X\n", "iml")
 
 
 @pytest.mark.parametrize(
@@ -318,38 +318,26 @@ def test_unguarded_model_reports_rather_than_loops():
     ],
 )
 def test_unguarded_recursion_is_never_memoised(lang, prefix, par):
+    # no table ever holds an unguarded constant: the parser refuses the
+    # model before any step is taken, even though init never reaches X
     cont = "{1: P}" if lang == "mal" else "P"
-    model = parse_model(f"P = {prefix}{cont}\nX = X + {prefix}{cont}\ninit P {par} P\n", lang)
-    bad = [
-        parse_term(text, model)
-        for text in ("X", f"P {par} X", f"(P {par} P) {par} X", "X + P")
-    ]
-    good = step_text(model, model.init, "act", "a")
-    assert good.entries
-    for _ in range(2):
-        for term_id in bad:
-            with pytest.raises(UnguardedRecursionError):
-                futs_step(model, term_id, "act", "a")
-        # the memo warmed by the good state still gives the same step
-        assert step_text(model, model.init, "act", "a") == good
+    defs = f"P = {prefix}{cont}\n"
+    for body in ("X", f"P {par} X", f"(P {par} P) {par} X", "X + P"):
+        with pytest.raises(UnguardedRecursionError, match="X -> X"):
+            parse_model(f"{defs}X = {body}\ninit P {par} P\n", lang)
+    model = parse_model(f"{defs}X = {prefix}{cont}\ninit P {par} P\n", lang)
+    assert step_text(model, model.init, "act", "a").entries
 
 
 def test_delay_cycle_is_never_memoised():
-    model = parse_model("X = (1).X\nP = a.(1).P\ninit (1).P |[]| (2).P\n", "tpc")
-    bad = [
-        parse_term(text, model)
-        for text in ("X", "(1).P |[]| X", "((1).P |[]| P) |[]| X", "X + (1).P")
-    ]
-    good = step_text(model, model.init, "tick", "tick")
-    assert good.entries and tpc_max_delay(model, model.init) == 1
-    for _ in range(2):
-        for term_id in bad:
-            with pytest.raises(DelayCycleError):
-                futs_step(model, term_id, "tick", "tick")
-            with pytest.raises(DelayCycleError):
-                tpc_max_delay(model, term_id)
-        assert step_text(model, model.init, "tick", "tick") == good
-        assert tpc_max_delay(model, model.init) == 1
+    # as above, for a constant that recurses through delays only
+    defs = "P = a.(1).P\n"
+    for body in ("(1).X", "(1).P |[]| (1).X", "((1).P |[]| P) |[]| (2).X", "(1).X + (1).P"):
+        with pytest.raises(DelayCycleError, match="X -> X"):
+            parse_model(f"{defs}X = {body}\ninit (1).P |[]| (2).P\n", "tpc")
+    model = parse_model(f"{defs}X = (1).a.X\ninit (1).P |[]| (2).P\n", "tpc")
+    assert step_text(model, model.init, "tick", "tick").entries
+    assert tpc_max_delay(model, model.init) == 1
 
 
 def test_a_warm_step_reads_as_many_shapes_however_wide_the_state(monkeypatch):

@@ -6,10 +6,20 @@ from fractions import Fraction
 import pytest
 
 from futsbench.errors import (
+    DelayCycleError,
     DuplicateConstantError,
     ParseError,
     UndefinedConstantError,
     UnguardedRecursionError,
+)
+from futsbench.sem_futs import futs_step, relation_labels, relation_specs, tpc_max_delay
+from futsbench.sem_oracle import (
+    action_distributions,
+    delay_derivations,
+    interactive_transitions,
+    pepa_apparent_rate,
+    pepa_transitions,
+    timed_transitions,
 )
 from futsbench.syntax import (
     ActPrefix,
@@ -33,7 +43,7 @@ from futsbench.syntax import (
     term_key,
 )
 
-from modelgen import random_model, random_term
+from modelgen import model_text, random_model, random_model_terms, random_term
 
 
 def parsed(text, lang):
@@ -202,15 +212,21 @@ def test_model_file_errors():
 
 
 def test_unguarded_recursion_detection():
-    bad = parse_model("X = X + a.nil\ninit X\n", "iml")
     with pytest.raises(UnguardedRecursionError, match="X -> X"):
-        check_guarded(bad)
-    mutual = parse_model("X = Y\nY = X |[]| nil\ninit X\n", "iml")
+        parse_model("X = X + a.nil\ninit X\n", "iml")
     with pytest.raises(UnguardedRecursionError, match="X -> Y -> X"):
-        check_guarded(mutual)
-    # recursion through a prefix is fine, even for delays
-    ok = parse_model("X = (1).X\ninit X\n", "tpc")
-    check_guarded(ok)
+        parse_model("X = Y\nY = X |[]| nil\ninit X\n", "iml")
+    # recursion through a prefix is fine, except through delays only in tpc
+    parse_model("X = 1.X\ninit X\n", "iml")
+    parse_model("Y = 1 . Y\ninit Y\n", "mal")
+    parse_model("X = (1).a.X\ninit X\n", "tpc")
+    with pytest.raises(DelayCycleError, match="X -> X"):
+        parse_model("X = (1).X\ninit X\n", "tpc")
+    # every constant is checked, whether or not init reaches it
+    with pytest.raises(DelayCycleError, match="X -> X"):
+        parse_model("X = (1).X\ninit a.nil\n", "tpc")
+    with pytest.raises(UnguardedRecursionError, match="X -> X"):
+        parse_model("X = X\ninit a.nil\n", "tpc")
 
 
 def test_alphabet_includes_sync_sets():
@@ -302,44 +318,53 @@ def test_pretty_minimises_parentheses():
 # ---------------------------------------------------------------------------
 
 
-def _substitute_naked(term, defs):
+def _substitute_naked(term, defs, through_delays):
     """Replace every unprotected constant by its body, once."""
     if isinstance(term, Const):
         return defs[term.name]
     if isinstance(term, Choice):
-        return Choice(_substitute_naked(term.left, defs), _substitute_naked(term.right, defs))
+        return Choice(
+            _substitute_naked(term.left, defs, through_delays),
+            _substitute_naked(term.right, defs, through_delays),
+        )
     if isinstance(term, Coop):
         return Coop(
             term.actions,
-            _substitute_naked(term.left, defs),
-            _substitute_naked(term.right, defs),
+            _substitute_naked(term.left, defs, through_delays),
+            _substitute_naked(term.right, defs, through_delays),
         )
     if isinstance(term, Par):
         return Par(
             term.actions,
-            _substitute_naked(term.left, defs),
-            _substitute_naked(term.right, defs),
+            _substitute_naked(term.left, defs, through_delays),
+            _substitute_naked(term.right, defs, through_delays),
         )
+    if through_delays and isinstance(term, TimePrefix):
+        return TimePrefix(term.delay, _substitute_naked(term.cont, defs, through_delays))
     return term
 
 
-def _has_naked_constant(term):
+def _has_naked_constant(term, through_delays):
     if isinstance(term, Const):
         return True
-    return isinstance(term, (Choice, Coop, Par)) and any(map(_has_naked_constant, children(term)))
+    through = (Choice, Coop, Par, TimePrefix) if through_delays else (Choice, Coop, Par)
+    return isinstance(term, through) and any(
+        _has_naked_constant(kid, through_delays) for kid in children(term)
+    )
 
 
-def _guarded_by_unfolding(model):
-    """Oracle: a model is guarded iff repeatedly expanding unprotected
+def _guarded_by_unfolding(defs, init, through_delays=False):
+    """Oracle: definitions ``defs`` and initial term ``init`` (trees) are
 
-    constants reaches a term with none left within #definitions steps.
+    guarded iff repeatedly expanding unprotected constants reaches a term
+    with none left within #definitions steps.  With ``through_delays``,
+    as the timed walkers of ``tpc`` do, a delay prefix protects nothing.
     """
-    bodies = model.bodies()
-    for body in [*bodies.values(), model.term_of(model.init)]:
-        for _ in range(len(bodies) + 1):
-            if not _has_naked_constant(body):
+    for body in [*defs.values(), init]:
+        for _ in range(len(defs) + 1):
+            if not _has_naked_constant(body, through_delays):
                 break
-            body = _substitute_naked(body, bodies)
+            body = _substitute_naked(body, defs, through_delays)
         else:
             return False
     return True
@@ -348,15 +373,107 @@ def _guarded_by_unfolding(model):
 @pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
 def test_check_guarded_matches_unfolding_oracle(lang):
     rng = random.Random(4242)
-    accepted = 0
     for _ in range(150):
         model = random_model(rng, lang)
         check_guarded(model)  # generated models are guarded by construction
-        assert _guarded_by_unfolding(model)
-        accepted += 1
-    assert accepted == 150
-    # and the oracle agrees on rejections
-    bad = parse_model("X = Y + a.nil\nY = b.nil + X\ninit X\n", "iml")
-    assert not _guarded_by_unfolding(bad)
+        assert _guarded_by_unfolding(model.bodies(), model.term_of(model.init), lang == "tpc")
+    # and the oracle agrees on rejections; the parser refuses these models,
+    # so the oracle reads them as trees
+    mutual = {
+        "X": Choice(Const("Y"), ActPrefix("a", Nil())),
+        "Y": Choice(ActPrefix("b", Nil()), Const("X")),
+    }
+    assert not _guarded_by_unfolding(mutual, Const("X"))
     with pytest.raises(UnguardedRecursionError):
-        check_guarded(bad)
+        parse_model(model_text(mutual, Const("X")), "iml")
+    delays = {"X": Par(frozenset(), TimePrefix(1, Const("X")), ActPrefix("a", Nil()))}
+    assert _guarded_by_unfolding(delays, Const("X"))
+    assert not _guarded_by_unfolding(delays, Const("X"), through_delays=True)
+    with pytest.raises(DelayCycleError):
+        parse_model(model_text(delays, Const("X")), "tpc")
+
+
+# ---------------------------------------------------------------------------
+# Guardedness is what lets every walker unfold a constant without a check
+# ---------------------------------------------------------------------------
+
+_ORACLE_PER_ACTION = {
+    "pepa": (pepa_apparent_rate, pepa_transitions),
+    "iml": (interactive_transitions,),
+    "tpc": (interactive_transitions,),
+    "mal": (action_distributions,),
+}
+_ORACLE_PER_TERM = {
+    "pepa": (),
+    "iml": (delay_derivations,),
+    "tpc": (timed_transitions,),
+    "mal": (delay_derivations,),
+}
+
+
+def _beside_a_subterm(rng, term, ref, compose):
+    """``term`` with one subterm ``s``, chosen at random, replaced by ``compose(s, ref)``."""
+    kids = children(term)
+    if not kids or rng.random() < 0.4:
+        return compose(term, ref)
+    chosen = rng.randrange(len(kids))
+    position = iter(range(len(kids)))
+    return map_children(
+        term,
+        lambda kid: _beside_a_subterm(rng, kid, ref, compose)
+        if next(position) == chosen
+        else kid,
+    )
+
+
+def _walk_everything(model):
+    """Every walker of both semantics, from every definition body and from init."""
+    actions = alphabet(model)
+    for term_id in [*model.defs.values(), model.init]:
+        for spec in relation_specs(model.lang):
+            for label in relation_labels(spec, model):
+                futs_step(model, term_id, spec.name, label)
+        if model.lang == "tpc":
+            tpc_max_delay(model, term_id)
+        term = model.term_of(term_id)
+        for walk in _ORACLE_PER_ACTION[model.lang]:
+            for action in actions:
+                walk(model, term, action)
+        for walk in _ORACLE_PER_TERM[model.lang]:
+            walk(model, term)
+
+
+@pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
+def test_every_walker_ends_on_every_model_the_parser_accepts(lang):
+    # a reference that a walker steps through is put beside a random
+    # subterm of a random body of a guarded model; the parser's verdict
+    # must match the unfolding oracle's, and on every model it accepts
+    # every walker must end, since none of them detects cycles
+    rng = random.Random(f"mutated-{lang}")
+    verdicts = {"accepted": 0, "unguarded": 0, "delay cycle": 0}
+    for _ in range(400):
+        defs, init = random_model_terms(rng, lang)
+        ref = Const(rng.choice(sorted(defs)))
+        if lang == "tpc" and rng.random() < 0.5:
+            ref = TimePrefix(rng.randint(1, 3), ref)
+        cls = Coop if lang == "pepa" else Par
+        compose = rng.choice([Choice, lambda s, r: cls(frozenset(), s, r)])
+        name = rng.choice(sorted(defs))
+        defs[name] = _beside_a_subterm(rng, defs[name], ref, compose)
+        guarded = _guarded_by_unfolding(defs, init)
+        timed_guarded = _guarded_by_unfolding(defs, init, through_delays=lang == "tpc")
+        try:
+            model = parse_model(model_text(defs, init), lang)
+        except UnguardedRecursionError:
+            assert not guarded
+            verdicts["unguarded"] += 1
+            continue
+        except DelayCycleError:
+            assert guarded and not timed_guarded
+            verdicts["delay cycle"] += 1
+            continue
+        assert timed_guarded
+        verdicts["accepted"] += 1
+        _walk_everything(model)
+    assert verdicts["accepted"] and verdicts["unguarded"]
+    assert bool(verdicts["delay cycle"]) == (lang == "tpc")

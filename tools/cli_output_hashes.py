@@ -4,12 +4,13 @@
 
 Generates the seed-1 and seed-2 files of every workload with
 ``bench/workloads.py`` and runs ``futsbench.cli.main`` in-process on each:
-``build`` (JSON and DOT), ``minimize``, ``compare`` and every ``bisim``
-query of the seed.  Prints one line per call, sorted: the SHA-256 of the
-exit status, stdout and stderr, then the call with its path relative to
-the generated directory.  ``futsbench`` is imported from the ``src`` next
-to this script, so running the script in two checkouts and diffing the
-outputs shows whether a change altered any output.
+``check``, ``build`` (JSON and DOT), ``minimize``, ``compare`` and every
+``bisim`` query of the seed.  Prints one line per call, sorted: the
+SHA-256 of the exit status, stdout and stderr, then the call with its
+path relative to the generated directory.  ``futsbench`` is imported
+from the ``src`` next to this script, so running the script in two
+checkouts and diffing the outputs shows whether a change altered any
+output.
 """
 
 import contextlib
@@ -38,6 +39,7 @@ def calls(directory: str):
             workloads.write_models(models, os.path.join(directory, rel))
             for spec in models:
                 path = os.path.join(rel, spec.filename)
+                yield ["check", path]
                 yield ["build", path]
                 yield ["build", path, "--format", "dot"]
                 yield ["minimize", path]
