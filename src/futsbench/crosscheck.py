@@ -3,8 +3,11 @@ step-derivation oracle, plus structural sanity checks.
 
 `oracle_moves` enumerates the classical oracle once per explored model:
 for each state and each (relation, label) slot, the oracle's derivations,
-with their targets resolved to state ids.  The agreement,
-time-determinism and correspondence checks all read that table.  The
+with their targets resolved to state ids.  It walks the states in a
+table of the oracle's own terms, built for that one call, and resolves
+each target id to a state once, through its canonical text.  The
+agreement, time-determinism and correspondence checks all read the moves
+table that results.  The
 correspondence check builds the oracle's own partition from it alone, by
 splitter-driven refinement over the derivations' incoming moves -- a
 different algorithm from the worklist engine of `refine`, which it never
@@ -24,6 +27,7 @@ from .errors import FutsError, UnknownStateError
 from .explore import FutsModel, RelationData
 from .sem_futs import tpc_max_delay
 from .sem_oracle import (
+    OracleTerms,
     action_distributions,
     delay_derivations,
     interactive_transitions,
@@ -31,7 +35,8 @@ from .sem_oracle import (
     pepa_transitions,
     timed_transitions,
 )
-from .syntax import term_key
+# unused here, but bench/tracing.py wraps crosscheck.term_key (ROADMAP item 7)
+from .syntax import term_key  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,11 +59,13 @@ def _relation(fm: FutsModel, name: str):
     return None
 
 
-def _state_terms(fm: FutsModel):
+def _oracle_states(fm: FutsModel):
+    """A fresh oracle table, and each state with its id there."""
     model = fm.ctx
     if model is None:
         raise FutsError("cross-checks need the exploration context")
-    return model, [(state, model.term_of(state.term)) for state in fm.states]
+    table = OracleTerms(model)
+    return table, [(state, table.add(model.term_of(state.term))) for state in fm.states]
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +74,16 @@ def _state_terms(fm: FutsModel):
 
 
 def apparent_rate_check(fm: FutsModel) -> CheckResult:
-    model, pairs = _state_terms(fm)
+    table, pairs = _oracle_states(fm)
     act = _relation(fm, "act")
     checked = 0
     failures: List[str] = []
-    for state, term in pairs:
+    for state, term_id in pairs:
         for action in act.labels:
-            got = sum((value for _, value in act.function_at(state.id, action)), Fraction(0))
-            expected = pepa_apparent_rate(model, term, action)
+            step = act.function_at(state.id, action)
+            # summed from the first weight: a zero start costs one more addition
+            got = sum((value for _, value in step[1:]), step[0][1]) if step else Fraction(0)
+            expected = pepa_apparent_rate(table, term_id, action)
             checked += 1
             if got != expected:
                 failures.append(
@@ -110,17 +119,21 @@ class OracleMoves:
 
 def oracle_moves(fm: FutsModel) -> OracleMoves:
     """Enumerate the classical oracle once for each state and slot."""
-    model, pairs = _state_terms(fm)
+    table, pairs = _oracle_states(fm)
     index = fm.index
+    resolved: Dict[int, int] = {}  # oracle id -> state id
 
-    def state_of(term) -> int:
-        key = term_key(term)
-        try:
-            return index[key]
-        except KeyError:
-            raise UnknownStateError(
-                f"step-derivation target {key!r} is not an explored state"
-            ) from None
+    def state_of(target: int) -> int:
+        found = resolved.get(target)
+        if found is None:
+            key = table.text(target)
+            try:
+                found = resolved[target] = index[key]
+            except KeyError:
+                raise UnknownStateError(
+                    f"step-derivation target {key!r} is not an explored state"
+                ) from None
+        return found
 
     slots = []
     for data in fm.relations:
@@ -131,26 +144,26 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
         slots += [(data, label, shape) for label in data.labels]
 
     rows = []
-    for _, term in pairs:
+    for _, term_id in pairs:
         row = []
         for data, label, shape in slots:
             if shape == RATED:
                 if data.name == "act":
-                    derived = pepa_transitions(model, term, label)
+                    derived = pepa_transitions(table, term_id, label)
                 else:
-                    derived = delay_derivations(model, term)
+                    derived = delay_derivations(table, term_id)
                 row.append(tuple((rate, state_of(target)) for rate, target in derived))
             elif shape == SET:
-                targets = interactive_transitions(model, term, label)
+                targets = interactive_transitions(table, term_id, label)
                 row.append(frozenset(state_of(target) for target in targets))
             elif shape == TIMED:
-                timed = timed_transitions(model, term)
+                timed = timed_transitions(table, term_id)
                 row.append(frozenset((n, state_of(target)) for n, target in timed))
             else:
                 row.append(
                     frozenset(
                         frozenset((state_of(target), mass) for target, mass in dist)
-                        for dist in action_distributions(model, term, label)
+                        for dist in action_distributions(table, term_id, label)
                     )
                 )
         rows.append(tuple(row))
@@ -165,7 +178,7 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
 def _fold_rates(pairs) -> Dict[int, Fraction]:
     acc: Dict[int, Fraction] = {}
     for rate, target in pairs:
-        acc[target] = acc.get(target, Fraction(0)) + rate
+        acc[target] = acc[target] + rate if target in acc else rate
     return {target: rate for target, rate in acc.items() if rate != 0}
 
 

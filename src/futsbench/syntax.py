@@ -767,35 +767,41 @@ def term_key(term: Term) -> str:
     to set representation) get equal keys; the output re-parses to an
     equal term in the same language.
     """
-    if isinstance(term, Nil):
+    return render_key(term, term_key)
+
+
+def render_key(node, key_of: Callable[[Any], str]) -> str:
+    """:func:`term_key`'s text for one node, whose subterms (nodes, ids or
+    anything else) ``key_of`` renders."""
+    if isinstance(node, Nil):
         return "nil"
-    if isinstance(term, Const):
-        return term.name
-    if isinstance(term, RatedPrefix):
-        return f"({term.action}, {_format_rational(term.rate)}).{term_key(term.cont)}"
-    if isinstance(term, ActPrefix):
-        return f"{term.action}.{term_key(term.cont)}"
-    if isinstance(term, RatePrefix):
+    if isinstance(node, Const):
+        return node.name
+    if isinstance(node, RatedPrefix):
+        return f"({node.action}, {_format_rational(node.rate)}).{key_of(node.cont)}"
+    if isinstance(node, ActPrefix):
+        return f"{node.action}.{key_of(node.cont)}"
+    if isinstance(node, RatePrefix):
         # spaces keep the rate and a numeric continuation from fusing
         # into one decimal literal when the key is re-parsed
-        return f"{_format_rational(term.rate)} . {term_key(term.cont)}"
-    if isinstance(term, TimePrefix):
-        return f"({term.delay}).{term_key(term.cont)}"
-    if isinstance(term, ProbPrefix):
+        return f"{_format_rational(node.rate)} . {key_of(node.cont)}"
+    if isinstance(node, TimePrefix):
+        return f"({node.delay}).{key_of(node.cont)}"
+    if isinstance(node, ProbPrefix):
         inner = " [] ".join(
-            f"{_format_rational(p)}: {term_key(cont)}" for p, cont in term.branches
+            f"{_format_rational(p)}: {key_of(cont)}" for p, cont in node.branches
         )
-        return f"{term.action}.{{{inner}}}"
-    if isinstance(term, Choice):
-        return f"({term_key(term.left)} + {term_key(term.right)})"
-    if isinstance(term, Coop):
-        return f"({term_key(term.left)} <{_format_actions(term.actions)}> {term_key(term.right)})"
-    if isinstance(term, Par):
+        return f"{node.action}.{{{inner}}}"
+    if isinstance(node, Choice):
+        return f"({key_of(node.left)} + {key_of(node.right)})"
+    if isinstance(node, Coop):
+        return f"({key_of(node.left)} <{_format_actions(node.actions)}> {key_of(node.right)})"
+    if isinstance(node, Par):
         return (
-            f"({term_key(term.left)} |[{_format_actions(term.actions)}]| "
-            f"{term_key(term.right)})"
+            f"({key_of(node.left)} |[{_format_actions(node.actions)}]| "
+            f"{key_of(node.right)})"
         )
-    raise TypeError(f"not a term: {term!r}")  # pragma: no cover
+    raise TypeError(f"not a term: {node!r}")  # pragma: no cover
 
 
 _PREC_PAR = 1

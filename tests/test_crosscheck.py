@@ -63,7 +63,9 @@ def test_unexplored_oracle_target_is_a_diagnosed_error(tmp_path, capsys, monkeyp
     model = parse_model(text, "pepa")
     stray = model.term_of(parse_term("(b, 1).nil", model))
     monkeypatch.setattr(
-        crosscheck, "pepa_transitions", lambda model, term, action: [(Fraction(1), stray)]
+        crosscheck,
+        "pepa_transitions",
+        lambda table, term_id, action: ((Fraction(1), table.add(stray)),),
     )
     with pytest.raises(UnknownStateError, match="step-derivation target"):
         oracle_moves(explore(model))

@@ -14,6 +14,7 @@ from futsbench.errors import (
 )
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs, tpc_max_delay
 from futsbench.sem_oracle import (
+    OracleTerms,
     action_distributions,
     delay_derivations,
     interactive_transitions,
@@ -427,7 +428,8 @@ def _beside_a_subterm(rng, term, ref, compose):
 
 
 def _walk_everything(model):
-    """Every walker of both semantics, from every definition body and from init."""
+    """Every walker of both semantics, from every definition body and from
+    init, and the text of every oracle target."""
     actions = alphabet(model)
     for term_id in [*model.defs.values(), model.init]:
         for spec in relation_specs(model.lang):
@@ -435,12 +437,32 @@ def _walk_everything(model):
                 futs_step(model, term_id, spec.name, label)
         if model.lang == "tpc":
             tpc_max_delay(model, term_id)
-        term = model.term_of(term_id)
-        for walk in _ORACLE_PER_ACTION[model.lang]:
-            for action in actions:
-                walk(model, term, action)
-        for walk in _ORACLE_PER_TERM[model.lang]:
-            walk(model, term)
+        table = OracleTerms(model)
+        oracle_id = table.add(model.term_of(term_id))
+        results = [
+            walk(table, oracle_id, action)
+            for walk in _ORACLE_PER_ACTION[model.lang]
+            for action in actions
+        ]
+        results += [walk(table, oracle_id) for walk in _ORACLE_PER_TERM[model.lang]]
+        for target in _oracle_targets(results):
+            assert table.text(target)
+
+
+def _oracle_targets(results):
+    """The target ids in the oracle walkers' results: apparent rates hold
+    none, a set of targets holds ids, a distribution (target, mass) pairs,
+    and a derivation (weight, target) pairs."""
+    for result in results:
+        if isinstance(result, Fraction):
+            continue
+        for item in result:
+            if isinstance(item, int):
+                yield item
+            elif isinstance(item, frozenset):
+                yield from (target for target, _ in item)
+            else:
+                yield item[1]
 
 
 @pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
