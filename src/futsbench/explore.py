@@ -26,7 +26,9 @@ from .errors import ExplorationLimitError
 from .fsfun import FinFn
 from .semiring import semiring_of
 from .sem_futs import futs_step, relation_labels, relation_specs
-from .syntax import Model, pretty
+from .syntax import Model
+# unused here, but bench/tracing.py wraps explore.pretty (ROADMAP item 7)
+from .syntax import pretty  # noqa: F401
 
 DEFAULT_MAX_STATES = 10_000
 
@@ -144,7 +146,7 @@ def explore(
         state_id = state_of[term_id] = len(states)
         key = model.text(term_id)
         index[key] = state_id
-        states.append(StateInfo(state_id, key, pretty(model.term_of(term_id)), term_id))
+        states.append(StateInfo(state_id, key, model.pretty(term_id), term_id))
         queue.append(term_id)
         return state_id
 
@@ -168,42 +170,65 @@ def explore(
 # ---------------------------------------------------------------------------
 
 
-def _entry_json(step: tuple, data: RelationData, keys: List[str]) -> list:
+# The JSON document is written in ``json.dumps(doc, indent=2)``'s layout
+# from pieces the C encoder encodes: json.dumps's indented mode runs in
+# Python, several times slower.
+_str = json.encoder.encode_basestring_ascii  # json.dumps's text for a str
+
+
+def _array(items: List[str], depth: int) -> str:
+    """A JSON array of encoded ``items``, nested ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    # one f-string, so a large array is copied once after its join
+    return f"[{pad}  {(',' + pad + '  ').join(items)}{pad}]"
+
+
+def _object_layout(names: Sequence[str], depth: int) -> str:
+    """A %-format for a JSON object with these field names, nested ``depth``
+
+    levels deep; each ``%s`` takes the encoded value of its field."""
+    pad = "\n" + "  " * depth
+    return "{" + ",".join(f'{pad}  "{name}": %s' for name in names) + pad + "}"
+
+
+_DOC = _object_layout(("language", "init", "states", "relations"), 0) + "\n"
+_STATE = _object_layout(("id", "term"), 2)
+_RELATION = _object_layout(("labels", "kind", "semiring", "transitions"), 2)
+_TRANSITION = _object_layout(("source", "label", "continuation"), 4)
+_ENTRY = _object_layout(("target", "value"), 6)
+_DISTRIBUTION = _object_layout(("inner", "value"), 6)
+_INNER_ENTRY = _object_layout(("target", "value"), 8)
+
+
+def _continuation_json(step: tuple, data: RelationData, keys: List[str]) -> str:
     fmt = semiring_of(data.tag).fmt
     if data.kind == "simple":
-        return [{"target": keys[t], "value": fmt(v)} for t, v in step]
+        return _array([_ENTRY % (keys[t], _str(fmt(v))) for t, v in step], 5)
     inner_fmt = semiring_of(data.inner_tag).fmt
-    return [
-        {"inner": [{"target": keys[t], "value": inner_fmt(p)} for t, p in inner], "value": fmt(v)}
-        for inner, v in step
-    ]
+    dists = []
+    for inner, v in step:
+        entries = [_INNER_ENTRY % (keys[t], _str(inner_fmt(p))) for t, p in inner]
+        dists.append(_DISTRIBUTION % (_array(entries, 7), _str(fmt(v))))
+    return _array(dists, 5)
 
 
 def to_json(fm: FutsModel) -> str:
     """Deterministic JSON rendering of an explored model."""
-    keys = [s.key for s in fm.states]
-    doc = {
-        "language": fm.lang,
-        "init": fm.init_id,
-        "states": [{"id": s.id, "term": s.key} for s in fm.states],
-        "relations": [
-            {
-                "labels": list(data.labels),
-                "kind": data.kind,
-                "semiring": data.tag,
-                "transitions": [
-                    {
-                        "source": source,
-                        "label": label,
-                        "continuation": _entry_json(step, data, keys),
-                    }
-                    for (source, label), step in data.transitions.items()
-                ],
-            }
-            for data in fm.relations
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    keys = [_str(s.key) for s in fm.states]
+    relations = []
+    for data in fm.relations:
+        labels = [_str(label) for label in data.labels]
+        transitions = [
+            _TRANSITION % (source, _str(label), _continuation_json(step, data, keys))
+            for (source, label), step in data.transitions.items()
+        ]
+        relations.append(
+            _RELATION % (_array(labels, 3), _str(data.kind), _str(data.tag), _array(transitions, 3))
+        )
+    states = [_STATE % (s.id, keys[s.id]) for s in fm.states]
+    return _DOC % (_str(fm.lang), fm.init_id, _array(states, 1), _array(relations, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ one where both move pairs them (:func:`ff_lift_injective`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Tuple
 
 from .errors import FutsError, SemiringMismatchError
@@ -68,11 +69,28 @@ def ff_zero(tag: str) -> FinFn:
     return FinFn(tag, ())
 
 
+def _fold(tag: str, pairs: list) -> FinFn:
+    """The canonical function of ``pairs``, whose values are all non-zero
+
+    payloads of the domain ``tag``.  Duplicate keys add up, and, since
+    every domain is zero-sum-free (see :mod:`.semiring`), their sums are
+    non-zero too, so no entry is tested against zero.
+    """
+    acc = dict(pairs)
+    if len(acc) < len(pairs):  # some keys collided: fold them
+        add = semiring_of(tag).add
+        acc = {}
+        for key, value in pairs:
+            prev = acc.get(key)
+            acc[key] = value if prev is None else add(prev, value)
+    return FinFn(tag, tuple(sorted(acc.items(), key=itemgetter(0))))
+
+
 def ff_add(a: FinFn, b: FinFn) -> FinFn:
     """Pointwise addition of two functions over the same domain."""
     if a.tag != b.tag:
         raise SemiringMismatchError(f"cannot add {a.tag} and {b.tag} functions")
-    return ff_make(a.tag, tuple(a.entries) + tuple(b.entries))
+    return _fold(a.tag, [*a.entries, *b.entries])
 
 
 def ff_oplus(fn: FinFn) -> Any:
@@ -91,13 +109,13 @@ def ff_oplus(fn: FinFn) -> Any:
 
 def ff_map_keys(fn: Callable[[Key], Key], f: FinFn) -> FinFn:
     """``f`` with each key ``k`` renamed to ``fn(k)``; colliding keys add up."""
-    return ff_make(f.tag, ((fn(k), v) for k, v in f.entries))
+    return _fold(f.tag, [(fn(k), v) for k, v in f.entries])
 
 
 def ff_scale(value: Any, fn: FinFn) -> FinFn:
     """Multiply every entry by ``value``, a payload of ``fn``'s domain
 
-    (entries may vanish).
+    (entries may vanish, so the result goes through :func:`ff_make`).
     """
     mul = semiring_of(fn.tag).mul
     return ff_make(fn.tag, ((k, mul(value, v)) for k, v in fn.entries))
@@ -124,4 +142,5 @@ def ff_lift_injective(
                 raise FutsError(f"key builder is not injective: duplicate {key!r}")
             seen.add(key)
             pairs.append((key, mul(av, bv)))
+    # a product of non-zero weights can vanish (disjoint NATSET sets)
     return ff_make(a.tag, pairs)

@@ -13,6 +13,13 @@ Three commutative semirings are supported, identified by string tags:
   it exists so the domain has a complete set of constants for
   algebraic-law checks.
 
+All three domains are *zero-sum-free*: a sum of non-zero weights is
+never zero (a disjunction of truths, a sum of positive rationals, a
+union of non-empty sets).  :mod:`.fsfun` relies on it: adding or
+renaming functions that hold only non-zero entries gives only non-zero
+entries, so those operators never test a sum against zero.  Products
+have no such property: two non-empty sets can be disjoint.
+
 Weights are raw payloads: ``bool``, ``Fraction``, and ``frozenset`` or
 ``TOP``.  The semiring is a parameter of a whole weight function, not a
 tag on each weight: a function's tag selects its :class:`Semiring`

@@ -176,9 +176,11 @@ class Model:
     each node as it reads it, children first, so ids follow parse order,
     and ``registry`` finds a term by its shape in one lookup.  ``defs``
     maps each constant to its body's id, ``init`` is the initial term's
-    id.  A term's node (:meth:`term_of`) and its canonical text are built
-    on first use, once per id.  :meth:`memo` holds the semantics'
-    memoised steps, one dict per relation and label, by term id.
+    id.  A term's node (:meth:`term_of`), its canonical text (:meth:`text`)
+    and its readable text (:meth:`pretty`) are built on first use, once per
+    id; the texts from their subterms' texts, one level at a time.
+    :meth:`memo` holds the semantics' memoised steps, one dict per
+    relation and label, by term id.
     :func:`parse_model` builds every model and checks it with
     :func:`check_guarded`, so models are guarded by construction and a
     walker unfolds a constant with no cycle detection of its own.
@@ -193,7 +195,8 @@ class Model:
         self.registry: dict = {}  # shape -> id
         self._shapes: list = []  # id -> shape
         self._terms: dict = {}  # id -> stored node, built on first use
-        self._texts: dict = {}
+        self._texts: dict = {}  # id -> canonical text, rendered on first use
+        self._pretties: dict = {}  # id -> readable text, rendered on first use
         self._bodies: Optional[dict] = None
         self._memos: dict = {}  # (relation, label) -> {term id -> step}
 
@@ -221,11 +224,53 @@ class Model:
         return self._bodies
 
     def text(self, term_id: int) -> str:
-        """Canonical text of a term (:func:`term_key`), rendered once."""
+        """Canonical text of a term (:func:`term_key`), rendered once per id
+        from its subterms' texts."""
         text = self._texts.get(term_id)
         if text is None:
-            text = self._texts[term_id] = term_key(self.term_of(term_id))
+            text = self._render(term_id, self._texts, self._render_text)
         return text
+
+    def pretty(self, term_id: int) -> str:
+        """Readable text of a term (:func:`pretty`), rendered once per id
+        from its subterms' readable texts."""
+        text = self._pretties.get(term_id)
+        if text is None:
+            text = self._render(term_id, self._pretties, self._render_pretty)
+        return text
+
+    def _render_text(self, shape) -> str:
+        return render_key(shape, self._texts.__getitem__)
+
+    def _render_pretty(self, shape) -> str:
+        return render_pretty(shape, self._pretty_of)
+
+    def _pretty_of(self, sub: int, min_prec: int) -> str:
+        return _bracket(self._pretties[sub], self._shapes[sub], min_prec)
+
+    def _render(self, term_id: int, cache: dict, render: Callable[[Any], str]) -> str:
+        """``cache[term_id]``, filled by ``render`` (one shape, whose subterms
+        it reads from ``cache``) for the term and each subterm not yet in it,
+        children first, with an explicit stack."""
+        shapes = self._shapes
+        try:  # one level is all it takes when every subterm is rendered
+            text = cache[term_id] = render(shapes[term_id])
+            return text
+        except KeyError:  # some subterm is not: render the missing ones first
+            pass
+        stack = [term_id]
+        while stack:
+            t = stack.pop()
+            if t < 0:  # ~t, whose subterms are rendered
+                cache[~t] = render(shapes[~t])
+            elif t not in cache:
+                pending = [sub for sub in children(shapes[t]) if sub not in cache]
+                if pending:
+                    stack.append(~t)
+                    stack += pending
+                else:
+                    cache[t] = render(shapes[t])
+        return cache[term_id]
 
     def memo(self, relation: str, label: str) -> dict:
         """The memoised steps of one relation and label, by term id."""
@@ -820,45 +865,54 @@ def _prec(term: Term) -> int:
     return _PREC_ATOM
 
 
+def _bracket(text: str, node, min_prec: int) -> str:
+    """``text``, the readable text of ``node``, in parentheses when the
+
+    node binds less tightly than its slot needs (``min_prec``)."""
+    return f"({text})" if _prec(node) < min_prec else text
+
+
 def pretty(term: Term) -> str:
     """Readable text for a term, with only the necessary parentheses."""
 
     def go(t: Term, min_prec: int) -> str:
-        text = render(t)
-        if _prec(t) < min_prec:
-            return f"({text})"
-        return text
+        return _bracket(render_pretty(t, go), t, min_prec)
 
-    def render(t: Term) -> str:
-        if isinstance(t, Nil):
-            return "nil"
-        if isinstance(t, Const):
-            return t.name
-        if isinstance(t, RatedPrefix):
-            return f"({t.action}, {_format_rational(t.rate)}).{go(t.cont, _PREC_PREFIX)}"
-        if isinstance(t, ActPrefix):
-            return f"{t.action}.{go(t.cont, _PREC_PREFIX)}"
-        if isinstance(t, RatePrefix):
-            return f"{_format_rational(t.rate)} . {go(t.cont, _PREC_PREFIX)}"
-        if isinstance(t, TimePrefix):
-            return f"({t.delay}).{go(t.cont, _PREC_PREFIX)}"
-        if isinstance(t, ProbPrefix):
-            inner = " [] ".join(
-                f"{_format_rational(p)}: {go(cont, _PREC_PAR)}" for p, cont in t.branches
-            )
-            return f"{t.action}.{{{inner}}}"
-        if isinstance(t, Choice):
-            return f"{go(t.left, _PREC_CHOICE)} + {go(t.right, _PREC_CHOICE + 1)}"
-        if isinstance(t, Coop):
-            return (
-                f"{go(t.left, _PREC_PAR)} <{_format_actions(t.actions)}> "
-                f"{go(t.right, _PREC_PAR + 1)}"
-            )
-        if isinstance(t, Par):
-            return (
-                f"{go(t.left, _PREC_PAR)} |[{_format_actions(t.actions)}]| "
-                f"{go(t.right, _PREC_PAR + 1)}"
-            )
-        raise TypeError(f"not a term: {t!r}")  # pragma: no cover
+    return render_pretty(term, go)
 
-    return render(term)
+
+def render_pretty(node, pretty_of: Callable[[Any, int], str]) -> str:
+    """:func:`pretty`'s text for one node, whose subterms (nodes, ids or
+    anything else) ``pretty_of(sub, min_prec)`` renders, in parentheses
+    when ``sub`` binds less tightly than ``min_prec``."""
+    if isinstance(node, Nil):
+        return "nil"
+    if isinstance(node, Const):
+        return node.name
+    if isinstance(node, RatedPrefix):
+        rate = _format_rational(node.rate)
+        return f"({node.action}, {rate}).{pretty_of(node.cont, _PREC_PREFIX)}"
+    if isinstance(node, ActPrefix):
+        return f"{node.action}.{pretty_of(node.cont, _PREC_PREFIX)}"
+    if isinstance(node, RatePrefix):
+        return f"{_format_rational(node.rate)} . {pretty_of(node.cont, _PREC_PREFIX)}"
+    if isinstance(node, TimePrefix):
+        return f"({node.delay}).{pretty_of(node.cont, _PREC_PREFIX)}"
+    if isinstance(node, ProbPrefix):
+        inner = " [] ".join(
+            f"{_format_rational(p)}: {pretty_of(cont, _PREC_PAR)}" for p, cont in node.branches
+        )
+        return f"{node.action}.{{{inner}}}"
+    if isinstance(node, Choice):
+        return f"{pretty_of(node.left, _PREC_CHOICE)} + {pretty_of(node.right, _PREC_CHOICE + 1)}"
+    if isinstance(node, Coop):
+        return (
+            f"{pretty_of(node.left, _PREC_PAR)} <{_format_actions(node.actions)}> "
+            f"{pretty_of(node.right, _PREC_PAR + 1)}"
+        )
+    if isinstance(node, Par):
+        return (
+            f"{pretty_of(node.left, _PREC_PAR)} |[{_format_actions(node.actions)}]| "
+            f"{pretty_of(node.right, _PREC_PAR + 1)}"
+        )
+    raise TypeError(f"not a term: {node!r}")  # pragma: no cover

@@ -309,6 +309,19 @@ def test_bisim_undefined_constant_is_a_diagnostic(tmp_path, capsys):
     assert err == "error: undefined process constant 'Q' in 'Q'\n"
 
 
+def test_operands_stepping_into_one_state_add_their_rates(tmp_path, capsys):
+    # each side of P <> P moves back to P <> P: the two renamed steps collide
+    path = write(tmp_path, "m.pepa", "P = (a, 1).P\ninit P <> P\n")
+    code, out, err = run_main(capsys, "build", path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["states"] == [{"id": 0, "term": "(P <> P)"}]
+    (act,) = doc["relations"]
+    assert act["transitions"] == [
+        {"source": 0, "label": "a", "continuation": [{"target": "(P <> P)", "value": "2/1"}]}
+    ]
+
+
 _DEEP = 3000
 _DEEP_MODELS = {
     "prefix": "init " + "a." * _DEEP + "nil\n",
@@ -329,9 +342,23 @@ def test_deep_prefix_and_constant_chains_pass_check(tmp_path, capsys, shape, def
     assert out == f"ok: {definitions} definitions, language iml, guarded\n"
 
 
+@pytest.mark.parametrize("command", ["build", "minimize"])
+def test_deep_prefix_chain_builds_and_minimizes(tmp_path, capsys, command):
+    # exploring reads each state's text one level at a time, without recursion
+    path = write(tmp_path, "m.iml", _DEEP_MODELS["prefix"])
+    code, out, err = run_main(capsys, command, path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["states"]) == _DEEP + 1
+    assert doc["states"][-1]["term"] == "nil"
+    (act, delay) = doc["relations"]
+    assert len(act["transitions"]) == _DEEP
+    assert delay["transitions"] == []
+
+
 @pytest.mark.parametrize(
     "shape, command",
-    [("prefix", "build"), ("choice", "build"), ("chain", "build"), ("parens", "check")],
+    [("prefix", "compare"), ("choice", "build"), ("chain", "build"), ("parens", "check")],
 )
 def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, shape, command):
     path = write(tmp_path, "m.iml", _DEEP_MODELS[shape])

@@ -12,9 +12,11 @@ import pytest
 from futsbench.errors import ExplorationLimitError
 from futsbench.explore import explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
-from futsbench.syntax import parse_model, parse_term
+from futsbench.semiring import semiring_of
+from futsbench.syntax import LANGUAGES, Model, parse_model, parse_term, pretty, term_key
 
 from idtext import stored_text
+from modelgen import build_corpus
 
 GOLDEN_PEPA = """\
 S0 = (a, 1/2).S0 + (a, 1/2).S1
@@ -167,3 +169,77 @@ def test_dot_nested_inlines_the_distribution():
     nil_id = fm.index["nil"]
     inline = f"[s{x_id} -> 1/2, s{nil_id} -> 1/2]"
     assert f'[label="a / 1/2 of {inline}"];' in dot
+
+
+def _reference_json_doc(fm):
+    """The document ``to_json`` writes, built as dicts and lists."""
+
+    def continuation(step, data):
+        fmt = semiring_of(data.tag).fmt
+        if data.kind == "simple":
+            return [{"target": keys[t], "value": fmt(v)} for t, v in step]
+        inner_fmt = semiring_of(data.inner_tag).fmt
+        return [
+            {
+                "inner": [{"target": keys[t], "value": inner_fmt(p)} for t, p in inner],
+                "value": fmt(v),
+            }
+            for inner, v in step
+        ]
+
+    keys = [s.key for s in fm.states]
+    return {
+        "language": fm.lang,
+        "init": fm.init_id,
+        "states": [{"id": s.id, "term": s.key} for s in fm.states],
+        "relations": [
+            {
+                "labels": list(data.labels),
+                "kind": data.kind,
+                "semiring": data.tag,
+                "transitions": [
+                    {"source": source, "label": label, "continuation": continuation(step, data)}
+                    for (source, label), step in data.transitions.items()
+                ],
+            }
+            for data in fm.relations
+        ],
+    }
+
+
+def _json_cases():
+    for lang in LANGUAGES:
+        yield from build_corpus(lang, 12, 60, "json", depth=3, max_par=2)
+        # no labels and no transitions: empty arrays
+        yield explore(parse_model("init nil\n", lang))
+    # a constant name outside ASCII, which the lexer accepts, is escaped
+    yield explore(parse_model("Pé = (a, 1).Qü\nQü = (b, 2).Pé\ninit Pé\n", "pepa"))
+    yield golden_model()
+
+
+def test_json_matches_the_standard_encoder_byte_for_byte():
+    seen = set()
+    for fm in _json_cases():
+        expected = json.dumps(_reference_json_doc(fm), indent=2) + "\n"
+        assert to_json(fm) == expected
+        seen.update(data.kind for data in fm.relations if data.transitions)
+        seen.update("no labels" for data in fm.relations if not data.labels)
+        seen.update("non-ASCII" for s in fm.states if not s.key.isascii())
+    assert seen == {"simple", "nested", "no labels", "non-ASCII"}
+
+
+@pytest.mark.parametrize("lang", LANGUAGES)
+def test_explore_never_builds_a_term_tree(lang, monkeypatch):
+    # exploring costs each state its step: texts are rendered one level at
+    # a time from the table, and no state's whole term is built as a tree
+    def no_trees(self, term_id):
+        raise AssertionError(f"explore built the tree of term {term_id}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Model, "term_of", no_trees)
+        corpus = build_corpus(lang, 20, 100, "no-trees", depth=4, max_par=3, max_def_par=0)
+    for fm in corpus:
+        for state in fm.states:
+            term = fm.ctx.term_of(state.term)
+            assert state.key == term_key(term)
+            assert state.pretty == pretty(term)

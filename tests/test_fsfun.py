@@ -69,6 +69,24 @@ def test_total_weight_is_additive(tag):
     assert ff_oplus(ff_zero(tag)) == sr.zero
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_add_and_rename_fold_as_make_does(tag):
+    # ff_add and ff_map_keys skip ff_make's zero test: their inputs hold
+    # only non-zero weights, whose sums are never zero
+    rng = random.Random(31)
+    collided = 0
+    for _ in range(300):
+        a = random_finfn(rng, tag)
+        b = random_finfn(rng, tag)
+        assert ff_add(a, b) == ff_make(tag, a.entries + b.entries)
+        assert ff_add(a, ff_zero(tag)) is not a  # a sum is always a new function
+        rename = {f"P{i}": rng.choice(("Q0", "Q1", "Q2")) for i in range(8)}
+        pairs = [(rename[k], v) for k, v in a.entries]
+        assert ff_map_keys(rename.__getitem__, a) == ff_make(tag, pairs)
+        collided += len({k for k, _ in pairs}) < len(pairs)
+    assert collided > 20
+
+
 def test_map_keys_adds_colliding_keys_and_keeps_the_tag():
     fn = ff_make("NNRAT", [("P1", Fraction(1, 2)), ("P2", Fraction(1, 3)), ("Q", Fraction(1))])
     renamed = ff_map_keys(lambda k: k[0], fn)

@@ -32,6 +32,22 @@ def test_semiring_laws_on_random_triples(tag):
         assert mul(a, zero) == zero
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_sums_of_non_zero_weights_are_never_zero(tag):
+    # zero-sum-freeness: fsfun's ff_add and ff_map_keys rely on it
+    rng = random.Random(4242)
+    sr = semiring_of(tag)
+
+    def non_zero():
+        while True:
+            value = random_value(rng, tag)
+            if value != sr.zero:
+                return value
+
+    for _ in range(500):
+        assert sr.add(non_zero(), non_zero()) != sr.zero
+
+
 def test_constants():
     assert (semiring_of("BOOL").zero, semiring_of("BOOL").one) == (False, True)
     nnrat = semiring_of("NNRAT")

@@ -314,6 +314,34 @@ def test_pretty_minimises_parentheses():
     assert pretty(t) == "nil |[a]| (nil |[b]| nil)"
 
 
+DEEP = 3000
+
+
+@pytest.mark.parametrize(
+    "source, text, readable",
+    [
+        ("a." * DEEP + "nil", "a." * DEEP + "nil", "a." * DEEP + "nil"),
+        (
+            " + ".join(["a.nil"] * DEEP),
+            "(" * (DEEP - 1) + "a.nil" + " + a.nil)" * (DEEP - 1),
+            " + ".join(["a.nil"] * DEEP),
+        ),
+    ],
+    ids=["prefix", "choice"],
+)
+def test_table_texts_of_deep_terms_render_without_recursion(source, text, readable):
+    model = parse_model(f"init {source}\n", "iml")
+    assert model.text(model.init) == text
+    assert model.pretty(model.init) == readable
+
+
+def test_table_pretty_brackets_a_subterm_by_its_slot():
+    model = parse_model("X = nil\ninit a.(b.nil + X) + (nil |[a]| (X |[b]| nil))\n", "iml")
+    term = model.term_of(model.init)
+    assert model.pretty(model.init) == pretty(term) == "a.(b.nil + X) + (nil |[a]| (X |[b]| nil))"
+    assert model.text(model.init) == term_key(term)
+
+
 # ---------------------------------------------------------------------------
 # Guardedness: cross-check against a bounded-unfolding oracle
 # ---------------------------------------------------------------------------
