@@ -159,8 +159,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parentheses and braces in the parser, and in build, bisim, minimize
-        # and compare every term walker, recurse once per nesting level
+        # parentheses and braces in the parser, and the walkers through
+        # choices, compositions, constant chains and delay continuations,
+        # recurse once per nesting level
         print(f"error: {args.file}: the model nests too deeply to process", file=sys.stderr)
         return 2
 

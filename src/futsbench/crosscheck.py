@@ -6,12 +6,12 @@ for each state and each (relation, label) slot, the oracle's derivations,
 with their targets resolved to state ids.  It walks the states in a
 table of the oracle's own terms, built for that one call, and resolves
 each target id to a state once, through its canonical text.  The
-agreement, time-determinism and correspondence checks all read the moves
-table that results.  The
-correspondence check builds the oracle's own partition from it alone, by
-splitter-driven refinement over the derivations' incoming moves -- a
-different algorithm from the worklist engine of `refine`, which it never
-calls.
+apparent-rate, agreement, time-determinism and correspondence checks all
+read the moves table that results, and the apparent-rate check the
+oracle table it was enumerated in.  The correspondence check builds the
+oracle's own partition from it alone, by splitter-driven refinement over
+the derivations' incoming moves -- a different algorithm from the
+worklist engine of `refine`, which it never calls.
 
 Every check walks all explored states of one model and reports how many
 comparisons it made and which ones failed.  The `compare` CLI command and
@@ -59,40 +59,6 @@ def _relation(fm: FutsModel, name: str):
     return None
 
 
-def _oracle_states(fm: FutsModel):
-    """A fresh oracle table, and each state with its id there."""
-    model = fm.ctx
-    if model is None:
-        raise FutsError("cross-checks need the exploration context")
-    table = OracleTerms(model)
-    return table, [(state, table.add(model.term_of(state.term))) for state in fm.states]
-
-
-# ---------------------------------------------------------------------------
-# Total action weight vs syntactic apparent rate (weighted-choice calculus)
-# ---------------------------------------------------------------------------
-
-
-def apparent_rate_check(fm: FutsModel) -> CheckResult:
-    table, pairs = _oracle_states(fm)
-    act = _relation(fm, "act")
-    checked = 0
-    failures: List[str] = []
-    for state, term_id in pairs:
-        for action in act.labels:
-            step = act.function_at(state.id, action)
-            # summed from the first weight: a zero start costs one more addition
-            got = sum((value for _, value in step[1:]), step[0][1]) if step else Fraction(0)
-            expected = pepa_apparent_rate(table, term_id, action)
-            checked += 1
-            if got != expected:
-                failures.append(
-                    f"state {state.id} ({state.pretty}) action {action}: "
-                    f"total weight {got}, apparent rate {expected}"
-                )
-    return CheckResult("apparent-rate totals", not failures, checked, tuple(failures))
-
-
 # ---------------------------------------------------------------------------
 # The oracle's derivations, enumerated once per model
 # ---------------------------------------------------------------------------
@@ -108,18 +74,27 @@ DISTS = "dists"  # frozenset of distributions, frozensets of (target, mass): MAL
 class OracleMoves:
     """The oracle's derivations of every explored state, targets as state ids.
 
-    ``slots`` holds one (relation, label, shape) for each label of each of
-    the model's relations, in their order; ``rows[s][i]`` holds state
-    ``s``'s derivations for slot ``i``.
+    ``table`` is the oracle's term table they were enumerated in, and
+    ``terms[s]`` state ``s``'s id there.  ``slots`` holds one (relation,
+    label, shape) for each label of each of the model's relations, in
+    their order; ``rows[s][i]`` holds state ``s``'s derivations for slot
+    ``i``.
     """
 
+    table: OracleTerms
+    terms: Tuple[int, ...]
     slots: Tuple[Tuple[RelationData, str, str], ...]
     rows: Tuple[tuple, ...]
 
 
 def oracle_moves(fm: FutsModel) -> OracleMoves:
-    """Enumerate the classical oracle once for each state and slot."""
-    table, pairs = _oracle_states(fm)
+    """Enumerate the classical oracle once for each state and slot, in a
+    fresh table of the oracle's own terms."""
+    model = fm.ctx
+    if model is None:
+        raise FutsError("cross-checks need the exploration context")
+    table = OracleTerms(model)
+    terms = tuple(table.of_model(state.term) for state in fm.states)
     index = fm.index
     resolved: Dict[int, int] = {}  # oracle id -> state id
 
@@ -144,7 +119,7 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
         slots += [(data, label, shape) for label in data.labels]
 
     rows = []
-    for _, term_id in pairs:
+    for term_id in terms:
         row = []
         for data, label, shape in slots:
             if shape == RATED:
@@ -167,7 +142,32 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
                     )
                 )
         rows.append(tuple(row))
-    return OracleMoves(tuple(slots), tuple(rows))
+    return OracleMoves(table, terms, tuple(slots), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Total action weight vs syntactic apparent rate (weighted-choice calculus)
+# ---------------------------------------------------------------------------
+
+
+def apparent_rate_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
+    table = moves.table
+    act = _relation(fm, "act")
+    checked = 0
+    failures: List[str] = []
+    for state, term_id in zip(fm.states, moves.terms):
+        for action in act.labels:
+            step = act.function_at(state.id, action)
+            # summed from the first weight: a zero start costs one more addition
+            got = sum((value for _, value in step[1:]), step[0][1]) if step else Fraction(0)
+            expected = pepa_apparent_rate(table, term_id, action)
+            checked += 1
+            if got != expected:
+                failures.append(
+                    f"state {state.id} ({state.pretty}) action {action}: "
+                    f"total weight {got}, apparent rate {expected}"
+                )
+    return CheckResult("apparent-rate totals", not failures, checked, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +479,9 @@ def run_checks(fm: FutsModel) -> List[CheckResult]:
     """All checks that apply to the model's language, in a fixed order."""
     lang = fm.lang
     results: List[CheckResult] = []
-    if lang == "pepa":
-        results.append(apparent_rate_check(fm))
     moves = oracle_moves(fm)
+    if lang == "pepa":
+        results.append(apparent_rate_check(fm, moves))
     results.append(agreement_check(fm, moves))
     if lang == "tpc":
         results.append(tick_singleton_check(fm))

@@ -8,14 +8,14 @@ routes is meaningful evidence of correctness.
 
 That holds for terms too.  The oracle hash-conses terms in a table of
 its own, :class:`OracleTerms`, which shares no interning or memo code with
-the model's table: a model's terms come in as nodes, and the oracle adds
-nothing to the model.  Each walker takes a table and a term id there, and
-returns derivations over ids: ``(rate, target)`` tuples, sets of
-targets, ``(amount, target)`` sets, or distributions of
-``(target, mass)``.  Results are memoised in the table per walker, label
-and subterm, so a target such as ``Coop(actions, target, right)`` is
-built in O(1) from its operands' ids, and a term's derivations cost the
-size of its operands' derivations, not of the term.
+the model's table: a model's terms come in by their ids there, read one
+shape at a time, and the oracle adds nothing to the model.  Each walker
+takes a table and a term id there, and returns derivations over ids:
+``(rate, target)`` tuples, sets of targets, ``(amount, target)`` sets, or
+distributions of ``(target, mass)``.  Results are memoised in the table
+per walker, label and subterm, so a target such as ``Coop(actions,
+target, right)`` is built in O(1) from its operands' ids, and a term's
+derivations cost the size of its operands' derivations, not of the term.
 
 Derivation tuples keep duplicates: two different proof trees yielding
 the same transition both count (their rates add up), which is exactly
@@ -25,7 +25,7 @@ what the aggregated quantities defined at the bottom rely on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 from .errors import TimedTransitionCapError
 from .syntax import (
@@ -38,10 +38,9 @@ from .syntax import (
     ProbPrefix,
     RatedPrefix,
     RatePrefix,
-    Term,
     TimePrefix,
-    children,
     map_children,
+    render_cached,
     render_key,
 )
 
@@ -54,23 +53,21 @@ class OracleTerms:
     """The oracle's own hash-consed term table (Filliatre & Conchon, 2006).
 
     Each distinct term is stored once, under a dense id, as its *shape*:
-    the node with each subterm replaced by its id.  Terms come in as nodes
-    (:meth:`add`), and the walkers' targets as a form and its fields
-    (:meth:`id_of`).  Each id's canonical text is rendered once
-    (:meth:`text`).  A table is meant for one enumeration: it memoises
-    every walker's result for every subterm it reaches (:meth:`derive`),
-    and holds every node it was given.
+    the node with each subterm replaced by its id.  A model's terms come in
+    by their ids in the model's table (:meth:`of_model`), and the walkers'
+    targets as a form and its fields (:meth:`id_of`).  Each id's canonical
+    text is rendered once (:meth:`text`).  A table is meant for one
+    enumeration: it memoises every walker's result for every subterm it
+    reaches (:meth:`derive`).
     """
 
     def __init__(self, model: Model):
+        self._model = model
         self._ids: Dict[tuple, int] = {}  # (form, *fields) of a shape -> id
         self._shapes: list = []  # id -> shape
-        self._added: Dict[int, int] = {}  # id(node) -> the node's id
-        self._nodes: list = []  # every node added, kept alive so no other object gets its id()
+        self._imported: list = []  # model id -> id, for the model's ids 0, 1, ...
         self._texts: Dict[int, str] = {}
         self._walks: dict = {}  # (rule, label) -> its memoised walk
-        self._bodies = model.bodies()  # constant -> its body, a node
-        self._body_shapes: Dict[str, Any] = {}
 
     def id_of(self, form: type, *fields) -> int:
         """The id of the term ``form(*fields)``, whose subterm fields are ids;
@@ -81,72 +78,38 @@ class OracleTerms:
             shapes.append(form(*fields))
         return found
 
-    def add(self, term: Term) -> int:
-        """The id of ``term``, a node, added children first with an explicit
-        stack.  Nodes are known by identity, since hashing one walks all of
-        it, so each node object is added once."""
-        added, ids, shapes = self._added, self._ids, self._shapes
-        if id(term) in added:
-            return added[id(term)]
-
-        def id_of_node(node: Term) -> int:
-            return added[id(node)]
-
-        stack = [term]
-        while stack:
-            node = stack[-1]
-            if id(node) in added:
-                stack.pop()
-                continue
-            missing = [sub for sub in children(node) if id(sub) not in added]
-            if missing:
-                stack += missing
-                continue
-            stack.pop()
-            shape = map_children(node, id_of_node)
-            # keyed as in id_of: the form, then its fields in order
-            found = ids.setdefault((type(shape), *vars(shape).values()), len(shapes))
-            if found == len(shapes):
-                shapes.append(shape)
-            added[id(node)] = found
-            self._nodes.append(node)
-        return added[id(term)]
+    def of_model(self, term_id: int) -> int:
+        """The id of the model's term ``term_id``.  The model interns children
+        before parents, so each model term up to ``term_id`` not imported
+        yet is imported in id order, its shape read over the ids of
+        subterms imported before it."""
+        imported = self._imported
+        if term_id >= len(imported):
+            ids, shapes, shape_of = self._ids, self._shapes, self._model.shape
+            for model_id in range(len(imported), term_id + 1):
+                shape = map_children(shape_of(model_id), imported.__getitem__)
+                # keyed as in id_of: the form, then its fields in order
+                found = ids.setdefault((type(shape), *vars(shape).values()), len(shapes))
+                if found == len(shapes):
+                    shapes.append(shape)
+                imported.append(found)
+        return imported[term_id]
 
     def text(self, term_id: int) -> str:
         """The canonical text of a term (:func:`~futsbench.syntax.term_key`),
-        rendered once per id from its subterms' texts, with an explicit stack."""
-        shapes, texts = self._shapes, self._texts
-        stack = [term_id]
-        while stack:
-            t = stack.pop()
-            if t < 0:  # ~t, whose subterms have their texts
-                texts[~t] = render_key(shapes[~t], texts.__getitem__)
-            elif t not in texts:
-                pending = [sub for sub in children(shapes[t]) if sub not in texts]
-                if pending:
-                    stack.append(~t)
-                    stack += pending
-                else:
-                    texts[t] = render_key(shapes[t], texts.__getitem__)
-        return texts[term_id]
+        rendered once per id from its subterms' texts."""
+        return render_cached(term_id, self._shapes, self._texts, self._render_text)
 
-    def _body(self, name: str):
-        """The body of constant ``name`` as a shape over ids, built once.
-
-        The body's subterms are added, but not the body itself: it is
-        stepped only through its constant, under whose id its results are
-        kept."""
-        shape = self._body_shapes.get(name)
-        if shape is None:
-            shape = self._body_shapes[name] = map_children(self._bodies[name], self.add)
-        return shape
+    def _render_text(self, shape) -> str:
+        return render_key(shape, self._texts.__getitem__)
 
     def derive(self, rule, label, term_id: int):
         """``rule``'s result for ``term_id``, memoised per rule and label.
 
         ``rule(shape, rec, table, label)`` gives a term's result, reading
         the results of the shape's subterms through ``rec``, which computes
-        each one once.  A constant is stepped as its body.
+        each one once.  A constant is stepped as its body, imported from
+        the model by id.
         """
         rec = self._walks.get((rule, label))
         if rec is None:
@@ -155,14 +118,14 @@ class OracleTerms:
 
     def _walk(self, rule, label):
         done: dict = {}  # term id -> result
-        shapes, body = self._shapes, self._body
+        shapes, defs, of_model = self._shapes, self._model.defs, self.of_model
 
         def rec(t: int):
             found = done.get(t)
             if found is None:
                 shape = shapes[t]
                 while isinstance(shape, Const):  # ends: models are guarded
-                    shape = body(shape.name)
+                    shape = shapes[of_model(defs[shape.name])]
                 found = done[t] = rule(shape, rec, self, label)
             return found
 

@@ -176,9 +176,10 @@ class Model:
     each node as it reads it, children first, so ids follow parse order,
     and ``registry`` finds a term by its shape in one lookup.  ``defs``
     maps each constant to its body's id, ``init`` is the initial term's
-    id.  A term's node (:meth:`term_of`), its canonical text (:meth:`text`)
-    and its readable text (:meth:`pretty`) are built on first use, once per
-    id; the texts from their subterms' texts, one level at a time.
+    id.  A term is read one shape at a time (:meth:`shape`), and no term
+    is ever built as a tree.  Its canonical text (:meth:`text`) and its
+    readable text (:meth:`pretty`) are rendered on first use, once per id,
+    from their subterms' texts (:func:`render_cached`).
     :meth:`memo` holds the semantics' memoised steps, one dict per
     relation and label, by term id.
     :func:`parse_model` builds every model and checks it with
@@ -194,10 +195,8 @@ class Model:
         self.init: Optional[int] = None  # id of the initial term
         self.registry: dict = {}  # shape -> id
         self._shapes: list = []  # id -> shape
-        self._terms: dict = {}  # id -> stored node, built on first use
         self._texts: dict = {}  # id -> canonical text, rendered on first use
         self._pretties: dict = {}  # id -> readable text, rendered on first use
-        self._bodies: Optional[dict] = None
         self._memos: dict = {}  # (relation, label) -> {term id -> step}
 
     def intern(self, shape) -> int:
@@ -211,33 +210,15 @@ class Model:
         """The stored term ``term_id`` as a node whose subterms are ids."""
         return self._shapes[term_id]
 
-    def term_of(self, term_id: int) -> Term:
-        node = self._terms.get(term_id)
-        if node is None:
-            node = self._terms[term_id] = map_children(self._shapes[term_id], self.term_of)
-        return node
-
-    def bodies(self) -> dict:
-        """Each constant's body as a node (:meth:`term_of`), by name, built once."""
-        if self._bodies is None:
-            self._bodies = {name: self.term_of(body) for name, body in self.defs.items()}
-        return self._bodies
-
     def text(self, term_id: int) -> str:
         """Canonical text of a term (:func:`term_key`), rendered once per id
         from its subterms' texts."""
-        text = self._texts.get(term_id)
-        if text is None:
-            text = self._render(term_id, self._texts, self._render_text)
-        return text
+        return render_cached(term_id, self._shapes, self._texts, self._render_text)
 
     def pretty(self, term_id: int) -> str:
         """Readable text of a term (:func:`pretty`), rendered once per id
         from its subterms' readable texts."""
-        text = self._pretties.get(term_id)
-        if text is None:
-            text = self._render(term_id, self._pretties, self._render_pretty)
-        return text
+        return render_cached(term_id, self._shapes, self._pretties, self._render_pretty)
 
     def _render_text(self, shape) -> str:
         return render_key(shape, self._texts.__getitem__)
@@ -247,30 +228,6 @@ class Model:
 
     def _pretty_of(self, sub: int, min_prec: int) -> str:
         return _bracket(self._pretties[sub], self._shapes[sub], min_prec)
-
-    def _render(self, term_id: int, cache: dict, render: Callable[[Any], str]) -> str:
-        """``cache[term_id]``, filled by ``render`` (one shape, whose subterms
-        it reads from ``cache``) for the term and each subterm not yet in it,
-        children first, with an explicit stack."""
-        shapes = self._shapes
-        try:  # one level is all it takes when every subterm is rendered
-            text = cache[term_id] = render(shapes[term_id])
-            return text
-        except KeyError:  # some subterm is not: render the missing ones first
-            pass
-        stack = [term_id]
-        while stack:
-            t = stack.pop()
-            if t < 0:  # ~t, whose subterms are rendered
-                cache[~t] = render(shapes[~t])
-            elif t not in cache:
-                pending = [sub for sub in children(shapes[t]) if sub not in cache]
-                if pending:
-                    stack.append(~t)
-                    stack += pending
-                else:
-                    cache[t] = render(shapes[t])
-        return cache[term_id]
 
     def memo(self, relation: str, label: str) -> dict:
         """The memoised steps of one relation and label, by term id."""
@@ -813,6 +770,33 @@ def term_key(term: Term) -> str:
     equal term in the same language.
     """
     return render_key(term, term_key)
+
+
+def render_cached(term_id: int, shapes, cache: dict, render: Callable[[Any], str]) -> str:
+    """``cache[term_id]``, filled by ``render`` (one shape, whose subterm ids
+    it reads from ``cache``) for the term and each subterm not yet in it,
+    children first, with an explicit stack.  ``shapes`` maps ids to shapes."""
+    text = cache.get(term_id)
+    if text is not None:
+        return text
+    try:  # one level is all it takes when every subterm is rendered
+        text = cache[term_id] = render(shapes[term_id])
+        return text
+    except KeyError:  # some subterm is not: render the missing ones first
+        pass
+    stack = [term_id]
+    while stack:
+        t = stack.pop()
+        if t < 0:  # ~t, whose subterms are rendered
+            cache[~t] = render(shapes[~t])
+        elif t not in cache:
+            pending = [sub for sub in children(shapes[t]) if sub not in cache]
+            if pending:
+                stack.append(~t)
+                stack += pending
+            else:
+                cache[t] = render(shapes[t])
+    return cache[term_id]
 
 
 def render_key(node, key_of: Callable[[Any], str]) -> str:

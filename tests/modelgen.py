@@ -62,6 +62,7 @@ from futsbench.syntax import (
     RatePrefix,
     TimePrefix,
     children,
+    map_children,
     parse_model,
     term_key,
 )
@@ -179,9 +180,21 @@ def model_of(lang: str, defs: dict, init) -> Model:
     return parse_model(model_text(defs, init), lang)
 
 
+def tree(model: Model, term_id: int):
+    """The term ``term_id`` of ``model``'s table as a tree of nodes, built
+    recursively: the reference that the table's texts are checked against.
+    The library reads terms one shape at a time and never builds one."""
+    return map_children(model.shape(term_id), lambda sub: tree(model, sub))
+
+
+def bodies(model: Model) -> dict:
+    """Each constant's body as a tree (:func:`tree`), by name."""
+    return {name: tree(model, body) for name, body in model.defs.items()}
+
+
 def fresh_copy(model: Model) -> Model:
     """The same model parsed again, into a table of its own."""
-    return model_of(model.lang, model.bodies(), model.term_of(model.init))
+    return model_of(model.lang, bodies(model), tree(model, model.init))
 
 
 def random_model(

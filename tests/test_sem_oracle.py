@@ -28,13 +28,10 @@ from futsbench.sem_oracle import (
     timed_transitions,
 )
 from futsbench import crosscheck
-from futsbench.crosscheck import apparent_rate_check, oracle_moves
+from futsbench.crosscheck import apparent_rate_check, oracle_moves, run_checks
 from futsbench.syntax import (
-    ActPrefix,
     Model,
-    Nil,
     ProbPrefix,
-    RatedPrefix,
     map_children,
     parse_model,
     parse_term,
@@ -56,7 +53,7 @@ def oracle_of(model):
     """A fresh oracle table of ``model``, and the map from a term's text to
     its id in that table."""
     table = OracleTerms(model)
-    return table, lambda text: table.add(model.term_of(parse_term(text, model)))
+    return table, lambda text: table.of_model(parse_term(text, model))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +164,7 @@ def test_timed_transitions_are_time_deterministic():
     model = parse_model("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
     table = OracleTerms(model)
     per_amount = {}
-    for amount, target in timed_transitions(table, table.add(model.term_of(model.init))):
+    for amount, target in timed_transitions(table, table.of_model(model.init)):
         assert amount not in per_amount
         per_amount[amount] = target
 
@@ -239,7 +236,7 @@ def test_merge_distribution_drops_nothing_positive():
 def futs_entries(text, lang, relation, label, defs=""):
     model = parse_model(defs + f"init {text}\n", lang)
     table = OracleTerms(model)
-    init = table.add(model.term_of(model.init))
+    init = table.of_model(model.init)
     return table, init, step_text(model, model.init, relation, label)
 
 
@@ -321,23 +318,24 @@ def test_oracle_imports_only_errors_and_syntax(module, forbidden):
 
 
 def test_oracle_interns_nothing(monkeypatch):
-    # the oracle takes the model's terms in as nodes and hash-conses them
-    # in a table of its own: while it runs over the corpora of all four
-    # languages, interning into the model's table, reading its memo or its
-    # shapes fails, and the table holds as many terms afterwards as before
+    # the oracle reads the model's terms one shape at a time, by id, and
+    # hash-conses them in a table of its own: while it runs over the
+    # corpora of all four languages, interning into the model's table or
+    # reading its memo fails, and the table holds as many terms afterwards
+    # as before
     corpora = {lang: _corpus(lang, "own-table") for lang in LANGUAGES}
     sizes = {lang: [len(fm.ctx.registry) for fm in corpus] for lang, corpus in corpora.items()}
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the model's term table")
 
-    for name in ("intern", "memo", "shape"):
+    for name in ("intern", "memo"):
         monkeypatch.setattr(Model, name, refuse)
     for lang, corpus in corpora.items():
         for fm in corpus:
+            moves = oracle_moves(fm)
             if lang == "pepa":
-                assert apparent_rate_check(fm).passed
-            oracle_moves(fm)
+                assert apparent_rate_check(fm, moves).passed
         assert [len(fm.ctx.registry) for fm in corpus] == sizes[lang]
 
 
@@ -351,18 +349,19 @@ def _corpus(lang, tag):
 
 
 class RecordingTerms(OracleTerms):
-    """An oracle table that also records every node given to it, and every
-    target shape built in it, with the id each one got, and can list the
-    node of each of its ids."""
+    """An oracle table that also records every model term imported into it,
+    and every target shape built in it, with the id each one got, and can
+    list the node of each of its ids."""
 
     def __init__(self, model):
-        self.given = []
+        self.model = model
+        self.imported = []
         self.built = []
         super().__init__(model)
 
-    def add(self, term):
-        found = super().add(term)
-        self.given.append((term, found))
+    def of_model(self, term_id):
+        found = super().of_model(term_id)
+        self.imported.append((term_id, found))
         return found
 
     def id_of(self, form, *fields):
@@ -387,50 +386,58 @@ def test_oracle_table_neither_merges_nor_splits_terms(lang, monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr(crosscheck, "OracleTerms", recording)
-    for fm in _corpus(lang, "table"):
-        if lang == "pepa":
-            apparent_rate_check(fm)
-        oracle_moves(fm)
-    assert tables and any(table.built for table in tables)
+    corpus = _corpus(lang, "table")
+    for fm in corpus:
+        assert all(result.passed for result in run_checks(fm))
+    assert len(tables) == len(corpus)  # one table per compare
+    assert any(table.built for table in tables)
     for table in tables:
         texts = [term_key(node) for node in table.nodes()]
         assert len(set(texts)) == len(texts)  # no term has two ids
         assert [table.text(term_id) for term_id in range(len(texts))] == texts
-        # no two terms share an id: each node given (a state, or a subterm
-        # of a definition), and each target built
-        for node, term_id in table.given:
-            assert term_key(node) == texts[term_id]
+        # no two terms share an id: each model term imported (a state, or
+        # a constant's body) has the model's text, and each target built
+        # the text of its shape
+        for model_id, term_id in table.imported:
+            assert texts[term_id] == table.model.text(model_id)
         for shape, term_id in table.built:
             assert render_key(shape, texts.__getitem__) == texts[term_id]
 
 
 DEEP = 3000
 
-# a prefix around a continuation, and the text of ``n`` of them around nil
+# the text of ``n`` prefixes around nil
 CHAINS = {
-    "pepa": (lambda t: RatedPrefix("a", Fraction(1), t), lambda n: "(a, 1)." * n + "nil"),
-    "iml": (lambda t: ActPrefix("a", t), lambda n: "a." * n + "nil"),
-    "tpc": (lambda t: ActPrefix("a", t), lambda n: "a." * n + "nil"),
-    "mal": (
-        lambda t: ProbPrefix("a", ((Fraction(1), t),)),
-        lambda n: "a.{1: " * n + "nil" + "}" * n,
-    ),
+    "pepa": lambda n: "(a, 1)." * n + "nil",
+    "iml": lambda n: "a." * n + "nil",
+    "tpc": lambda n: "a." * n + "nil",
+    "mal": lambda n: "a.{1: " * n + "nil" + "}" * n,
 }
+
+
+def deep_chain(lang):
+    """A model holding a chain of DEEP prefixes, and the chain's id.  The
+    parser reads a prefix chain in a loop; a mal prefix opens braces, which
+    it reads recursively, so there the chain is interned shape by shape."""
+    if lang != "mal":
+        model = parse_model(f"init {CHAINS[lang](DEEP)}\n", lang)
+        return model, model.init
+    model = model_of(lang)
+    term_id = model.init
+    for _ in range(DEEP):
+        term_id = model.intern(ProbPrefix("a", ((Fraction(1), term_id),)))
+    return model, term_id
 
 
 @pytest.mark.parametrize("lang", LANGUAGES)
 def test_a_deep_prefix_chain_is_added_read_and_stepped_without_recursion(lang):
-    wrap, text_of = CHAINS[lang]
-    term = Nil()
-    for _ in range(DEEP):
-        term = wrap(term)
-    with pytest.raises(RecursionError):
-        hash(term)  # a node hashes recursively, so the table never hashes one
-    table = OracleTerms(model_of(lang))
-    top = table.add(term)
-    assert table.text(top) == text_of(DEEP)
-    below = table.add(term.branches[0][1] if lang == "mal" else term.cont)
-    assert table.text(below) == text_of(DEEP - 1)
+    model, chain = deep_chain(lang)
+    shape = model.shape(chain)
+    table = OracleTerms(model)
+    top = table.of_model(chain)
+    assert table.text(top) == CHAINS[lang](DEEP)
+    below = table.of_model(shape.branches[0][1] if lang == "mal" else shape.cont)
+    assert table.text(below) == CHAINS[lang](DEEP - 1)
     if lang == "pepa":
         assert pepa_transitions(table, top, "a") == ((Fraction(1), below),)
         assert pepa_apparent_rate(table, top, "a") == 1

@@ -44,13 +44,13 @@ from futsbench.syntax import (
     term_key,
 )
 
-from modelgen import model_text, random_model, random_model_terms, random_term
+from modelgen import bodies, model_text, random_model, random_model_terms, random_term, tree
 
 
 def parsed(text, lang):
     """``text`` parsed into a model that defines ``X`` and ``X0``-``X2``, as a node."""
     model = parse_model("X = nil\nX0 = nil\nX1 = nil\nX2 = nil\ninit nil\n", lang)
-    return model.term_of(parse_term(text, model))
+    return tree(model, parse_term(text, model))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ init X
 def test_parse_model_file():
     model = parse_model(GOOD_IML, "iml")
     assert list(model.defs) == ["X", "Y"]
-    assert model.term_of(model.init) == Const("X")
+    assert tree(model, model.init) == Const("X")
     assert model.shape(model.defs["Y"]) == Par(frozenset(), model.init, model.intern(Nil()))
     check_guarded(model)  # the naked reference to X sits under a.<...>
 
@@ -337,7 +337,7 @@ def test_table_texts_of_deep_terms_render_without_recursion(source, text, readab
 
 def test_table_pretty_brackets_a_subterm_by_its_slot():
     model = parse_model("X = nil\ninit a.(b.nil + X) + (nil |[a]| (X |[b]| nil))\n", "iml")
-    term = model.term_of(model.init)
+    term = tree(model, model.init)
     assert model.pretty(model.init) == pretty(term) == "a.(b.nil + X) + (nil |[a]| (X |[b]| nil))"
     assert model.text(model.init) == term_key(term)
 
@@ -405,7 +405,7 @@ def test_check_guarded_matches_unfolding_oracle(lang):
     for _ in range(150):
         model = random_model(rng, lang)
         check_guarded(model)  # generated models are guarded by construction
-        assert _guarded_by_unfolding(model.bodies(), model.term_of(model.init), lang == "tpc")
+        assert _guarded_by_unfolding(bodies(model), tree(model, model.init), lang == "tpc")
     # and the oracle agrees on rejections; the parser refuses these models,
     # so the oracle reads them as trees
     mutual = {
@@ -466,7 +466,7 @@ def _walk_everything(model):
         if model.lang == "tpc":
             tpc_max_delay(model, term_id)
         table = OracleTerms(model)
-        oracle_id = table.add(model.term_of(term_id))
+        oracle_id = table.of_model(term_id)
         results = [
             walk(table, oracle_id, action)
             for walk in _ORACLE_PER_ACTION[model.lang]
