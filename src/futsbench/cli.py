@@ -159,9 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parentheses and braces in the parser, and the walkers through
-        # choices, compositions, constant chains and delay continuations,
-        # recurse once per nesting level
+        # only the parser recurses: once per level of parentheses and braces
         print(f"error: {args.file}: the model nests too deeply to process", file=sys.stderr)
         return 2
 

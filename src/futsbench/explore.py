@@ -139,9 +139,11 @@ def explore(
         if found is not None:
             return found
         if len(states) >= max_states:
+            # the queue still holds the state being expanded
+            waiting = len(queue)
             raise ExplorationLimitError(
-                f"exploration exceeded {max_states} states "
-                f"with {len(queue)} states still on the frontier"
+                f"exploration exceeded {max_states} states with {waiting} "
+                f"state{'' if waiting == 1 else 's'} still on the frontier"
             )
         state_id = state_of[term_id] = len(states)
         key = model.text(term_id)
@@ -155,12 +157,13 @@ def explore(
         discover(root)
 
     while queue:
-        term_id = queue.popleft()
+        term_id = queue[0]
         source = state_of[term_id]
         for spec, data in zip(specs, relations):
             for label in data.labels:
                 fn = futs_step(model, term_id, spec.name, label)
                 data.store(source, label, fn, model.text, discover)
+        queue.popleft()
 
     return FutsModel(model.lang, states, index, relations, init_id, model)
 

@@ -17,17 +17,12 @@ function over continuation states:
   probabilities), plus a ``delta`` relation like ``iml``'s.
 
 States are integer term ids of one model's hash-consed term table (a
-:class:`.syntax.Model`).  A step walker reads a term's shape (its node
-over child ids) and builds every continuation from those ids, never from
-terms.
-
-A walker memoises in the table (:meth:`.syntax.Model.memo`) the step of
-every proper structural child of a choice or composition, so the
-operands that states share are walked once per model and a state's step
-costs the size of its own step.  The term a walk starts from, and the
-constant bodies read from it, are always recomputed.  A model is guarded
-by construction (:func:`.syntax.check_guarded`), so a walker steps a
-constant as its body, read from ``model.defs``, and every walk ends.
+:class:`.syntax.Model`).  Each relation is one *rule*: a term's step from
+its shape (its node over child ids) and its operands' steps, with every
+continuation built from ids, never from terms.  The children-first
+evaluator :func:`.syntax.evaluate` runs a rule over a term, through the
+forms the step walks through, and keeps its operands' steps in the table
+(:meth:`.syntax.Model.memo`); its docstring states what is kept.
 """
 
 from __future__ import annotations
@@ -52,13 +47,15 @@ from .syntax import (
     Choice,
     Coop,
     Model,
-    Nil,
     Par,
     ProbPrefix,
     RatedPrefix,
     RatePrefix,
+    STEP_FORMS,
+    TIMED_FORMS,
     TimePrefix,
     alphabet,
+    evaluate,
 )
 # unused here, but bench/tracing.py wraps sem_futs.term_key (ROADMAP item 7)
 from .syntax import term_key  # noqa: F401
@@ -117,25 +114,12 @@ def relation_labels(spec: RelationSpec, model: Model, roots: Iterable = ()) -> T
 def futs_step(model: Model, term_id: int, relation: str, label: str) -> FinFn:
     """The weight function, over term ids, of term ``term_id`` under
     ``relation``/``label``."""
-    lang = model.lang
     try:
-        compute = _DISPATCH[(lang, relation)]
+        rule, through = _DISPATCH[(model.lang, relation)]
     except KeyError:
-        raise ValueError(f"language {lang!r} has no relation {relation!r}") from None
-    return compute(model, term_id, label, model.memo(relation, label))
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
-# ---------------------------------------------------------------------------
-
-
-def _once(memo: dict, rec: Callable, i: int):
-    """``rec(i)``, kept in ``memo``: each term id is walked once per table."""
-    found = memo.get(i)
-    if found is None:
-        found = memo[i] = rec(i)
-    return found
+        raise ValueError(f"language {model.lang!r} has no relation {relation!r}") from None
+    memo = model.memo(relation, label)
+    return evaluate(term_id, model.shape, model.defs, through, memo, partial(rule, model, label))
 
 
 def _moves(model: Model, t) -> Tuple[Callable[[int], int], Callable[[int], int]]:
@@ -156,40 +140,30 @@ def _moves(model: Model, t) -> Tuple[Callable[[int], int], Callable[[int], int]]
 # ---------------------------------------------------------------------------
 
 
-def _pepa_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
-    zero = ff_zero(NNRAT)
-
-    def rec(i: int) -> FinFn:
-        t = model.shape(i)
-        if isinstance(t, Nil):
-            return zero
-        if isinstance(t, RatedPrefix):
-            if t.action != label:
-                return zero
-            return ff_make(NNRAT, [(t.cont, t.rate)])
-        if isinstance(t, Choice):
-            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
-        if isinstance(t, Coop):
-            left = _once(memo, rec, t.left)
-            right = _once(memo, rec, t.right)
-            if label not in t.actions:
-                into_left, into_right = _moves(model, t)
-                return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
-            total_left = ff_oplus(left)
-            total_right = ff_oplus(right)
-            if total_left == 0 or total_right == 0:
-                return zero
-            # the joint rate of a synchronised action is capped by the
-            # slower participant: scale the product of the two
-            # functions so its total becomes min of the two totals
-            factor = min(total_left, total_right) / (total_left * total_right)
-            pair = ff_lift_injective(
-                lambda x, y: model.intern(Coop(t.actions, x, y)), left, right
-            )
-            return ff_scale(factor, pair)
-        return rec(model.defs[t.name])
-
-    return rec(term_id)
+def _pepa_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+    if isinstance(t, RatedPrefix):
+        if t.action != label:
+            return ff_zero(NNRAT)
+        return ff_make(NNRAT, [(t.cont, t.rate)])
+    if isinstance(t, Choice):
+        return ff_add(step_of(t.left), step_of(t.right))
+    if isinstance(t, Coop):
+        left = step_of(t.left)
+        right = step_of(t.right)
+        if label not in t.actions:
+            into_left, into_right = _moves(model, t)
+            return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
+        total_left = ff_oplus(left)
+        total_right = ff_oplus(right)
+        if total_left == 0 or total_right == 0:
+            return ff_zero(NNRAT)
+        # the joint rate of a synchronised action is capped by the
+        # slower participant: scale the product of the two
+        # functions so its total becomes min of the two totals
+        factor = min(total_left, total_right) / (total_left * total_right)
+        pair = ff_lift_injective(lambda x, y: model.intern(Coop(t.actions, x, y)), left, right)
+        return ff_scale(factor, pair)
+    return ff_zero(NNRAT)  # nil
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +171,21 @@ def _pepa_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _interactive_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
-    zero = ff_zero(BOOL)
-
-    def rec(i: int) -> FinFn:
-        t = model.shape(i)
-        if isinstance(t, (Nil, RatePrefix, TimePrefix)):
-            return zero
-        if isinstance(t, ActPrefix):
-            if t.action != label:
-                return zero
-            return ff_make(BOOL, [(t.cont, True)])
-        if isinstance(t, Choice):
-            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
-        if isinstance(t, Par):
-            left = _once(memo, rec, t.left)
-            right = _once(memo, rec, t.right)
-            if label in t.actions:
-                return ff_lift_injective(
-                    lambda x, y: model.intern(Par(t.actions, x, y)), left, right
-                )
-            into_left, into_right = _moves(model, t)
-            return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
-        return rec(model.defs[t.name])
-
-    return rec(term_id)
+def _interactive_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+    if isinstance(t, ActPrefix):
+        if t.action != label:
+            return ff_zero(BOOL)
+        return ff_make(BOOL, [(t.cont, True)])
+    if isinstance(t, Choice):
+        return ff_add(step_of(t.left), step_of(t.right))
+    if isinstance(t, Par):
+        left = step_of(t.left)
+        right = step_of(t.right)
+        if label in t.actions:
+            return ff_lift_injective(lambda x, y: model.intern(Par(t.actions, x, y)), left, right)
+        into_left, into_right = _moves(model, t)
+        return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
+    return ff_zero(BOOL)  # nil, a delay
 
 
 # ---------------------------------------------------------------------------
@@ -229,27 +193,19 @@ def _interactive_act(model: Model, term_id: int, label: str, memo: dict) -> FinF
 # ---------------------------------------------------------------------------
 
 
-def _delay_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
-    zero = ff_zero(NNRAT)
-
-    def rec(i: int) -> FinFn:
-        t = model.shape(i)
-        if isinstance(t, (Nil, ActPrefix, ProbPrefix)):
-            return zero
-        if isinstance(t, RatePrefix):
-            return ff_make(NNRAT, [(t.cont, t.rate)])
-        if isinstance(t, Choice):
-            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
-        if isinstance(t, Par):
-            # delays always interleave, independent of the action set
-            into_left, into_right = _moves(model, t)
-            return ff_add(
-                ff_map_keys(into_left, _once(memo, rec, t.left)),
-                ff_map_keys(into_right, _once(memo, rec, t.right)),
-            )
-        return rec(model.defs[t.name])
-
-    return rec(term_id)
+def _delay_step(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+    if isinstance(t, RatePrefix):
+        return ff_make(NNRAT, [(t.cont, t.rate)])
+    if isinstance(t, Choice):
+        return ff_add(step_of(t.left), step_of(t.right))
+    if isinstance(t, Par):
+        # delays always interleave, independent of the action set
+        into_left, into_right = _moves(model, t)
+        return ff_add(
+            ff_map_keys(into_left, step_of(t.left)),
+            ff_map_keys(into_right, step_of(t.right)),
+        )
+    return ff_zero(NNRAT)  # nil, an action
 
 
 # ---------------------------------------------------------------------------
@@ -257,40 +213,35 @@ def _delay_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
 # ---------------------------------------------------------------------------
 
 
-def _tick_step(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
-    zero = ff_zero(NATSET)
+def _tick_step(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+    if isinstance(t, TimePrefix):
+        after = step_of(t.cont)
+        pairs = [
+            (model.intern(TimePrefix(t.delay - spent, t.cont)), frozenset({spent}))
+            for spent in range(1, t.delay)
+        ]
+        pairs.append((t.cont, frozenset({t.delay})))
+        # time the continuation lets pass extends the whole delay
+        pairs += [(k, frozenset(m + t.delay for m in v)) for k, v in after.entries]
+        return ff_make(NATSET, pairs)
+    if isinstance(t, Choice):
+        # both sides must agree on the amount of time passed
+        return ff_lift_injective(
+            lambda x, y: model.intern(Choice(x, y)), step_of(t.left), step_of(t.right)
+        )
+    if isinstance(t, Par):
+        return ff_lift_injective(
+            lambda x, y: model.intern(Par(t.actions, x, y)), step_of(t.left), step_of(t.right)
+        )
+    return ff_zero(NATSET)  # nil, an action
 
-    def shift(amount: int, fn: FinFn) -> FinFn:
-        return ff_make(NATSET, [(k, frozenset(m + amount for m in v)) for k, v in fn.entries])
 
-    def rec(i: int) -> FinFn:
-        t = model.shape(i)
-        if isinstance(t, (Nil, ActPrefix)):
-            return zero
-        if isinstance(t, TimePrefix):
-            pairs = [
-                (model.intern(TimePrefix(t.delay - spent, t.cont)), frozenset({spent}))
-                for spent in range(1, t.delay)
-            ]
-            pairs.append((t.cont, frozenset({t.delay})))
-            through = shift(t.delay, rec(t.cont))
-            return ff_add(ff_make(NATSET, pairs), through)
-        if isinstance(t, Choice):
-            # both sides must agree on the amount of time passed
-            return ff_lift_injective(
-                lambda x, y: model.intern(Choice(x, y)),
-                _once(memo, rec, t.left),
-                _once(memo, rec, t.right),
-            )
-        if isinstance(t, Par):
-            return ff_lift_injective(
-                lambda x, y: model.intern(Par(t.actions, x, y)),
-                _once(memo, rec, t.left),
-                _once(memo, rec, t.right),
-            )
-        return rec(model.defs[t.name])
-
-    return rec(term_id)
+def _max_delay(t, delay_of: Callable[[int], int]) -> int:
+    if isinstance(t, TimePrefix):
+        return t.delay + delay_of(t.cont)
+    if isinstance(t, (Choice, Par)):
+        return min(delay_of(t.left), delay_of(t.right))
+    return 0  # nil, an action
 
 
 def tpc_max_delay(model: Model, term_id: int) -> int:
@@ -298,24 +249,9 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
 
     act or stop: 0 for inert/action states, delay plus the rest for a
     time prefix, the minimum over branches of a choice or composition.
-    Every term's result, the start's included, is memoised in the table.
     """
     memo = model.memo(MAX_DELAY, TICK_LABEL)
-
-    def walk(i: int) -> int:
-        t = model.shape(i)
-        if isinstance(t, (Nil, ActPrefix)):
-            return 0
-        if isinstance(t, TimePrefix):
-            return t.delay + rec(t.cont)
-        if isinstance(t, (Choice, Par)):
-            return min(rec(t.left), rec(t.right))
-        return rec(model.defs[t.name])
-
-    def rec(i: int) -> int:
-        return _once(memo, walk, i)
-
-    return rec(term_id)
+    return evaluate(term_id, model.shape, model.defs, TIMED_FORMS, memo, _max_delay)
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +259,36 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mal_act(model: Model, term_id: int, label: str, memo: dict) -> FinFn:
-    zero = ff_zero(BOOL)
-
-    def rec(i: int) -> FinFn:
-        t = model.shape(i)
-        if isinstance(t, (Nil, RatePrefix)):
-            return zero
-        if isinstance(t, ProbPrefix):
-            if t.action != label:
-                return zero
-            return ff_make(BOOL, [(ff_make(NNRAT, [(c, p) for p, c in t.branches]), True)])
-        if isinstance(t, Choice):
-            return ff_add(_once(memo, rec, t.left), _once(memo, rec, t.right))
-        if isinstance(t, Par):
-            left = _once(memo, rec, t.left)
-            right = _once(memo, rec, t.right)
-            if label in t.actions:
-                # the product of two distributions pairs their targets
-                pair = partial(ff_lift_injective, lambda x, y: model.intern(Par(t.actions, x, y)))
-                return ff_lift_injective(pair, left, right)
-            # one side moves: rename the targets inside each distribution
-            into_left, into_right = _moves(model, t)
-            return ff_add(
-                ff_map_keys(lambda mu: ff_map_keys(into_left, mu), left),
-                ff_map_keys(lambda mu: ff_map_keys(into_right, mu), right),
-            )
-        return rec(model.defs[t.name])
-
-    return rec(term_id)
+def _mal_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+    if isinstance(t, ProbPrefix):
+        if t.action != label:
+            return ff_zero(BOOL)
+        return ff_make(BOOL, [(ff_make(NNRAT, [(c, p) for p, c in t.branches]), True)])
+    if isinstance(t, Choice):
+        return ff_add(step_of(t.left), step_of(t.right))
+    if isinstance(t, Par):
+        left = step_of(t.left)
+        right = step_of(t.right)
+        if label in t.actions:
+            # the product of two distributions pairs their targets
+            pair = partial(ff_lift_injective, lambda x, y: model.intern(Par(t.actions, x, y)))
+            return ff_lift_injective(pair, left, right)
+        # one side moves: rename the targets inside each distribution
+        into_left, into_right = _moves(model, t)
+        return ff_add(
+            ff_map_keys(lambda mu: ff_map_keys(into_left, mu), left),
+            ff_map_keys(lambda mu: ff_map_keys(into_right, mu), right),
+        )
+    return ff_zero(BOOL)  # nil, a delay
 
 
+# each relation's rule, and the forms its step walks through
 _DISPATCH = {
-    ("pepa", ACT): _pepa_act,
-    ("iml", ACT): _interactive_act,
-    ("iml", DELAY): _delay_step,
-    ("tpc", ACT): _interactive_act,
-    ("tpc", TICK): _tick_step,
-    ("mal", ACT): _mal_act,
-    ("mal", DELAY): _delay_step,
+    ("pepa", ACT): (_pepa_act, STEP_FORMS),
+    ("iml", ACT): (_interactive_act, STEP_FORMS),
+    ("iml", DELAY): (_delay_step, STEP_FORMS),
+    ("tpc", ACT): (_interactive_act, STEP_FORMS),
+    ("tpc", TICK): (_tick_step, TIMED_FORMS),
+    ("mal", ACT): (_mal_act, STEP_FORMS),
+    ("mal", DELAY): (_delay_step, STEP_FORMS),
 }

@@ -7,15 +7,18 @@ code with the state-to-function semantics, so agreement between the two
 routes is meaningful evidence of correctness.
 
 That holds for terms too.  The oracle hash-conses terms in a table of
-its own, :class:`OracleTerms`, which shares no interning or memo code with
-the model's table: a model's terms come in by their ids there, read one
-shape at a time, and the oracle adds nothing to the model.  Each walker
-takes a table and a term id there, and returns derivations over ids:
-``(rate, target)`` tuples, sets of targets, ``(amount, target)`` sets, or
-distributions of ``(target, mass)``.  Results are memoised in the table
-per walker, label and subterm, so a target such as ``Coop(actions,
-target, right)`` is built in O(1) from its operands' ids, and a term's
-derivations cost the size of its operands' derivations, not of the term.
+its own, :class:`OracleTerms`, which shares no interning code and no memo
+with the model's table: a model's terms come in by their ids there, read
+one shape at a time, and the oracle adds nothing to the model.  Each
+walker is one rule, run over a table and a term id there by
+:func:`.syntax.evaluate`, the children-first traversal that every
+per-term walk shares and that decides no transition.  It returns
+derivations over ids: ``(rate, target)`` tuples, sets of targets,
+``(amount, target)`` sets, or distributions of ``(target, mass)``.  The
+table keeps every result it derives, per rule and label, so a target
+such as ``Coop(actions, target, right)`` is built in O(1) from its
+operands' ids, and a term's derivations cost the size of its operands'
+derivations, not of the term.
 
 Derivation tuples keep duplicates: two different proof trees yielding
 the same transition both count (their rates add up), which is exactly
@@ -25,13 +28,15 @@ what the aggregated quantities defined at the bottom rely on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Dict, FrozenSet, Set, Tuple
 
 from .errors import TimedTransitionCapError
 from .syntax import (
     ActPrefix,
+    STEP_FORMS,
+    TIMED_FORMS,
     Choice,
-    Const,
     Coop,
     Model,
     Par,
@@ -39,6 +44,7 @@ from .syntax import (
     RatedPrefix,
     RatePrefix,
     TimePrefix,
+    evaluate,
     map_children,
     render_cached,
     render_key,
@@ -67,7 +73,9 @@ class OracleTerms:
         self._shapes: list = []  # id -> shape
         self._imported: list = []  # model id -> id, for the model's ids 0, 1, ...
         self._texts: Dict[int, str] = {}
-        self._walks: dict = {}  # (rule, label) -> its memoised walk
+        self._walks: dict = {}  # (rule, label) -> ({term id -> result}, the rule bound)
+        # constant name -> its body's id
+        self._bodies = {name: self.of_model(body) for name, body in model.defs.items()}
 
     def id_of(self, form: type, *fields) -> int:
         """The id of the term ``form(*fields)``, whose subterm fields are ids;
@@ -98,38 +106,26 @@ class OracleTerms:
     def text(self, term_id: int) -> str:
         """The canonical text of a term (:func:`~futsbench.syntax.term_key`),
         rendered once per id from its subterms' texts."""
-        return render_cached(term_id, self._shapes, self._texts, self._render_text)
+        return render_cached(term_id, self._shapes.__getitem__, self._texts, render_key)
 
-    def _render_text(self, shape) -> str:
-        return render_key(shape, self._texts.__getitem__)
+    def derive(self, rule, through: tuple, label, term_id: int):
+        """``rule``'s result for ``term_id``, kept per rule and label.
 
-    def derive(self, rule, label, term_id: int):
-        """``rule``'s result for ``term_id``, memoised per rule and label.
-
-        ``rule(shape, rec, table, label)`` gives a term's result, reading
-        the results of the shape's subterms through ``rec``, which computes
-        each one once.  A constant is stepped as its body, imported from
-        the model by id.
+        ``rule(table, label, shape, result_of)`` gives a term's result from
+        the results of its successors through the forms ``through``
+        (:func:`~futsbench.syntax.evaluate`).  A constant is stepped as its
+        body, imported from the model by id.
         """
-        rec = self._walks.get((rule, label))
-        if rec is None:
-            rec = self._walks[rule, label] = self._walk(rule, label)
-        return rec(term_id)
-
-    def _walk(self, rule, label):
-        done: dict = {}  # term id -> result
-        shapes, defs, of_model = self._shapes, self._model.defs, self.of_model
-
-        def rec(t: int):
-            found = done.get(t)
-            if found is None:
-                shape = shapes[t]
-                while isinstance(shape, Const):  # ends: models are guarded
-                    shape = shapes[of_model(defs[shape.name])]
-                found = done[t] = rule(shape, rec, self, label)
-            return found
-
-        return rec
+        walk = self._walks.get((rule, label))
+        if walk is None:
+            walk = self._walks[rule, label] = ({}, partial(rule, self, label))
+        memo, bound = walk
+        found = memo.get(term_id)
+        if found is None:
+            found = memo[term_id] = evaluate(
+                term_id, self._shapes.__getitem__, self._bodies, through, memo, bound
+            )
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +140,10 @@ def pepa_apparent_rate(table: OracleTerms, term_id: int, action: str) -> Fractio
     composition adds for free actions and takes the minimum for
     synchronised ones.
     """
-    return table.derive(_apparent_rate, action, term_id)
+    return table.derive(_apparent_rate, STEP_FORMS, action, term_id)
 
 
-def _apparent_rate(t, rec, table: OracleTerms, action: str) -> Fraction:
+def _apparent_rate(table: OracleTerms, action: str, t, rec) -> Fraction:
     if isinstance(t, RatedPrefix):
         return t.rate if t.action == action else ZERO
     if isinstance(t, Choice):
@@ -166,10 +162,10 @@ def pepa_transitions(
 
     element per derivation.
     """
-    return table.derive(_pepa_moves, action, term_id)
+    return table.derive(_pepa_moves, STEP_FORMS, action, term_id)
 
 
-def _pepa_moves(t, rec, table: OracleTerms, action: str) -> Tuple[Tuple[Fraction, int], ...]:
+def _pepa_moves(table: OracleTerms, action: str, t, rec) -> Tuple[Tuple[Fraction, int], ...]:
     if isinstance(t, RatedPrefix):
         if t.action == action:
             return ((t.rate, t.cont),)
@@ -178,21 +174,17 @@ def _pepa_moves(t, rec, table: OracleTerms, action: str) -> Tuple[Tuple[Fraction
         return rec(t.left) + rec(t.right)
     if isinstance(t, Coop):
         id_of = table.id_of
+        left, right = rec(t.left), rec(t.right)
         if action not in t.actions:
-            moved = [
-                (rate, id_of(Coop, t.actions, target, t.right)) for rate, target in rec(t.left)
-            ]
-            moved += [
-                (rate, id_of(Coop, t.actions, t.left, target)) for rate, target in rec(t.right)
-            ]
+            moved = [(rate, id_of(Coop, t.actions, target, t.right)) for rate, target in left]
+            moved += [(rate, id_of(Coop, t.actions, t.left, target)) for rate, target in right]
             return tuple(moved)
+        if not left or not right:  # a side that cannot take part blocks the action
+            return ()
         left_rate = pepa_apparent_rate(table, t.left, action)
         right_rate = pepa_apparent_rate(table, t.right, action)
-        if left_rate == 0 or right_rate == 0:
-            return ()
-        right = rec(t.right)
         out = []
-        for rate_l, target_l in rec(t.left):
+        for rate_l, target_l in left:
             for rate_r, target_r in right:
                 # each participant contributes its share of its own
                 # capacity; the joint capacity is the smaller one
@@ -212,10 +204,10 @@ def interactive_transitions(table: OracleTerms, term_id: int, action: str) -> Fr
 
     unrated actions (a plain transition relation, so a set).
     """
-    return table.derive(_interactive_moves, action, term_id)
+    return table.derive(_interactive_moves, STEP_FORMS, action, term_id)
 
 
-def _interactive_moves(t, rec, table: OracleTerms, action: str) -> FrozenSet[int]:
+def _interactive_moves(table: OracleTerms, action: str, t, rec) -> FrozenSet[int]:
     if isinstance(t, ActPrefix):
         if t.action == action:
             return frozenset({t.cont})
@@ -244,10 +236,10 @@ def _interactive_moves(t, rec, table: OracleTerms, action: str) -> FrozenSet[int
 
 def delay_derivations(table: OracleTerms, term_id: int) -> Tuple[Tuple[Fraction, int], ...]:
     """All rated delay derivations; duplicates count separately."""
-    return table.derive(_delay_moves, None, term_id)
+    return table.derive(_delay_moves, STEP_FORMS, None, term_id)
 
 
-def _delay_moves(t, rec, table: OracleTerms, _) -> Tuple[Tuple[Fraction, int], ...]:
+def _delay_moves(table: OracleTerms, _, t, rec) -> Tuple[Tuple[Fraction, int], ...]:
     if isinstance(t, RatePrefix):
         return ((t.rate, t.cont),)
     if isinstance(t, Choice):
@@ -273,7 +265,7 @@ def timed_transitions(table: OracleTerms, term_id: int) -> FrozenSet[Tuple[int, 
     pass; choices and compositions advance only in lockstep.  The
     enumeration is capped at :data:`TIMED_CAP` transitions.
     """
-    return table.derive(_timed_moves, None, term_id)
+    return table.derive(_timed_moves, TIMED_FORMS, None, term_id)
 
 
 def _capped(result: Set[Tuple[int, int]]) -> FrozenSet[Tuple[int, int]]:
@@ -282,7 +274,7 @@ def _capped(result: Set[Tuple[int, int]]) -> FrozenSet[Tuple[int, int]]:
     return frozenset(result)
 
 
-def _timed_moves(t, rec, table: OracleTerms, _) -> FrozenSet[Tuple[int, int]]:
+def _timed_moves(table: OracleTerms, _, t, rec) -> FrozenSet[Tuple[int, int]]:
     id_of = table.id_of
     if isinstance(t, TimePrefix):
         out = {(t.delay, t.cont)}
@@ -339,10 +331,10 @@ def action_distributions(
 
     ``action`` transition.
     """
-    return table.derive(_distribution_moves, action, term_id)
+    return table.derive(_distribution_moves, STEP_FORMS, action, term_id)
 
 
-def _distribution_moves(t, rec, table: OracleTerms, action: str) -> FrozenSet[Distribution]:
+def _distribution_moves(table: OracleTerms, action: str, t, rec) -> FrozenSet[Distribution]:
     if isinstance(t, ProbPrefix):
         if t.action == action:
             return frozenset({merge_distribution((c, p) for p, c in t.branches)})

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, Container, Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import (
     DelayCycleError,
@@ -135,16 +136,37 @@ Term = Union[
 
 _PREFIX_TYPES = (RatedPrefix, ActPrefix, RatePrefix, TimePrefix, ProbPrefix)
 
+# The forms a step walks through to reach the prefixes it fires: every step
+# crosses choices and compositions, and the timed step and the maximal delay
+# cross delay prefixes too.  No constant reaches itself through these forms
+# alone (:func:`check_guarded`), so every walk through them ends.
+STEP_FORMS = (Choice, Coop, Par)
+TIMED_FORMS = (Choice, Par, TimePrefix)
+
+
+def _cont(term) -> tuple:
+    return (term.cont,)
+
+
+_OPERANDS = attrgetter("left", "right")
+
+# each form with subterms -> the function giving them, in source order
+_CHILDREN = {
+    RatedPrefix: _cont,
+    ActPrefix: _cont,
+    RatePrefix: _cont,
+    TimePrefix: _cont,
+    ProbPrefix: lambda term: tuple(cont for _, cont in term.branches),
+    Choice: _OPERANDS,
+    Coop: _OPERANDS,
+    Par: _OPERANDS,
+}
+
 
 def children(term: Term) -> Tuple[Term, ...]:
     """Immediate subterms, in source order."""
-    if isinstance(term, (Nil, Const)):
-        return ()
-    if isinstance(term, (RatedPrefix, ActPrefix, RatePrefix, TimePrefix)):
-        return (term.cont,)
-    if isinstance(term, ProbPrefix):
-        return tuple(cont for _, cont in term.branches)
-    return (term.left, term.right)
+    of = _CHILDREN.get(type(term))
+    return () if of is None else of(term)
 
 
 def map_children(term: Term, f: Callable[[Term], Any]) -> Term:
@@ -183,8 +205,8 @@ class Model:
     :meth:`memo` holds the semantics' memoised steps, one dict per
     relation and label, by term id.
     :func:`parse_model` builds every model and checks it with
-    :func:`check_guarded`, so models are guarded by construction and a
-    walker unfolds a constant with no cycle detection of its own.
+    :func:`check_guarded`, so models are guarded by construction and
+    :func:`evaluate` unfolds a constant with no cycle detection of its own.
     """
 
     def __init__(self, lang: str):
@@ -213,17 +235,15 @@ class Model:
     def text(self, term_id: int) -> str:
         """Canonical text of a term (:func:`term_key`), rendered once per id
         from its subterms' texts."""
-        return render_cached(term_id, self._shapes, self._texts, self._render_text)
+        return render_cached(term_id, self._shapes.__getitem__, self._texts, render_key)
 
     def pretty(self, term_id: int) -> str:
         """Readable text of a term (:func:`pretty`), rendered once per id
         from its subterms' readable texts."""
-        return render_cached(term_id, self._shapes, self._pretties, self._render_pretty)
+        return render_cached(term_id, self._shapes.__getitem__, self._pretties, self._render_pretty)
 
-    def _render_text(self, shape) -> str:
-        return render_key(shape, self._texts.__getitem__)
-
-    def _render_pretty(self, shape) -> str:
+    def _render_pretty(self, shape, _) -> str:
+        # the bracketing of a subterm reads its shape too (_pretty_of)
         return render_pretty(shape, self._pretty_of)
 
     def _pretty_of(self, sub: int, min_prec: int) -> str:
@@ -718,11 +738,9 @@ def check_guarded(model: Model) -> None:
     unbounded time pass (:class:`DelayCycleError`).  Every constant is
     checked, whether or not the initial term reaches it.
     """
-    _refuse_cycle(model, (Choice, Coop, Par), UnguardedRecursionError, "is not guarded")
+    _refuse_cycle(model, STEP_FORMS, UnguardedRecursionError, "is not guarded")
     if model.lang == "tpc":
-        _refuse_cycle(
-            model, (Choice, Par, TimePrefix), DelayCycleError, "recurses through delays only"
-        )
+        _refuse_cycle(model, TIMED_FORMS, DelayCycleError, "recurses through delays only")
 
 
 def alphabet(model: Model, roots: Iterable[int] = ()) -> list:
@@ -772,31 +790,71 @@ def term_key(term: Term) -> str:
     return render_key(term, term_key)
 
 
-def render_cached(term_id: int, shapes, cache: dict, render: Callable[[Any], str]) -> str:
-    """``cache[term_id]``, filled by ``render`` (one shape, whose subterm ids
-    it reads from ``cache``) for the term and each subterm not yet in it,
-    children first, with an explicit stack.  ``shapes`` maps ids to shapes."""
-    text = cache.get(term_id)
-    if text is not None:
-        return text
-    try:  # one level is all it takes when every subterm is rendered
-        text = cache[term_id] = render(shapes[term_id])
-        return text
-    except KeyError:  # some subterm is not: render the missing ones first
-        pass
-    stack = [term_id]
-    while stack:
+def evaluate(
+    root: int,
+    shape_of: Callable[[int], Any],
+    defs: Optional[dict],
+    through: Container[type],
+    memo: dict,
+    rule: Callable[[Any, Callable[[int], Any]], Any],
+):
+    """``rule``'s result for the term ``root``, neither read from ``memo``
+    nor stored in it.
+
+    ``rule(shape, result_of)`` gives a term's result from its shape (read
+    by ``shape_of``) and, through ``result_of``, its successors' results.
+    A shape's successors are its children when it has one of the forms
+    ``through``, and it has none otherwise.  Every successor reached from
+    ``root`` and not yet in ``memo`` goes through ``rule`` once and is kept
+    there by id, children first, with an explicit stack, so no walk
+    recurses; when every successor of ``root`` is kept already, no other
+    shape is read.  A constant's shape is read as its body's, whose id
+    ``defs`` maps its name to, so no rule sees a constant, and a result is
+    kept under the constant's id, not its body's; with ``defs`` None a
+    constant is a leaf.
+    """
+    get = memo.__getitem__
+    stack = [root]
+    while True:
         t = stack.pop()
-        if t < 0:  # ~t, whose subterms are rendered
-            cache[~t] = render(shapes[~t])
-        elif t not in cache:
-            pending = [sub for sub in children(shapes[t]) if sub not in cache]
-            if pending:
-                stack.append(~t)
-                stack += pending
-            else:
-                cache[t] = render(shapes[t])
-    return cache[term_id]
+        expanded = t < 0  # ~t: t, whose successors are kept
+        if expanded:
+            t = ~t
+        elif t in memo and t != root:
+            continue
+        shape = shape_of(t)
+        while type(shape) is Const and defs is not None:
+            shape = shape_of(defs[shape.name])
+        form = type(shape)
+        if not expanded and form in through:
+            stack.append(~t)
+            waiting = len(stack)
+            for sub in _CHILDREN[form](shape):
+                if sub not in memo:
+                    stack.append(sub)
+            if len(stack) > waiting:
+                continue
+            stack.pop()  # every successor is kept: one level is all it takes
+        result = rule(shape, get)
+        if t == root:
+            return result
+        memo[t] = result
+
+
+def render_cached(
+    term_id: int,
+    shape_of: Callable[[int], Any],
+    cache: dict,
+    render: Callable[[Any, Callable[[int], str]], str],
+) -> str:
+    """``cache[term_id]``, filled in by ``render(shape, text_of)``, which
+    renders one shape from its subterms' texts, for the term and every
+    subterm not yet in ``cache`` (:func:`evaluate`)."""
+    text = cache.get(term_id)
+    if text is None:
+        # every form with subterms is walked through
+        text = cache[term_id] = evaluate(term_id, shape_of, None, _CHILDREN, cache, render)
+    return text
 
 
 def render_key(node, key_of: Callable[[Any], str]) -> str:

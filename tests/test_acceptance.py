@@ -215,7 +215,9 @@ def test_criterion_03_totality_and_determinism():
 def test_warm_step_memo_agrees_with_a_cold_one():
     # the exploring table has memoised the steps of every shared subterm;
     # the same model parsed into a fresh table walks each state's term from
-    # scratch.  Ids differ between tables, so steps compare by target text.
+    # scratch.  The memo is kept per relation and label, so one fresh table
+    # per state leaves each of its steps cold.  Ids differ between tables,
+    # so steps compare by target text.
     for lang in LANGS:
         start = time.monotonic()
         for fm in small_corpus(lang):
@@ -223,10 +225,10 @@ def test_warm_step_memo_agrees_with_a_cold_one():
             text = model_text(bodies(warm), tree(warm, warm.init))
             specs = relation_specs(lang)
             for state in fm.states:
+                cold = parse_model(text, lang)
+                cold_id = parse_term(state.key, cold)
                 for spec in specs:
                     for label in relation_labels(spec, warm):
-                        cold = parse_model(text, lang)
-                        cold_id = parse_term(state.key, cold)
                         assert step_text(warm, state.term, spec.name, label) == step_text(
                             cold, cold_id, spec.name, label
                         )

@@ -122,6 +122,28 @@ def test_build_max_states_bound(tmp_path, capsys):
     assert "exceeded 3 states" in err
 
 
+_CHAIN_3001 = "".join(f"X{i} = a.X{i + 1}\n" for i in range(3000)) + "X3000 = nil\ninit X0\n"
+
+
+@pytest.mark.parametrize(
+    "text, bound, waiting",
+    [
+        # the state being expanded is still on the frontier
+        (_CHAIN_3001, 50, "1 state"),
+        # as is the one it discovered before the bound was hit
+        ("init a.b.nil + b.a.nil\n", 2, "2 states"),
+    ],
+    ids=["chain", "fan"],
+)
+def test_max_states_counts_the_frontier(tmp_path, capsys, text, bound, waiting):
+    path = write(tmp_path, "m.iml", text)
+    code, out, err = run_main(capsys, "build", path, "--max-states", str(bound))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: exploration exceeded {bound} states with {waiting} still on the frontier\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # bisim
 # ---------------------------------------------------------------------------
@@ -370,9 +392,57 @@ def test_deep_prefix_chain_compares(tmp_path, capsys, ext, prefix):
     assert lines[-1] == f"PASS bisimilarity correspondence [{_DEEP + 1} checks]"
 
 
-@pytest.mark.parametrize(
-    "shape, command", [("choice", "build"), ("chain", "build"), ("parens", "check")]
-)
+# one branch of a deep choice, and a term bisimilar to the whole choice
+_BRANCHES = {
+    "iml": ("a.nil", "a.nil"),
+    "pepa": ("(a, 1).nil", f"(a, {_DEEP}).nil"),
+    "tpc": ("(1).a.nil", "(1).a.nil"),
+}
+
+
+@pytest.mark.parametrize("command", ["build", "bisim", "minimize", "compare"])
+@pytest.mark.parametrize("ext", ["iml", "pepa", "tpc"])
+def test_deep_choice_passes_every_command(tmp_path, capsys, ext, command):
+    # each step fills its operands' memo children first, without recursion
+    branch, whole = _BRANCHES[ext]
+    choice = " + ".join([branch] * _DEEP)
+    path = write(tmp_path, f"m.{ext}", f"init {choice}\n")
+    extra = ("--left", choice, "--right", whole) if command == "bisim" else ()
+    code, out, err = run_main(capsys, command, path, *extra)
+    assert (code, err) == (0, "")
+    # the choice and nil, and in tpc the choice of a.nil it ticks into
+    states = 3 if ext == "tpc" else 2
+    if command in ("build", "minimize"):
+        assert len(json.loads(out)["states"]) == states
+    elif command == "bisim":
+        assert out == "BISIMILAR\n"
+    else:
+        lines = out.splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines)
+        assert lines[-1] == f"PASS bisimilarity correspondence [{states} checks]"
+
+
+@pytest.mark.parametrize("command", ["build", "bisim", "minimize", "compare"])
+def test_deep_constant_chain_passes_every_command(tmp_path, capsys, command):
+    # a constant is stepped as its body, and its step kept under its own id
+    path = write(tmp_path, "m.iml", _DEEP_MODELS["chain"])
+    extra = ("--left", "X0", "--right", "a.nil") if command == "bisim" else ()
+    code, out, err = run_main(capsys, command, path, *extra)
+    assert (code, err) == (0, "")
+    if command == "build":
+        states = json.loads(out)["states"]
+        assert [state["term"] for state in states] == ["X0", "nil"]
+    elif command == "minimize":
+        assert len(json.loads(out)["states"]) == 2
+    elif command == "bisim":
+        assert out == "BISIMILAR\n"
+    else:
+        lines = out.splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines)
+        assert lines[-1] == "PASS bisimilarity correspondence [2 checks]"
+
+
+@pytest.mark.parametrize("shape, command", [("parens", "check")])
 def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, shape, command):
     path = write(tmp_path, "m.iml", _DEEP_MODELS[shape])
     code, out, err = run_main(capsys, command, path)

@@ -220,6 +220,24 @@ def test_tpc_max_delay():
     assert tpc_max_delay(model, parse_term("nil", model)) == 0
 
 
+DEEP = 3000
+
+# the canonical text of a DEEP-way choice of a.nil, nested to the left
+DEEP_CHOICE_TEXT = "(" * (DEEP - 1) + "a.nil" + " + a.nil)" * (DEEP - 1)
+
+
+def test_a_deep_delay_chain_has_its_maximal_delay_without_recursion():
+    # the maximal delay crosses delay prefixes, kept children first
+    model = parse_model("init " + "(1)." * DEEP + "nil\n", "tpc")
+    assert tpc_max_delay(model, model.init) == DEEP
+
+
+def test_a_deep_timed_choice_ticks_without_recursion():
+    model = parse_model("init " + " + ".join(["(1).a.nil"] * DEEP) + "\n", "tpc")
+    fn = step_text(model, model.init, "tick", "tick")
+    assert fn == ff_make("NATSET", [(DEEP_CHOICE_TEXT, frozenset({1}))])
+
+
 def test_tpc_tick_amounts_descend_by_the_time_spent():
     model = parse_model("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
     seen = [model.init]

@@ -450,3 +450,11 @@ def test_a_deep_prefix_chain_is_added_read_and_stepped_without_recursion(lang):
             assert delay_derivations(table, top) == ()
         else:
             assert timed_transitions(table, top) == frozenset()
+
+
+def test_a_deep_timed_choice_has_one_timed_transition_without_recursion():
+    model = parse_model("init " + " + ".join(["(1).a.nil"] * DEEP) + "\n", "tpc")
+    table = OracleTerms(model)
+    ((amount, target),) = timed_transitions(table, table.of_model(model.init))
+    assert amount == 1
+    assert table.text(target) == "(" * (DEEP - 1) + "a.nil" + " + a.nil)" * (DEEP - 1)

@@ -30,6 +30,7 @@ from futsbench.syntax import (
     Model,
     Nil,
     Par,
+    STEP_FORMS,
     ProbPrefix,
     RatedPrefix,
     RatePrefix,
@@ -37,6 +38,7 @@ from futsbench.syntax import (
     alphabet,
     check_guarded,
     children,
+    evaluate,
     map_children,
     parse_model,
     parse_term,
@@ -340,6 +342,86 @@ def test_table_pretty_brackets_a_subterm_by_its_slot():
     term = tree(model, model.init)
     assert model.pretty(model.init) == pretty(term) == "a.(b.nil + X) + (nil |[a]| (X |[b]| nil))"
     assert model.text(model.init) == term_key(term)
+
+
+# ---------------------------------------------------------------------------
+# The children-first evaluator
+# ---------------------------------------------------------------------------
+
+
+def _size(shape, size_of):
+    """A term's size, counting each operand of a choice or composition."""
+    if isinstance(shape, STEP_FORMS):
+        return 1 + size_of(shape.left) + size_of(shape.right)
+    return 1
+
+
+def _traced(model, rule):
+    """``model``'s shape read and ``rule``, each recording what it is given."""
+    reads, ruled = [], []
+
+    def shape_of(term_id):
+        reads.append(term_id)
+        return model.shape(term_id)
+
+    def traced_rule(shape, result_of):
+        ruled.append(shape)
+        return rule(shape, result_of)
+
+    return shape_of, traced_rule, reads, ruled
+
+
+def test_evaluate_puts_a_shared_subterm_through_the_rule_once_per_memo():
+    shared = "(a.nil + b.nil) |[]| (a.nil + b.nil)"
+    model = parse_model(f"init ({shared}) + ({shared})\n", "iml")
+    shape_of, rule, _, ruled = _traced(model, _size)
+    memo = {}
+    assert evaluate(model.init, shape_of, model.defs, STEP_FORMS, memo, rule) == 15
+    # the composition, the choice, a.nil and b.nil each go through the rule
+    # once, however many parents share them, and then the root
+    root = model.shape(model.init)
+    assert ruled[-1] == root
+    assert len(ruled[:-1]) == len(set(ruled[:-1])) == len(memo) == 4
+    # with the same memo, only the root goes through the rule
+    assert evaluate(model.init, shape_of, model.defs, STEP_FORMS, memo, rule) == 15
+    assert ruled[5:] == [root]
+    # a fresh memo walks every subterm again
+    assert evaluate(model.init, shape_of, model.defs, STEP_FORMS, {}, rule) == 15
+    assert len(ruled) == 11
+
+
+def test_evaluate_returns_the_root_without_keeping_it():
+    model = parse_model("init a.nil + b.nil\n", "iml")
+    memo = {}
+    assert evaluate(model.init, model.shape, model.defs, STEP_FORMS, memo, _size) == 3
+    choice = model.shape(model.init)
+    assert memo == {choice.left: 1, choice.right: 1}
+
+
+def test_evaluate_keeps_a_constant_under_its_own_id_not_its_body():
+    model = parse_model("X = a.nil + b.nil\ninit X |[]| c.nil\n", "iml")
+    shape_of, rule, _, ruled = _traced(model, _size)
+    memo = {}
+    assert evaluate(model.init, shape_of, model.defs, STEP_FORMS, memo, rule) == 5
+    x = parse_term("X", model)
+    assert x in memo and model.defs["X"] not in memo
+    assert memo[x] == 3
+    assert not any(isinstance(shape, Const) for shape in ruled)
+    # a constant at the root is read as its body too, and kept nowhere
+    fresh = {}
+    assert evaluate(x, shape_of, model.defs, STEP_FORMS, fresh, rule) == 3
+    assert x not in fresh and model.defs["X"] not in fresh
+
+
+def test_evaluate_takes_one_level_when_every_successor_is_kept():
+    model = parse_model("init a.nil + (b.nil + c.nil)\n", "iml")
+    choice = model.shape(model.init)
+    shape_of, rule, reads, ruled = _traced(model, _size)
+    # the kept results stand for the operands, whose shapes are never read
+    memo = {choice.left: 10, choice.right: 20}
+    assert evaluate(model.init, shape_of, model.defs, STEP_FORMS, memo, rule) == 31
+    assert reads == [model.init]
+    assert ruled == [choice]
 
 
 # ---------------------------------------------------------------------------
