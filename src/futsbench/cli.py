@@ -152,15 +152,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except FutsError as exc:
+    except (FutsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # only the parser recurses: once per level of parentheses and braces
-        print(f"error: {args.file}: the model nests too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -74,8 +74,11 @@ class OracleTerms:
         self._imported: list = []  # model id -> id, for the model's ids 0, 1, ...
         self._texts: Dict[int, str] = {}
         self._walks: dict = {}  # (rule, label) -> ({term id -> result}, the rule bound)
+        if model.defs:
+            # importing a term imports every model term with a smaller id too
+            self.of_model(max(model.defs.values()))
         # constant name -> its body's id
-        self._bodies = {name: self.of_model(body) for name, body in model.defs.items()}
+        self._bodies = {name: self._imported[body] for name, body in model.defs.items()}
 
     def id_of(self, form: type, *fields) -> int:
         """The id of the term ``form(*fields)``, whose subterm fields are ids;

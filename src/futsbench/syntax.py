@@ -1,28 +1,36 @@
 """Process terms: abstract syntax, parsing, and canonical printing.
 
-Four calculi share one term shape with per-language prefix forms:
+Four calculi, ``pepa``, ``iml``, ``tpc`` and ``mal``, share one term shape
+and differ in their prefixes and in how composition is written.  A model
+file is read line by line; each line is blank, a definition
+``Name = term`` or the one ``init term`` line, and ``--`` starts a comment
+that runs to the end of the line.  The grammar of a term, with the
+languages that have each form::
 
-* ``pepa`` -- rated action prefixes ``(a, 3/2).P`` and synchronising
-  composition ``P <a,b> Q``.
-* ``iml``  -- action prefixes ``a.P``, delay-rate prefixes ``3/2.P``,
-  and composition ``P |[a,b]| Q``.
-* ``tpc``  -- action prefixes ``a.P``, integer time prefixes
-  ``(3).P``, and composition ``P |[a,b]| Q``.
-* ``mal``  -- delay-rate prefixes ``3/2.P`` and probabilistic action
-  prefixes ``a.{1/2: P [] 1/2: Q}`` (an action always carries a
-  distribution), composition ``P |[a,b]| Q``.
+    term    ::= choice (sync choice)*
+    choice  ::= prefix ('+' prefix)*
+    prefix  ::= head* atom
+    head    ::= '(' action ',' rate ')' '.'                       pepa
+              | action '.'                                        iml tpc
+              | rate '.'                                          iml mal
+              | '(' delay ')' '.'                                 tpc
+    atom    ::= 'nil' | Name | '(' term ')'
+              | action '.' '{' prob ':' term ('[]' prob ':' term)* '}'   mal
+    sync    ::= '<' actions '>'                                   pepa
+              | '|[' actions ']|'                                 iml tpc mal
+    actions ::= (action (',' action)*)?
 
-All languages have ``nil``, binary choice ``P + Q``, and defined
-constants (uppercase-initial names).  Action names start with a
-lowercase letter.  Prefixing binds tightest, then ``+``, then the
-composition operator; both binary operators associate to the left.
-
-A model file is line-oriented: ``Name = Term`` definitions, exactly
-one ``init Term`` line, and ``--`` comments.
+So prefixing binds tightest, then ``+``, then composition, and both
+binary operators associate to the left.  A ``Name`` (a constant) starts
+with an uppercase letter and an ``action`` with a lowercase one, ``nil``
+and ``init`` excepted.  A ``rate`` or ``prob`` is a positive ``n``,
+``n/m`` or decimal, a ``prob`` at most 1 and a distribution's summing to
+1; a ``delay`` is a positive integer.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -261,72 +269,39 @@ class Model:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_SINGLE_SYMBOLS = set("()+.,<>{}:=/")
-# ASCII only: str.isdigit also accepts digits such as "²" that Fraction rejects
-_DIGITS = set("0123456789")
+# One token per match, after any blanks, in five groups: a comment, which
+# ends the line; a number, in ASCII digits; a word; a symbol; and any other
+# character, which starts no token.  The word group also starts at a
+# numeral such as "²", a \w that is neither a \d nor a letter, so _lex
+# refuses a word that does not start with a letter.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(--)|([0-9]+(?:\.[0-9]+)?)|([^\W\d_]\w*)"
+    r"|(\|\[|\]\||\[\]|[()+.,<>{}:=/])|([^ \t\r\n]))"
+)
+_KINDS = (None, None, "number", "ident", "sym")  # by group
+# a character that starts no token -> the message for it, for those of a symbol
+_STRAY = {
+    "|": "unexpected '|' (composition is written '|[...]|')",
+    "]": "unexpected ']'",
+    "[": "unexpected '['",
+}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "number" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _lex_line(text: str, lineno: int) -> list:
+def _lex(text: str, lineno: int) -> list:
+    """The tokens of one line, as ``(kind, text, line, col)``: ``kind`` is
+    ident, number or sym, and a last eof token has the text ''."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == "-":
-            break  # comment to end of line
-        col = i + 1
-        if c in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(_Token("number", text[i:j], lineno, col))
-            i = j
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], lineno, col))
-            i = j
-            continue
-        if c == "|":
-            if i + 1 < n and text[i + 1] == "[":
-                tokens.append(_Token("sym", "|[", lineno, col))
-                i += 2
-                continue
-            raise ParseError("unexpected '|' (composition is written '|[...]|')", lineno, col)
-        if c == "]":
-            if i + 1 < n and text[i + 1] == "|":
-                tokens.append(_Token("sym", "]|", lineno, col))
-                i += 2
-                continue
-            raise ParseError("unexpected ']'", lineno, col)
-        if c == "[":
-            if i + 1 < n and text[i + 1] == "]":
-                tokens.append(_Token("sym", "[]", lineno, col))
-                i += 2
-                continue
-            raise ParseError("unexpected '['", lineno, col)
-        if c in _SINGLE_SYMBOLS:
-            tokens.append(_Token("sym", c, lineno, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", lineno, col)
-    tokens.append(_Token("eof", "", lineno, n + 1))
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 1:
+            break
+        word = match.group(group)
+        col = match.start(group) + 1
+        if group == 5 or group == 3 and not word[0].isalpha():
+            char = word[0]
+            raise ParseError(_STRAY.get(char) or f"unexpected character {char!r}", lineno, col)
+        tokens.append((_KINDS[group], word, lineno, col))
+    tokens.append(("eof", "", lineno, len(text) + 1))
     return tokens
 
 
@@ -343,244 +318,228 @@ def _is_action_name(name: str) -> bool:
     return name[0].islower() and name not in ("nil", "init")
 
 
-class _Parser:
-    """Reads one line's tokens, interning each node into ``model``'s table."""
+class _LineParser:
+    """Reads one line's tokens, from ``pos`` to the end, into ``model``'s
+    table, noting each constant it names in ``sites``.
 
-    def __init__(self, tokens: list, model: Model):
+    No token's text is another's unless both are symbols, and only the eof
+    token's is empty, so a symbol is recognised by its text alone.
+    """
+
+    def __init__(self, tokens: list, pos: int, model: Model, sites: list):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = pos
         self.lang = model.lang
         self.intern = model.intern
-        self.const_sites: list = []  # (name, line, col) per occurrence
+        self.sites = sites  # (name, line, col) per constant named
 
-    # -- token plumbing ----------------------------------------------------
+    def error(self, message: str, tok: Optional[tuple] = None) -> ParseError:
+        _, _, line, col = tok or self.tokens[self.pos]
+        return ParseError(message, line, col)
 
-    def peek(self, ahead: int = 0) -> _Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
-
-    def advance(self) -> _Token:
+    def expect(self, sym: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        if tok[1] != sym:
+            raise self.error(f"expected {sym!r}, found {tok[1] or 'end of input'!r}", tok)
+        self.pos += 1
 
-    def error(self, message: str, tok: Optional[_Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+    # -- numbers and action sets -------------------------------------------
 
-    def expect_sym(self, sym: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == sym:
-            return self.advance()
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise self.error(f"expected {sym!r}, found {shown!r}", tok)
-
-    def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == sym
-
-    # -- numeric literals --------------------------------------------------
-
-    def parse_positive_rational(self, what: str) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "number":
-            raise self.error(f"expected a {what}, found {tok.text or 'end of input'!r}", tok)
-        self.advance()
-        value = Fraction(tok.text)
-        if self.at_sym("/"):
-            if "." in tok.text:
+    def rational(self, what: str) -> Fraction:
+        """A positive ``n``, ``n/m`` or decimal."""
+        tok = self.tokens[self.pos]
+        kind, text = tok[0], tok[1]
+        if kind != "number":
+            raise self.error(f"expected a {what}, found {text or 'end of input'!r}", tok)
+        self.pos += 1
+        value = Fraction(text)
+        if self.tokens[self.pos][1] == "/":
+            if "." in text:
                 raise self.error(f"{what} may be 'n', 'n/m', or a decimal, not both", tok)
-            self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "number" or "." in den_tok.text:
-                raise self.error(f"expected an integer denominator in the {what}", den_tok)
-            self.advance()
-            if int(den_tok.text) == 0:
-                raise self.error(f"{what} denominator must not be zero", den_tok)
-            value = Fraction(int(tok.text), int(den_tok.text))
+            self.pos += 1
+            den = self.tokens[self.pos]
+            if den[0] != "number" or "." in den[1]:
+                raise self.error(f"expected an integer denominator in the {what}", den)
+            self.pos += 1
+            if int(den[1]) == 0:
+                raise self.error(f"{what} denominator must not be zero", den)
+            value = Fraction(int(text), int(den[1]))
         if value <= 0:
             raise self.error(f"{what} must be positive, got {value}", tok)
         return value
 
-    def parse_positive_int(self, what: str) -> int:
-        tok = self.peek()
-        if tok.kind != "number" or "." in tok.text:
-            raise self.error(f"expected a positive integer {what}", tok)
-        self.advance()
-        if self.at_sym("/"):
-            raise self.error(f"{what} must be a positive integer, not a fraction")
-        value = int(tok.text)
+    def delay(self) -> int:
+        """A positive integer."""
+        tok = self.tokens[self.pos]
+        if tok[0] != "number" or "." in tok[1]:
+            raise self.error("expected a positive integer delay", tok)
+        self.pos += 1
+        if self.tokens[self.pos][1] == "/":
+            raise self.error("delay must be a positive integer, not a fraction")
+        value = int(tok[1])
         if value < 1:
-            raise self.error(f"{what} must be at least 1, got {value}", tok)
+            raise self.error(f"delay must be at least 1, got {value}", tok)
         return value
 
-    # -- grammar -----------------------------------------------------------
+    def probability(self) -> Fraction:
+        """A distribution's next ``p:``."""
+        tok = self.tokens[self.pos]
+        prob = self.rational("branch probability")
+        if prob > 1:
+            raise self.error(f"branch probability must be at most 1, got {prob}", tok)
+        self.expect(":")
+        return prob
 
-    def parse_term(self) -> int:
-        left = self.parse_choice()
-        while True:
-            if self.lang == "pepa" and self.at_sym("<"):
-                actions = self.parse_action_set("<", ">")
-                left = self.intern(Coop(actions, left, self.parse_choice()))
-            elif self.lang != "pepa" and self.at_sym("|["):
-                actions = self.parse_action_set("|[", "]|")
-                left = self.intern(Par(actions, left, self.parse_choice()))
-            else:
-                return left
-
-    def parse_line(self) -> int:
-        """The term that takes up the rest of the line."""
-        term = self.parse_term()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input {tok.text!r}", tok)
-        return term
-
-    def parse_choice(self) -> int:
-        left = self.parse_prefix()
-        while self.at_sym("+"):
-            self.advance()
-            left = self.intern(Choice(left, self.parse_prefix()))
-        return left
-
-    def parse_action_set(self, opener: str, closer: str) -> frozenset:
-        self.expect_sym(opener)
+    def actions(self, closer: str) -> frozenset:
+        """A synchronisation set, from its opening symbol to ``closer``."""
+        self.pos += 1  # the opening symbol
         names = []
-        if not self.at_sym(closer):
+        if self.tokens[self.pos][1] != closer:
             while True:
-                tok = self.peek()
-                if tok.kind != "ident" or not _is_action_name(tok.text):
+                tok = self.tokens[self.pos]
+                if tok[0] != "ident" or not _is_action_name(tok[1]):
                     raise self.error(
                         "synchronisation sets hold action names "
                         "(lowercase-initial identifiers)",
                         tok,
                     )
-                names.append(self.advance().text)
-                if self.at_sym(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_sym(closer)
+                names.append(tok[1])
+                self.pos += 1
+                if self.tokens[self.pos][1] != ",":
+                    break
+                self.pos += 1
+        self.expect(closer)
         return frozenset(names)
 
-    def parse_prefix(self) -> int:
-        """A chain of prefixes and the term it ends in, read in a loop and
+    # -- terms -------------------------------------------------------------
 
-        interned from the inside out.
+    def parse_head(self) -> Any:
+        """What the next tokens start.  A prefix is the map from its
+        continuation's id to its shape; a term that no prefix starts is its
+        id.  A group, whose term is read next, is None for ``(``, and for
+        ``action.{p:`` the action, the ``{`` token, and the lists of the
+        branches' probabilities and continuations read so far.
         """
-        prefixes = []
-        head = self.parse_head()
-        while callable(head):
-            prefixes.append(head)
-            head = self.parse_head()
-        for make in reversed(prefixes):
-            head = self.intern(make(head))
-        return head
-
-    def parse_head(self) -> Union[int, Callable[[int], Term]]:
-        """One prefix, as the map from its continuation's id to its shape;
-
-        or the id of a term that no prefix starts.
-        """
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text == "nil":
-                self.advance()
+        tokens, lang = self.tokens, self.lang
+        tok = tokens[self.pos]
+        kind, text = tok[0], tok[1]
+        if kind == "ident":
+            if text == "nil":
+                self.pos += 1
                 return self.intern(Nil())
-            if _is_const_name(tok.text):
-                nxt = self.peek(1)
-                if nxt.kind == "sym" and nxt.text == ".":
-                    raise self.error(
-                        "prefix actions must start with a lowercase letter", tok
-                    )
-                self.advance()
-                self.const_sites.append((tok.text, tok.line, tok.col))
-                return self.intern(Const(tok.text))
-            if _is_action_name(tok.text):
-                return self.parse_action_head()
-            raise self.error(f"unexpected keyword {tok.text!r}", tok)
-        if tok.kind == "number":
-            if self.lang in ("iml", "mal"):
-                rate = self.parse_positive_rational("rate")
-                self.expect_sym(".")
-                return partial(RatePrefix, rate)
-            raise self.error("numeric delay-rate prefixes are not part of this language", tok)
-        if tok.kind == "sym" and tok.text == "(":
-            if self.lang == "pepa":
-                nxt = self.peek(1)
-                after = self.peek(2)
-                if nxt.kind == "ident" and after.kind == "sym" and after.text == ",":
-                    return self.parse_rated_head()
-            if self.lang == "tpc" and self.peek(1).kind == "number":
-                return self.parse_time_head()
-            self.advance()
-            term = self.parse_term()
-            self.expect_sym(")")
-            return term
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise self.error(f"expected a process term, found {shown!r}", tok)
+            if _is_const_name(text):
+                if tokens[self.pos + 1][1] == ".":
+                    raise self.error("prefix actions must start with a lowercase letter", tok)
+                self.pos += 1
+                self.sites.append((text, tok[2], tok[3]))
+                return self.intern(Const(text))
+            if not _is_action_name(text):
+                raise self.error(f"unexpected keyword {text!r}", tok)
+            if lang == "pepa":
+                raise self.error("this language writes action prefixes as '(action, rate).P'", tok)
+            self.pos += 1
+            self.expect(".")
+            if lang != "mal":
+                return partial(ActPrefix, text)
+            brace = tokens[self.pos]
+            if brace[1] != "{":
+                raise self.error(
+                    "an action prefix in this language carries a distribution: "
+                    "'action.{p1: P1 [] p2: P2}'",
+                    brace,
+                )
+            self.pos += 1
+            return text, brace, [self.probability()], []
+        if kind == "number":
+            if lang in ("pepa", "tpc"):
+                raise self.error("numeric delay-rate prefixes are not part of this language", tok)
+            rate = self.rational("rate")
+            self.expect(".")
+            return partial(RatePrefix, rate)
+        if text == "(":
+            nxt = tokens[self.pos + 1]
+            if lang == "pepa" and nxt[0] == "ident" and tokens[self.pos + 2][1] == ",":
+                if not _is_action_name(nxt[1]):
+                    raise self.error("prefix actions must start with a lowercase letter", nxt)
+                self.pos += 3  # "(", the action, ","
+                rate = self.rational("rate")
+                self.expect(")")
+                self.expect(".")
+                return partial(RatedPrefix, nxt[1], rate)
+            if lang == "tpc" and nxt[0] == "number":
+                self.pos += 1
+                delay = self.delay()
+                self.expect(")")
+                self.expect(".")
+                return partial(TimePrefix, delay)
+            self.pos += 1
+            return None
+        raise self.error(f"expected a process term, found {text or 'end of input'!r}", tok)
 
-    def parse_action_head(self) -> Union[int, Callable[[int], Term]]:
-        tok = self.advance()  # the action name
-        action = tok.text
+    def parse_line(self) -> int:
+        """The term that takes up the rest of the line, read in one loop.
+
+        A term in the making is its pending prefixes, its choice so far and
+        its composition so far, as the actions and the left operand.  A
+        group's opening pushes them with the group, and the group's term,
+        once read, pops them and goes on.
+        """
+        tokens, intern = self.tokens, self.intern
         if self.lang == "pepa":
-            raise self.error(
-                "this language writes action prefixes as '(action, rate).P'", tok
-            )
-        self.expect_sym(".")
-        if self.lang == "mal":
-            return self.parse_prob_branches(action)
-        if self.lang in ("iml", "tpc"):
-            return partial(ActPrefix, action)
-        raise self.error(f"unsupported language {self.lang!r}", tok)  # pragma: no cover
-
-    def parse_rated_head(self) -> Callable[[int], Term]:
-        self.expect_sym("(")
-        tok = self.peek()
-        if tok.kind != "ident" or not _is_action_name(tok.text):
-            raise self.error("prefix actions must start with a lowercase letter", tok)
-        action = self.advance().text
-        self.expect_sym(",")
-        rate = self.parse_positive_rational("rate")
-        self.expect_sym(")")
-        self.expect_sym(".")
-        return partial(RatedPrefix, action, rate)
-
-    def parse_time_head(self) -> Callable[[int], Term]:
-        self.expect_sym("(")
-        delay = self.parse_positive_int("delay")
-        self.expect_sym(")")
-        self.expect_sym(".")
-        return partial(TimePrefix, delay)
-
-    def parse_prob_branches(self, action: str) -> int:
-        open_tok = self.peek()
-        if not self.at_sym("{"):
-            raise self.error(
-                "an action prefix in this language carries a distribution: "
-                "'action.{p1: P1 [] p2: P2}'",
-                open_tok,
-            )
-        self.advance()
-        branches = []
+            opener, closer, composition = "<", ">", Coop
+        else:
+            opener, closer, composition = "|[", "]|", Par
+        stack: list = []
+        prefixes: list = []
+        choice = comp = None
         while True:
-            prob_tok = self.peek()
-            prob = self.parse_positive_rational("branch probability")
-            if prob > 1:
-                raise self.error(f"branch probability must be at most 1, got {prob}", prob_tok)
-            self.expect_sym(":")
-            cont = self.parse_term()
-            branches.append((prob, cont))
-            if self.at_sym("[]"):
-                self.advance()
+            head = self.parse_head()
+            if type(head) is not int:
+                if callable(head):
+                    prefixes.append(head)
+                else:
+                    stack.append((prefixes, choice, comp, head))
+                    prefixes, choice, comp = [], None, None
                 continue
-            break
-        self.expect_sym("}")
-        total = sum(p for p, _ in branches)
-        if total != 1:
-            raise self.error(f"probabilities sum to {total}", open_tok)
-        return self.intern(ProbPrefix(action, tuple(branches)))
+            term = head
+            while True:  # fold the term in, and close each group it ends
+                for make in reversed(prefixes):
+                    term = intern(make(term))
+                prefixes = []
+                if choice is not None:
+                    term = intern(Choice(choice, term))
+                tok = tokens[self.pos]
+                if tok[1] == "+":
+                    self.pos += 1
+                    choice = term
+                    break
+                if comp is not None:
+                    term = intern(composition(comp[0], comp[1], term))
+                if tok[1] == opener:
+                    comp = (self.actions(closer), term)
+                    choice = None
+                    break
+                if not stack:
+                    if tok[0] != "eof":
+                        raise self.error(f"unexpected trailing input {tok[1]!r}", tok)
+                    return term
+                prefixes, choice, comp, group = stack.pop()
+                if group is None:
+                    self.expect(")")
+                    continue
+                action, brace, probs, conts = group
+                conts.append(term)
+                if tok[1] == "[]":
+                    self.pos += 1
+                    probs.append(self.probability())
+                    stack.append((prefixes, choice, comp, group))
+                    prefixes, choice, comp = [], None, None
+                    break
+                self.expect("}")
+                total = sum(probs)
+                if total != 1:
+                    raise self.error(f"probabilities sum to {total}", brace)
+                term = intern(ProbPrefix(action, tuple(zip(probs, conts))))
 
 
 def parse_term(text: str, model: Model) -> int:
@@ -588,9 +547,9 @@ def parse_term(text: str, model: Model) -> int:
 
     Every constant the term names must be defined by ``model``.
     """
-    parser = _Parser(_lex_line(text, 1), model)
-    term = parser.parse_line()
-    for name, _, _ in parser.const_sites:
+    sites: list = []
+    term = _LineParser(_lex(text, 1), 0, model, sites).parse_line()
+    for name, _, _ in sites:
         if name not in model.defs:
             raise UndefinedConstantError(f"undefined process constant {name!r} in {text!r}")
     return term
@@ -604,48 +563,34 @@ def parse_model(text: str, lang: str) -> Model:
     """
     model = Model(lang)
     def_lines: dict = {}
-    const_sites: list = []
+    sites: list = []
     saw_anything = False
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _lex_line(raw, lineno)
-        if tokens[0].kind == "eof":
+        tokens = _lex(raw, lineno)
+        kind, word, _, col = tokens[0]
+        if kind == "eof":
             continue
         saw_anything = True
-        head = tokens[0]
-        parser = _Parser(tokens, model)
-        if head.kind == "ident" and head.text == "init":
+        if word == "init":
             if model.init is not None:
-                raise ParseError("duplicate 'init' line", head.line, head.col)
-            parser.advance()  # 'init'
-            model.init = parser.parse_line()
-            const_sites.extend(parser.const_sites)
+                raise ParseError("duplicate 'init' line", lineno, col)
+            model.init = _LineParser(tokens, 1, model, sites).parse_line()
             continue
-        if head.kind == "ident" and _is_const_name(head.text):
-            eq = tokens[1] if len(tokens) > 1 else None
-            if eq is not None and eq.kind == "sym" and eq.text == "=":
-                name = head.text
-                if name in model.defs:
-                    raise DuplicateConstantError(
-                        f"constant {name!r} defined at line {def_lines[name]} "
-                        f"and line {lineno}"
-                    )
-                parser.advance()  # name
-                parser.advance()  # '='
-                model.defs[name] = parser.parse_line()
-                def_lines[name] = lineno
-                const_sites.extend(parser.const_sites)
-                continue
-        raise ParseError(
-            "expected a definition ('Name = term') or the 'init' line",
-            head.line,
-            head.col,
-        )
+        if kind == "ident" and _is_const_name(word) and tokens[1][1] == "=":
+            if word in model.defs:
+                raise DuplicateConstantError(
+                    f"constant {word!r} defined at line {def_lines[word]} and line {lineno}"
+                )
+            model.defs[word] = _LineParser(tokens, 2, model, sites).parse_line()
+            def_lines[word] = lineno
+            continue
+        raise ParseError("expected a definition ('Name = term') or the 'init' line", lineno, col)
     if not saw_anything:
         raise ParseError("model file is empty", 1, 1)
     if model.init is None:
         raise ParseError("missing 'init' line", lineno or 1, 1)
-    for name, line, col in const_sites:
+    for name, line, col in sites:
         if name not in model.defs:
             raise UndefinedConstantError(
                 f"undefined process constant {name!r} (line {line}, column {col})"
@@ -772,10 +717,6 @@ def alphabet(model: Model, roots: Iterable[int] = ()) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _format_actions(actions: frozenset) -> str:
     return ",".join(sorted(actions))
 
@@ -865,18 +806,18 @@ def render_key(node, key_of: Callable[[Any], str]) -> str:
     if isinstance(node, Const):
         return node.name
     if isinstance(node, RatedPrefix):
-        return f"({node.action}, {_format_rational(node.rate)}).{key_of(node.cont)}"
+        return f"({node.action}, {node.rate}).{key_of(node.cont)}"
     if isinstance(node, ActPrefix):
         return f"{node.action}.{key_of(node.cont)}"
     if isinstance(node, RatePrefix):
         # spaces keep the rate and a numeric continuation from fusing
         # into one decimal literal when the key is re-parsed
-        return f"{_format_rational(node.rate)} . {key_of(node.cont)}"
+        return f"{node.rate} . {key_of(node.cont)}"
     if isinstance(node, TimePrefix):
         return f"({node.delay}).{key_of(node.cont)}"
     if isinstance(node, ProbPrefix):
         inner = " [] ".join(
-            f"{_format_rational(p)}: {key_of(cont)}" for p, cont in node.branches
+            f"{p}: {key_of(cont)}" for p, cont in node.branches
         )
         return f"{node.action}.{{{inner}}}"
     if isinstance(node, Choice):
@@ -932,17 +873,16 @@ def render_pretty(node, pretty_of: Callable[[Any, int], str]) -> str:
     if isinstance(node, Const):
         return node.name
     if isinstance(node, RatedPrefix):
-        rate = _format_rational(node.rate)
-        return f"({node.action}, {rate}).{pretty_of(node.cont, _PREC_PREFIX)}"
+        return f"({node.action}, {node.rate}).{pretty_of(node.cont, _PREC_PREFIX)}"
     if isinstance(node, ActPrefix):
         return f"{node.action}.{pretty_of(node.cont, _PREC_PREFIX)}"
     if isinstance(node, RatePrefix):
-        return f"{_format_rational(node.rate)} . {pretty_of(node.cont, _PREC_PREFIX)}"
+        return f"{node.rate} . {pretty_of(node.cont, _PREC_PREFIX)}"
     if isinstance(node, TimePrefix):
         return f"({node.delay}).{pretty_of(node.cont, _PREC_PREFIX)}"
     if isinstance(node, ProbPrefix):
         inner = " [] ".join(
-            f"{_format_rational(p)}: {pretty_of(cont, _PREC_PAR)}" for p, cont in node.branches
+            f"{p}: {pretty_of(cont, _PREC_PAR)}" for p, cont in node.branches
         )
         return f"{node.action}.{{{inner}}}"
     if isinstance(node, Choice):

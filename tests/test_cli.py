@@ -350,7 +350,6 @@ _DEEP_MODELS = {
     "choice": "init " + " + ".join(["a.nil"] * _DEEP) + "\n",
     "chain": "".join(f"X{i} = X{i + 1} + a.nil\n" for i in range(_DEEP))
     + f"X{_DEEP} = a.nil\ninit X0\n",
-    "parens": "init " + "(" * 400 + "nil" + ")" * 400 + "\n",
 }
 
 
@@ -442,14 +441,32 @@ def test_deep_constant_chain_passes_every_command(tmp_path, capsys, command):
         assert lines[-1] == "PASS bisimilarity correspondence [2 checks]"
 
 
-@pytest.mark.parametrize("shape, command", [("parens", "check")])
-def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, shape, command):
-    path = write(tmp_path, "m.iml", _DEEP_MODELS[shape])
+# terms nested _DEEP levels deep in groups: each file, and its number of states
+_NESTED = {
+    "iml-parens": ("m.iml", "(" * _DEEP + "a.nil" + ")" * _DEEP, 2),
+    "pepa-parens": ("m.pepa", "(" * _DEEP + "(a, 1).nil" + ")" * _DEEP, 2),
+    "mal-braces": ("m.mal", "a.{1: " * _DEEP + "nil" + "}" * _DEEP, _DEEP + 1),
+    "right-choice": ("m.iml", "(a.nil + " * _DEEP + "a.nil" + ")" * _DEEP, 2),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "build", "minimize", "compare"])
+@pytest.mark.parametrize("shape", list(_NESTED))
+def test_deep_nesting_passes_every_command(tmp_path, capsys, shape, command):
+    # the parser keeps each open group's unfinished term on a stack of its own
+    name, term, states = _NESTED[shape]
+    path = write(tmp_path, name, f"init {term}\n")
     code, out, err = run_main(capsys, command, path)
-    assert code == 2
-    assert err.startswith("error:")
-    assert "nests too deeply" in err
-    assert err.count("\n") == 1
+    assert (code, err) == (0, "")
+    if command == "check":
+        assert out == f"ok: 0 definitions, language {name[2:]}, guarded\n"
+    elif command in ("build", "minimize"):
+        # no two states of any of these are bisimilar
+        assert len(json.loads(out)["states"]) == states
+    else:
+        lines = out.splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines)
+        assert lines[-1] == f"PASS bisimilarity correspondence [{states} checks]"
 
 
 @pytest.mark.parametrize("bound", ["-1", "0"])

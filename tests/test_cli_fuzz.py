@@ -63,3 +63,19 @@ def test_any_bisim_terms_give_an_exit_code(tmp_path_factory, ext, left, right):
     path = write_model(tmp_path_factory.mktemp("fuzz"), "m" + ext, MODELS[ext])
     argv = ["bisim", path, f"--left={left}", f"--right={right}", "--max-states", "50"]
     assert run(argv) in (0, 1, 2)
+
+
+@FUZZ
+@given(
+    ext=st.sampled_from(EXTENSIONS),
+    tokens=st.lists(st.sampled_from(TOKENS), max_size=20).map(" ".join),
+    depth=st.integers(min_value=0, max_value=3000),
+)
+def test_terms_in_deep_parentheses_give_an_exit_code(tmp_path_factory, ext, tokens, depth):
+    term = "(" * depth + tokens + ")" * depth
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = write_model(directory, "m" + ext, f"init {term}\n")
+    assert run(["check", path]) in (0, 2)
+    model = write_model(directory, "p" + ext, MODELS[ext])
+    argv = ["bisim", model, f"--left={term}", "--right=P", "--max-states", "50"]
+    assert run(argv) in (0, 1, 2)
