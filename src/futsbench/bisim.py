@@ -56,21 +56,23 @@ def canonical_assignment(raw: Sequence[int]) -> Tuple[int, ...]:
 #
 # Refinement reads each step's targets as state ids (see
 # explore.RelationData), so each round only touches integers and raw
-# weights.  Weights of different domains can compare equal (True ==
-# Fraction(1)), so a signature keeps one slot per relation and label and
-# slots are only ever compared with the same slot of another state.
+# weights.  Weights of different domains can compare equal (True == 1),
+# so a signature keeps one slot per relation and label and slots are only
+# ever compared with the same slot of another state.  Steps hold only
+# non-zero entries and every domain is zero-sum-free (see .semiring), so
+# no total is tested against zero.
 
 _SimpleEntries = Tuple[Tuple[int, Any], ...]
 
 
 def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int], sr: Semiring):
-    """Canonical per-block totals: non-zero (block, weight) pairs sorted by block."""
+    """Canonical per-block totals: (block, weight) pairs sorted by block."""
     add = sr.add
     acc: Dict[int, Any] = {}
     for target, value in entries:
         block = assignment[target]
         acc[block] = add(acc[block], value) if block in acc else value
-    return tuple(sorted(kv for kv in acc.items() if kv[1] != sr.zero))
+    return tuple(sorted(acc.items()))
 
 
 def _lifted_sig(entry, assignment: Sequence[int], sr: Semiring, inner_sr: Semiring):
@@ -82,7 +84,7 @@ def _lifted_sig(entry, assignment: Sequence[int], sr: Semiring, inner_sr: Semiri
         acc[inner_sig] = (
             sr.add(acc[inner_sig], outer_value) if inner_sig in acc else outer_value
         )
-    return tuple(sorted(kv for kv in acc.items() if kv[1] != sr.zero))
+    return tuple(sorted(acc.items()))
 
 
 def _state_signature(relations, state_id: int, assignment: Sequence[int]):

@@ -158,8 +158,7 @@ def apparent_rate_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
     for state, term_id in zip(fm.states, moves.terms):
         for action in act.labels:
             step = act.function_at(state.id, action)
-            # summed from the first weight: a zero start costs one more addition
-            got = sum((value for _, value in step[1:]), step[0][1]) if step else Fraction(0)
+            got = sum(value for _, value in step)
             expected = pepa_apparent_rate(table, term_id, action)
             checked += 1
             if got != expected:
@@ -304,7 +303,7 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     for (source, label), step in act.transitions.items():
         for inner, _ in step:
             checked += 1
-            mass = sum((p for _, p in inner), Fraction(0))
+            mass = sum(p for _, p in inner)
             if mass != 1:
                 failures.append(
                     f"state {source} label {label}: branch masses sum to {mass}"

@@ -28,6 +28,7 @@ forms the step walks through, and keeps its operands' steps in the table
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Optional, Tuple
 
@@ -160,7 +161,9 @@ def _pepa_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> F
         # the joint rate of a synchronised action is capped by the
         # slower participant: scale the product of the two
         # functions so its total becomes min of the two totals
-        factor = min(total_left, total_right) / (total_left * total_right)
+        factor = Fraction(min(total_left, total_right), total_left * total_right)
+        if factor.denominator == 1:  # integral weights are ints
+            factor = factor.numerator
         pair = ff_lift_injective(lambda x, y: model.intern(Coop(t.actions, x, y)), left, right)
         return ff_scale(factor, pair)
     return ff_zero(NNRAT)  # nil

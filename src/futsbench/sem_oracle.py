@@ -52,7 +52,7 @@ from .syntax import (
 
 TIMED_CAP = 10_000
 
-ZERO = Fraction(0)
+ZERO = 0
 
 
 class OracleTerms:
@@ -186,12 +186,15 @@ def _pepa_moves(table: OracleTerms, action: str, t, rec) -> Tuple[Tuple[Fraction
             return ()
         left_rate = pepa_apparent_rate(table, t.left, action)
         right_rate = pepa_apparent_rate(table, t.right, action)
+        capacity = min(left_rate, right_rate)
         out = []
         for rate_l, target_l in left:
             for rate_r, target_r in right:
                 # each participant contributes its share of its own
                 # capacity; the joint capacity is the smaller one
-                rate = (rate_l / left_rate) * (rate_r / right_rate) * min(left_rate, right_rate)
+                rate = Fraction(rate_l * rate_r * capacity, left_rate * right_rate)
+                if rate.denominator == 1:  # integral rates are ints
+                    rate = rate.numerator
                 out.append((rate, id_of(Coop, t.actions, target_l, target_r)))
         return tuple(out)
     return ()  # nil

@@ -4,8 +4,8 @@ Three commutative semirings are supported, identified by string tags:
 
 * ``BOOL``   -- truth values; addition is disjunction, product is
   conjunction.
-* ``NNRAT``  -- non-negative rationals (exact, via ``fractions``);
-  ordinary addition and multiplication.
+* ``NNRAT``  -- non-negative rationals, exact: an ``int`` when integral,
+  else a ``Fraction``; ordinary addition and multiplication.
 * ``NATSET`` -- finite sets of natural numbers, where addition is union
   and product is intersection.  Its multiplicative unit is the
   (infinite) set of all naturals, represented by the distinguished
@@ -20,18 +20,17 @@ renaming functions that hold only non-zero entries gives only non-zero
 entries, so those operators never test a sum against zero.  Products
 have no such property: two non-empty sets can be disjoint.
 
-Weights are raw payloads: ``bool``, ``Fraction``, and ``frozenset`` or
-``TOP``.  The semiring is a parameter of a whole weight function, not a
-tag on each weight: a function's tag selects its :class:`Semiring`
-through :func:`semiring_of`, once per function.  Payloads of different
-domains may compare equal (``True == Fraction(1)``), so code must never
-compare weights from two domains.
+Weights are raw payloads: ``bool``, an ``int`` when integral else a
+``Fraction``, and ``frozenset`` or ``TOP``.  The semiring is a parameter
+of a whole weight function, not a tag on each weight: a function's tag
+selects its :class:`Semiring` through :func:`semiring_of`, once per
+function.  Payloads of different domains may compare equal
+(``True == 1``), so code must never compare weights from two domains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, and_, mul, or_
 from typing import Any, Callable
 
@@ -93,9 +92,7 @@ def _natset_fmt(s) -> str:
 
 _SEMIRINGS = {
     BOOL: Semiring(BOOL, False, True, or_, and_, lambda b: "true" if b else "false"),
-    NNRAT: Semiring(
-        NNRAT, Fraction(0), Fraction(1), add, mul, lambda q: f"{q.numerator}/{q.denominator}"
-    ),
+    NNRAT: Semiring(NNRAT, 0, 1, add, mul, lambda q: f"{q.numerator}/{q.denominator}"),
     NATSET: Semiring(NATSET, frozenset(), TOP, _natset_add, _natset_mul, _natset_fmt),
 }
 

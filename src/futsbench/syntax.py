@@ -55,6 +55,9 @@ EXT_TO_LANG = {".pepa": "pepa", ".iml": "iml", ".tpc": "tpc", ".mal": "mal"}
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
+# a rate or probability: an int when integral, else a Fraction
+Rational = Union[int, Fraction]
+
 
 @dataclass(frozen=True)
 class Nil:
@@ -66,7 +69,7 @@ class RatedPrefix:
     """``(action, rate).cont`` -- an action with an exponential rate."""
 
     action: str
-    rate: Fraction
+    rate: Rational
     cont: "Term"
 
 
@@ -82,7 +85,7 @@ class ActPrefix:
 class RatePrefix:
     """``rate.cont`` -- a pure exponential delay."""
 
-    rate: Fraction
+    rate: Rational
     cont: "Term"
 
 
@@ -102,7 +105,7 @@ class ProbPrefix:
     """
 
     action: str
-    branches: Tuple[Tuple[Fraction, "Term"], ...]
+    branches: Tuple[Tuple[Rational, "Term"], ...]
 
 
 @dataclass(frozen=True)
@@ -345,14 +348,14 @@ class _LineParser:
 
     # -- numbers and action sets -------------------------------------------
 
-    def rational(self, what: str) -> Fraction:
-        """A positive ``n``, ``n/m`` or decimal."""
+    def rational(self, what: str) -> Rational:
+        """A positive ``n``, ``n/m`` or decimal, an ``int`` when integral."""
         tok = self.tokens[self.pos]
         kind, text = tok[0], tok[1]
         if kind != "number":
             raise self.error(f"expected a {what}, found {text or 'end of input'!r}", tok)
         self.pos += 1
-        value = Fraction(text)
+        value = Fraction(text) if "." in text else int(text)
         if self.tokens[self.pos][1] == "/":
             if "." in text:
                 raise self.error(f"{what} may be 'n', 'n/m', or a decimal, not both", tok)
@@ -363,10 +366,10 @@ class _LineParser:
             self.pos += 1
             if int(den[1]) == 0:
                 raise self.error(f"{what} denominator must not be zero", den)
-            value = Fraction(int(text), int(den[1]))
+            value = Fraction(value, int(den[1]))
         if value <= 0:
             raise self.error(f"{what} must be positive, got {value}", tok)
-        return value
+        return value.numerator if value.denominator == 1 else value
 
     def delay(self) -> int:
         """A positive integer."""
@@ -381,7 +384,7 @@ class _LineParser:
             raise self.error(f"delay must be at least 1, got {value}", tok)
         return value
 
-    def probability(self) -> Fraction:
+    def probability(self) -> Rational:
         """A distribution's next ``p:``."""
         tok = self.tokens[self.pos]
         prob = self.rational("branch probability")

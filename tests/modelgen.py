@@ -13,11 +13,13 @@ from futsbench.semiring import BOOL, NATSET, NNRAT, TOP
 
 
 def random_value(rng: random.Random, tag: str):
-    """A random payload of the given weight domain."""
+    """A random payload of the given weight domain, in the library's form
+    (a rational is an ``int`` when integral)."""
     if tag == BOOL:
         return rng.random() < 0.5
     if tag == NNRAT:
-        return Fraction(rng.randint(0, 20), rng.randint(1, 12))
+        value = Fraction(rng.randint(0, 20), rng.randint(1, 12))
+        return value.numerator if value.denominator == 1 else value
     if tag == NATSET:
         roll = rng.random()
         if roll < 0.1:

@@ -150,6 +150,6 @@ def test_mismatched_domains_are_rejected():
         ff_lift_injective(lambda x, y: x + y, ff_zero("BOOL"), ff_zero("NNRAT"))
     with pytest.raises(SemiringMismatchError):
         ff_make("REAL", [])
-    # payloads of different domains compare equal (True == Fraction(1)),
+    # payloads of different domains compare equal (True == 1),
     # so only the tag keeps these two functions apart
     assert ff_make("BOOL", [("P", True)]) != ff_make("NNRAT", [("P", Fraction(1))])

@@ -51,7 +51,8 @@ def test_sums_of_non_zero_weights_are_never_zero(tag):
 def test_constants():
     assert (semiring_of("BOOL").zero, semiring_of("BOOL").one) == (False, True)
     nnrat = semiring_of("NNRAT")
-    assert nnrat.zero == Fraction(0) and nnrat.one == Fraction(1)
+    assert (nnrat.zero, nnrat.one) == (0, 1)
+    assert type(nnrat.zero) is int and type(nnrat.one) is int
     natset = semiring_of("NATSET")
     assert natset.zero == frozenset() and natset.one is TOP
 
@@ -73,10 +74,10 @@ def test_format_canonical():
     fmt_set = semiring_of("NATSET").fmt
     assert fmt_bool(True) == "true"
     assert fmt_bool(False) == "false"
-    assert fmt_rat(Fraction(2)) == "2/1"
+    assert fmt_rat(Fraction(2)) == fmt_rat(2) == "2/1"
     assert fmt_rat(Fraction("3/2")) == "3/2"
     assert fmt_rat(Fraction(4, 6)) == "2/3"
-    assert fmt_rat(Fraction(0)) == "0/1"
+    assert fmt_rat(Fraction(0)) == fmt_rat(0) == "0/1"
     assert fmt_set(frozenset()) == "{}"
     assert fmt_set(frozenset({5, 1, 2})) == "{1,2,5}"
     assert fmt_set(TOP) == "TOP"

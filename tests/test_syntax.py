@@ -564,7 +564,7 @@ def _oracle_targets(results):
     none, a set of targets holds ids, a distribution (target, mass) pairs,
     and a derivation (weight, target) pairs."""
     for result in results:
-        if isinstance(result, Fraction):
+        if isinstance(result, (int, Fraction)):
             continue
         for item in result:
             if isinstance(item, int):

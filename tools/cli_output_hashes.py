@@ -5,7 +5,10 @@
 Generates the seed-1 and seed-2 files of every workload with
 ``bench/workloads.py`` and runs ``futsbench.cli.main`` in-process on each:
 ``check``, ``build`` (JSON and DOT), ``minimize``, ``compare`` and every
-``bisim`` query of the seed.  It also runs ``check`` on seeded single-edit
+``bisim`` query of the seed.  It does the same on a few hand-written
+models, one per language, whose literals are decimal or reducible
+(``2.0``, ``4/2``, ``0.5``) and whose PEPA cooperation synchronises at
+non-integral joint rates.  It also runs ``check`` on seeded single-edit
 mutants of each file (one piece deleted, replaced or inserted), so parse
 errors, their messages and positions, are hashed too.  Prints one line per
 call, sorted: the SHA-256 of the exit status, stdout and stderr, then the
@@ -43,6 +46,63 @@ VOCABULARY = (
     "]", "-", "--", " ", "\n", "_", "é",
 )
 
+# one hand-written model per language, with decimal and reducible literals
+Model, Query = workloads.ModelSpec, workloads.Query
+HAND_WRITTEN = (
+    Model(
+        "sync",
+        "pepa",
+        "-- a and b synchronise at non-integral joint rates\n"
+        "P0 = (a, 1/3).P1 + (a, 2.0).P0\n"
+        "P1 = (b, 0.5).P0 + (a, 4/2).P1\n"
+        "Q0 = (a, 3).Q1 + (b, 1.5).Q0\n"
+        "Q1 = (a, 0.25).Q0 + (b, 6/4).Q1\n"
+        "init P0 <a> Q0 <b> P1\n",
+        (
+            Query("P0 <a> Q0", "Q0 <a> P0", True),
+            Query("(a, 2.0).P0 + (a, 2).P0", "(a, 4/1).P0", True),
+            Query("(a, 0.5).P0", "(a, 1/3).P0", False),
+        ),
+    ),
+    Model(
+        "rates",
+        "iml",
+        "S0 = 0.5.S1 + 2.0.S0 + a.S1\n"
+        "S1 = 4/2.S0 + b.S1 + 1.5.S1\n"
+        "T0 = 1/2.T1 + 2.T0 + a.T1\n"
+        "T1 = 2.T0 + b.T1 + 3/2.T1\n"
+        "init S0 |[a]| S1\n",
+        (
+            Query("S0", "T0", True),
+            Query("2.0.S0 + 2.S0", "4/1.S0", True),
+            Query("1.5.S0", "3/4.S0 + 0.5.S0", False),
+        ),
+    ),
+    Model(
+        "delays",
+        "tpc",
+        "-- this language has integer delays and no rates\n"
+        "S0 = (2).a.S1 + (2).b.S0\n"
+        "S1 = (1).(3).S0 + (4).a.S1\n"
+        "init S0 |[a]| (3).S1\n",
+        (
+            Query("S0 |[a]| (3).S1", "(3).S1 |[a]| S0", True),
+            Query("(2).b.S0", "(3).b.S0", False),
+        ),
+    ),
+    Model(
+        "dists",
+        "mal",
+        "S0 = a.{0.5: S1 [] 2/4: S0} + 2.0.S1\n"
+        "S1 = a.{1.0: S0} + b.{1/3: S0 [] 0.25: S1 [] 5/12: S1} + 4/2.S0\n"
+        "init S0 |[a]| S1\n",
+        (
+            Query("a.{0.5: S1 [] 2/4: S0}", "a.{1/2: S0 [] 1/2: S1}", True),
+            Query("a.{1.0: S0}", "a.{0.5: S0 [] 0.5: S1}", False),
+        ),
+    ),
+)
+
 
 def mutant(text: str, rng: random.Random) -> str:
     """``text`` with one piece deleted, replaced or inserted."""
@@ -59,29 +119,32 @@ def mutant(text: str, rng: random.Random) -> str:
 
 
 def calls(directory: str):
-    """Every call on the files of every workload and seed, as argv lists."""
-    for workload in workloads.WORKLOADS:
-        for seed in SEEDS:
-            rel = os.path.join(workload, f"seed{seed}")
-            models = workloads.draw(workload, seed)
-            workloads.write_models(models, os.path.join(directory, rel))
-            for spec in models:
-                path = os.path.join(rel, spec.filename)
-                yield ["check", path]
-                yield ["build", path]
-                yield ["build", path, "--format", "dot"]
-                yield ["minimize", path]
-                yield ["compare", path]
-                for query in spec.queries:
-                    yield ["bisim", path, "--left", query.left, "--right", query.right]
-                stem, ext = os.path.splitext(spec.filename)
-                rng = random.Random(f"{path}-mutants")
-                for k in range(MUTANTS):
-                    mutated = os.path.join("mutants", rel, f"{stem}-{k}{ext}")
-                    os.makedirs(os.path.join(directory, "mutants", rel), exist_ok=True)
-                    with open(os.path.join(directory, mutated), "w", encoding="utf-8") as handle:
-                        handle.write(mutant(spec.text, rng))
-                    yield ["check", mutated]
+    """Every call on the hand-written files and on those of every workload
+    and seed, as argv lists."""
+    groups = [("hand-written", HAND_WRITTEN)] + [
+        (os.path.join(workload, f"seed{seed}"), workloads.draw(workload, seed))
+        for workload in workloads.WORKLOADS
+        for seed in SEEDS
+    ]
+    for rel, models in groups:
+        workloads.write_models(models, os.path.join(directory, rel))
+        for spec in models:
+            path = os.path.join(rel, spec.filename)
+            yield ["check", path]
+            yield ["build", path]
+            yield ["build", path, "--format", "dot"]
+            yield ["minimize", path]
+            yield ["compare", path]
+            for query in spec.queries:
+                yield ["bisim", path, "--left", query.left, "--right", query.right]
+            stem, ext = os.path.splitext(spec.filename)
+            rng = random.Random(f"{path}-mutants")
+            for k in range(MUTANTS):
+                mutated = os.path.join("mutants", rel, f"{stem}-{k}{ext}")
+                os.makedirs(os.path.join(directory, "mutants", rel), exist_ok=True)
+                with open(os.path.join(directory, mutated), "w", encoding="utf-8") as handle:
+                    handle.write(mutant(spec.text, rng))
+                yield ["check", mutated]
 
 
 def output_hash(argv) -> str:
