@@ -40,7 +40,6 @@ class UnguardedRecursionError(FutsError):
 
 class SemiringMismatchError(FutsError):
     """An operation combined functions from different weight domains,
-
     or named a domain that does not exist.
     """
 
@@ -55,7 +54,6 @@ class ExplorationLimitError(FutsError):
 
 class DelayCycleError(FutsError):
     """Timed behaviour recurses through delays without ever resolving,
-
     so the timed step would be infinite.
     """
 

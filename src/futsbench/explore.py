@@ -36,7 +36,6 @@ DEFAULT_MAX_STATES = 10_000
 @dataclass(frozen=True)
 class StateInfo:
     """One discovered state: dense id, canonical key, readable text, and
-
     its term id in the explored model's term table.
     """
 
@@ -118,10 +117,11 @@ def explore(
     extra_roots: Sequence[int] = (),
 ) -> FutsModel:
     """Breadth-first closure of the model's initial term (plus any
-
     extra root terms, ids in its table) under every relation of its
-    language.  The states' terms, and the steps memoised on the way, are
-    kept in the model's table.
+    language.
+
+    The states' terms, and the steps memoised on the way, are kept in the
+    model's table.
     """
     specs = relation_specs(model.lang)
     relations = []
@@ -190,7 +190,6 @@ def _array(items: List[str], depth: int) -> str:
 
 def _object_layout(names: Sequence[str], depth: int) -> str:
     """A %-format for a JSON object with these field names, nested ``depth``
-
     levels deep; each ``%s`` takes the encoded value of its field."""
     pad = "\n" + "  " * depth
     return "{" + ",".join(f'{pad}  "{name}": %s' for name in names) + pad + "}"
@@ -250,7 +249,6 @@ def _inline_distribution(inner: tuple, fmt: Callable[[object], str]) -> str:
 
 def to_dot(fm: FutsModel) -> str:
     """Graphviz rendering: states as nodes (readable term text as the
-
     node label), one edge per non-zero entry labelled ``label / value``.
     """
     lines = ["digraph model {", "  rankdir=LR;", '  __init [shape=point, label=""];']

@@ -50,9 +50,9 @@ class FinFn:
 
 def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
     """Build a canonical function, folding duplicate keys by addition
+    and dropping entries equal to the domain's zero.
 
-    and dropping entries equal to the domain's zero.  Every value must
-    be a payload of the domain ``tag``.
+    Every value must be a payload of the domain ``tag``.
     """
     sr = semiring_of(tag)
     acc: dict[Key, Any] = {}
@@ -71,10 +71,11 @@ def ff_zero(tag: str) -> FinFn:
 
 def _fold(tag: str, pairs: list) -> FinFn:
     """The canonical function of ``pairs``, whose values are all non-zero
+    payloads of the domain ``tag``.
 
-    payloads of the domain ``tag``.  Duplicate keys add up, and, since
-    every domain is zero-sum-free (see :mod:`.semiring`), their sums are
-    non-zero too, so no entry is tested against zero.
+    Duplicate keys add up, and, since every domain is zero-sum-free (see
+    :mod:`.semiring`), their sums are non-zero too, so no entry is tested
+    against zero.
     """
     acc = dict(pairs)
     if len(acc) < len(pairs):  # some keys collided: fold them
@@ -114,7 +115,6 @@ def ff_map_keys(fn: Callable[[Key], Key], f: FinFn) -> FinFn:
 
 def ff_scale(value: Any, fn: FinFn) -> FinFn:
     """Multiply every entry by ``value``, a payload of ``fn``'s domain
-
     (entries may vanish, so the result goes through :func:`ff_make`).
     """
     mul = semiring_of(fn.tag).mul

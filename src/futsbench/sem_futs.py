@@ -114,25 +114,39 @@ def relation_labels(spec: RelationSpec, model: Model, roots: Iterable = ()) -> T
 
 def futs_step(model: Model, term_id: int, relation: str, label: str) -> FinFn:
     """The weight function, over term ids, of term ``term_id`` under
-    ``relation``/``label``."""
-    try:
-        rule, through = _DISPATCH[(model.lang, relation)]
-    except KeyError:
-        raise ValueError(f"language {model.lang!r} has no relation {relation!r}") from None
-    memo = model.memo(relation, label)
-    return evaluate(term_id, model.shape, model.defs, through, memo, partial(rule, model, label))
+    ``relation``/``label``.
+
+    The relation's memo (:meth:`.syntax.Model.memo`), the forms its step
+    walks through and its rule bound to the model and label are kept
+    together in ``model.walks``, made on the first step of each relation
+    and label.
+    """
+    walk = model.walks.get((relation, label))
+    if walk is None:
+        try:
+            rule, through = _DISPATCH[(model.lang, relation)]
+        except KeyError:
+            raise ValueError(f"language {model.lang!r} has no relation {relation!r}") from None
+        walk = model.walks[relation, label] = (
+            model.memo(relation, label),
+            through,
+            partial(rule, model, label),
+        )
+    memo, through, bound = walk
+    return evaluate(term_id, model.shape, model.defs, through, memo, bound)
 
 
 def _moves(model: Model, t) -> Tuple[Callable[[int], int], Callable[[int], int]]:
     """Key renamings into the composition shape ``t`` when only its left,
+    or only its right, operand moves.
 
-    or only its right, operand moves.  The operand that stays put would
-    be a point mass of weight one, so a renaming replaces the product.
+    The operand that stays put would be a point mass of weight one, so a
+    renaming replaces the product.
     """
-    cls = type(t)
+    intern, form, actions, left, right = model.intern, type(t), t.actions, t.left, t.right
     return (
-        lambda x: model.intern(cls(t.actions, x, t.right)),
-        lambda y: model.intern(cls(t.actions, t.left, y)),
+        lambda x: intern(form, actions, x, right),
+        lambda y: intern(form, actions, left, y),
     )
 
 
@@ -164,7 +178,7 @@ def _pepa_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> F
         factor = Fraction(min(total_left, total_right), total_left * total_right)
         if factor.denominator == 1:  # integral weights are ints
             factor = factor.numerator
-        pair = ff_lift_injective(lambda x, y: model.intern(Coop(t.actions, x, y)), left, right)
+        pair = ff_lift_injective(partial(model.intern, Coop, t.actions), left, right)
         return ff_scale(factor, pair)
     return ff_zero(NNRAT)  # nil
 
@@ -185,7 +199,7 @@ def _interactive_act(model: Model, label: str, t, step_of: Callable[[int], FinFn
         left = step_of(t.left)
         right = step_of(t.right)
         if label in t.actions:
-            return ff_lift_injective(lambda x, y: model.intern(Par(t.actions, x, y)), left, right)
+            return ff_lift_injective(partial(model.intern, Par, t.actions), left, right)
         into_left, into_right = _moves(model, t)
         return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
     return ff_zero(BOOL)  # nil, a delay
@@ -220,7 +234,7 @@ def _tick_step(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> 
     if isinstance(t, TimePrefix):
         after = step_of(t.cont)
         pairs = [
-            (model.intern(TimePrefix(t.delay - spent, t.cont)), frozenset({spent}))
+            (model.intern(TimePrefix, t.delay - spent, t.cont), frozenset({spent}))
             for spent in range(1, t.delay)
         ]
         pairs.append((t.cont, frozenset({t.delay})))
@@ -229,12 +243,10 @@ def _tick_step(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> 
         return ff_make(NATSET, pairs)
     if isinstance(t, Choice):
         # both sides must agree on the amount of time passed
-        return ff_lift_injective(
-            lambda x, y: model.intern(Choice(x, y)), step_of(t.left), step_of(t.right)
-        )
+        return ff_lift_injective(partial(model.intern, Choice), step_of(t.left), step_of(t.right))
     if isinstance(t, Par):
         return ff_lift_injective(
-            lambda x, y: model.intern(Par(t.actions, x, y)), step_of(t.left), step_of(t.right)
+            partial(model.intern, Par, t.actions), step_of(t.left), step_of(t.right)
         )
     return ff_zero(NATSET)  # nil, an action
 
@@ -249,10 +261,8 @@ def _max_delay(t, delay_of: Callable[[int], int]) -> int:
 
 def tpc_max_delay(model: Model, term_id: int) -> int:
     """The largest amount of time a state can let pass before it must
-
     act or stop: 0 for inert/action states, delay plus the rest for a
-    time prefix, the minimum over branches of a choice or composition.
-    """
+    time prefix, the minimum over branches of a choice or composition."""
     memo = model.memo(MAX_DELAY, TICK_LABEL)
     return evaluate(term_id, model.shape, model.defs, TIMED_FORMS, memo, _max_delay)
 
@@ -274,7 +284,7 @@ def _mal_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> Fi
         right = step_of(t.right)
         if label in t.actions:
             # the product of two distributions pairs their targets
-            pair = partial(ff_lift_injective, lambda x, y: model.intern(Par(t.actions, x, y)))
+            pair = partial(ff_lift_injective, partial(model.intern, Par, t.actions))
             return ff_lift_injective(pair, left, right)
         # one side moves: rename the targets inside each distribution
         into_left, into_right = _moves(model, t)

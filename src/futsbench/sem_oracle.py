@@ -138,7 +138,6 @@ class OracleTerms:
 
 def pepa_apparent_rate(table: OracleTerms, term_id: int, action: str) -> Fraction:
     """Total rate at which a term can perform ``action``, computed
-
     syntactically: prefixes contribute their rate, choice adds,
     composition adds for free actions and takes the minimum for
     synchronised ones.
@@ -162,7 +161,6 @@ def pepa_transitions(
     table: OracleTerms, term_id: int, action: str
 ) -> Tuple[Tuple[Fraction, int], ...]:
     """All rated transitions ``term --action--> target``, one tuple
-
     element per derivation.
     """
     return table.derive(_pepa_moves, STEP_FORMS, action, term_id)
@@ -207,7 +205,6 @@ def _pepa_moves(table: OracleTerms, action: str, t, rec) -> Tuple[Tuple[Fraction
 
 def interactive_transitions(table: OracleTerms, term_id: int, action: str) -> FrozenSet[int]:
     """Targets of ``term --action--> target`` for the languages with
-
     unrated actions (a plain transition relation, so a set).
     """
     return table.derive(_interactive_moves, STEP_FORMS, action, term_id)
@@ -265,11 +262,12 @@ def _delay_moves(table: OracleTerms, _, t, rec) -> Tuple[Tuple[Fraction, int], .
 
 def timed_transitions(table: OracleTerms, term_id: int) -> FrozenSet[Tuple[int, int]]:
     """All transitions ``term ==n==> target`` for positive amounts of
+    time ``n``.
 
-    time ``n``.  A delay prefix can be taken whole, split into a spent
-    and a remaining part, or extended by time its continuation can
-    pass; choices and compositions advance only in lockstep.  The
-    enumeration is capped at :data:`TIMED_CAP` transitions.
+    A delay prefix can be taken whole, split into a spent and a remaining
+    part, or extended by time its continuation can pass; choices and
+    compositions advance only in lockstep.  The enumeration is capped at
+    :data:`TIMED_CAP` transitions.
     """
     return table.derive(_timed_moves, TIMED_FORMS, None, term_id)
 
@@ -321,7 +319,6 @@ Distribution = FrozenSet[Tuple[int, Fraction]]
 
 def merge_distribution(pairs) -> Distribution:
     """Normalise a list of (target, probability) pairs into a
-
     distribution: probabilities of equal targets add up.
     """
     acc: dict = {}
@@ -334,7 +331,6 @@ def action_distributions(
     table: OracleTerms, term_id: int, action: str
 ) -> FrozenSet[Distribution]:
     """The set of probability distributions reachable by one
-
     ``action`` transition.
     """
     return table.derive(_distribution_moves, STEP_FORMS, action, term_id)

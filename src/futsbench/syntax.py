@@ -100,7 +100,6 @@ class TimePrefix:
 @dataclass(frozen=True)
 class ProbPrefix:
     """``action.{p1: P1 [] ... [] ph: Ph}`` -- an action followed by a
-
     probability distribution over continuations.
     """
 
@@ -206,15 +205,17 @@ class Model:
 
     Each distinct term is stored once, under a dense id, as its *shape*:
     the node with each subterm replaced by its id.  The parser interns
-    each node as it reads it, children first, so ids follow parse order,
-    and ``registry`` finds a term by its shape in one lookup.  ``defs``
+    each node as it reads it, children first, so ids follow parse order.
+    ``registry`` finds a term by its form and fields in one lookup
+    (:meth:`intern`), and a node is built only for a new term.  ``defs``
     maps each constant to its body's id, ``init`` is the initial term's
     id.  A term is read one shape at a time (:meth:`shape`), and no term
     is ever built as a tree.  Its canonical text (:meth:`text`) and its
     readable text (:meth:`pretty`) are rendered on first use, once per id,
     from their subterms' texts (:func:`render_cached`).
     :meth:`memo` holds the semantics' memoised steps, one dict per
-    relation and label, by term id.
+    relation and label, by term id, and ``walks`` keeps beside each memo
+    the rest of what :func:`.sem_futs.futs_step` walks with.
     :func:`parse_model` builds every model and checks it with
     :func:`check_guarded`, so models are guarded by construction and
     :func:`evaluate` unfolds a constant with no cycle detection of its own.
@@ -226,17 +227,21 @@ class Model:
         self.lang = lang
         self.defs: dict = {}  # constant name -> body id
         self.init: Optional[int] = None  # id of the initial term
-        self.registry: dict = {}  # shape -> id
+        self.registry: dict = {}  # (form, *fields) of a shape -> id
         self._shapes: list = []  # id -> shape
         self._texts: dict = {}  # id -> canonical text, rendered on first use
         self._pretties: dict = {}  # id -> readable text, rendered on first use
         self._memos: dict = {}  # (relation, label) -> {term id -> step}
+        # (relation, label) -> its memo, forms walked and bound rule (futs_step)
+        self.walks: dict = {}
 
-    def intern(self, shape) -> int:
-        """The id of the term that ``shape`` (a node over child ids) stands for."""
-        found = self.registry.setdefault(shape, len(self._shapes))
-        if found == len(self._shapes):
-            self._shapes.append(shape)
+    def intern(self, form: type, *fields) -> int:
+        """The id of the term ``form(*fields)``, whose subterm fields are ids;
+        the node is built only for a term not yet in the table."""
+        shapes = self._shapes
+        found = self.registry.setdefault((form, *fields), len(shapes))
+        if found == len(shapes):
+            shapes.append(form(*fields))
         return found
 
     def shape(self, term_id: int):
@@ -418,7 +423,7 @@ class _LineParser:
 
     def parse_head(self) -> Any:
         """What the next tokens start.  A prefix is the map from its
-        continuation's id to its shape; a term that no prefix starts is its
+        continuation's id to its own id; a term that no prefix starts is its
         id.  A group, whose term is read next, is None for ``(``, and for
         ``action.{p:`` the action, the ``{`` token, and the lists of the
         branches' probabilities and continuations read so far.
@@ -429,13 +434,13 @@ class _LineParser:
         if kind == "ident":
             if text == "nil":
                 self.pos += 1
-                return self.intern(Nil())
+                return self.intern(Nil)
             if _is_const_name(text):
                 if tokens[self.pos + 1][1] == ".":
                     raise self.error("prefix actions must start with a lowercase letter", tok)
                 self.pos += 1
                 self.sites.append((text, tok[2], tok[3]))
-                return self.intern(Const(text))
+                return self.intern(Const, text)
             if not _is_action_name(text):
                 raise self.error(f"unexpected keyword {text!r}", tok)
             if lang == "pepa":
@@ -443,7 +448,7 @@ class _LineParser:
             self.pos += 1
             self.expect(".")
             if lang != "mal":
-                return partial(ActPrefix, text)
+                return partial(self.intern, ActPrefix, text)
             brace = tokens[self.pos]
             if brace[1] != "{":
                 raise self.error(
@@ -458,7 +463,7 @@ class _LineParser:
                 raise self.error("numeric delay-rate prefixes are not part of this language", tok)
             rate = self.rational("rate")
             self.expect(".")
-            return partial(RatePrefix, rate)
+            return partial(self.intern, RatePrefix, rate)
         if text == "(":
             nxt = tokens[self.pos + 1]
             if lang == "pepa" and nxt[0] == "ident" and tokens[self.pos + 2][1] == ",":
@@ -468,13 +473,13 @@ class _LineParser:
                 rate = self.rational("rate")
                 self.expect(")")
                 self.expect(".")
-                return partial(RatedPrefix, nxt[1], rate)
+                return partial(self.intern, RatedPrefix, nxt[1], rate)
             if lang == "tpc" and nxt[0] == "number":
                 self.pos += 1
                 delay = self.delay()
                 self.expect(")")
                 self.expect(".")
-                return partial(TimePrefix, delay)
+                return partial(self.intern, TimePrefix, delay)
             self.pos += 1
             return None
         raise self.error(f"expected a process term, found {text or 'end of input'!r}", tok)
@@ -507,17 +512,17 @@ class _LineParser:
             term = head
             while True:  # fold the term in, and close each group it ends
                 for make in reversed(prefixes):
-                    term = intern(make(term))
+                    term = make(term)
                 prefixes = []
                 if choice is not None:
-                    term = intern(Choice(choice, term))
+                    term = intern(Choice, choice, term)
                 tok = tokens[self.pos]
                 if tok[1] == "+":
                     self.pos += 1
                     choice = term
                     break
                 if comp is not None:
-                    term = intern(composition(comp[0], comp[1], term))
+                    term = intern(composition, comp[0], comp[1], term)
                 if tok[1] == opener:
                     comp = (self.actions(closer), term)
                     choice = None
@@ -542,7 +547,7 @@ class _LineParser:
                 total = sum(probs)
                 if total != 1:
                     raise self.error(f"probabilities sum to {total}", brace)
-                term = intern(ProbPrefix(action, tuple(zip(probs, conts))))
+                term = intern(ProbPrefix, action, tuple(zip(probs, conts)))
 
 
 def parse_term(text: str, model: Model) -> int:
@@ -643,7 +648,6 @@ def _naked_constants(model: Model, term_id: int, through: tuple) -> Iterator[str
 
 def _refuse_cycle(model: Model, through: tuple, error_cls, what: str) -> None:
     """Raise ``error_cls`` naming a cycle of constants that reach each other
-
     through the forms ``through`` only, if there is one.
     """
     graph = {
@@ -693,10 +697,10 @@ def check_guarded(model: Model) -> None:
 
 def alphabet(model: Model, roots: Iterable[int] = ()) -> list:
     """All action names occurring in the definitions, the initial term and
+    the terms ``roots``, sorted.
 
-    the terms ``roots``, sorted.  Both prefix actions and
-    synchronisation-set members count, so the label set of a model is
-    stable across exploration.
+    Both prefix actions and synchronisation-set members count, so the
+    label set of a model is stable across exploration.
     """
     actions = set()
     seen = set()
@@ -853,7 +857,6 @@ def _prec(term: Term) -> int:
 
 def _bracket(text: str, node, min_prec: int) -> str:
     """``text``, the readable text of ``node``, in parentheses when the
-
     node binds less tightly than its slot needs (``min_prec``)."""
     return f"({text})" if _prec(node) < min_prec else text
 

@@ -1,5 +1,6 @@
 """The recursive-descent parser that ``futsbench.syntax`` replaced, kept
-verbatim as the reference that the library's parser is checked against.
+as the reference that the library's parser is checked against; only its
+calls into the term table follow the table's ``intern(form, *fields)``.
 
 It lexes a line character by character into ``_Token`` objects and recurses
 once per parenthesis and distribution, so it fails on deep nesting with
@@ -30,7 +31,6 @@ from futsbench.syntax import (
     ProbPrefix,
     RatedPrefix,
     RatePrefix,
-    Term,
     TimePrefix,
     check_guarded,
 )
@@ -196,10 +196,10 @@ class _Parser:
         while True:
             if self.lang == "pepa" and self.at_sym("<"):
                 actions = self.parse_action_set("<", ">")
-                left = self.intern(Coop(actions, left, self.parse_choice()))
+                left = self.intern(Coop, actions, left, self.parse_choice())
             elif self.lang != "pepa" and self.at_sym("|["):
                 actions = self.parse_action_set("|[", "]|")
-                left = self.intern(Par(actions, left, self.parse_choice()))
+                left = self.intern(Par, actions, left, self.parse_choice())
             else:
                 return left
 
@@ -215,7 +215,7 @@ class _Parser:
         left = self.parse_prefix()
         while self.at_sym("+"):
             self.advance()
-            left = self.intern(Choice(left, self.parse_prefix()))
+            left = self.intern(Choice, left, self.parse_prefix())
         return left
 
     def parse_action_set(self, opener: str, closer: str) -> frozenset:
@@ -249,11 +249,11 @@ class _Parser:
             prefixes.append(head)
             head = self.parse_head()
         for make in reversed(prefixes):
-            head = self.intern(make(head))
+            head = make(head)
         return head
 
-    def parse_head(self) -> Union[int, Callable[[int], Term]]:
-        """One prefix, as the map from its continuation's id to its shape;
+    def parse_head(self) -> Union[int, Callable[[int], int]]:
+        """One prefix, as the map from its continuation's id to its own id;
 
         or the id of a term that no prefix starts.
         """
@@ -261,7 +261,7 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "nil":
                 self.advance()
-                return self.intern(Nil())
+                return self.intern(Nil)
             if _is_const_name(tok.text):
                 nxt = self.peek(1)
                 if nxt.kind == "sym" and nxt.text == ".":
@@ -270,7 +270,7 @@ class _Parser:
                     )
                 self.advance()
                 self.const_sites.append((tok.text, tok.line, tok.col))
-                return self.intern(Const(tok.text))
+                return self.intern(Const, tok.text)
             if _is_action_name(tok.text):
                 return self.parse_action_head()
             raise self.error(f"unexpected keyword {tok.text!r}", tok)
@@ -278,7 +278,7 @@ class _Parser:
             if self.lang in ("iml", "mal"):
                 rate = self.parse_positive_rational("rate")
                 self.expect_sym(".")
-                return partial(RatePrefix, rate)
+                return partial(self.intern, RatePrefix, rate)
             raise self.error("numeric delay-rate prefixes are not part of this language", tok)
         if tok.kind == "sym" and tok.text == "(":
             if self.lang == "pepa":
@@ -295,7 +295,7 @@ class _Parser:
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise self.error(f"expected a process term, found {shown!r}", tok)
 
-    def parse_action_head(self) -> Union[int, Callable[[int], Term]]:
+    def parse_action_head(self) -> Union[int, Callable[[int], int]]:
         tok = self.advance()  # the action name
         action = tok.text
         if self.lang == "pepa":
@@ -306,10 +306,10 @@ class _Parser:
         if self.lang == "mal":
             return self.parse_prob_branches(action)
         if self.lang in ("iml", "tpc"):
-            return partial(ActPrefix, action)
+            return partial(self.intern, ActPrefix, action)
         raise self.error(f"unsupported language {self.lang!r}", tok)  # pragma: no cover
 
-    def parse_rated_head(self) -> Callable[[int], Term]:
+    def parse_rated_head(self) -> Callable[[int], int]:
         self.expect_sym("(")
         tok = self.peek()
         if tok.kind != "ident" or not _is_action_name(tok.text):
@@ -319,14 +319,14 @@ class _Parser:
         rate = self.parse_positive_rational("rate")
         self.expect_sym(")")
         self.expect_sym(".")
-        return partial(RatedPrefix, action, rate)
+        return partial(self.intern, RatedPrefix, action, rate)
 
-    def parse_time_head(self) -> Callable[[int], Term]:
+    def parse_time_head(self) -> Callable[[int], int]:
         self.expect_sym("(")
         delay = self.parse_positive_int("delay")
         self.expect_sym(")")
         self.expect_sym(".")
-        return partial(TimePrefix, delay)
+        return partial(self.intern, TimePrefix, delay)
 
     def parse_prob_branches(self, action: str) -> int:
         open_tok = self.peek()
@@ -354,7 +354,7 @@ class _Parser:
         total = sum(p for p, _ in branches)
         if total != 1:
             raise self.error(f"probabilities sum to {total}", open_tok)
-        return self.intern(ProbPrefix(action, tuple(branches)))
+        return self.intern(ProbPrefix, action, tuple(branches))
 
 
 def parse_term(text: str, model: Model) -> int:

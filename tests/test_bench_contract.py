@@ -10,6 +10,8 @@ traced run unnoticed.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from futsbench.explore import explore
 from futsbench.syntax import parse_model
 
@@ -38,3 +40,15 @@ def test_an_explored_model_exposes_its_term_table():
     fm = explore(parse_model("P = (a, 1).Q\nQ = (b, 1).P\ninit P\n", "pepa"))
     # Q, (a, 1).Q, P, (b, 1).P: exploring adds no term to the parsed ones
     assert len(fm.ctx.registry) == 4
+
+
+def test_the_term_table_has_one_entry_per_term():
+    # the tracer reports len(registry) as the number of terms, so the
+    # registry holds each of the table's n terms once, under ids 0..n-1
+    fm = explore(parse_model("P = (a, 1).(b, 2).P\ninit P <> P <a> P\n", "pepa"))
+    registry = fm.ctx.registry
+    n = len(registry)
+    assert n > 10  # exploring added composed targets
+    assert sorted(registry.values()) == list(range(n))
+    with pytest.raises(IndexError):  # and the table holds no term past them
+        fm.ctx.shape(n)

@@ -238,6 +238,20 @@ def test_a_deep_timed_choice_ticks_without_recursion():
     assert fn == ff_make("NATSET", [(DEEP_CHOICE_TEXT, frozenset({1}))])
 
 
+def test_a_step_keeps_its_operands_steps_in_the_models_memo():
+    model = parse_model("init (a, 1).nil + (b, 2).nil\n", "pepa")
+    memo = model.memo("act", "a")
+    futs_step(model, model.init, "act", "a")
+    # the two prefixes' steps are kept, the root's is not
+    assert len(memo) == 2 and model.init not in memo
+    assert model.memo("act", "a") is memo
+    futs_step(model, model.init, "act", "a")
+    assert len(memo) == 2
+    for _ in range(2):  # a relation the language lacks is refused every time
+        with pytest.raises(ValueError, match="has no relation 'tick'"):
+            futs_step(model, model.init, "tick", "tick")
+
+
 def test_tpc_tick_amounts_descend_by_the_time_spent():
     model = parse_model("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
     seen = [model.init]

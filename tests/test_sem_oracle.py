@@ -425,7 +425,7 @@ def deep_chain(lang):
     model = model_of(lang)
     term_id = model.init
     for _ in range(DEEP):
-        term_id = model.intern(ProbPrefix("a", ((Fraction(1), term_id),)))
+        term_id = model.intern(ProbPrefix, "a", ((Fraction(1), term_id),))
     return model, term_id
 
 

@@ -8,10 +8,12 @@ import pytest
 from futsbench.errors import (
     DelayCycleError,
     DuplicateConstantError,
+    ExplorationLimitError,
     ParseError,
     UndefinedConstantError,
     UnguardedRecursionError,
 )
+from futsbench.explore import explore
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs, tpc_max_delay
 from futsbench.sem_oracle import (
     OracleTerms,
@@ -27,6 +29,7 @@ from futsbench.syntax import (
     Choice,
     Const,
     Coop,
+    LANGUAGES,
     Model,
     Nil,
     Par,
@@ -195,8 +198,72 @@ def test_parse_model_file():
     model = parse_model(GOOD_IML, "iml")
     assert list(model.defs) == ["X", "Y"]
     assert tree(model, model.init) == Const("X")
-    assert model.shape(model.defs["Y"]) == Par(frozenset(), model.init, model.intern(Nil()))
+    assert model.shape(model.defs["Y"]) == Par(frozenset(), model.init, model.intern(Nil))
     check_guarded(model)  # the naked reference to X sits under a.<...>
+
+
+# ---------------------------------------------------------------------------
+# The term table
+# ---------------------------------------------------------------------------
+
+
+def test_interning_a_known_term_builds_no_node(monkeypatch):
+    model = parse_model("init (a, 2).nil + (b, 1).nil\n", "pepa")
+    nil = model.intern(Nil)
+    prefix = model.intern(RatedPrefix, "a", 2, nil)
+    shape = model.shape(prefix)
+    size = len(model.registry)
+    built = []
+    init = RatedPrefix.__init__
+
+    def counted(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    monkeypatch.setattr(RatedPrefix, "__init__", counted)
+    assert model.intern(RatedPrefix, "a", 2, nil) == prefix
+    assert model.shape(prefix) is shape
+    assert built == [] and len(model.registry) == size
+    # a new term is built once, and stored under the next id
+    assert model.intern(RatedPrefix, "c", 3, nil) == size
+    assert built == [("c", 3, nil)] and model.shape(size) == RatedPrefix("c", 3, nil)
+
+
+def test_the_form_is_part_of_a_terms_key():
+    model = Model("iml")
+    nil = model.intern(Nil)
+    model.intern(Const, "X")  # id 1, so that Choice(1, nil) names two terms
+    ids = [model.intern(form, 1, nil) for form in (RatePrefix, TimePrefix, Choice)]
+    assert len(set(ids)) == 3
+    assert [type(model.shape(i)) for i in ids] == [RatePrefix, TimePrefix, Choice]
+
+
+def test_equal_rates_intern_to_one_term():
+    model = Model("iml")
+    nil = model.intern(Nil)
+    two = model.intern(RatePrefix, 2, nil)
+    assert model.intern(RatePrefix, Fraction(2), nil) == two
+    assert model.intern(RatePrefix, Fraction(4, 2), nil) == two
+    assert type(model.shape(two).rate) is int  # the first one interned is kept
+    assert model.intern(RatePrefix, Fraction(1, 2), nil) != two
+
+
+@pytest.mark.parametrize("lang", LANGUAGES)
+def test_each_stored_term_interns_to_its_own_id(lang):
+    # over the parsed terms and the targets that exploring adds, a stored
+    # node's form and fields lead back to its id, and add nothing
+    rng = random.Random(f"reintern-{lang}")
+    for _ in range(40):
+        model = random_model(rng, lang)
+        try:
+            explore(model, max_states=200)
+        except ExplorationLimitError:
+            pass
+        size = len(model.registry)
+        for term_id in range(size):
+            shape = model.shape(term_id)
+            assert model.intern(type(shape), *vars(shape).values()) == term_id
+        assert len(model.registry) == size
 
 
 def test_model_file_errors():
