@@ -12,6 +12,7 @@ Exit codes: 0 success (bisim: bisimilar), 1 bisim verdict "not bisimilar",
 """
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -20,7 +21,7 @@ from .crosscheck import run_checks
 from .errors import FutsError
 from .explore import DEFAULT_MAX_STATES, explore, to_dot, to_json
 from .syntax import LANGUAGES, load_model, parse_term
-# unused here, but bench/tracing.py wraps cli.check_guarded and cli.term_key (ROADMAP item 7)
+# unused here, but bench/tracing.py wraps cli.check_guarded and cli.term_key (ROADMAP item 8)
 from .syntax import check_guarded, term_key  # noqa: F401
 
 
@@ -53,7 +54,11 @@ def _add_max_states(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one (and so by every :func:`main` call in the process): callers must
+    not modify it."""
     parser = argparse.ArgumentParser(
         prog="futsbench",
         description="Weight-function transition systems for four process calculi.",

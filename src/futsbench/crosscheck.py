@@ -35,7 +35,7 @@ from .sem_oracle import (
     pepa_transitions,
     timed_transitions,
 )
-# unused here, but bench/tracing.py wraps crosscheck.term_key (ROADMAP item 7)
+# unused here, but bench/tracing.py wraps crosscheck.term_key (ROADMAP item 8)
 from .syntax import term_key  # noqa: F401
 
 

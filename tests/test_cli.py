@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, output formats."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import futsbench
-from futsbench.cli import main
+from futsbench.cli import build_parser, main
 
 
 def write(tmp_path, name, text):
@@ -293,6 +294,108 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "guarded" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Many calls in one process share one parser and nothing else
+# ---------------------------------------------------------------------------
+
+
+def run_any(capsys, *argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)``, argparse's exits too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def count_parsers(monkeypatch):
+    """A list of every ``argparse.ArgumentParser`` constructed from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_the_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "m.pepa", "P = (a, 1).P\ninit P\n")
+    assert run_any(capsys, "build", path)[0] == 0
+    built = count_parsers(monkeypatch)
+    codes = []
+    for _ in range(4):
+        codes.append(run_any(capsys, "build", path)[0])
+        codes.append(run_any(capsys, "bisim", path, "--left", "P", "--right", "(a, 2).P")[0])
+    codes.append(run_any(capsys, "build", path, "--max-states", "0")[0])
+    codes.append(run_any(capsys, "bisim", path, "--left", "P")[0])
+    assert codes == [0, 1] * 4 + [2, 2]
+    assert built == []
+    # the counter sees a parser and its five subparsers when one is built
+    build_parser.__wrapped__()
+    assert len(built) == 6
+
+
+def test_calls_in_one_process_leave_no_state_behind(tmp_path, capsys):
+    path = write(tmp_path, "m.pepa", "P = (a, 1).Q + (a, 1).P\nQ = (b, 2).P\ninit P <a> Q\n")
+    # argparse's rejections and help, a diagnostic and every command, each
+    # with its exit code
+    calls = [
+        (["build", path, "--max-states", "0"], 2),
+        (["check", path, "--lang", "ccs"], 2),
+        (["bisim", path, "--left", "P"], 2),
+        (["simulate", path], 2),
+        (["--help"], 0),
+        (["build", "--help"], 0),
+        (["check", str(tmp_path / "absent.pepa")], 2),
+        (["build", path], 0),
+        (["bisim", path, "--left", "P", "--right", "Q"], 1),
+        (["bisim", path, "--left", "(a, 1).Q + (a, 1).P", "--right", "P"], 0),
+        (["minimize", path], 0),
+        (["compare", path], 0),
+    ]
+    forwards = [run_any(capsys, *argv) for argv, _ in calls]
+    backwards = [run_any(capsys, *argv) for argv, _ in reversed(calls)][::-1]
+    assert [code for code, _, _ in forwards] == [code for _, code in calls]
+    for (argv, _), first, second in zip(calls, forwards, backwards):
+        assert first == second, argv
+    # a rejection is argparse's usage and its error line; the missing file
+    # is the CLI's own one-line diagnostic
+    for _, out, err in forwards[:4]:
+        assert out == "" and err.startswith("usage: futsbench")
+        assert err.splitlines()[-1].startswith("futsbench")
+    assert forwards[4][1].startswith("usage: futsbench [-h]")
+    assert forwards[5][1].startswith("usage: futsbench build [-h]")
+    _, out, err = forwards[6]
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main() call, not at import time
+    package_root = os.path.dirname(os.path.dirname(futsbench.__file__))
+    script = (
+        "import argparse, sys\n"
+        f"sys.path.insert(0, {package_root!r})\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import futsbench.cli\n"
+        "print(len(built))\n"
+        "futsbench.cli.build_parser()\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, cwd=package_root
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n6\n", "")
 
 
 # ---------------------------------------------------------------------------

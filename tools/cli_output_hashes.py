@@ -10,12 +10,16 @@ models, one per language, whose literals are decimal or reducible
 (``2.0``, ``4/2``, ``0.5``) and whose PEPA cooperation synchronises at
 non-integral joint rates.  It also runs ``check`` on seeded single-edit
 mutants of each file (one piece deleted, replaced or inserted), so parse
-errors, their messages and positions, are hashed too.  Prints one line per
-call, sorted: the SHA-256 of the exit status, stdout and stderr, then the
-call with its path relative to the generated directory.  ``futsbench`` is
-imported from the ``src`` next to this script, so running the script in
-two checkouts and diffing the outputs shows whether a change altered any
-output.
+errors, their messages and positions, are hashed too.  On each hand-written
+model it runs the command lines that ``argparse`` rejects (a bound below
+one, an unknown language, a missing ``--right``, an unknown command), and
+it runs the ``--help`` of the program and of every command, with
+``COLUMNS`` set to 80 so that help text wraps alike on every host.  Prints
+one line per call, sorted: the SHA-256 of the exit status, stdout and
+stderr, then the call with its path relative to the generated directory.
+``futsbench`` is imported from the ``src`` next to this script, so running
+the script in two checkouts and diffing the outputs shows whether a change
+altered any output.
 """
 
 import contextlib
@@ -28,6 +32,8 @@ import shlex
 import sys
 import tempfile
 
+os.environ["COLUMNS"] = "80"  # argparse wraps its help and usage to this width
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
@@ -36,6 +42,7 @@ from futsbench.cli import main  # noqa: E402
 
 SEEDS = (1, 2)
 MUTANTS = 4  # per model file
+COMMANDS = ("check", "build", "bisim", "minimize", "compare")
 
 # a model text's pieces: blanks, words, two-character symbols or single characters
 PIECES = re.compile(r"\s+|\w+|\|\[|\]\||\[\]|--|.", re.DOTALL)
@@ -120,7 +127,10 @@ def mutant(text: str, rng: random.Random) -> str:
 
 def calls(directory: str):
     """Every call on the hand-written files and on those of every workload
-    and seed, as argv lists."""
+    and seed, and every ``--help``, as argv lists."""
+    yield ["--help"]
+    for command in COMMANDS:
+        yield [command, "--help"]
     groups = [("hand-written", HAND_WRITTEN)] + [
         (os.path.join(workload, f"seed{seed}"), workloads.draw(workload, seed))
         for workload in workloads.WORKLOADS
@@ -137,6 +147,11 @@ def calls(directory: str):
             yield ["compare", path]
             for query in spec.queries:
                 yield ["bisim", path, "--left", query.left, "--right", query.right]
+            if models is HAND_WRITTEN:  # command lines argparse rejects
+                yield ["build", path, "--max-states", "0"]
+                yield ["check", path, "--lang", "ccs"]
+                yield ["bisim", path, "--left", "nil"]
+                yield ["simulate", path]
             stem, ext = os.path.splitext(spec.filename)
             rng = random.Random(f"{path}-mutants")
             for k in range(MUTANTS):
