@@ -21,7 +21,7 @@ from .errors import FutsError, UnknownStateError
 from .explore import FutsModel, RelationData, StateInfo
 from .fsfun import ff_make
 from .semiring import Semiring, semiring_of
-# unused here, but bench/tracing.py wraps bisim.term_key (ROADMAP item 8)
+# unused here, but bench/tracing.py wraps bisim.term_key (ROADMAP item 3)
 from .syntax import term_key  # noqa: F401
 
 

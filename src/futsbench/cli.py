@@ -21,7 +21,7 @@ from .crosscheck import run_checks
 from .errors import FutsError
 from .explore import DEFAULT_MAX_STATES, explore, to_dot, to_json
 from .syntax import LANGUAGES, load_model, parse_term
-# unused here, but bench/tracing.py wraps cli.check_guarded and cli.term_key (ROADMAP item 8)
+# unused here, but bench/tracing.py wraps cli.check_guarded and cli.term_key (ROADMAP item 3)
 from .syntax import check_guarded, term_key  # noqa: F401
 
 

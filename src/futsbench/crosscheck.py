@@ -9,9 +9,10 @@ each target id to a state once, through its canonical text.  The
 apparent-rate, agreement, time-determinism and correspondence checks all
 read the moves table that results, and the apparent-rate check the
 oracle table it was enumerated in.  The correspondence check builds the
-oracle's own partition from it alone, by splitter-driven refinement over
-the derivations' incoming moves -- a different algorithm from the
-worklist engine of `refine`, which it never calls.
+oracle's own partition from it alone, by a worklist loop that re-signs a
+state from its derivations whenever one of its targets changes block.
+That loop is written apart from `refine`, whose partition it is compared
+with, and uses none of its code.
 
 Every check walks all explored states of one model and reports how many
 comparisons it made and which ones failed.  The `compare` CLI command and
@@ -20,7 +21,7 @@ the acceptance suite both run these.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .bisim import Partition, canonical_assignment, refine
 from .errors import FutsError, UnknownStateError
@@ -35,7 +36,7 @@ from .sem_oracle import (
     pepa_transitions,
     timed_transitions,
 )
-# unused here, but bench/tracing.py wraps crosscheck.term_key (ROADMAP item 8)
+# unused here, but bench/tracing.py wraps crosscheck.term_key (ROADMAP item 3)
 from .syntax import term_key  # noqa: F401
 
 
@@ -313,147 +314,101 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     )
 
 
-def _split(members: List[set], block_of: List[int], keys) -> List[Tuple[int, List[int]]]:
-    """Split each block by the keys of those of its members that ``keys``
-    pairs with a non-empty key; its other members share one part.  The
-    largest part keeps the block's id, so only the members of the other
-    parts are relabelled.  Returns (block, new block ids) for each block
-    that split."""
-    keyed: Dict[int, Dict[Any, list]] = {}
-    for item, key in keys:
-        if key:
-            by_key = keyed.setdefault(block_of[item], {})
-            if key in by_key:
-                by_key[key].append(item)
-            else:
-                by_key[key] = [item]
-    splits = []
-    for block, by_key in keyed.items():
-        rest = members[block]
-        parts = list(by_key.values())
-        if len(parts) == 1 and len(parts[0]) == len(rest):
-            continue
-        for part in parts:
-            rest.difference_update(part)
-        if rest:
-            parts.append(rest)
-        parts.sort(key=len)
-        largest = parts.pop()
-        members[block] = largest if largest is rest else set(largest)
-        new = []
-        for part in parts:
-            new_block = len(members)
-            members.append(part if part is rest else set(part))
-            for item in part:
-                block_of[item] = new_block
-            new.append(new_block)
-        splits.append((block, new))
-    return splits
+def _block_totals(pairs, block_of: Sequence[int]) -> frozenset:
+    """The total weight of (weight, target) pairs per block.  Rates and
+    masses are positive, so no total is zero."""
+    acc: Dict[int, Any] = {}
+    for weight, target in pairs:
+        block = block_of[target]
+        acc[block] = acc[block] + weight if block in acc else weight
+    return frozenset(acc.items())
+
+
+def _oracle_signature(shapes: Sequence[str], row: tuple, block_of: Sequence[int]) -> tuple:
+    """A state's derivations pushed forward along ``block_of``, one part per
+    slot: a ``rated`` slot's total per block, a ``set`` slot's set of
+    blocks, a ``timed`` slot's (amount, block) pairs, and each of a
+    ``dists`` slot's distributions as its mass per block."""
+    parts = []
+    for shape, derived in zip(shapes, row):
+        if shape == RATED:
+            parts.append(_block_totals(derived, block_of))
+        elif shape == SET:
+            parts.append(frozenset([block_of[target] for target in derived]))
+        elif shape == TIMED:
+            parts.append(frozenset([(n, block_of[target]) for n, target in derived]))
+        else:
+            parts.append(
+                frozenset(
+                    _block_totals([(mass, target) for target, mass in dist], block_of)
+                    for dist in derived
+                )
+            )
+    return tuple(parts)
 
 
 def oracle_partition_from(moves: OracleMoves) -> Partition:
     """Coarsest behavioural partition computed from step derivations only.
 
-    Splitter-driven refinement: each queued block of states is a splitter,
-    and every state is keyed by what its derivations put into it, slot by
-    slot -- a ``rated`` slot its total rate, a ``set`` slot presence, a
-    ``timed`` slot presence per amount.  MAL's distributions form a second
-    partition: a class of distributions splits by its mass into the
-    splitter (Derisavi, Hermanns & Sanders, "Optimal state-space lumping
-    in Markov chains", IPL 2003), and a state by its set of distribution
-    classes per slot.  Rates and masses subtract, so when every slot is
-    ``rated`` or ``dists`` the largest part of a split is queued only if
-    its block already was (Hopcroft's trick, as in Paige & Tarjan, "Three
-    partition refinement algorithms", SIAM J. Comput. 1987); presence
-    does not, so otherwise every part is queued (Kanellakis & Smolka).
-    The table's rows follow the exploration's state ids, so block ids
-    line up with `refine`."""
+    Worklist refinement of its own: a state is re-signed from its
+    derivations (`_oracle_signature`) only when one of its targets has
+    changed block.  When a block splits, its largest part keeps the
+    block's id, so only the states of the other parts move, and each
+    state moves O(log n) times; members are kept as sets, so a split
+    costs the size of its re-signed and smaller parts.  Signatures are
+    recomputed in full, so presence and amounts need no counts and
+    nothing is subtracted.  The table's rows follow the exploration's
+    state ids, so block ids line up with `refine`."""
     shapes = [shape for _, _, shape in moves.slots]
     rows = moves.rows
     n_states = len(rows)
-    # every move into a state as (source, key, rate), where the key is the
-    # slot, or (slot, amount) for a timed move, and the rate is None where
-    # only presence counts; and (distribution, mass) for each distinct
-    # distribution with a branch into the state
-    incoming: List[list] = [[] for _ in range(n_states)]
-    dist_in: List[list] = [[] for _ in range(n_states)]
-    dist_ids: Dict[frozenset, int] = {}
-    owners: List[list] = []  # distribution -> the (state, slot)s offering it
+    # for each state, the states with a derivation into it (a distribution
+    # counts every branch); a source may appear more than once
+    preds: List[List[int]] = [[] for _ in range(n_states)]
     for source, row in enumerate(rows):
-        for slot, (shape, derived) in enumerate(zip(shapes, row)):
-            if shape == RATED:
-                for rate, target in derived:
-                    incoming[target].append((source, slot, rate))
-            elif shape == SET:
+        for shape, derived in zip(shapes, row):
+            if shape == SET:
                 for target in derived:
-                    incoming[target].append((source, slot, None))
-            elif shape == TIMED:
-                for amount, target in derived:
-                    incoming[target].append((source, (slot, amount), None))
-            else:
+                    preds[target].append(source)
+            elif shape == DISTS:
                 for dist in derived:
-                    dist_id = dist_ids.get(dist)
-                    if dist_id is None:
-                        dist_id = dist_ids[dist] = len(owners)
-                        owners.append([])
-                        for target, mass in dist:
-                            dist_in[target].append((dist_id, mass))
-                    owners[dist_id].append((source, slot))
+                    for target, _ in dist:
+                        preds[target].append(source)
+            else:
+                for _, target in derived:
+                    preds[target].append(source)
 
     block_of = [0] * n_states
     members = [set(range(n_states))]
-    class_of = [0] * len(owners)
-    classes = [set(range(len(owners)))]
-    hopcroft = all(shape in (RATED, DISTS) for shape in shapes)
-    queue = [0]
-    queued = [True]
-
-    def split_states(keys) -> None:
-        for block, new in _split(members, block_of, keys):
-            if not (hopcroft or queued[block]):
-                queue.append(block)
-                queued[block] = True
-            queue.extend(new)
-            queued.extend([True] * len(new))
-
-    def rekey_owners(dist_classes) -> None:
-        """Key the states offering distributions of these classes by the
-        classes those distributions are in now."""
-        keys: Dict[int, set] = {}
-        for dist_class in dist_classes:
-            for dist_id in classes[dist_class]:
-                for state, slot in owners[dist_id]:
-                    keys.setdefault(state, set()).add((slot, class_of[dist_id]))
-        split_states((state, frozenset(key)) for state, key in keys.items())
-
-    # the first split keys every state, even one without moves, by the
-    # slots it offers distributions in (all distributions start in class 0)
-    rekey_owners([0])
-    while queue:
-        splitter = queue.pop()
-        queued[splitter] = False
-        into: Dict[int, dict] = {}
-        mass: Dict[int, Any] = {}
-        for target in members[splitter]:
-            for source, key, rate in incoming[target]:
-                acc = into.get(source)
-                if acc is None:
-                    acc = into[source] = {}
-                if rate is None:
-                    acc[key] = True
-                elif key in acc:
-                    acc[key] += rate
-                else:
-                    acc[key] = rate
-            for dist_id, m in dist_in[target]:
-                mass[dist_id] = mass[dist_id] + m if dist_id in mass else m
-        # a zero total counts as no move
-        split_states(
-            (state, frozenset(item for item in acc.items() if item[1]))
-            for state, acc in into.items()
-        )
-        split = _split(classes, class_of, mass.items())
-        rekey_owners([c for block, new in split for c in (block, *new)])
+    block_sig: List[Any] = [None]  # no state has signature None
+    dirty: Iterable[int] = range(n_states)
+    while dirty:
+        changed: Dict[int, Dict[tuple, List[int]]] = {}
+        for state in dirty:
+            block = block_of[state]
+            sig = _oracle_signature(shapes, rows[state], block_of)
+            if sig != block_sig[block]:
+                changed.setdefault(block, {}).setdefault(sig, []).append(state)
+        moved: List[int] = []
+        for block, by_sig in changed.items():
+            # the members left untouched keep the block's signature
+            rest = members[block]
+            parts = list(by_sig.items())
+            for _, part in parts:
+                rest.difference_update(part)
+            if rest:
+                parts.append((block_sig[block], rest))
+            parts.sort(key=lambda part: len(part[1]))
+            block_sig[block], largest = parts.pop()
+            members[block] = largest if largest is rest else set(largest)
+            for sig, part in parts:
+                new_block = len(members)
+                members.append(part if part is rest else set(part))
+                block_sig.append(sig)
+                for state in part:
+                    block_of[state] = new_block
+                moved += part
+        dirty = {p for state in moved for p in preds[state]}
     return Partition(canonical_assignment(block_of))
 
 

@@ -27,7 +27,7 @@ from .fsfun import FinFn
 from .semiring import semiring_of
 from .sem_futs import futs_step, relation_labels, relation_specs
 from .syntax import Model
-# unused here, but bench/tracing.py wraps explore.pretty (ROADMAP item 8)
+# unused here, but bench/tracing.py wraps explore.pretty (ROADMAP item 3)
 from .syntax import pretty  # noqa: F401
 
 DEFAULT_MAX_STATES = 10_000

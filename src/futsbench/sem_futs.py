@@ -58,7 +58,7 @@ from .syntax import (
     alphabet,
     evaluate,
 )
-# unused here, but bench/tracing.py wraps sem_futs.term_key (ROADMAP item 8)
+# unused here, but bench/tracing.py wraps sem_futs.term_key (ROADMAP item 3)
 from .syntax import term_key  # noqa: F401
 
 ACT = "act"

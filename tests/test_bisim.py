@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from futsbench import bisim
+from futsbench import bisim, crosscheck
 from futsbench.bisim import (
     Partition,
     Witness,
@@ -208,7 +208,7 @@ def test_mal_refine_matches_brute_force_and_oracle():
 
 
 # ---------------------------------------------------------------------------
-# The oracle partition's first split and key rules
+# The oracle partition's first split and signature rules
 # ---------------------------------------------------------------------------
 
 
@@ -220,8 +220,8 @@ def oracle_partition(fm):
 
 
 def test_oracle_first_split_separates_a_distribution_from_deadlock():
-    # the one distribution has mass 1 into the one first block, so only
-    # keying every state by the slots it offers distributions in splits
+    # the one distribution has mass 1 into the one first block, like every
+    # distribution, so only the first signatures tell it from deadlock
     roots = ["c.{2/5: X0 [] 3/5: X0}", "X0"]
     fm, _ = explored("X0 = nil\ninit X0\n", "mal", roots=roots)
     assert oracle_partition(fm).n_blocks == len(fm.states) == 2
@@ -322,6 +322,12 @@ def chain_model(n):
     return explore(parse_model("\n".join(lines) + "\ninit C0\n", "pepa"))
 
 
+def mal_chain_model(depth):
+    """One MAL distribution chain a.{1: a.{1: ... nil}} (depth + 1 blocks)."""
+    term = "a.{1: " * depth + "nil" + "}" * depth
+    return explore(parse_model(f"init {term}\n", "mal"))
+
+
 def par_model(n):
     """n independent two-state PEPA components (2^n states, n + 1 blocks)."""
     lines = []
@@ -352,16 +358,23 @@ def test_refine_agrees_with_reference_loop_on_corpora(lang):
         )
 
 
-@pytest.mark.parametrize("make, n, blocks", [(chain_model, 300, 300), (par_model, 7, 8)])
+@pytest.mark.parametrize(
+    "make, n, blocks", [(chain_model, 300, 300), (par_model, 7, 8), (mal_chain_model, 300, 301)]
+)
 def test_refine_agrees_with_reference_loop_beyond_brute_force(make, n, blocks):
     fm = make(n)
     assert len(fm.states) > BRUTE_FORCE_MAX
     p = refine(fm)
     assert p.n_blocks == blocks
     assert p == reference_partition(fm)
+    moves = oracle_moves(fm)
+    assert oracle_partition_from(moves) == naive_oracle_partition(moves)
 
 
-@pytest.mark.parametrize("make, n, blocks", [(chain_model, 1000, 1000), (par_model, 10, 11)])
+@pytest.mark.parametrize(
+    "make, n, blocks",
+    [(chain_model, 1000, 1000), (par_model, 10, 11), (mal_chain_model, 1000, 1001)],
+)
 def test_oracle_partition_beyond_the_reference_loop(make, n, blocks):
     assert oracle_partition(make(n)).n_blocks == blocks
 
@@ -382,6 +395,31 @@ def test_refine_re_signs_only_predecessors_of_moved_states(monkeypatch):
     # one full pass, then one predecessor per split; a round-based loop
     # re-signs all n states in each of about n rounds
     assert calls <= 4 * n
+
+
+def test_oracle_partition_re_signs_only_predecessors_of_moved_states(monkeypatch):
+    signature = crosscheck._oracle_signature
+    calls = 0
+
+    def counting(shapes, row, block_of):
+        nonlocal calls
+        calls += 1
+        return signature(shapes, row, block_of)
+
+    monkeypatch.setattr(crosscheck, "_oracle_signature", counting)
+
+    def signed(fm, blocks):
+        nonlocal calls
+        calls = 0
+        assert oracle_partition_from(oracle_moves(fm)).n_blocks == blocks
+        return calls
+
+    # one level of a nested chain splits off at a time; the work must stay
+    # linear in the depth, not grow with depth times the number of splits
+    counts = [signed(mal_chain_model(depth), depth + 1) for depth in (500, 1000, 2000)]
+    assert all(later <= 2.5 * earlier for earlier, later in zip(counts, counts[1:]))
+    n = 2000
+    assert signed(chain_model(n), n) <= 4 * n
 
 
 # ---------------------------------------------------------------------------

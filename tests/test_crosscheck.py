@@ -88,6 +88,10 @@ def test_oracle_partition_needs_neither_refine_nor_its_signatures(lang, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle partition must not use the FuTS refinement")
 
-    for module, name in [(bisim, "refine"), (crosscheck, "refine"), (bisim, "_state_signature")]:
+    borrowed = [(bisim, "refine"), (crosscheck, "refine")] + [
+        (bisim, name)
+        for name in ("_state_signature", "_predecessors", "_block_sum_sig", "_lifted_sig")
+    ]
+    for module, name in borrowed:
         monkeypatch.setattr(module, name, refuse)
     assert oracle_partition_from(oracle_moves(fm)) == expected

@@ -8,7 +8,10 @@ Generates the seed-1 and seed-2 files of every workload with
 ``bisim`` query of the seed.  It does the same on a few hand-written
 models, one per language, whose literals are decimal or reducible
 (``2.0``, ``4/2``, ``0.5``) and whose PEPA cooperation synchronises at
-non-integral joint rates.  It also runs ``check`` on seeded single-edit
+non-integral joint rates, and on two more: a MAL distribution chain
+``a.{1: a.{1: ... nil}}`` 400 deep, whose steps are nested one level per
+state, and an IML model of action prefixes only, whose every move counts
+by presence, not multiplicity.  It also runs ``check`` on seeded single-edit
 mutants of each file (one piece deleted, replaced or inserted), so parse
 errors, their messages and positions, are hashed too.  On each hand-written
 model it runs the command lines that ``argparse`` rejects (a bound below
@@ -53,8 +56,10 @@ VOCABULARY = (
     "]", "-", "--", " ", "\n", "_", "é",
 )
 
-# one hand-written model per language, with decimal and reducible literals
+# one hand-written model per language, with decimal and reducible literals,
+# then a deep nested chain and a model of presence-only moves
 Model, Query = workloads.ModelSpec, workloads.Query
+CHAIN_DEPTH = 400
 HAND_WRITTEN = (
     Model(
         "sync",
@@ -106,6 +111,32 @@ HAND_WRITTEN = (
         (
             Query("a.{0.5: S1 [] 2/4: S0}", "a.{1/2: S0 [] 1/2: S1}", True),
             Query("a.{1.0: S0}", "a.{0.5: S0 [] 0.5: S1}", False),
+        ),
+    ),
+    Model(
+        "chain",
+        "mal",
+        "init " + "a.{1: " * CHAIN_DEPTH + "nil" + "}" * CHAIN_DEPTH + "\n",
+        (
+            Query("a.{1: a.{1: nil}}", "a.{1/2: a.{1: nil} [] 1/2: a.{1: nil}}", True),
+            Query("a.{1: nil}", "a.{1: a.{1: nil}}", False),
+        ),
+    ),
+    Model(
+        "presence",
+        "iml",
+        "-- action prefixes only: a move counts once, however often it is offered\n"
+        "S0 = a.S1 + a.S2 + b.S0\n"
+        "S1 = a.S3 + b.S0\n"
+        "S2 = a.S3 + a.S3 + b.S0\n"
+        "S3 = a.S0 + b.nil\n"
+        "T0 = a.T1 + b.T0\n"
+        "T1 = a.S3 + b.T0\n"
+        "init S0 |[a]| T0\n",
+        (
+            Query("S0", "T0", True),
+            Query("a.S1 + a.S2", "a.S1", True),
+            Query("S3", "a.S0", False),
         ),
     ),
 )
