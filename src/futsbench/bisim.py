@@ -3,15 +3,15 @@
 Two states are bisimilar when, relation by relation and label by label,
 their continuation functions assign the same total weight to every class
 of a stable partition.  This module computes the coarsest such partition
-by worklist refinement that re-signs only the predecessors of states that
-changed block, with the largest part of each split keeping its block id
-(after Valmari & Franceschinis, "Simple O(m log n) time Markov chain
-lumping", TACAS 2010).  A state's signature -- its steps pushed forward
-along the block map -- is the one definition of its behaviour under a
-partition: refinement splits on it, a witness is the first part where
-two signatures differ, and a quotient's steps are its blocks'
-signatures.  The independent partition from the step-derivation oracle
-lives in `crosscheck`, which alone reads that oracle.
+by worklist refinement over blocks kept as member sets: only predecessors
+of states that changed block are re-signed, and the largest part of each
+split keeps its block id (after Valmari & Franceschinis, "Simple
+O(m log n) time Markov chain lumping", TACAS 2010).  A state's signature
+-- its steps pushed forward along the block map -- is the one definition
+of its behaviour under a partition: refinement splits on it, a witness is
+the first part where two signatures differ, and a quotient's steps are
+its blocks' signatures.  The independent partition from the
+step-derivation oracle lives in `crosscheck`, which alone reads it.
 """
 
 from dataclasses import dataclass, replace
@@ -129,24 +129,18 @@ def refine(fm: FutsModel) -> Partition:
     successors has changed block.  When a block splits, its largest part
     keeps the block's id and only the states of the other parts move, so
     a signature stays valid against the current assignment until a
-    successor moves, and each state moves O(log n) times.  Untouched
-    members of a block share the block's signature; re-signed ones are
-    compared with it.  Signatures are recomputed in full, never updated
-    by subtraction, so no semiring needs to be cancellative.
+    successor moves, and each state moves O(log n) times.  Each block's
+    members are a set, so a split costs the size of its re-signed and
+    smaller parts.  Untouched members of a block share the block's
+    signature; re-signed ones are compared with it.  Signatures are
+    recomputed in full, never updated by subtraction, so no semiring
+    needs to be cancellative.
     """
     relations = fm.relations
     n_states = len(fm.states)
-    if n_states == 0:
-        return Partition(())
     preds = _predecessors(relations, n_states)
     assignment = [0] * n_states
-    # block b is the slice elems[first[b]:end[b]] and loc[s] is the
-    # position of state s in elems, so a block's parts are moved to slices
-    # of their own in time proportional to their size (Valmari &
-    # Franceschinis's refinable partition)
-    elems = list(range(n_states))
-    loc = list(range(n_states))
-    first, end = [0], [n_states]
+    blocks = [set(range(n_states))]  # block id -> its member states
     block_sig: List[Optional[tuple]] = [None]  # no state has signature None
     dirty: Iterable[int] = range(n_states)
     while dirty:
@@ -158,29 +152,20 @@ def refine(fm: FutsModel) -> Partition:
                 changed.setdefault(block, {}).setdefault(sig, []).append(state_id)
         moved: List[int] = []
         for block, by_sig in changed.items():
-            # gather each part of re-signed states into one slice at the end
-            # of the block, so the block's untouched rest is its front
-            parts = []
-            tail = end[block]
-            for sig, part in by_sig.items():
-                for state_id in part:
-                    tail -= 1
-                    pos, other = loc[state_id], elems[tail]
-                    elems[pos], loc[other] = other, pos
-                    elems[tail], loc[state_id] = state_id, tail
-                parts.append((sig, tail, tail + len(part)))
-            if tail > first[block]:
-                parts.append((block_sig[block], first[block], tail))
-            parts.sort(key=lambda part: part[2] - part[1], reverse=True)
-            block_sig[block], first[block], end[block] = parts[0]
-            for sig, lo, hi in parts[1:]:
-                new_block = len(first)
+            untouched = blocks[block]
+            untouched.difference_update(*by_sig.values())
+            parts = [(sig, set(part)) for sig, part in by_sig.items()]
+            if untouched:
+                parts.append((block_sig[block], untouched))
+            parts.sort(key=lambda part: len(part[1]), reverse=True)
+            block_sig[block], blocks[block] = parts[0]
+            for sig, part in parts[1:]:
+                new_block = len(blocks)
                 block_sig.append(sig)
-                first.append(lo)
-                end.append(hi)
-                for state_id in elems[lo:hi]:
+                blocks.append(part)
+                for state_id in part:
                     assignment[state_id] = new_block
-                    moved.append(state_id)
+                moved += part
         dirty = {p for state_id in moved for p in preds[state_id]}
     return Partition(canonical_assignment(assignment))
 

@@ -5,14 +5,16 @@ step-derivation oracle, plus structural sanity checks.
 for each state and each (relation, label) slot, the oracle's derivations,
 with their targets resolved to state ids.  It walks the states in a
 table of the oracle's own terms, built for that one call, and resolves
-each target id to a state once, through its canonical text.  The
-apparent-rate, agreement, time-determinism and correspondence checks all
-read the moves table that results, and the apparent-rate check the
-oracle table it was enumerated in.  The correspondence check builds the
-oracle's own partition from it alone, by a worklist loop that re-signs a
-state from its derivations whenever one of its targets changes block.
-That loop is written apart from `refine`, whose partition it is compared
-with, and uses none of its code.
+each target to a state by its id there: the table hash-conses, so equal
+terms share one id.  A target's text is rendered only to name one that
+is not an explored state.  The apparent-rate, agreement,
+time-determinism and correspondence checks all read the moves table
+that results, and the apparent-rate check the oracle table it was
+enumerated in.  The correspondence check builds the oracle's own
+partition from it alone, by a worklist loop that re-signs a state from
+its derivations whenever one of its targets changes block.  That loop
+is written apart from `refine`, whose partition it is compared with, and
+uses none of its code.
 
 Every check walks all explored states of one model and reports how many
 comparisons it made and which ones failed.  The `compare` CLI command and
@@ -90,26 +92,23 @@ class OracleMoves:
 
 def oracle_moves(fm: FutsModel) -> OracleMoves:
     """Enumerate the classical oracle once for each state and slot, in a
-    fresh table of the oracle's own terms."""
+    fresh table of the oracle's own terms.  Each target's state is found
+    by its id there; a target's text is rendered only for the error that
+    names a target that is not an explored state."""
     model = fm.ctx
     if model is None:
         raise FutsError("cross-checks need the exploration context")
     table = OracleTerms(model)
     terms = tuple(table.of_model(state.term) for state in fm.states)
-    index = fm.index
-    resolved: Dict[int, int] = {}  # oracle id -> state id
+    state_ids = {term: state for state, term in enumerate(terms)}
 
     def state_of(target: int) -> int:
-        found = resolved.get(target)
-        if found is None:
-            key = table.text(target)
-            try:
-                found = resolved[target] = index[key]
-            except KeyError:
-                raise UnknownStateError(
-                    f"step-derivation target {key!r} is not an explored state"
-                ) from None
-        return found
+        try:
+            return state_ids[target]
+        except KeyError:
+            raise UnknownStateError(
+                f"step-derivation target {table.text(target)!r} is not an explored state"
+            ) from None
 
     slots = []
     for data in fm.relations:
@@ -176,10 +175,11 @@ def apparent_rate_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
 
 
 def _fold_rates(pairs) -> Dict[int, Fraction]:
+    """Each target's total rate.  Rates are positive, so no total is zero."""
     acc: Dict[int, Fraction] = {}
     for rate, target in pairs:
         acc[target] = acc[target] + rate if target in acc else rate
-    return {target: rate for target, rate in acc.items() if rate != 0}
+    return acc
 
 
 def _named(shape: str, value, keys: Sequence[str]):

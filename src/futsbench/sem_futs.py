@@ -72,37 +72,19 @@ TICK_LABEL = "tick"
 
 @dataclass(frozen=True)
 class RelationSpec:
-    """Shape of one step relation of a language."""
+    """Shape of one step relation of a language, and the rule that steps it."""
 
     name: str  # "act" | "delay" | "tick"
     kind: str  # "simple" | "nested"
     tag: str  # weight domain of the (outer) function
     inner_tag: Optional[str]  # weight domain of inner distributions, if nested
     fixed_labels: Optional[Tuple[str, ...]]  # None: the model's action alphabet
-
-
-_SPECS = {
-    "pepa": (RelationSpec(ACT, "simple", NNRAT, None, None),),
-    "iml": (
-        RelationSpec(ACT, "simple", BOOL, None, None),
-        RelationSpec(DELAY, "simple", NNRAT, None, (DELTA_LABEL,)),
-    ),
-    "tpc": (
-        RelationSpec(ACT, "simple", BOOL, None, None),
-        RelationSpec(TICK, "simple", NATSET, None, (TICK_LABEL,)),
-    ),
-    "mal": (
-        RelationSpec(ACT, "nested", BOOL, NNRAT, None),
-        RelationSpec(DELAY, "simple", NNRAT, None, (DELTA_LABEL,)),
-    ),
-}
+    rule: Callable  # a term's step from its shape and its operands' steps
+    through: tuple  # the forms the step walks through (see .syntax.evaluate)
 
 
 def relation_specs(lang: str) -> Tuple[RelationSpec, ...]:
-    try:
-        return _SPECS[lang]
-    except KeyError:
-        raise ValueError(f"unknown language {lang!r}") from None
+    return tuple(_SPECS[lang].values())
 
 
 def relation_labels(spec: RelationSpec, model: Model, roots: Iterable = ()) -> Tuple[str, ...]:
@@ -123,14 +105,13 @@ def futs_step(model: Model, term_id: int, relation: str, label: str) -> FinFn:
     """
     walk = model.walks.get((relation, label))
     if walk is None:
-        try:
-            rule, through = _DISPATCH[(model.lang, relation)]
-        except KeyError:
-            raise ValueError(f"language {model.lang!r} has no relation {relation!r}") from None
+        spec = _SPECS[model.lang].get(relation)
+        if spec is None:
+            raise ValueError(f"language {model.lang!r} has no relation {relation!r}")
         walk = model.walks[relation, label] = (
             model.memo(relation, label),
-            through,
-            partial(rule, model, label),
+            spec.through,
+            partial(spec.rule, model, label),
         )
     memo, through, bound = walk
     return evaluate(term_id, model.shape, model.defs, through, memo, bound)
@@ -295,13 +276,19 @@ def _mal_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> Fi
     return ff_zero(BOOL)  # nil, a delay
 
 
-# each relation's rule, and the forms its step walks through
-_DISPATCH = {
-    ("pepa", ACT): (_pepa_act, STEP_FORMS),
-    ("iml", ACT): (_interactive_act, STEP_FORMS),
-    ("iml", DELAY): (_delay_step, STEP_FORMS),
-    ("tpc", ACT): (_interactive_act, STEP_FORMS),
-    ("tpc", TICK): (_tick_step, TIMED_FORMS),
-    ("mal", ACT): (_mal_act, STEP_FORMS),
-    ("mal", DELAY): (_delay_step, STEP_FORMS),
+# each language's relations, by name, in the order a state's steps list them
+_SPECS = {
+    "pepa": {ACT: RelationSpec(ACT, "simple", NNRAT, None, None, _pepa_act, STEP_FORMS)},
+    "iml": {
+        ACT: RelationSpec(ACT, "simple", BOOL, None, None, _interactive_act, STEP_FORMS),
+        DELAY: RelationSpec(DELAY, "simple", NNRAT, None, (DELTA_LABEL,), _delay_step, STEP_FORMS),
+    },
+    "tpc": {
+        ACT: RelationSpec(ACT, "simple", BOOL, None, None, _interactive_act, STEP_FORMS),
+        TICK: RelationSpec(TICK, "simple", NATSET, None, (TICK_LABEL,), _tick_step, TIMED_FORMS),
+    },
+    "mal": {
+        ACT: RelationSpec(ACT, "nested", BOOL, NNRAT, None, _mal_act, STEP_FORMS),
+        DELAY: RelationSpec(DELAY, "simple", NNRAT, None, (DELTA_LABEL,), _delay_step, STEP_FORMS),
+    },
 }

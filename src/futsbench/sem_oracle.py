@@ -319,12 +319,13 @@ Distribution = FrozenSet[Tuple[int, Fraction]]
 
 def merge_distribution(pairs) -> Distribution:
     """Normalise a list of (target, probability) pairs into a
-    distribution: probabilities of equal targets add up.
+    distribution: probabilities of equal targets add up.  Probabilities
+    and their products are positive, so no sum is zero.
     """
     acc: dict = {}
     for target, prob in pairs:
         acc[target] = acc.get(target, ZERO) + prob
-    return frozenset((target, prob) for target, prob in acc.items() if prob != 0)
+    return frozenset(acc.items())
 
 
 def action_distributions(

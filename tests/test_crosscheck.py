@@ -10,7 +10,9 @@ from futsbench.cli import main
 from futsbench.crosscheck import oracle_moves, oracle_partition_from, run_checks
 from futsbench.errors import UnknownStateError
 from futsbench.explore import explore
+from futsbench.sem_oracle import OracleTerms
 from futsbench.syntax import Nil, RatedPrefix, parse_model
+from modelgen import build_corpus
 
 MODELS = {
     "pepa": "P = (a, 1).Q + (b, 2).P\nQ = (a, 3).P + (c, 1).R\nR = (b, 1/2).P\ninit P <a> Q\n",
@@ -78,6 +80,24 @@ def test_unexplored_oracle_target_is_a_diagnosed_error(tmp_path, capsys, monkeyp
     assert captured.err == (
         "error: step-derivation target '(b, 1).nil' is not an explored state\n"
     )
+
+
+def test_oracle_targets_are_resolved_without_their_texts(monkeypatch):
+    corpus = [
+        fm
+        for lang in sorted(MODELS)
+        for fm in build_corpus(lang, 40, 200, "by-id", depth=4, max_par=3, max_def_par=0)
+    ]
+    depth = 400
+    chain = "a.{1: " * depth + "nil" + "}" * depth
+    corpus.append(explore(parse_model(f"init {chain}\n", "mal")))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an explored target must be found by its id, not its text")
+
+    monkeypatch.setattr(OracleTerms, "text", refuse)
+    for fm in corpus:
+        assert all(result.passed for result in run_checks(fm))
 
 
 @pytest.mark.parametrize("lang", sorted(MODELS))

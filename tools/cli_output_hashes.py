@@ -8,11 +8,13 @@ Generates the seed-1 and seed-2 files of every workload with
 ``bisim`` query of the seed.  It does the same on a few hand-written
 models, one per language, whose literals are decimal or reducible
 (``2.0``, ``4/2``, ``0.5``) and whose PEPA cooperation synchronises at
-non-integral joint rates, and on two more: a MAL distribution chain
+non-integral joint rates, and on three more: a MAL distribution chain
 ``a.{1: a.{1: ... nil}}`` 400 deep, whose steps are nested one level per
-state, and an IML model of action prefixes only, whose every move counts
-by presence, not multiplicity.  It also runs ``check`` on seeded single-edit
-mutants of each file (one piece deleted, replaced or inserted), so parse
+state; an IML model of action prefixes only, whose every move counts by
+presence, not multiplicity; and a TPC model whose first delay exceeds the
+oracle's cap on timed transitions, so that ``compare`` fails on the
+oracle side.  It also runs ``check`` on seeded single-edit mutants of
+each file (one piece deleted, replaced or inserted), so parse
 errors, their messages and positions, are hashed too.  On each hand-written
 model it runs the command lines that ``argparse`` rejects (a bound below
 one, an unknown language, a missing ``--right``, an unknown command), and
@@ -57,7 +59,8 @@ VOCABULARY = (
 )
 
 # one hand-written model per language, with decimal and reducible literals,
-# then a deep nested chain and a model of presence-only moves
+# then a deep nested chain, a model of presence-only moves and one the
+# oracle refuses
 Model, Query = workloads.ModelSpec, workloads.Query
 CHAIN_DEPTH = 400
 HAND_WRITTEN = (
@@ -138,6 +141,12 @@ HAND_WRITTEN = (
             Query("a.S1 + a.S2", "a.S1", True),
             Query("S3", "a.S0", False),
         ),
+    ),
+    Model(
+        "cap",
+        "tpc",
+        "-- the oracle refuses a state with more timed transitions than its cap\n"
+        "init (10001).nil |[]| (1).nil\n",
     ),
 )
 
