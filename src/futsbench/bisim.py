@@ -10,17 +10,23 @@ O(m log n) time Markov chain lumping", TACAS 2010).  A state's signature
 -- its steps pushed forward along the block map -- is the one definition
 of its behaviour under a partition: refinement splits on it, a witness is
 the first part where two signatures differ, and a quotient's steps are
-its blocks' signatures.  The independent partition from the
-step-derivation oracle lives in `crosscheck`, which alone reads it.
+its blocks' signatures.  Bisimilar states agree on their totals into
+every class, so also into the union of all classes: two terms whose
+signatures differ under the assignment of every state to one block --
+their one-step totals -- are refuted before anything is explored.  The
+independent partition from the step-derivation oracle lives in
+`crosscheck`, which alone reads it.
 """
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, UnknownStateError
-from .explore import FutsModel, RelationData, StateInfo
+from .explore import FutsModel, RelationData, StateInfo, relation_tables, store_steps
 from .fsfun import ff_make
 from .semiring import Semiring, semiring_of
+from .syntax import Model
 # unused here, but bench/tracing.py wraps bisim.term_key (ROADMAP item 3)
 from .syntax import term_key  # noqa: F401
 
@@ -186,33 +192,29 @@ class Witness:
 
     relation: str
     label: str
-    subject: str  # "block 3" or "distribution [block 0 -> 1/2, ...]"
+    # "class of `P`", "all states", or "distribution [class of `P` -> 1/2, ...]"
+    subject: str
     left: str
     right: str
 
 
-def _describe_inner_sig(text_sig) -> str:
-    if not text_sig:
-        return "distribution []"
-    body = ", ".join(f"block {block} -> {text}" for block, text in text_sig)
-    return f"distribution [{body}]"
+ALL_STATES = "all states"  # the one class of the depth-1 check
 
 
-def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
-    """A (relation, label, block) witness for non-bisimilarity, or None."""
-    _check_state_id(fm, left)
-    _check_state_id(fm, right)
-    assignment = refine(fm).assignment
-    if assignment[left] == assignment[right]:
-        return None
-    parts_l = _state_signature(fm.relations, left, assignment)
-    parts_r = _state_signature(fm.relations, right, assignment)
-    slots = [(data, label) for data in fm.relations for label in data.labels]
+def _first_difference(
+    relations, left: int, right: int, assignment: Sequence[int], name_of: Callable[[int], str]
+) -> Optional[Witness]:
+    """The first part, relation by relation and label by label, where the
+    two states' signatures under ``assignment`` differ, naming each block
+    by ``name_of``; None when they are equal."""
+    parts_l = _state_signature(relations, left, assignment)
+    parts_r = _state_signature(relations, right, assignment)
+    slots = [(data, label) for data in relations for label in data.labels]
     for (data, label), part_l, part_r in zip(slots, parts_l, parts_r):
         sums_l, sums_r = dict(part_l), dict(part_r)
         if data.kind == "simple":
-            subjects = {block: f"block {block}" for block in sums_l.keys() | sums_r.keys()}
-            order = sorted(subjects)
+            order = sorted(sums_l.keys() | sums_r.keys())
+            describe = name_of
         else:
             # take the inner classes in the order of their printed text, so
             # the reported class does not depend on how raw weights sort
@@ -222,20 +224,63 @@ def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
                 for inner_sig in sums_l.keys() | sums_r.keys()
             }
             order = sorted(texts, key=texts.__getitem__)
-            subjects = {inner_sig: _describe_inner_sig(text) for inner_sig, text in texts.items()}
+
+            def describe(inner_sig) -> str:
+                body = ", ".join(f"{name_of(block)} -> {text}" for block, text in texts[inner_sig])
+                return f"distribution [{body}]"
+
         sr = semiring_of(data.tag)
         for key in order:
             if sums_l.get(key) != sums_r.get(key):
                 return Witness(
                     data.name,
                     label,
-                    subjects[key],
+                    describe(key),
                     sr.fmt(sums_l.get(key, sr.zero)),
                     sr.fmt(sums_r.get(key, sr.zero)),
                 )
-    raise FutsError(
-        "internal error: states in different blocks have identical signatures"
+    return None
+
+
+def one_step_witness(model: Model, left: int, right: int) -> Optional[Witness]:
+    """A witness that terms ``left`` and ``right`` (ids in the model's
+    table) differ in their one-step totals, or None when they agree.
+
+    The two terms' steps are stored with every target as state 0, so
+    :func:`distinguish`'s walk runs under the assignment of every state to
+    block 0: a simple relation's part is its total weight, a nested one's
+    its outer values folded over its distributions' total masses.  Only
+    the two terms are stepped; nothing is explored.
+    """
+    relations = relation_tables(model, (left, right))
+    for source, term_id in enumerate((left, right)):
+        store_steps(model, relations, source, term_id, lambda _: 0)
+    return _first_difference(relations, 0, 1, (0, 0), lambda _: ALL_STATES)
+
+
+def _class_name(fm: FutsModel, assignment: Sequence[int], block: int) -> str:
+    # blocks are numbered by least member, so the first state met is it
+    least = fm.states[assignment.index(block)]
+    return f"class of `{fm.ctx.pretty(least.term)}`"
+
+
+def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
+    """A (relation, label, class) witness for non-bisimilarity, or None.
+
+    A class is named by the readable text of its least member."""
+    _check_state_id(fm, left)
+    _check_state_id(fm, right)
+    assignment = refine(fm).assignment
+    if assignment[left] == assignment[right]:
+        return None
+    witness = _first_difference(
+        fm.relations, left, right, assignment, partial(_class_name, fm, assignment)
     )
+    if witness is None:
+        raise FutsError(
+            "internal error: states in different blocks have identical signatures"
+        )
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +292,8 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
     """Quotient system: one state per block, block-sum continuations.
 
     The partition must be stable (refining it must not split anything);
-    each block is represented by its least member state."""
+    each block is represented by its least member state, whose term stays
+    in the model's table (``ctx``)."""
     n_states = len(fm.states)
     if len(partition.assignment) != n_states:
         raise FutsError(
@@ -292,6 +338,6 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         index=index,
         relations=relations,
         init_id=assignment[fm.init_id],
-        ctx=None,
+        ctx=fm.ctx,
     )
 

@@ -9,6 +9,13 @@
 
 Exit codes: 0 success (bisim: bisimilar), 1 bisim verdict "not bisimilar",
 2 any parse/guardedness/exploration error (one-line diagnostic on stderr).
+
+``bisim`` first compares the two terms' one-step totals, relation by
+relation and label by label; a difference is a "not bisimilar" verdict
+with nothing explored.  Otherwise it explores the closure of the two terms
+alone (``--max-states`` bounds that closure, and ``init`` is not explored)
+and refines it.  A witness names a class by the readable text of its
+least member, or as ``all states`` when the one-step totals differ.
 """
 
 import argparse
@@ -16,7 +23,7 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from .bisim import distinguish, minimize, refine
+from .bisim import distinguish, minimize, one_step_witness, refine
 from .crosscheck import run_checks
 from .errors import FutsError
 from .explore import DEFAULT_MAX_STATES, explore, to_dot, to_json
@@ -119,10 +126,10 @@ def _run(args) -> int:
         model = load_model(args.file, args.lang)
         left = parse_term(args.left, model)
         right = parse_term(args.right, model)
-        fm = explore(model, max_states=args.max_states, extra_roots=[left, right])
-        left_id = fm.index[model.text(left)]
-        right_id = fm.index[model.text(right)]
-        witness = distinguish(fm, left_id, right_id)
+        witness = one_step_witness(model, left, right)
+        if witness is None:
+            fm = explore(model, max_states=args.max_states, roots=(left, right))
+            witness = distinguish(fm, fm.index[model.text(left)], fm.index[model.text(right)])
         if witness is None:
             print("BISIMILAR")
             return 0

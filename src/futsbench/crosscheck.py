@@ -163,7 +163,7 @@ def apparent_rate_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
             checked += 1
             if got != expected:
                 failures.append(
-                    f"state {state.id} ({state.pretty}) action {action}: "
+                    f"state {state.id} ({fm.ctx.pretty(state.term)}) action {action}: "
                     f"total weight {got}, apparent rate {expected}"
                 )
     return CheckResult("apparent-rate totals", not failures, checked, tuple(failures))
@@ -222,7 +222,7 @@ def agreement_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
             if got != expected:
                 message = ("delay " if data.name == "delay" else "") + _MISMATCH[shape]
                 failures.append(
-                    f"state {state.id} ({state.pretty}) label {label}: "
+                    f"state {state.id} ({fm.ctx.pretty(state.term)}) label {label}: "
                     + message.format(_named(shape, got, keys), _named(shape, expected, keys))
                 )
     return CheckResult(
@@ -264,7 +264,7 @@ def time_determinism_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
             other = seen.setdefault(amount, target)
             if other != target:
                 failures.append(
-                    f"state {state.id} ({state.pretty}): waiting {amount} reaches "
+                    f"state {state.id} ({fm.ctx.pretty(state.term)}): waiting {amount} reaches "
                     f"both {keys[other]!r} and {keys[target]!r}"
                 )
     return CheckResult(

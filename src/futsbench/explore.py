@@ -1,12 +1,12 @@
 """State-space exploration and serialization.
 
 :func:`explore` computes the breadth-first closure of a model's
-initial term under all step relations of its language, producing a
-:class:`FutsModel`: an ordered state table (ids assigned in discovery
-order) plus, per relation, one transition table keyed by (source state
-id, label) that holds every non-zero step once, as its targets' state
-ids and weights in the printed order of the targets.  Zero steps are
-implicit.
+initial term, or of other root terms, under all step relations of its
+language, producing a :class:`FutsModel`: an ordered state table (ids
+assigned in discovery order) plus, per relation, one transition table
+keyed by (source state id, label) that holds every non-zero step once,
+as its targets' state ids and weights in the printed order of the
+targets.  Zero steps are implicit.
 
 Serializers render a model to deterministic JSON (states in
 exploration order, entries in canonical key order) or to Graphviz DOT
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ExplorationLimitError
 from .fsfun import FinFn
@@ -35,13 +35,13 @@ DEFAULT_MAX_STATES = 10_000
 
 @dataclass(frozen=True)
 class StateInfo:
-    """One discovered state: dense id, canonical key, readable text, and
-    its term id in the explored model's term table.
+    """One discovered state: dense id, canonical key, and its term id in
+    the explored model's term table (which renders its readable text on
+    demand, :meth:`.syntax.Model.pretty`).
     """
 
     id: int
     key: str
-    pretty: str
     term: int
 
 
@@ -107,28 +107,49 @@ class FutsModel:
     states: List[StateInfo]
     index: dict  # canonical key -> state id
     relations: List[RelationData]
-    init_id: int
+    init_id: int  # the first root's state
     ctx: Optional[Model] = None  # the explored model, for callers needing term access
+
+
+def relation_tables(model: Model, roots: Iterable[int]) -> List[RelationData]:
+    """One empty transition table per relation of the model's language,
+    labelled by the actions of the model and of the terms ``roots``."""
+    return [
+        RelationData(s.name, s.kind, s.tag, s.inner_tag, relation_labels(s, model, roots))
+        for s in relation_specs(model.lang)
+    ]
+
+
+def store_steps(
+    model: Model,
+    relations: List[RelationData],
+    source: int,
+    term_id: int,
+    id_of: Callable[[int], int],
+) -> None:
+    """Store term ``term_id``'s step under every relation and label as the
+    steps of state ``source``, mapping each target term to a state id by
+    ``id_of``."""
+    for data in relations:
+        for label in data.labels:
+            fn = futs_step(model, term_id, data.name, label)
+            data.store(source, label, fn, model.text, id_of)
 
 
 def explore(
     model: Model,
     max_states: int = DEFAULT_MAX_STATES,
-    extra_roots: Sequence[int] = (),
+    roots: Optional[Sequence[int]] = None,
 ) -> FutsModel:
-    """Breadth-first closure of the model's initial term (plus any
-    extra root terms, ids in its table) under every relation of its
-    language.
+    """Breadth-first closure of the terms ``roots`` (ids in the model's
+    table; by default its initial term) under every relation of its
+    language.  The roots are the first states, in their order.
 
     The states' terms, and the steps memoised on the way, are kept in the
     model's table.
     """
-    specs = relation_specs(model.lang)
-    relations = []
-    for s in specs:
-        labels = relation_labels(s, model, extra_roots)
-        relations.append(RelationData(s.name, s.kind, s.tag, s.inner_tag, labels))
-
+    roots = (model.init,) if roots is None else roots
+    relations = relation_tables(model, roots)
     state_of: Dict[int, int] = {}  # term id -> state id
     index: dict = {}
     states: List[StateInfo] = []
@@ -148,24 +169,19 @@ def explore(
         state_id = state_of[term_id] = len(states)
         key = model.text(term_id)
         index[key] = state_id
-        states.append(StateInfo(state_id, key, model.pretty(term_id), term_id))
+        states.append(StateInfo(state_id, key, term_id))
         queue.append(term_id)
         return state_id
 
-    init_id = discover(model.init)
-    for root in extra_roots:
+    for root in roots:
         discover(root)
 
     while queue:
         term_id = queue[0]
-        source = state_of[term_id]
-        for spec, data in zip(specs, relations):
-            for label in data.labels:
-                fn = futs_step(model, term_id, spec.name, label)
-                data.store(source, label, fn, model.text, discover)
+        store_steps(model, relations, state_of[term_id], term_id, discover)
         queue.popleft()
 
-    return FutsModel(model.lang, states, index, relations, init_id, model)
+    return FutsModel(model.lang, states, index, relations, 0, model)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +270,7 @@ def to_dot(fm: FutsModel) -> str:
     lines = ["digraph model {", "  rankdir=LR;", '  __init [shape=point, label=""];']
     lines.append(f"  __init -> s{fm.init_id};")
     for state in fm.states:
-        lines.append(f'  s{state.id} [label="{_dot_escape(state.pretty)}"];')
+        lines.append(f'  s{state.id} [label="{_dot_escape(fm.ctx.pretty(state.term))}"];')
     for data in fm.relations:
         fmt = semiring_of(data.inner_tag if data.kind == "nested" else data.tag).fmt
         for (source, label), targets in data.transitions.items():

@@ -8,17 +8,21 @@ refinement can check that every state is bisimilar to its image
 loop, re-signing every state each round, that ``refine`` is checked
 against, and ``naive_oracle_partition`` runs it on the oracle's
 derivations to check ``crosscheck.oracle_partition_from``.
+``full_closure_bisimilar`` is the ``bisim`` verdict without the depth-1
+check and on everything ``init`` and the two terms reach, which the
+command's verdict is checked against.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Sequence
 
-from futsbench.bisim import Partition, canonical_assignment
+from futsbench.bisim import Partition, canonical_assignment, distinguish
 from futsbench.crosscheck import RATED, SET, TIMED, OracleMoves
 from futsbench.errors import FutsError
-from futsbench.explore import FutsModel, RelationData
+from futsbench.explore import FutsModel, RelationData, explore
 from futsbench.semiring import semiring_of
+from futsbench.syntax import Model
 
 BRUTE_FORCE_MAX = 8
 # disjoint_union prefixes right-hand state keys with this; no term key
@@ -282,3 +286,15 @@ def naive_oracle_partition(moves: OracleMoves) -> Partition:
         )
 
     return _refine_loop(len(rows), sig_of)
+
+
+# ---------------------------------------------------------------------------
+# The full-closure bisim route
+# ---------------------------------------------------------------------------
+
+
+def full_closure_bisimilar(model: Model, left: int, right: int) -> bool:
+    """Whether terms ``left`` and ``right`` (ids in the model's table) are
+    bisimilar in the closure of ``init`` and both terms, all refined."""
+    fm = explore(model, roots=(model.init, left, right))
+    return distinguish(fm, fm.index[model.text(left)], fm.index[model.text(right)]) is None

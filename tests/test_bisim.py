@@ -6,12 +6,14 @@ import pytest
 
 from futsbench import bisim, crosscheck
 from futsbench.bisim import (
+    ALL_STATES,
     Partition,
     Witness,
     _state_signature,
     canonical_assignment,
     distinguish,
     minimize,
+    one_step_witness,
     refine,
 )
 from futsbench.crosscheck import oracle_moves, oracle_partition_from
@@ -41,7 +43,7 @@ init S0
 def explored(text, lang, roots=()):
     model = parse_model(text, lang)
     root_terms = [parse_term(t, model) for t in roots]
-    fm = explore(model, extra_roots=root_terms)
+    fm = explore(model, roots=[model.init, *root_terms])
     ids = [fm.index[model.text(t)] for t in root_terms]
     return fm, ids
 
@@ -86,16 +88,16 @@ def test_pepa_self_loop_doubling_detected():
     assert w is not None
     assert w.relation == "act"
     assert w.label == "a"
-    assert w.subject.startswith("block ")
+    assert w.subject.startswith("class of `")
     assert {w.left, w.right} == {"1/1", "2/1"}
 
 
 def test_chain_witness_takes_the_lowest_numbered_block():
     fm = chain_model(12)
     c1, c9 = fm.index["C1"], fm.index["C9"]
-    # block 2 holds C2 and block 10 holds C10; as text, "block 10" sorts first
-    assert distinguish(fm, c1, c9) == Witness("act", "a", "block 2", "1/1", "0/1")
-    assert distinguish(fm, c9, c1) == Witness("act", "a", "block 2", "0/1", "1/1")
+    # block 2 holds C2 and block 10 holds C10; as text, "C10" sorts first
+    assert distinguish(fm, c1, c9) == Witness("act", "a", "class of `C2`", "1/1", "0/1")
+    assert distinguish(fm, c9, c1) == Witness("act", "a", "class of `C2`", "0/1", "1/1")
 
 
 def test_pepa_prefix_term_equals_constant_unfolding():
@@ -142,7 +144,7 @@ def test_iml_delay_rates_add_up():
 def test_iml_witness_takes_the_first_differing_part():
     fm, (l, r) = explored("init nil\n", "iml", roots=["a.nil + 1 . nil", "b.nil + 2 . nil"])
     # the a, b and delay parts all differ; relations come first, then labels
-    assert distinguish(fm, l, r) == Witness("act", "a", "block 0", "true", "false")
+    assert distinguish(fm, l, r) == Witness("act", "a", "class of `nil`", "true", "false")
 
 
 def test_tpc_sequential_delays_flatten():
@@ -158,7 +160,45 @@ def test_tpc_choice_of_equal_delays():
 
 def test_tpc_different_delays_distinguished():
     fm, (l, r) = explored("init nil\n", "tpc", roots=["(2).a.nil", "(3).a.nil"])
-    assert distinguish(fm, l, r) == Witness("tick", "tick", "block 1", "{}", "{1}")
+    assert distinguish(fm, l, r) == Witness("tick", "tick", "class of `(2).a.nil`", "{}", "{1}")
+
+
+# ---------------------------------------------------------------------------
+# One-step totals: the depth-1 check, which explores nothing
+# ---------------------------------------------------------------------------
+
+
+def one_step(text, lang, left, right):
+    model = parse_model(text, lang)
+    return one_step_witness(model, parse_term(left, model), parse_term(right, model))
+
+
+@pytest.mark.parametrize(
+    "lang, left, right, witness",
+    [
+        ("pepa", "(a,1).nil + (b,1).nil", "(a,1).nil + (a,1).nil", ("act", "a", "1/1", "2/1")),
+        ("iml", "a.nil + 1 . nil", "a.nil + 1/2 . nil", ("delay", "delta", "1/1", "1/2")),
+        ("tpc", "(2).a.nil", "(3).a.nil", ("tick", "tick", "{1,2}", "{1,2,3}")),
+        ("mal", "b.{1: nil} + 2 . nil", "b.{1: nil} + 3 . nil", ("delay", "delta", "2/1", "3/1")),
+    ],
+)
+def test_one_step_witness_names_all_states(lang, left, right, witness):
+    relation, label, total_l, total_r = witness
+    expected = Witness(relation, label, ALL_STATES, total_l, total_r)
+    assert one_step("init nil\n", lang, left, right) == expected
+
+
+def test_one_step_witness_of_a_distribution_reads_its_total_mass():
+    w = one_step("init nil\n", "mal", "a.{1/3: nil [] 2/3: b.{1: nil}}", "b.{1: nil}")
+    assert w == Witness("act", "a", "distribution [all states -> 1/1]", "true", "false")
+
+
+def test_one_step_witness_is_none_when_the_totals_agree():
+    # the two differ only after their first step, which refinement finds
+    left, right = "(a,1).(a,1).nil", "(a,1).(b,1).nil"
+    assert one_step("init nil\n", "pepa", left, right) is None
+    fm, (l, r) = explored("init nil\n", "pepa", roots=[left, right])
+    assert distinguish(fm, l, r).subject == "class of `(a, 1).nil`"
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +224,7 @@ def test_mal_lifting_identifies_blockwise_equal_distributions():
     assert w is not None
     assert w.relation == "act"
     assert w.label == "a"
-    assert w.subject.startswith("distribution [")
+    assert w.subject == "distribution [class of `B1` -> 1/1]"
 
 
 def test_mal_witness_takes_classes_in_printed_order():
@@ -196,7 +236,7 @@ def test_mal_witness_takes_classes_in_printed_order():
     w = distinguish(fm, l, r)
     # nil (block 0) has mass 1/2, 1/3 and 1/4 in the three distributions;
     # "1/2" comes first as text, though not as a number
-    assert w.subject == "distribution [block 0 -> 1/2, block 3 -> 1/2]"
+    assert w.subject == "distribution [class of `nil` -> 1/2, class of `X` -> 1/2]"
     assert (w.left, w.right) == ("true", "false")
 
 
@@ -345,10 +385,10 @@ def test_refine_agrees_with_reference_loop_on_corpora(lang):
         min_states=2,
     )
     for fm in corpus:
-        assert refine(fm) == reference_partition(fm), fm.states[0].pretty
+        assert refine(fm) == reference_partition(fm), fm.ctx.pretty(fm.states[0].term)
         moves = oracle_moves(fm)
         assert oracle_partition_from(moves) == naive_oracle_partition(moves), (
-            fm.states[0].pretty
+            fm.ctx.pretty(fm.states[0].term)
         )
     if lang == "mal":
         assert any(

@@ -1,6 +1,8 @@
 """Command-line interface: commands, exit codes, output formats."""
 
 import argparse
+import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +11,16 @@ import sys
 import pytest
 
 import futsbench
+import futsbench.explore as explore_module
+from futsbench import cli
+from futsbench.bisim import one_step_witness
 from futsbench.cli import build_parser, main
+from futsbench.syntax import load_model, parse_term
+
+from bisimref import full_closure_bisimilar
+from modelgen import bodies, build_corpus, model_text, tree
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def write(tmp_path, name, text):
@@ -178,10 +189,21 @@ def test_bisim_multiplicity_negative(tmp_path, capsys):
     )
     assert code == 1
     lines = out.strip().splitlines()
-    assert lines[0] == "NOT BISIMILAR"
-    assert lines[1].startswith("witness: relation act, label a, block ")
-    assert "left total 1/1" in lines[1]
-    assert "right total 2/1" in lines[1]
+    assert lines == [
+        "NOT BISIMILAR",
+        "witness: relation act, label a, all states: left total 1/1, right total 2/1",
+    ]
+
+
+def test_bisim_witness_names_a_class_by_its_least_member(tmp_path, capsys):
+    path = write(tmp_path, "m.pepa", "init nil\n")
+    code, out, err = run_main(
+        capsys, "bisim", path, "--left", "(a,1).(a,1).nil", "--right", "(a,1).(b,1).nil"
+    )
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1] == (
+        "witness: relation act, label a, class of `(a, 1).nil`: left total 1/1, right total 0/1"
+    )
 
 
 def test_bisim_idempotent_choice_interactive(tmp_path, capsys):
@@ -206,6 +228,115 @@ def test_bisim_bad_term_is_error(tmp_path, capsys):
     code, out, err = run_main(capsys, "bisim", path, "--left", "(a,", "--right", "nil")
     assert code == 2
     assert err.startswith("error:")
+
+
+# the CLI verdict against the full-closure route, on every pair of states
+@pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
+def test_bisim_verdict_agrees_with_the_full_closure_route(tmp_path, capsys, lang):
+    corpus = build_corpus(lang, 16, 30, "bisim-verdict", depth=4, min_states=3)
+    verdicts = set()
+    for n, fm in enumerate(corpus):
+        model = fm.ctx
+        text = model_text(bodies(model), tree(model, model.init))
+        path = write(tmp_path, f"m{n}.{lang}", text)
+        for left, right in itertools.combinations(fm.states, 2):
+            expected = full_closure_bisimilar(model, left.term, right.term)
+            refuted = one_step_witness(model, left.term, right.term) is not None
+            code, _, err = run_main(capsys, "bisim", path, "--left", left.key, "--right", right.key)
+            assert (code, err) == (0 if expected else 1, ""), (path, left.key, right.key)
+            verdicts.add("bisimilar" if expected else "refuted" if refuted else "refined")
+    # both routes to a negative verdict are taken
+    assert verdicts == {"bisimilar", "refuted", "refined"}
+
+
+def _bench_query(monkeypatch, tmp_path, workload, seed):
+    """The model file and negative query of one benchmark draw."""
+    monkeypatch.syspath_prepend(BENCH)
+    workloads = importlib.import_module("workloads")
+    (spec,) = workloads.draw(workload, seed)
+    (path,) = workloads.write_models([spec], str(tmp_path))
+    (query,) = [q for q in spec.queries if not q.bisimilar]
+    return path, query
+
+
+def test_a_depth_one_negative_steps_only_its_two_roots(tmp_path, capsys, monkeypatch):
+    path, query = _bench_query(monkeypatch, tmp_path, "pepa-par", 1)
+    stepped = set()
+    step = explore_module.futs_step
+
+    def recording(model, term_id, relation, label):
+        stepped.add(model.text(term_id))
+        return step(model, term_id, relation, label)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("explore called")
+
+    monkeypatch.setattr(explore_module, "futs_step", recording)
+    monkeypatch.setattr(cli, "explore", refused)
+    code, out, err = run_main(capsys, "bisim", path, "--left", query.left, "--right", query.right)
+    assert (code, err) == (1, "")
+    assert ", all states: " in out
+    model = load_model(path)
+    assert stepped == {model.text(parse_term(t, model)) for t in (query.left, query.right)}
+
+
+def test_a_chain_negative_explores_the_chains_closure(tmp_path, capsys, monkeypatch):
+    # two positions before the chain's end agree on their one-step totals
+    path, query = _bench_query(monkeypatch, tmp_path, "pepa-chain", 1)
+    explored = []
+    explore_states = cli.explore
+
+    def recording(*args, **kwargs):
+        fm = explore_states(*args, **kwargs)
+        explored.append(len(fm.states))
+        return fm
+
+    monkeypatch.setattr(cli, "explore", recording)
+    code, out, err = run_main(capsys, "bisim", path, "--left", query.left, "--right", query.right)
+    assert (code, err) == (1, "")
+    assert explored == [500]
+
+
+# a chain of 30 states, whose initial term's closure exceeds 20 states
+CHAIN_30 = "".join(f"C{i} = (a, 1).C{i + 1}\n" for i in range(29)) + "C29 = (b, 1).C0\ninit C0\n"
+
+
+@pytest.mark.parametrize(
+    "left, right, verdict",
+    [("(a,1).nil + (a,1).nil", "(a,2).nil", 0), ("(a,1).(a,1).nil", "(a,1).(b,1).nil", 1)],
+)
+def test_max_states_bounds_the_closure_of_the_two_terms(tmp_path, capsys, left, right, verdict):
+    path = write(tmp_path, "chain.pepa", CHAIN_30)
+    assert run_main(capsys, "build", path, "--max-states", "20")[0] == 2
+    code, out, err = run_main(
+        capsys, "bisim", path, "--max-states", "20", "--left", left, "--right", right
+    )
+    assert (code, err) == (verdict, "")
+
+
+# every unfolding of X adds a copy of X, so X's closure is infinite
+UNBOUNDED = "X = (a, 1).(X <> X)\ninit X\n"
+
+
+def test_bisim_refutes_at_depth_one_on_an_unbounded_model(tmp_path, capsys):
+    path = write(tmp_path, "grow.pepa", UNBOUNDED)
+    code, out, err = run_main(
+        capsys, "bisim", path, "--max-states", "20", "--left", "X", "--right", "(a, 2).X"
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "NOT BISIMILAR\n"
+        "witness: relation act, label a, all states: left total 1/1, right total 2/1\n"
+    )
+
+
+def test_bisim_past_depth_one_on_an_unbounded_model_overruns(tmp_path, capsys):
+    path = write(tmp_path, "grow.pepa", UNBOUNDED)
+    code, out, err = run_main(
+        capsys, "bisim", path, "--max-states", "20", "--left", "X", "--right", "(a, 1).X"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exploration exceeded 20 states")
 
 
 # ---------------------------------------------------------------------------

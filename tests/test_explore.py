@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from futsbench.bisim import minimize, refine
 from futsbench.errors import ExplorationLimitError
 from futsbench.explore import explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
@@ -95,14 +96,17 @@ def test_exploration_limit():
         explore(parse_model(GOLDEN_PEPA, "pepa"), max_states=3)
 
 
-def test_extra_roots_are_explored():
+def test_roots_are_the_first_states():
     model = parse_model(GOLDEN_PEPA, "pepa")
     left = parse_term("S2", model)
     right = parse_term("(a, 1).nil", model)
-    fm = explore(model, extra_roots=[left, right])
-    assert "(a, 1).nil" in fm.index
-    assert "S2" in fm.index
-    assert fm.states[fm.init_id].key == "S0"
+    fm = explore(model, roots=[left, right])
+    assert [state.key for state in fm.states[:2]] == ["S2", "(a, 1).nil"]
+    assert fm.states[fm.init_id].key == "S2"
+    assert "S0" in fm.index  # S2 reaches the initial term
+    fm = explore(model, roots=[right])
+    assert [state.key for state in fm.states] == ["(a, 1).nil", "nil"]
+    assert fm.relations[0].labels == ("a", "b")  # the model's alphabet
 
 
 def test_json_output_is_deterministic_and_schema_shaped():
@@ -160,6 +164,14 @@ def test_dot_output():
     assert dot.startswith("digraph model {")
     # every state has a node line with its readable label
     assert 's0 [label="S0"];' in dot
+
+
+def test_dot_output_of_a_quotient():
+    fm = explore(parse_model("P = (a, 1).Q\nQ = (a, 1).P\ninit (a, 1).Q\n", "pepa"))
+    quotient = minimize(fm, refine(fm))
+    assert len(quotient.states) == 1
+    # the one block is named by its least member, the initial term
+    assert 's0 [label="(a, 1).Q"];' in to_dot(quotient)
 
 
 def test_dot_nested_inlines_the_distribution():
@@ -237,4 +249,12 @@ def test_explore_never_builds_a_term_tree(lang):
         for state in fm.states:
             term = tree(fm.ctx, state.term)
             assert state.key == term_key(term)
-            assert state.pretty == pretty(term)
+            assert fm.ctx.pretty(state.term) == pretty(term)
+
+
+@pytest.mark.parametrize("lang", LANGUAGES)
+def test_explore_renders_no_readable_text(lang):
+    # only DOT output and failing checks print a state's readable text
+    corpus = build_corpus(lang, 10, 100, "no-pretty", depth=4, max_par=3, max_def_par=0)
+    for fm in corpus:
+        assert fm.ctx._pretties == {}

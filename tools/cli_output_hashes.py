@@ -19,7 +19,11 @@ errors, their messages and positions, are hashed too.  On each hand-written
 model it runs the command lines that ``argparse`` rejects (a bound below
 one, an unknown language, a missing ``--right``, an unknown command), and
 it runs the ``--help`` of the program and of every command, with
-``COLUMNS`` set to 80 so that help text wraps alike on every host.  Prints
+``COLUMNS`` set to 80 so that help text wraps alike on every host.  On a
+hand-written PEPA model whose closure is infinite it runs only ``bisim``,
+with ``--max-states 20``: one query whose terms differ in their one-step
+totals, and one whose terms agree there, so that exploring them overruns
+the bound.  Prints
 one line per call, sorted: the SHA-256 of the exit status, stdout and
 stderr, then the call with its path relative to the generated directory.
 ``futsbench`` is imported from the ``src`` next to this script, so running
@@ -151,6 +155,15 @@ HAND_WRITTEN = (
 )
 
 
+# every unfolding of X adds a copy of X, so nothing explores X's closure
+UNBOUNDED = Model(
+    "unbounded",
+    "pepa",
+    "X = (a, 1).(X <> X)\ninit X\n",
+    (Query("X", "(a, 2).X", False), Query("X", "(a, 1).X", False)),
+)
+
+
 def mutant(text: str, rng: random.Random) -> str:
     """``text`` with one piece deleted, replaced or inserted."""
     pieces = PIECES.findall(text)
@@ -200,6 +213,10 @@ def calls(directory: str):
                 with open(os.path.join(directory, mutated), "w", encoding="utf-8") as handle:
                     handle.write(mutant(spec.text, rng))
                 yield ["check", mutated]
+    workloads.write_models([UNBOUNDED], os.path.join(directory, "hand-written"))
+    path = os.path.join("hand-written", UNBOUNDED.filename)
+    for query in UNBOUNDED.queries:
+        yield ["bisim", path, "--max-states", "20", "--left", query.left, "--right", query.right]
 
 
 def output_hash(argv) -> str:
