@@ -18,12 +18,12 @@ independent partition from the step-derivation oracle lives in
 `crosscheck`, which alone reads it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, UnknownStateError
-from .explore import FutsModel, RelationData, StateInfo, relation_tables, store_steps
+from .explore import FutsModel, RelationData, relation_tables, store_steps
 from .fsfun import ff_make
 from .semiring import Semiring, semiring_of
 from .syntax import Model
@@ -261,7 +261,7 @@ def one_step_witness(model: Model, left: int, right: int) -> Optional[Witness]:
 def _class_name(fm: FutsModel, assignment: Sequence[int], block: int) -> str:
     # blocks are numbered by least member, so the first state met is it
     least = fm.states[assignment.index(block)]
-    return f"class of `{fm.ctx.pretty(least.term)}`"
+    return f"class of `{fm.ctx.pretty(least)}`"
 
 
 def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
@@ -302,19 +302,16 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
     assignment = canonical_assignment(partition.assignment)
     # blocks are numbered by least member, so in ascending id order each
     # block is met first at its least member, and in block order
-    rep_state: List[StateInfo] = []
+    states: List[int] = []  # block id -> its least member's term id
     block_sig: List[tuple] = []
-    for state in fm.states:
-        block = assignment[state.id]
-        sig = _state_signature(fm.relations, state.id, assignment)
-        if block == len(rep_state):
-            rep_state.append(state)
+    for state, term in enumerate(fm.states):
+        block = assignment[state]
+        sig = _state_signature(fm.relations, state, assignment)
+        if block == len(states):
+            states.append(term)
             block_sig.append(sig)
         elif block_sig[block] != sig:
             raise FutsError("partition is not stable; refusing to quotient")
-
-    states = [replace(rep, id=block) for block, rep in enumerate(rep_state)]
-    index = {state.key: state.id for state in states}
 
     # a block's step is its signature's part: block totals, or for nested
     # relations the outer values already folded over equal inner totals
@@ -328,16 +325,9 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
                 if data.kind == "nested":
                     part = [(ff_make(data.inner_tag, inner), value) for inner, value in part]
                 qfn = ff_make(data.tag, part)
-                quotient.store(block, label, qfn, lambda b: states[b].key, lambda b: b)
+                quotient.store(block, label, qfn, lambda b: fm.ctx.text(states[b]), lambda b: b)
         first += len(data.labels)
         relations.append(quotient)
 
-    return FutsModel(
-        lang=fm.lang,
-        states=states,
-        index=index,
-        relations=relations,
-        init_id=assignment[fm.init_id],
-        ctx=fm.ctx,
-    )
+    return FutsModel(fm.ctx, states, relations)
 

@@ -129,7 +129,8 @@ def _run(args) -> int:
         witness = one_step_witness(model, left, right)
         if witness is None:
             fm = explore(model, max_states=args.max_states, roots=(left, right))
-            witness = distinguish(fm, fm.index[model.text(left)], fm.index[model.text(right)])
+            # the roots are the first states, and equal terms are one state
+            witness = distinguish(fm, 0, 0 if left == right else 1)
         if witness is None:
             print("BISIMILAR")
             return 0

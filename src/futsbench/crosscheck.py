@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .bisim import Partition, canonical_assignment, refine
-from .errors import FutsError, UnknownStateError
+from .errors import UnknownStateError
 from .explore import FutsModel, RelationData
 from .sem_futs import tpc_max_delay
 from .sem_oracle import (
@@ -53,6 +53,16 @@ class CheckResult:
         if self.passed:
             return f"PASS {self.name} [{self.checked} checks]"
         return f"FAIL {self.name}: {self.failures[0]}"
+
+
+def _key(fm: FutsModel, state: int) -> str:
+    """A state's canonical text, for a failure message."""
+    return fm.ctx.text(fm.states[state])
+
+
+def _pretty(fm: FutsModel, state: int) -> str:
+    """A state's readable text, for a failure message."""
+    return fm.ctx.pretty(fm.states[state])
 
 
 def _relation(fm: FutsModel, name: str):
@@ -95,11 +105,8 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
     fresh table of the oracle's own terms.  Each target's state is found
     by its id there; a target's text is rendered only for the error that
     names a target that is not an explored state."""
-    model = fm.ctx
-    if model is None:
-        raise FutsError("cross-checks need the exploration context")
-    table = OracleTerms(model)
-    terms = tuple(table.of_model(state.term) for state in fm.states)
+    table = OracleTerms(fm.ctx)
+    terms = tuple(table.of_model(term) for term in fm.states)
     state_ids = {term: state for state, term in enumerate(terms)}
 
     def state_of(target: int) -> int:
@@ -113,7 +120,7 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
     slots = []
     for data in fm.relations:
         if data.name == "act":
-            shape = {"pepa": RATED, "mal": DISTS}.get(fm.lang, SET)
+            shape = {"pepa": RATED, "mal": DISTS}.get(fm.ctx.lang, SET)
         else:
             shape = RATED if data.name == "delay" else TIMED
         slots += [(data, label, shape) for label in data.labels]
@@ -155,15 +162,15 @@ def apparent_rate_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
     act = _relation(fm, "act")
     checked = 0
     failures: List[str] = []
-    for state, term_id in zip(fm.states, moves.terms):
+    for state, term_id in enumerate(moves.terms):
         for action in act.labels:
-            step = act.function_at(state.id, action)
+            step = act.function_at(state, action)
             got = sum(value for _, value in step)
             expected = pepa_apparent_rate(table, term_id, action)
             checked += 1
             if got != expected:
                 failures.append(
-                    f"state {state.id} ({fm.ctx.pretty(state.term)}) action {action}: "
+                    f"state {state} ({_pretty(fm, state)}) action {action}: "
                     f"total weight {got}, apparent rate {expected}"
                 )
     return CheckResult("apparent-rate totals", not failures, checked, tuple(failures))
@@ -182,13 +189,13 @@ def _fold_rates(pairs) -> Dict[int, Fraction]:
     return acc
 
 
-def _named(shape: str, value, keys: Sequence[str]):
+def _named(shape: str, value, fm: FutsModel):
     """A slot's value in the agreement check, its states named by their text."""
     if shape == SET:
-        return {keys[t] for t in value}
+        return {_key(fm, t) for t in value}
     if shape == DISTS:
-        return {frozenset((keys[t], mass) for t, mass in dist) for dist in value}
-    return {keys[t]: weight for t, weight in value.items()}
+        return {frozenset((_key(fm, t), mass) for t, mass in dist) for dist in value}
+    return {_key(fm, t): weight for t, weight in value.items()}
 
 
 _MISMATCH = {
@@ -200,12 +207,11 @@ _MISMATCH = {
 
 
 def agreement_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
-    keys = [state.key for state in fm.states]
     checked = 0
     failures: List[str] = []
-    for state, row in zip(fm.states, moves.rows):
+    for state, row in enumerate(moves.rows):
         for (data, label, shape), derived in zip(moves.slots, row):
-            step = data.function_at(state.id, label)
+            step = data.function_at(state, label)
             checked += 1
             if shape == RATED:
                 got, expected = dict(step), _fold_rates(derived)
@@ -222,8 +228,8 @@ def agreement_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
             if got != expected:
                 message = ("delay " if data.name == "delay" else "") + _MISMATCH[shape]
                 failures.append(
-                    f"state {state.id} ({fm.ctx.pretty(state.term)}) label {label}: "
-                    + message.format(_named(shape, got, keys), _named(shape, expected, keys))
+                    f"state {state} ({_pretty(fm, state)}) label {label}: "
+                    + message.format(_named(shape, got, fm), _named(shape, expected, fm))
                 )
     return CheckResult(
         "per-target semantics agreement", not failures, checked, tuple(failures)
@@ -244,7 +250,7 @@ def tick_singleton_check(fm: FutsModel) -> CheckResult:
             checked += 1
             if not isinstance(value, frozenset) or len(value) != 1:
                 failures.append(
-                    f"state {source} -> {fm.states[target].key}: "
+                    f"state {source} -> {_key(fm, target)}: "
                     f"amount set {value!r} is not a singleton"
                 )
     return CheckResult(
@@ -253,19 +259,18 @@ def tick_singleton_check(fm: FutsModel) -> CheckResult:
 
 
 def time_determinism_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
-    keys = [state.key for state in fm.states]
     tick = next(i for i, (_, _, shape) in enumerate(moves.slots) if shape == TIMED)
     checked = 0
     failures: List[str] = []
-    for state, row in zip(fm.states, moves.rows):
+    for state, row in enumerate(moves.rows):
         seen: Dict[int, int] = {}
         for amount, target in row[tick]:
             checked += 1
             other = seen.setdefault(amount, target)
             if other != target:
                 failures.append(
-                    f"state {state.id} ({fm.ctx.pretty(state.term)}): waiting {amount} reaches "
-                    f"both {keys[other]!r} and {keys[target]!r}"
+                    f"state {state} ({_pretty(fm, state)}): waiting {amount} reaches "
+                    f"both {_key(fm, other)!r} and {_key(fm, target)!r}"
                 )
     return CheckResult(
         "oracle time-determinism", not failures, checked, tuple(failures)
@@ -276,15 +281,13 @@ def md_descent_check(fm: FutsModel) -> CheckResult:
     """Every tick entry moves to a state whose maximal inactivity time has
     shrunk by exactly the amount waited."""
     ctx = fm.ctx
-    if ctx is None:
-        raise FutsError("cross-checks need the exploration context")
     tick = _relation(fm, "tick")
     checked = 0
     failures: List[str] = []
     for (source, _), step in tick.transitions.items():
-        source_md = tpc_max_delay(ctx, fm.states[source].term)
+        source_md = tpc_max_delay(ctx, fm.states[source])
         for target, value in step:
-            target_md = tpc_max_delay(ctx, fm.states[target].term)
+            target_md = tpc_max_delay(ctx, fm.states[target])
             for amount in sorted(value):
                 checked += 1
                 if amount < 1 or target_md != source_md - amount:
@@ -431,7 +434,7 @@ def correspondence_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
 
 def run_checks(fm: FutsModel) -> List[CheckResult]:
     """All checks that apply to the model's language, in a fixed order."""
-    lang = fm.lang
+    lang = fm.ctx.lang
     results: List[CheckResult] = []
     moves = oracle_moves(fm)
     if lang == "pepa":

@@ -2,11 +2,13 @@
 
 :func:`explore` computes the breadth-first closure of a model's
 initial term, or of other root terms, under all step relations of its
-language, producing a :class:`FutsModel`: an ordered state table (ids
-assigned in discovery order) plus, per relation, one transition table
-keyed by (source state id, label) that holds every non-zero step once,
-as its targets' state ids and weights in the printed order of the
-targets.  Zero steps are implicit.
+language, producing a :class:`FutsModel`: its states, each one a term
+id in the model's hash-consed table (state ids assigned in discovery
+order, the first root as state 0), plus, per relation, one transition
+table keyed by (source state id, label) that holds every non-zero step
+once, as its targets' state ids and weights in the printed order of the
+targets.  Zero steps are implicit.  A state's canonical and readable
+texts are read from the table when printed.
 
 Serializers render a model to deterministic JSON (states in
 exploration order, entries in canonical key order) or to Graphviz DOT
@@ -31,18 +33,6 @@ from .syntax import Model
 from .syntax import pretty  # noqa: F401
 
 DEFAULT_MAX_STATES = 10_000
-
-
-@dataclass(frozen=True)
-class StateInfo:
-    """One discovered state: dense id, canonical key, and its term id in
-    the explored model's term table (which renders its readable text on
-    demand, :meth:`.syntax.Model.pretty`).
-    """
-
-    id: int
-    key: str
-    term: int
 
 
 @dataclass
@@ -101,14 +91,16 @@ class RelationData:
 
 @dataclass
 class FutsModel:
-    """An explored model: the finite state-to-function system."""
+    """An explored model: the finite state-to-function system.
 
-    lang: str
-    states: List[StateInfo]
-    index: dict  # canonical key -> state id
+    State ``s`` is term ``states[s]`` of the table ``ctx``, which renders
+    its canonical and readable texts (:meth:`.syntax.Model.text`,
+    :meth:`.syntax.Model.pretty`); the initial state is state 0.
+    """
+
+    ctx: Model
+    states: List[int]  # state id -> term id
     relations: List[RelationData]
-    init_id: int  # the first root's state
-    ctx: Optional[Model] = None  # the explored model, for callers needing term access
 
 
 def relation_tables(model: Model, roots: Iterable[int]) -> List[RelationData]:
@@ -151,8 +143,7 @@ def explore(
     roots = (model.init,) if roots is None else roots
     relations = relation_tables(model, roots)
     state_of: Dict[int, int] = {}  # term id -> state id
-    index: dict = {}
-    states: List[StateInfo] = []
+    states: List[int] = []
     queue: deque = deque()
 
     def discover(term_id: int) -> int:
@@ -167,9 +158,7 @@ def explore(
                 f"state{'' if waiting == 1 else 's'} still on the frontier"
             )
         state_id = state_of[term_id] = len(states)
-        key = model.text(term_id)
-        index[key] = state_id
-        states.append(StateInfo(state_id, key, term_id))
+        states.append(term_id)
         queue.append(term_id)
         return state_id
 
@@ -181,7 +170,7 @@ def explore(
         store_steps(model, relations, state_of[term_id], term_id, discover)
         queue.popleft()
 
-    return FutsModel(model.lang, states, index, relations, 0, model)
+    return FutsModel(model, states, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +223,7 @@ def _continuation_json(step: tuple, data: RelationData, keys: List[str]) -> str:
 
 def to_json(fm: FutsModel) -> str:
     """Deterministic JSON rendering of an explored model."""
-    keys = [_str(s.key) for s in fm.states]
+    keys = [_str(fm.ctx.text(term)) for term in fm.states]
     relations = []
     for data in fm.relations:
         labels = [_str(label) for label in data.labels]
@@ -245,8 +234,8 @@ def to_json(fm: FutsModel) -> str:
         relations.append(
             _RELATION % (_array(labels, 3), _str(data.kind), _str(data.tag), _array(transitions, 3))
         )
-    states = [_STATE % (s.id, keys[s.id]) for s in fm.states]
-    return _DOC % (_str(fm.lang), fm.init_id, _array(states, 1), _array(relations, 1))
+    states = [_STATE % (state, key) for state, key in enumerate(keys)]
+    return _DOC % (_str(fm.ctx.lang), 0, _array(states, 1), _array(relations, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +257,9 @@ def to_dot(fm: FutsModel) -> str:
     node label), one edge per non-zero entry labelled ``label / value``.
     """
     lines = ["digraph model {", "  rankdir=LR;", '  __init [shape=point, label=""];']
-    lines.append(f"  __init -> s{fm.init_id};")
-    for state in fm.states:
-        lines.append(f'  s{state.id} [label="{_dot_escape(fm.ctx.pretty(state.term))}"];')
+    lines.append("  __init -> s0;")
+    for state, term in enumerate(fm.states):
+        lines.append(f'  s{state} [label="{_dot_escape(fm.ctx.pretty(term))}"];')
     for data in fm.relations:
         fmt = semiring_of(data.inner_tag if data.kind == "nested" else data.tag).fmt
         for (source, label), targets in data.transitions.items():

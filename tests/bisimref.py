@@ -13,7 +13,6 @@ check and on everything ``init`` and the two terms reach, which the
 command's verdict is checked against.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Sequence
 
@@ -25,9 +24,6 @@ from futsbench.semiring import semiring_of
 from futsbench.syntax import Model
 
 BRUTE_FORCE_MAX = 8
-# disjoint_union prefixes right-hand state keys with this; no term key
-# can start with it, so the two state spaces' keys cannot collide
-UNION_PREFIX = "u2!"
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +178,13 @@ def brute_force(fm: FutsModel) -> Partition:
 
 
 def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
-    """Side-by-side union of two explored systems over the same relations.
+    """Side-by-side union of two explored systems over the same relations
+    and one term table, as a model and its quotient are.
 
-    The right-hand states follow the left-hand ones, and their keys get
-    :data:`UNION_PREFIX`."""
-    if left.lang != right.lang:
-        raise FutsError("cannot union systems of different languages")
+    The right-hand states follow the left-hand ones; a term that is a
+    state on both sides is two states of the union."""
+    if left.ctx is not right.ctx:
+        raise FutsError("cannot union systems over different term tables")
     if len(left.relations) != len(right.relations) or any(
         dl.name != dr.name or dl.kind != dr.kind or dl.labels != dr.labels
         for dl, dr in zip(left.relations, right.relations)
@@ -199,12 +196,7 @@ def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
     def shifted(pairs) -> tuple:
         return tuple((offset + target, value) for target, value in pairs)
 
-    states = list(left.states) + [
-        replace(state, id=offset + state.id, key=UNION_PREFIX + state.key)
-        for state in right.states
-    ]
-    index = {state.key: state.id for state in states}
-
+    states = left.states + right.states
     relations: List[RelationData] = []
     for dl, dr in zip(left.relations, right.relations):
         merged = RelationData(dl.name, dl.kind, dl.tag, dl.inner_tag, dl.labels)
@@ -217,14 +209,7 @@ def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
             merged.transitions[offset + source, label] = step
         relations.append(merged)
 
-    return FutsModel(
-        lang=left.lang,
-        states=states,
-        index=index,
-        relations=relations,
-        init_id=left.init_id,
-        ctx=None,
-    )
+    return FutsModel(left.ctx, states, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -297,4 +282,4 @@ def full_closure_bisimilar(model: Model, left: int, right: int) -> bool:
     """Whether terms ``left`` and ``right`` (ids in the model's table) are
     bisimilar in the closure of ``init`` and both terms, all refined."""
     fm = explore(model, roots=(model.init, left, right))
-    return distinguish(fm, fm.index[model.text(left)], fm.index[model.text(right)]) is None
+    return distinguish(fm, fm.states.index(left), fm.states.index(right)) is None

@@ -2,12 +2,14 @@
 
 Steps are keyed by term ids (``futs_step``) or state ids (an explored
 transition table).  Tests that state expected functions by canonical
-term text compare through :func:`as_text`.
+term text compare through :func:`as_text`, and name an explored state by
+its text through :func:`state_keys` and :func:`state_of`.
 """
 
 from futsbench.fsfun import FinFn, ff_make
 from futsbench.semiring import semiring_of
 from futsbench.sem_futs import futs_step
+from futsbench.syntax import parse_term
 
 
 def as_text(tag, entries, text_of, inner_tag=None):
@@ -34,10 +36,20 @@ def step_text(ctx, term_id, relation, label):
     return as_text(fn.tag, fn.entries, ctx.text)
 
 
+def state_keys(fm):
+    """The canonical text of each explored state, in state id order."""
+    return [fm.ctx.text(term) for term in fm.states]
+
+
+def state_of(fm, text):
+    """The id of the explored state whose term is ``text``."""
+    return fm.states.index(parse_term(text, fm.ctx))
+
+
 def stored_text(fm, data, state_id, label):
     """An explored step, keyed by its targets' state keys."""
     step = data.function_at(state_id, label)
-    return as_text(data.tag, step, lambda t: fm.states[t].key, data.inner_tag)
+    return as_text(data.tag, step, lambda t: fm.ctx.text(fm.states[t]), data.inner_tag)
 
 
 def fn_text(fn):

@@ -33,7 +33,7 @@ from futsbench.sem_futs import futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model, parse_term
 
 from bisimref import brute_force, disjoint_union
-from idtext import as_text, fn_text, step_text, stored_text
+from idtext import as_text, fn_text, state_keys, step_text, stored_text
 from modelgen import bodies, build_corpus, fresh_copy, model_text, random_value, tree
 
 LANGS = ("pepa", "iml", "tpc", "mal")
@@ -127,7 +127,7 @@ def test_criterion_01_semiring_laws():
 
 def test_criterion_02_golden_model_exact():
     fm = explore(parse_model(GOLDEN_PEPA, "pepa"))
-    assert [s.key for s in fm.states] == ["S0", "S1", "S2", "S3"]
+    assert state_keys(fm) == ["S0", "S1", "S2", "S3"]
 
     def rat_fn(pairs):
         return ff_make("NNRAT", [(k, Fraction(v)) for k, v in pairs])
@@ -166,13 +166,16 @@ def printed_image(fm, data, fn, state_of):
 
     def simple(entries):
         pairs = ((state_of[t], v) for t, v in entries)
-        return tuple(sorted(pairs, key=lambda pair: fm.states[pair[0]].key))
+        return tuple(sorted(pairs, key=lambda pair: key(pair[0])))
+
+    def key(state):
+        return fm.ctx.text(fm.states[state])
 
     if data.kind == "simple":
         return simple(fn.entries)
 
     def printed(dist):
-        return fn_text(as_text(data.inner_tag, dist[0], lambda t: fm.states[t].key))
+        return fn_text(as_text(data.inner_tag, dist[0], key))
 
     return tuple(sorted(((simple(inner.entries), v) for inner, v in fn.entries), key=printed))
 
@@ -195,14 +198,14 @@ def test_criterion_03_totality_and_determinism():
             # printed order of its targets
             model = fm.ctx
             specs = relation_specs(lang)
-            state_of = {state.term: state.id for state in fm.states}
-            for state in fm.states:
+            state_of = {term: state for state, term in enumerate(fm.states)}
+            for state, term in enumerate(fm.states):
                 for spec, data in zip(specs, fm.relations):
                     for label in relation_labels(spec, model):
-                        once = futs_step(model, state.term, spec.name, label)
-                        again = futs_step(model, state.term, spec.name, label)
+                        once = futs_step(model, term, spec.name, label)
+                        again = futs_step(model, term, spec.name, label)
                         assert once == again and once is not again
-                        assert data.function_at(state.id, label) == printed_image(
+                        assert data.function_at(state, label) == printed_image(
                             fm, data, once, state_of
                         )
             # deterministic end to end: a fresh exploration is byte-identical
@@ -224,12 +227,12 @@ def test_warm_step_memo_agrees_with_a_cold_one():
             warm = fm.ctx
             text = model_text(bodies(warm), tree(warm, warm.init))
             specs = relation_specs(lang)
-            for state in fm.states:
+            for term in fm.states:
                 cold = parse_model(text, lang)
-                cold_id = parse_term(state.key, cold)
+                cold_id = parse_term(warm.text(term), cold)
                 for spec in specs:
                     for label in relation_labels(spec, warm):
-                        assert step_text(warm, state.term, spec.name, label) == step_text(
+                        assert step_text(warm, term, spec.name, label) == step_text(
                             cold, cold_id, spec.name, label
                         )
         elapsed = time.monotonic() - start
@@ -279,7 +282,7 @@ def test_criterion_06_bisimilarity_correspondence():
         assert len(corpus) >= 200
         for fm in corpus:
             assert len(fm.states) <= 200
-            assert refine(fm) == oracle_partition_from(oracle_moves(fm)), fm.states[0].pretty
+            assert refine(fm) == oracle_partition_from(oracle_moves(fm)), fm.ctx.pretty(fm.states[0])
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"{lang}: {elapsed:.1f}s (budget 120s per language)"
         print(f"criterion 6 [{lang}]: PASS — {len(corpus)} models, {elapsed:.1f}s")
@@ -402,9 +405,9 @@ def test_criterion_10_quotient_soundness():
             quotient = minimize(fm, partition)
             union = refine(disjoint_union(fm, quotient))
             offset = len(fm.states)
-            for state in fm.states:
-                image = offset + partition.assignment[state.id]
-                assert union.assignment[state.id] == union.assignment[image]
+            for state in range(offset):
+                image = offset + partition.assignment[state]
+                assert union.assignment[state] == union.assignment[image]
             # the quotient admits no further refinement
             assert refine(quotient).n_blocks == len(quotient.states)
             total += 1

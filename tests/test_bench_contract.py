@@ -1,8 +1,9 @@
 """The library names that the benchmark's tracer wraps stay where it looks.
 
 ``bench/tracing.py`` replaces module attributes by wrappers, calling
-``getattr`` on each when a traced run starts, and reads the size of the
-explored model's term table.  The benchmark's own tests are not part of
+``getattr`` on each when a traced run starts, and its result hooks read
+sizes off what the wrapped calls return: an explored model's states,
+transition tables and term table, and a partition's blocks.  The benchmark's own tests are not part of
 this suite, so these checks keep a rename in the library from breaking a
 traced run unnoticed.
 """
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from futsbench.bisim import refine
 from futsbench.explore import explore
 from futsbench.syntax import parse_model
 
@@ -34,6 +36,20 @@ def test_every_traced_name_resolves():
         if not hasattr(owner, attr)
     ]
     assert not missing
+
+
+def test_the_result_hooks_read_an_explored_model_and_its_partition():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    fm = explore(parse_model("P = (a, 1).Q\nQ = (a, 1).P\ninit P <> (b, 1).nil\n", "pepa"))
+    tracing._on_explore(tracer, fm)
+    tracing._on_refine(tracer, refine(fm))
+    # P <> (b, 1).nil, Q <> (b, 1).nil, Q <> nil, P <> nil: P and Q are
+    # bisimilar, so only having a b-move splits the states
+    assert tracer.values["explore.states"] == 4
+    assert tracer.values["explore.transitions_act"] == 6
+    assert tracer.values["sem_futs.registered_terms"] == len(fm.ctx.registry)
+    assert tracer.values["bisim.blocks"] == 2
 
 
 def test_an_explored_model_exposes_its_term_table():

@@ -28,7 +28,7 @@ from bisimref import (
     disjoint_union,
     naive_oracle_partition,
 )
-from idtext import fn_text, stored_text
+from idtext import fn_text, state_of, stored_text
 from modelgen import build_corpus, random_model
 
 GOLDEN_PEPA = """
@@ -44,7 +44,7 @@ def explored(text, lang, roots=()):
     model = parse_model(text, lang)
     root_terms = [parse_term(t, model) for t in roots]
     fm = explore(model, roots=[model.init, *root_terms])
-    ids = [fm.index[model.text(t)] for t in root_terms]
+    ids = [fm.states.index(t) for t in root_terms]
     return fm, ids
 
 
@@ -94,7 +94,7 @@ def test_pepa_self_loop_doubling_detected():
 
 def test_chain_witness_takes_the_lowest_numbered_block():
     fm = chain_model(12)
-    c1, c9 = fm.index["C1"], fm.index["C9"]
+    c1, c9 = state_of(fm, "C1"), state_of(fm, "C9")
     # block 2 holds C2 and block 10 holds C10; as text, "C10" sorts first
     assert distinguish(fm, c1, c9) == Witness("act", "a", "class of `C2`", "1/1", "0/1")
     assert distinguish(fm, c9, c1) == Witness("act", "a", "class of `C2`", "0/1", "1/1")
@@ -103,13 +103,13 @@ def test_chain_witness_takes_the_lowest_numbered_block():
 def test_pepa_prefix_term_equals_constant_unfolding():
     text = "P = (a, 1).P\ninit P\n"
     fm, (l,) = explored(text, "pepa", roots=["(a,1).P"])
-    assert distinguish(fm, l, fm.init_id) is None
+    assert distinguish(fm, l, 0) is None  # the initial state
 
 
 def test_golden_model_blocks():
     fm, _ = explored(GOLDEN_PEPA, "pepa")
     p = refine(fm)
-    s = {k: p.assignment[fm.index[k]] for k in ("S0", "S1", "S2", "S3")}
+    s = {k: p.assignment[state_of(fm, k)] for k in ("S0", "S1", "S2", "S3")}
     # S1 is the only state with b-moves, so it sits alone.
     assert [s["S0"], s["S2"], s["S3"]].count(s["S1"]) == 0
     assert p == brute_force(fm)
@@ -385,10 +385,10 @@ def test_refine_agrees_with_reference_loop_on_corpora(lang):
         min_states=2,
     )
     for fm in corpus:
-        assert refine(fm) == reference_partition(fm), fm.ctx.pretty(fm.states[0].term)
+        assert refine(fm) == reference_partition(fm), fm.ctx.pretty(fm.states[0])
         moves = oracle_moves(fm)
         assert oracle_partition_from(moves) == naive_oracle_partition(moves), (
-            fm.ctx.pretty(fm.states[0].term)
+            fm.ctx.pretty(fm.states[0])
         )
     if lang == "mal":
         assert any(
@@ -521,9 +521,9 @@ def test_quotient_states_bisimilar_to_their_images():
         u = disjoint_union(fm, q)
         pu = refine(u)
         offset = len(fm.states)
-        for state in fm.states:
-            image = offset + p.assignment[state.id]
-            assert pu.assignment[state.id] == pu.assignment[image]
+        for state in range(offset):
+            image = offset + p.assignment[state]
+            assert pu.assignment[state] == pu.assignment[image]
 
 
 def test_disjoint_union_rejects_mismatched_systems():
@@ -531,6 +531,10 @@ def test_disjoint_union_rejects_mismatched_systems():
     fm_iml, _ = explored("init nil\n", "iml")
     with pytest.raises(FutsError):
         disjoint_union(fm_pepa, fm_iml)
+    # the same model parsed twice is two tables, whose term ids may clash
+    fm_again, _ = explored("init nil\n", "pepa")
+    with pytest.raises(FutsError, match="term tables"):
+        disjoint_union(fm_pepa, fm_again)
 
 
 def test_nested_quotient_merges_inner_targets():

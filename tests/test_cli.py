@@ -230,7 +230,8 @@ def test_bisim_bad_term_is_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-# the CLI verdict against the full-closure route, on every pair of states
+# the CLI verdict against the full-closure route, on every pair of states,
+# a state paired with itself included (both roots are then state 0)
 @pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
 def test_bisim_verdict_agrees_with_the_full_closure_route(tmp_path, capsys, lang):
     corpus = build_corpus(lang, 16, 30, "bisim-verdict", depth=4, min_states=3)
@@ -239,11 +240,12 @@ def test_bisim_verdict_agrees_with_the_full_closure_route(tmp_path, capsys, lang
         model = fm.ctx
         text = model_text(bodies(model), tree(model, model.init))
         path = write(tmp_path, f"m{n}.{lang}", text)
-        for left, right in itertools.combinations(fm.states, 2):
-            expected = full_closure_bisimilar(model, left.term, right.term)
-            refuted = one_step_witness(model, left.term, right.term) is not None
-            code, _, err = run_main(capsys, "bisim", path, "--left", left.key, "--right", right.key)
-            assert (code, err) == (0 if expected else 1, ""), (path, left.key, right.key)
+        for left, right in itertools.combinations_with_replacement(fm.states, 2):
+            expected = full_closure_bisimilar(model, left, right)
+            refuted = one_step_witness(model, left, right) is not None
+            left_key, right_key = model.text(left), model.text(right)
+            code, _, err = run_main(capsys, "bisim", path, "--left", left_key, "--right", right_key)
+            assert (code, err) == (0 if expected else 1, ""), (path, left_key, right_key)
             verdicts.add("bisimilar" if expected else "refuted" if refuted else "refined")
     # both routes to a negative verdict are taken
     assert verdicts == {"bisimilar", "refuted", "refined"}

@@ -16,7 +16,7 @@ from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.semiring import semiring_of
 from futsbench.syntax import LANGUAGES, parse_model, parse_term, pretty, term_key
 
-from idtext import stored_text
+from idtext import state_keys, state_of, stored_text
 from modelgen import build_corpus, tree
 
 GOLDEN_PEPA = """\
@@ -39,14 +39,14 @@ def rat_fn(pairs):
 def test_single_state_inert_model():
     for lang in ("pepa", "iml", "tpc", "mal"):
         fm = explore(parse_model("init nil\n", lang))
-        assert [s.key for s in fm.states] == ["nil"]
-        assert fm.init_id == 0
+        assert state_keys(fm) == ["nil"]
+        assert fm.states[0] == fm.ctx.init
         assert all(data.transitions == {} for data in fm.relations)
 
 
 def test_self_loop_collapses_to_one_state():
     fm = explore(parse_model("X = a.X\ninit X\n", "iml"))
-    assert [s.key for s in fm.states] == ["X"]
+    assert state_keys(fm) == ["X"]
     act, delay = fm.relations
     fn = stored_text(fm, act, 0, "a")
     assert fn == ff_make("BOOL", [("X", True)])
@@ -55,8 +55,8 @@ def test_self_loop_collapses_to_one_state():
 
 def test_golden_model_states_and_functions():
     fm = golden_model()
-    assert [s.key for s in fm.states] == ["S0", "S1", "S2", "S3"]
-    assert fm.init_id == 0
+    assert state_keys(fm) == ["S0", "S1", "S2", "S3"]
+    assert fm.states[0] == fm.ctx.init
     (act,) = fm.relations
     assert act.labels == ("a", "b")
 
@@ -101,11 +101,11 @@ def test_roots_are_the_first_states():
     left = parse_term("S2", model)
     right = parse_term("(a, 1).nil", model)
     fm = explore(model, roots=[left, right])
-    assert [state.key for state in fm.states[:2]] == ["S2", "(a, 1).nil"]
-    assert fm.states[fm.init_id].key == "S2"
-    assert "S0" in fm.index  # S2 reaches the initial term
+    assert fm.states[:2] == [left, right]
+    assert state_keys(fm)[:2] == ["S2", "(a, 1).nil"]
+    assert model.init in fm.states  # S2 reaches the initial term
     fm = explore(model, roots=[right])
-    assert [state.key for state in fm.states] == ["(a, 1).nil", "nil"]
+    assert state_keys(fm) == ["(a, 1).nil", "nil"]
     assert fm.relations[0].labels == ("a", "b")  # the model's alphabet
 
 
@@ -153,7 +153,7 @@ def test_json_of_nested_relation():
     ]
     delay = doc["relations"][1]
     assert delay["labels"] == ["delta"]
-    assert {t["source"] for t in delay["transitions"]} == {fm.index["X"]}
+    assert {t["source"] for t in delay["transitions"]} == {state_of(fm, "X")}
 
 
 def test_dot_output():
@@ -177,8 +177,8 @@ def test_dot_output_of_a_quotient():
 def test_dot_nested_inlines_the_distribution():
     fm = explore(parse_model("X = 1.X\ninit a.{1/2: nil [] 1/2: X}\n", "mal"))
     dot = to_dot(fm)
-    x_id = fm.index["X"]
-    nil_id = fm.index["nil"]
+    x_id = state_of(fm, "X")
+    nil_id = state_of(fm, "nil")
     inline = f"[s{x_id} -> 1/2, s{nil_id} -> 1/2]"
     assert f'[label="a / 1/2 of {inline}"];' in dot
 
@@ -199,11 +199,11 @@ def _reference_json_doc(fm):
             for inner, v in step
         ]
 
-    keys = [s.key for s in fm.states]
+    keys = state_keys(fm)
     return {
-        "language": fm.lang,
-        "init": fm.init_id,
-        "states": [{"id": s.id, "term": s.key} for s in fm.states],
+        "language": fm.ctx.lang,
+        "init": 0,
+        "states": [{"id": state, "term": key} for state, key in enumerate(keys)],
         "relations": [
             {
                 "labels": list(data.labels),
@@ -236,7 +236,7 @@ def test_json_matches_the_standard_encoder_byte_for_byte():
         assert to_json(fm) == expected
         seen.update(data.kind for data in fm.relations if data.transitions)
         seen.update("no labels" for data in fm.relations if not data.labels)
-        seen.update("non-ASCII" for s in fm.states if not s.key.isascii())
+        seen.update("non-ASCII" for key in state_keys(fm) if not key.isascii())
     assert seen == {"simple", "nested", "no labels", "non-ASCII"}
 
 
@@ -246,10 +246,10 @@ def test_explore_never_builds_a_term_tree(lang):
     # a time from the table, and agree with the texts of the whole tree
     corpus = build_corpus(lang, 20, 100, "no-trees", depth=4, max_par=3, max_def_par=0)
     for fm in corpus:
-        for state in fm.states:
-            term = tree(fm.ctx, state.term)
-            assert state.key == term_key(term)
-            assert fm.ctx.pretty(state.term) == pretty(term)
+        for term_id in fm.states:
+            term = tree(fm.ctx, term_id)
+            assert fm.ctx.text(term_id) == term_key(term)
+            assert fm.ctx.pretty(term_id) == pretty(term)
 
 
 @pytest.mark.parametrize("lang", LANGUAGES)

@@ -391,9 +391,9 @@ def test_a_warm_step_reads_as_many_shapes_however_wide_the_state(monkeypatch):
 
         with monkeypatch.context() as patched:
             patched.setattr(Model, "shape", counting)
-            for state in (fm.states[0], fm.states[-1]):
+            for term in (fm.states[0], fm.states[-1]):
                 for label in ("a", "b"):
-                    futs_step(fm.ctx, state.term, "act", label)
+                    futs_step(fm.ctx, term, "act", label)
         reads.append(count)
     assert reads[0] == reads[1] == reads[2]
 
@@ -407,8 +407,8 @@ def test_term_table_neither_merges_nor_splits_terms(lang):
         assert texts == [term_key(tree(model, i)) for i in range(len(texts))]
         assert len(set(texts)) == len(texts)
         size = len(model.registry)
-        for state in fm.states:
-            assert parse_term(state.key, model) == state.term
+        for term in fm.states:
+            assert parse_term(model.text(term), model) == term
         assert len(model.registry) == size
         # parsed afresh, the model file holds one id per distinct subterm
         stack = [*bodies(model).values(), tree(model, model.init)]
@@ -434,11 +434,11 @@ def test_step_walkers_read_only_shapes(lang):
     corpus = build_corpus(lang, 30, 200, "walk", depth=4, max_consts=4, max_par=3, max_def_par=0)
     moved = set()
     for fm in corpus:
-        for state in fm.states:
+        for term in fm.states:
             for spec, data in zip(relation_specs(lang), fm.relations):
                 for label in data.labels:
-                    if futs_step(fm.ctx, state.term, spec.name, label).entries:
+                    if futs_step(fm.ctx, term, spec.name, label).entries:
                         moved.add(spec.name)
             if lang == "tpc":
-                tpc_max_delay(fm.ctx, state.term)
+                tpc_max_delay(fm.ctx, term)
     assert moved == {spec.name for spec in relation_specs(lang)}

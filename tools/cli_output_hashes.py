@@ -17,7 +17,8 @@ oracle side.  It also runs ``check`` on seeded single-edit mutants of
 each file (one piece deleted, replaced or inserted), so parse
 errors, their messages and positions, are hashed too.  On each hand-written
 model it runs the command lines that ``argparse`` rejects (a bound below
-one, an unknown language, a missing ``--right``, an unknown command), and
+one, an unknown language, a missing ``--right``, an unknown command) and
+one ``bisim`` query whose two terms are both its ``init`` term, and
 it runs the ``--help`` of the program and of every command, with
 ``COLUMNS`` set to 80 so that help text wraps alike on every host.  On a
 hand-written PEPA model whose closure is infinite it runs only ``bisim``,
@@ -205,6 +206,8 @@ def calls(directory: str):
                 yield ["check", path, "--lang", "ccs"]
                 yield ["bisim", path, "--left", "nil"]
                 yield ["simulate", path]
+                init = spec.text.rpartition("init ")[2].strip()
+                yield ["bisim", path, "--left", init, "--right", init]
             stem, ext = os.path.splitext(spec.filename)
             rng = random.Random(f"{path}-mutants")
             for k in range(MUTANTS):
