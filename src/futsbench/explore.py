@@ -121,11 +121,18 @@ def store_steps(
 ) -> None:
     """Store term ``term_id``'s step under every relation and label as the
     steps of state ``source``, mapping each target term to a state id by
-    ``id_of``."""
+    ``id_of``.
+
+    Labels are stored, and new targets met, in the order of the relation's
+    labels, not of the step's dict, so state ids do not depend on how the
+    step was built.
+    """
     for data in relations:
+        steps = futs_step(model, term_id, data.name)
         for label in data.labels:
-            fn = futs_step(model, term_id, data.name, label)
-            data.store(source, label, fn, model.text, id_of)
+            fn = steps.get(label)
+            if fn is not None:
+                data.store(source, label, fn, model.text, id_of)
 
 
 def explore(

@@ -15,15 +15,15 @@ Keys are usually term ids of one model's term table (see
 work.  For the calculus whose transitions carry probability
 distributions, the *outer* function's keys are themselves
 :class:`FinFn` values (the inner distributions), which are ordered too.
-A composition where one operand moves renames keys (:func:`ff_map_keys`);
-one where both move pairs them (:func:`ff_lift_injective`).
+A composition where one operand moves renames keys (:func:`ff_map_keys`,
+or :func:`ff_interleave` for both operands' moves at once); one where
+both move pairs them (:func:`ff_lift_injective`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Tuple
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Tuple
 
 from .errors import FutsError, SemiringMismatchError
 from .semiring import semiring_of
@@ -31,21 +31,23 @@ from .semiring import semiring_of
 Key = Hashable
 
 
-@dataclass(frozen=True)
-class FinFn:
+class FinFn(NamedTuple):
     """A finite-support function into one weight domain.
 
     ``entries`` holds only non-zero values, sorted by key; construct
     instances through :func:`ff_make` (or the helpers below), never
-    directly, so the canonical invariants hold.
+    directly, so the canonical invariants hold.  Being a tuple, a
+    function is immutable, and it is equal, hashed and ordered as the
+    pair ``(tag, entries)``, so functions can key an outer function.
     """
 
     tag: str
     entries: Tuple[Tuple[Key, Any], ...]
 
-    def __lt__(self, other: FinFn) -> bool:
-        """Order by tag, then entries, so functions can key an outer function."""
-        return (self.tag, self.entries) < (other.tag, other.entries)
+
+# FinFn(tag, entries) without the keyword handling of its generated
+# constructor, for the folds that build most functions
+_new = tuple.__new__
 
 
 def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
@@ -60,13 +62,13 @@ def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
         prev = acc.get(key)
         acc[key] = value if prev is None else sr.add(prev, value)
     kept = [(k, v) for k, v in acc.items() if v != sr.zero]
-    kept.sort(key=lambda kv: kv[0])
-    return FinFn(tag, tuple(kept))
+    kept.sort(key=itemgetter(0))
+    return _new(FinFn, (tag, tuple(kept)))
 
 
 def ff_zero(tag: str) -> FinFn:
     """The constant-zero function of a domain."""
-    return FinFn(tag, ())
+    return _new(FinFn, (tag, ()))
 
 
 def _fold(tag: str, pairs: list) -> FinFn:
@@ -84,7 +86,7 @@ def _fold(tag: str, pairs: list) -> FinFn:
         for key, value in pairs:
             prev = acc.get(key)
             acc[key] = value if prev is None else add(prev, value)
-    return FinFn(tag, tuple(sorted(acc.items(), key=itemgetter(0))))
+    return _new(FinFn, (tag, tuple(sorted(acc.items(), key=itemgetter(0)))))
 
 
 def ff_add(a: FinFn, b: FinFn) -> FinFn:
@@ -111,6 +113,18 @@ def ff_oplus(fn: FinFn) -> Any:
 def ff_map_keys(fn: Callable[[Key], Key], f: FinFn) -> FinFn:
     """``f`` with each key ``k`` renamed to ``fn(k)``; colliding keys add up."""
     return _fold(f.tag, [(fn(k), v) for k, v in f.entries])
+
+
+def ff_interleave(
+    left_key: Callable[[Key], Key], f: FinFn, right_key: Callable[[Key], Key], g: FinFn
+) -> FinFn:
+    """``ff_add(ff_map_keys(left_key, f), ff_map_keys(right_key, g))`` in
+    one fold: the moves of a composition where either operand moves alone."""
+    if f.tag != g.tag:
+        raise SemiringMismatchError(f"cannot add {f.tag} and {g.tag} functions")
+    pairs = [(left_key(k), v) for k, v in f.entries]
+    pairs += [(right_key(k), v) for k, v in g.entries]
+    return _fold(f.tag, pairs)
 
 
 def ff_scale(value: Any, fn: FinFn) -> FinFn:

@@ -1,8 +1,9 @@
 """State-to-function semantics of the four calculi.
 
-Each language is given by one or two labelled *step relations*; a step
-maps a state (a closed term) and a label to a finite-support weight
-function over continuation states:
+Each language is given by one or two labelled *step relations*; under
+one relation a state (a closed term) steps to a map from labels to
+finite-support weight functions over continuation states, the
+paper's δᵢ(s) ∈ FS(S, Rᵢ)^Lᵢ:
 
 * ``pepa``: one relation over the action alphabet into non-negative
   rationals (race rates, with the synchronisation rate of a shared
@@ -17,12 +18,16 @@ function over continuation states:
   probabilities), plus a ``delta`` relation like ``iml``'s.
 
 States are integer term ids of one model's hash-consed term table (a
-:class:`.syntax.Model`).  Each relation is one *rule*: a term's step from
+:class:`.syntax.Model`).  Each relation is one *rule*: a term's step, a
+dict from each label it can take to that label's non-zero function, from
 its shape (its node over child ids) and its operands' steps, with every
-continuation built from ids, never from terms.  The children-first
+continuation built from ids, never from terms.  A choice or composition
+merges its operands' dicts once, so one walk gives every label, and a
+label an operand cannot take costs nothing.  The children-first
 evaluator :func:`.syntax.evaluate` runs a rule over a term, through the
-forms the step walks through, and keeps its operands' steps in the table
-(:meth:`.syntax.Model.memo`); its docstring states what is kept.
+forms the step walks through, and keeps its operands' steps in the table,
+one memo per relation (:meth:`.syntax.Model.memo`); its docstring states
+what is kept.
 """
 
 from __future__ import annotations
@@ -30,17 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Container, Dict, Iterable, Optional, Tuple
 
 from .fsfun import (
     FinFn,
     ff_add,
+    ff_interleave,
     ff_lift_injective,
     ff_make,
     ff_map_keys,
     ff_oplus,
     ff_scale,
-    ff_zero,
 )
 from .semiring import BOOL, NATSET, NNRAT
 from .syntax import (
@@ -69,6 +74,8 @@ MAX_DELAY = "max-delay"  # memo key of tpc_max_delay, beside the relations
 DELTA_LABEL = "delta"
 TICK_LABEL = "tick"
 
+Steps = Dict[str, FinFn]  # a term's step under one relation: label -> function
+
 
 @dataclass(frozen=True)
 class RelationSpec:
@@ -94,41 +101,89 @@ def relation_labels(spec: RelationSpec, model: Model, roots: Iterable = ()) -> T
     return tuple(alphabet(model, roots))
 
 
-def futs_step(model: Model, term_id: int, relation: str, label: str) -> FinFn:
-    """The weight function, over term ids, of term ``term_id`` under
-    ``relation``/``label``.
+def futs_step(model: Model, term_id: int, relation: str) -> Steps:
+    """The whole step of term ``term_id`` under ``relation``: a dict from
+    each label the term can take to its non-zero weight function over term
+    ids.  A label the term cannot take is absent.
 
-    The relation's memo (:meth:`.syntax.Model.memo`), the forms its step
-    walks through and its rule bound to the model and label are kept
-    together in ``model.walks``, made on the first step of each relation
-    and label.
+    One walk gives every label's function.  The relation's memo
+    (:meth:`.syntax.Model.memo`), the forms its step walks through and its
+    rule bound to the model are kept together in ``model.walks``, made on
+    the first step of each relation.  The dict is built afresh on every
+    call, and its order is not the labels' order.
     """
-    walk = model.walks.get((relation, label))
+    walk = model.walks.get(relation)
     if walk is None:
         spec = _SPECS[model.lang].get(relation)
         if spec is None:
             raise ValueError(f"language {model.lang!r} has no relation {relation!r}")
-        walk = model.walks[relation, label] = (
-            model.memo(relation, label),
+        walk = model.walks[relation] = (
+            model.memo(relation),
             spec.through,
-            partial(spec.rule, model, label),
+            partial(spec.rule, model),
         )
     memo, through, bound = walk
     return evaluate(term_id, model.shape, model.defs, through, memo, bound)
 
 
-def _moves(model: Model, t) -> Tuple[Callable[[int], int], Callable[[int], int]]:
-    """Key renamings into the composition shape ``t`` when only its left,
-    or only its right, operand moves.
+# A rule returns a term's step as a new dict of non-zero functions, so no
+# step is shared with the memo and no label a term cannot take costs a
+# function.  A merge lists the left operand's labels first, so steps are
+# built, and new terms interned, in the same order in every process.
 
-    The operand that stays put would be a point mass of weight one, so a
-    renaming replaces the product.
+
+def _sum(left: Steps, right: Steps) -> Steps:
+    """A choice's step: its operands' functions added label by label."""
+    steps = dict(left)
+    for label, g in right.items():
+        f = steps.get(label)
+        steps[label] = g if f is None else ff_add(f, g)
+    return steps
+
+
+def _compose(
+    model: Model,
+    t,
+    step_of: Callable[[int], Steps],
+    synced: Container[str],
+    synchronise: Callable,
+    rename: Optional[Callable] = None,
+) -> Steps:
+    """A composition's step: a label in ``synced`` that both operands take
+    from ``synchronise(model, t, f, g)``, every other label from the
+    operands' own moves interleaved.
+
+    When one operand moves the other stays put, which would be a point
+    mass of weight one, so a renaming of the mover's targets into the
+    composition shape ``t`` replaces the product; ``rename`` turns such a
+    key renaming into one of the step's keys (for steps keyed by
+    distributions).
     """
-    intern, form, actions, left, right = model.intern, type(t), t.actions, t.left, t.right
-    return (
-        lambda x: intern(form, actions, x, right),
-        lambda y: intern(form, actions, left, y),
-    )
+    left, right = step_of(t.left), step_of(t.right)
+    intern, form, actions, lt, rt = model.intern, type(t), t.actions, t.left, t.right
+
+    def into_left(x):
+        return intern(form, actions, x, rt)
+
+    def into_right(y):
+        return intern(form, actions, lt, y)
+
+    if rename is not None:
+        into_left, into_right = rename(into_left), rename(into_right)
+    steps = {}
+    for label, f in left.items():
+        g = right.get(label)
+        if label in synced:
+            if g is not None:
+                steps[label] = synchronise(model, t, f, g)
+        elif g is None:
+            steps[label] = ff_map_keys(into_left, f)
+        else:
+            steps[label] = ff_interleave(into_left, f, into_right, g)
+    for label, g in right.items():
+        if label not in left and label not in synced:
+            steps[label] = ff_map_keys(into_right, g)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +191,27 @@ def _moves(model: Model, t) -> Tuple[Callable[[int], int], Callable[[int], int]]
 # ---------------------------------------------------------------------------
 
 
-def _pepa_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+def _pepa_sync(model: Model, t, left: FinFn, right: FinFn) -> FinFn:
+    # the joint rate of a synchronised action is capped by the slower
+    # participant: scale the product of the two functions so its total
+    # becomes min of the two totals (both non-zero, as the functions are)
+    total_left = ff_oplus(left)
+    total_right = ff_oplus(right)
+    factor = Fraction(min(total_left, total_right), total_left * total_right)
+    if factor.denominator == 1:  # integral weights are ints
+        factor = factor.numerator
+    pair = ff_lift_injective(partial(model.intern, Coop, t.actions), left, right)
+    return ff_scale(factor, pair)
+
+
+def _pepa_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, RatedPrefix):
-        if t.action != label:
-            return ff_zero(NNRAT)
-        return ff_make(NNRAT, [(t.cont, t.rate)])
+        return {t.action: ff_make(NNRAT, [(t.cont, t.rate)])}
     if isinstance(t, Choice):
-        return ff_add(step_of(t.left), step_of(t.right))
+        return _sum(step_of(t.left), step_of(t.right))
     if isinstance(t, Coop):
-        left = step_of(t.left)
-        right = step_of(t.right)
-        if label not in t.actions:
-            into_left, into_right = _moves(model, t)
-            return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
-        total_left = ff_oplus(left)
-        total_right = ff_oplus(right)
-        if total_left == 0 or total_right == 0:
-            return ff_zero(NNRAT)
-        # the joint rate of a synchronised action is capped by the
-        # slower participant: scale the product of the two
-        # functions so its total becomes min of the two totals
-        factor = Fraction(min(total_left, total_right), total_left * total_right)
-        if factor.denominator == 1:  # integral weights are ints
-            factor = factor.numerator
-        pair = ff_lift_injective(partial(model.intern, Coop, t.actions), left, right)
-        return ff_scale(factor, pair)
-    return ff_zero(NNRAT)  # nil
+        return _compose(model, t, step_of, t.actions, _pepa_sync)
+    return {}  # nil
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +219,18 @@ def _pepa_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> F
 # ---------------------------------------------------------------------------
 
 
-def _interactive_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+def _pair_sync(model: Model, t, left: FinFn, right: FinFn) -> FinFn:
+    return ff_lift_injective(partial(model.intern, Par, t.actions), left, right)
+
+
+def _interactive_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, ActPrefix):
-        if t.action != label:
-            return ff_zero(BOOL)
-        return ff_make(BOOL, [(t.cont, True)])
+        return {t.action: ff_make(BOOL, [(t.cont, True)])}
     if isinstance(t, Choice):
-        return ff_add(step_of(t.left), step_of(t.right))
+        return _sum(step_of(t.left), step_of(t.right))
     if isinstance(t, Par):
-        left = step_of(t.left)
-        right = step_of(t.right)
-        if label in t.actions:
-            return ff_lift_injective(partial(model.intern, Par, t.actions), left, right)
-        into_left, into_right = _moves(model, t)
-        return ff_add(ff_map_keys(into_left, left), ff_map_keys(into_right, right))
-    return ff_zero(BOOL)  # nil, a delay
+        return _compose(model, t, step_of, t.actions, _pair_sync)
+    return {}  # nil, a delay
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +238,15 @@ def _interactive_act(model: Model, label: str, t, step_of: Callable[[int], FinFn
 # ---------------------------------------------------------------------------
 
 
-def _delay_step(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+def _delay_step(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, RatePrefix):
-        return ff_make(NNRAT, [(t.cont, t.rate)])
+        return {DELTA_LABEL: ff_make(NNRAT, [(t.cont, t.rate)])}
     if isinstance(t, Choice):
-        return ff_add(step_of(t.left), step_of(t.right))
+        return _sum(step_of(t.left), step_of(t.right))
     if isinstance(t, Par):
         # delays always interleave, independent of the action set
-        into_left, into_right = _moves(model, t)
-        return ff_add(
-            ff_map_keys(into_left, step_of(t.left)),
-            ff_map_keys(into_right, step_of(t.right)),
-        )
-    return ff_zero(NNRAT)  # nil, an action
+        return _compose(model, t, step_of, (), None)
+    return {}  # nil, an action
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +254,32 @@ def _delay_step(model: Model, label: str, t, step_of: Callable[[int], FinFn]) ->
 # ---------------------------------------------------------------------------
 
 
-def _tick_step(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+def _tick_step(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, TimePrefix):
-        after = step_of(t.cont)
         pairs = [
             (model.intern(TimePrefix, t.delay - spent, t.cont), frozenset({spent}))
             for spent in range(1, t.delay)
         ]
         pairs.append((t.cont, frozenset({t.delay})))
-        # time the continuation lets pass extends the whole delay
-        pairs += [(k, frozenset(m + t.delay for m in v)) for k, v in after.entries]
-        return ff_make(NATSET, pairs)
-    if isinstance(t, Choice):
+        after = step_of(t.cont).get(TICK_LABEL)
+        if after is not None:
+            # time the continuation lets pass extends the whole delay
+            pairs += [(k, frozenset(m + t.delay for m in v)) for k, v in after.entries]
+        return {TICK_LABEL: ff_make(NATSET, pairs)}
+    if isinstance(t, (Choice, Par)):
         # both sides must agree on the amount of time passed
-        return ff_lift_injective(partial(model.intern, Choice), step_of(t.left), step_of(t.right))
-    if isinstance(t, Par):
-        return ff_lift_injective(
-            partial(model.intern, Par, t.actions), step_of(t.left), step_of(t.right)
-        )
-    return ff_zero(NATSET)  # nil, an action
+        left = step_of(t.left).get(TICK_LABEL)
+        right = step_of(t.right).get(TICK_LABEL)
+        if left is None or right is None:
+            return {}
+        if isinstance(t, Choice):
+            pair = partial(model.intern, Choice)
+        else:
+            pair = partial(model.intern, Par, t.actions)
+        fn = ff_lift_injective(pair, left, right)
+        # the sets of time two sides let pass towards a pair can be disjoint
+        return {TICK_LABEL: fn} if fn.entries else {}
+    return {}  # nil, an action
 
 
 def _max_delay(t, delay_of: Callable[[int], int]) -> int:
@@ -244,7 +294,7 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
     """The largest amount of time a state can let pass before it must
     act or stop: 0 for inert/action states, delay plus the rest for a
     time prefix, the minimum over branches of a choice or composition."""
-    memo = model.memo(MAX_DELAY, TICK_LABEL)
+    memo = model.memo(MAX_DELAY)
     return evaluate(term_id, model.shape, model.defs, TIMED_FORMS, memo, _max_delay)
 
 
@@ -253,27 +303,26 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mal_act(model: Model, label: str, t, step_of: Callable[[int], FinFn]) -> FinFn:
+def _mal_sync(model: Model, t, left: FinFn, right: FinFn) -> FinFn:
+    # the product of two distributions pairs their targets
+    pair = partial(ff_lift_injective, partial(model.intern, Par, t.actions))
+    return ff_lift_injective(pair, left, right)
+
+
+def _within(into: Callable[[int], int]) -> Callable[[FinFn], FinFn]:
+    # one side moves: rename the targets inside each distribution
+    return partial(ff_map_keys, into)
+
+
+def _mal_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, ProbPrefix):
-        if t.action != label:
-            return ff_zero(BOOL)
-        return ff_make(BOOL, [(ff_make(NNRAT, [(c, p) for p, c in t.branches]), True)])
+        dist = ff_make(NNRAT, [(c, p) for p, c in t.branches])
+        return {t.action: ff_make(BOOL, [(dist, True)])}
     if isinstance(t, Choice):
-        return ff_add(step_of(t.left), step_of(t.right))
+        return _sum(step_of(t.left), step_of(t.right))
     if isinstance(t, Par):
-        left = step_of(t.left)
-        right = step_of(t.right)
-        if label in t.actions:
-            # the product of two distributions pairs their targets
-            pair = partial(ff_lift_injective, partial(model.intern, Par, t.actions))
-            return ff_lift_injective(pair, left, right)
-        # one side moves: rename the targets inside each distribution
-        into_left, into_right = _moves(model, t)
-        return ff_add(
-            ff_map_keys(lambda mu: ff_map_keys(into_left, mu), left),
-            ff_map_keys(lambda mu: ff_map_keys(into_right, mu), right),
-        )
-    return ff_zero(BOOL)  # nil, a delay
+        return _compose(model, t, step_of, t.actions, _mal_sync, _within)
+    return {}  # nil, a delay
 
 
 # each language's relations, by name, in the order a state's steps list them

@@ -214,8 +214,9 @@ class Model:
     readable text (:meth:`pretty`) are rendered on first use, once per id,
     from their subterms' texts (:func:`render_cached`).
     :meth:`memo` holds the semantics' memoised steps, one dict per
-    relation and label, by term id, and ``walks`` keeps beside each memo
-    the rest of what :func:`.sem_futs.futs_step` walks with.
+    relation, by term id, each step a dict from label to weight function,
+    and ``walks`` keeps beside each memo the rest of what
+    :func:`.sem_futs.futs_step` walks with.
     :func:`parse_model` builds every model and checks it with
     :func:`check_guarded`, so models are guarded by construction and
     :func:`evaluate` unfolds a constant with no cycle detection of its own.
@@ -231,8 +232,8 @@ class Model:
         self._shapes: list = []  # id -> shape
         self._texts: dict = {}  # id -> canonical text, rendered on first use
         self._pretties: dict = {}  # id -> readable text, rendered on first use
-        self._memos: dict = {}  # (relation, label) -> {term id -> step}
-        # (relation, label) -> its memo, forms walked and bound rule (futs_step)
+        self._memos: dict = {}  # relation -> {term id -> step}
+        # relation -> its memo, forms walked and bound rule (futs_step)
         self.walks: dict = {}
 
     def intern(self, form: type, *fields) -> int:
@@ -251,12 +252,20 @@ class Model:
     def text(self, term_id: int) -> str:
         """Canonical text of a term (:func:`term_key`), rendered once per id
         from its subterms' texts."""
-        return render_cached(term_id, self._shapes.__getitem__, self._texts, render_key)
+        text = self._texts.get(term_id)
+        if text is None:
+            text = render_cached(term_id, self._shapes.__getitem__, self._texts, render_key)
+        return text
 
     def pretty(self, term_id: int) -> str:
         """Readable text of a term (:func:`pretty`), rendered once per id
         from its subterms' readable texts."""
-        return render_cached(term_id, self._shapes.__getitem__, self._pretties, self._render_pretty)
+        text = self._pretties.get(term_id)
+        if text is None:
+            text = render_cached(
+                term_id, self._shapes.__getitem__, self._pretties, self._render_pretty
+            )
+        return text
 
     def _render_pretty(self, shape, _) -> str:
         # the bracketing of a subterm reads its shape too (_pretty_of)
@@ -265,11 +274,11 @@ class Model:
     def _pretty_of(self, sub: int, min_prec: int) -> str:
         return _bracket(self._pretties[sub], self._shapes[sub], min_prec)
 
-    def memo(self, relation: str, label: str) -> dict:
-        """The memoised steps of one relation and label, by term id."""
-        found = self._memos.get((relation, label))
+    def memo(self, relation: str) -> dict:
+        """The memoised steps of one relation, by term id."""
+        found = self._memos.get(relation)
         if found is None:
-            found = self._memos[relation, label] = {}
+            found = self._memos[relation] = {}
         return found
 
 

@@ -1,14 +1,14 @@
 """Text views of weight functions keyed by ids.
 
-Steps are keyed by term ids (``futs_step``) or state ids (an explored
-transition table).  Tests that state expected functions by canonical
+Steps are keyed by term ids (``futs_step``, one function per label) or
+state ids (an explored transition table).  Tests that state expected functions by canonical
 term text compare through :func:`as_text`, and name an explored state by
 its text through :func:`state_keys` and :func:`state_of`.
 """
 
-from futsbench.fsfun import FinFn, ff_make
+from futsbench.fsfun import FinFn, ff_make, ff_zero
 from futsbench.semiring import semiring_of
-from futsbench.sem_futs import futs_step
+from futsbench.sem_futs import futs_step, relation_specs
 from futsbench.syntax import parse_term
 
 
@@ -30,10 +30,18 @@ def as_text(tag, entries, text_of, inner_tag=None):
     return ff_make(tag, [(key(k), v) for k, v in entries])
 
 
+def steps_text(ctx, term_id, relation):
+    """A freshly computed step of a term under one relation, each label's
+    function keyed by term text."""
+    steps = futs_step(ctx, term_id, relation)
+    return {label: as_text(fn.tag, fn.entries, ctx.text) for label, fn in steps.items()}
+
+
 def step_text(ctx, term_id, relation, label):
-    """A freshly computed step of a term, keyed by term text."""
-    fn = futs_step(ctx, term_id, relation, label)
-    return as_text(fn.tag, fn.entries, ctx.text)
+    """A freshly computed step of a term under one label, keyed by term
+    text; the zero function when the term cannot take the label."""
+    (spec,) = [spec for spec in relation_specs(ctx.lang) if spec.name == relation]
+    return steps_text(ctx, term_id, relation).get(label, ff_zero(spec.tag))
 
 
 def state_keys(fm):

@@ -33,7 +33,7 @@ from futsbench.sem_futs import futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model, parse_term
 
 from bisimref import brute_force, disjoint_union
-from idtext import as_text, fn_text, state_keys, step_text, stored_text
+from idtext import as_text, fn_text, state_keys, steps_text, stored_text
 from modelgen import bodies, build_corpus, fresh_copy, model_text, random_value, tree
 
 LANGS = ("pepa", "iml", "tpc", "mal")
@@ -192,21 +192,26 @@ def test_criterion_03_totality_and_determinism():
                 for (source, label), step in data.transitions.items():
                     assert 0 <= source < len(fm.states) and label in data.labels
                     assert step
-            # total: every (state, label) evaluates to exactly one function,
-            # evaluating again recomputes a structurally identical result,
-            # and the table stores that function's state-id image, in the
-            # printed order of its targets
+            # total: every (state, relation) evaluates to exactly one map
+            # from labels to non-zero functions, evaluating again recomputes
+            # a structurally identical result, and for every label the table
+            # stores that function's state-id image (zero when the label is
+            # absent), in the printed order of its targets
             model = fm.ctx
             specs = relation_specs(lang)
             state_of = {term: state for state, term in enumerate(fm.states)}
             for state, term in enumerate(fm.states):
                 for spec, data in zip(specs, fm.relations):
-                    for label in relation_labels(spec, model):
-                        once = futs_step(model, term, spec.name, label)
-                        again = futs_step(model, term, spec.name, label)
-                        assert once == again and once is not again
+                    once = futs_step(model, term, spec.name)
+                    again = futs_step(model, term, spec.name)
+                    assert once == again and once is not again
+                    labels = relation_labels(spec, model)
+                    assert set(once) <= set(labels)
+                    assert all(fn.entries for fn in once.values())
+                    for label in labels:
+                        fn = once.get(label, ff_zero(spec.tag))
                         assert data.function_at(state, label) == printed_image(
-                            fm, data, once, state_of
+                            fm, data, fn, state_of
                         )
             # deterministic end to end: a fresh exploration is byte-identical
             assert to_json(explore(fresh_copy(model), max_states=2000)) == to_json(fm)
@@ -218,9 +223,9 @@ def test_criterion_03_totality_and_determinism():
 def test_warm_step_memo_agrees_with_a_cold_one():
     # the exploring table has memoised the steps of every shared subterm;
     # the same model parsed into a fresh table walks each state's term from
-    # scratch.  The memo is kept per relation and label, so one fresh table
-    # per state leaves each of its steps cold.  Ids differ between tables,
-    # so steps compare by target text.
+    # scratch.  The memo is kept per relation, and one walk gives every
+    # label, so one fresh table per state leaves each of its steps cold.
+    # Ids differ between tables, so steps compare by target text.
     for lang in LANGS:
         start = time.monotonic()
         for fm in small_corpus(lang):
@@ -231,10 +236,9 @@ def test_warm_step_memo_agrees_with_a_cold_one():
                 cold = parse_model(text, lang)
                 cold_id = parse_term(warm.text(term), cold)
                 for spec in specs:
-                    for label in relation_labels(spec, warm):
-                        assert step_text(warm, term, spec.name, label) == step_text(
-                            cold, cold_id, spec.name, label
-                        )
+                    assert steps_text(warm, term, spec.name) == steps_text(
+                        cold, cold_id, spec.name
+                    )
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"{lang}: {elapsed:.1f}s (budget 60s per language)"
 

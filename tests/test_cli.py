@@ -266,9 +266,9 @@ def test_a_depth_one_negative_steps_only_its_two_roots(tmp_path, capsys, monkeyp
     stepped = set()
     step = explore_module.futs_step
 
-    def recording(model, term_id, relation, label):
+    def recording(model, term_id, relation):
         stepped.add(model.text(term_id))
-        return step(model, term_id, relation, label)
+        return step(model, term_id, relation)
 
     def refused(*args, **kwargs):
         raise AssertionError("explore called")

@@ -8,6 +8,7 @@ import pytest
 from futsbench.errors import FutsError, SemiringMismatchError
 from futsbench.fsfun import (
     ff_add,
+    ff_interleave,
     ff_lift_injective,
     ff_make,
     ff_map_keys,
@@ -85,6 +86,50 @@ def test_add_and_rename_fold_as_make_does(tag):
         assert ff_map_keys(rename.__getitem__, a) == ff_make(tag, pairs)
         collided += len({k for k, _ in pairs}) < len(pairs)
     assert collided > 20
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_interleave_adds_two_renamed_functions(tag):
+    # the moves of a composition where either operand moves alone, folded
+    # once; renamings may collide within and across the two functions
+    rng = random.Random(43)
+    collided = 0
+    for _ in range(300):
+        f = random_finfn(rng, tag)
+        g = random_finfn(rng, tag)
+        left = {f"P{i}": rng.choice(("Q0", "Q1", "Q2", "R0")) for i in range(8)}
+        right = {f"P{i}": rng.choice(("R0", "R1", "Q2")) for i in range(8)}
+        got = ff_interleave(left.__getitem__, f, right.__getitem__, g)
+        assert got == ff_add(ff_map_keys(left.__getitem__, f), ff_map_keys(right.__getitem__, g))
+        keys = [left[k] for k, _ in f.entries] + [right[k] for k, _ in g.entries]
+        collided += len(set(keys)) < len(keys)
+    assert collided > 50
+    with pytest.raises(SemiringMismatchError):
+        ff_interleave(str, ff_zero("BOOL"), str, ff_zero("NNRAT"))
+
+
+def test_a_function_is_an_immutable_tagged_value():
+    fn = ff_make("NNRAT", [("Q", Fraction(1, 2)), ("P", 2)])
+    for field in ("tag", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(fn, field, ())
+    with pytest.raises(AttributeError):
+        fn.extra = 1
+    assert repr(fn) == "FinFn(tag='NNRAT', entries=(('P', 2), ('Q', Fraction(1, 2))))"
+    assert repr(ff_zero("BOOL")) == "FinFn(tag='BOOL', entries=())"
+    # equal and hashed by tag and entries: the empty functions of two
+    # domains differ, and so do functions whose payloads compare equal
+    assert ff_zero("BOOL") != ff_zero("NNRAT")
+    assert ff_make("BOOL", [("P", True)]) != ff_make("NNRAT", [("P", 1)])
+    same = ff_make("NNRAT", [("P", 2), ("Q", Fraction(1, 2))])
+    assert fn == same and hash(fn) == hash(same) and len({fn, same}) == 1
+    # ordered by (tag, entries)
+    rng = random.Random(5)
+    fns = [random_finfn(rng, tag) for _ in range(40) for tag in ("BOOL", "NNRAT")]
+    for a in fns:
+        for b in fns:
+            assert (a < b) == ((a.tag, a.entries) < (b.tag, b.entries))
+    assert ff_zero("BOOL") < ff_zero("NNRAT") < fn
 
 
 def test_map_keys_adds_colliding_keys_and_keeps_the_tag():

@@ -13,6 +13,14 @@ from futsbench.errors import DelayCycleError, UnguardedRecursionError
 from futsbench.explore import explore
 from futsbench.fsfun import ff_make, ff_oplus, ff_zero
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs, tpc_max_delay
+from futsbench.sem_oracle import (
+    OracleTerms,
+    action_distributions,
+    delay_derivations,
+    interactive_transitions,
+    pepa_transitions,
+    timed_transitions,
+)
 from futsbench.syntax import Model, children, parse_model, parse_term, term_key
 
 from idtext import fn_text, step_text
@@ -240,23 +248,26 @@ def test_a_deep_timed_choice_ticks_without_recursion():
 
 def test_a_step_keeps_its_operands_steps_in_the_models_memo():
     model = parse_model("init (a, 1).nil + (b, 2).nil\n", "pepa")
-    memo = model.memo("act", "a")
-    futs_step(model, model.init, "act", "a")
-    # the two prefixes' steps are kept, the root's is not
-    assert len(memo) == 2 and model.init not in memo
-    assert model.memo("act", "a") is memo
-    futs_step(model, model.init, "act", "a")
+    memo = model.memo("act")
+    futs_step(model, model.init, "act")
+    # the two prefixes' dicts are kept, the root's is not
+    a, b = parse_term("(a, 1).nil", model), parse_term("(b, 2).nil", model)
+    assert memo.keys() == {a, b} and model.init not in memo
+    assert memo[a] == {"a": ff_make("NNRAT", [(parse_term("nil", model), 1)])}
+    assert memo[b] == {"b": ff_make("NNRAT", [(parse_term("nil", model), 2)])}
+    assert model.memo("act") is memo
+    futs_step(model, model.init, "act")
     assert len(memo) == 2
     for _ in range(2):  # a relation the language lacks is refused every time
         with pytest.raises(ValueError, match="has no relation 'tick'"):
-            futs_step(model, model.init, "tick", "tick")
+            futs_step(model, model.init, "tick")
 
 
 def test_tpc_tick_amounts_descend_by_the_time_spent():
     model = parse_model("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
     seen = [model.init]
     for term_id in seen:
-        fn = futs_step(model, term_id, "tick", "tick")
+        fn = futs_step(model, term_id, "tick").get("tick", ff_zero("NATSET"))
         base = tpc_max_delay(model, term_id)
         for target, value in fn.entries:
             assert len(value) == 1  # tick amounts are unique per target
@@ -392,8 +403,7 @@ def test_a_warm_step_reads_as_many_shapes_however_wide_the_state(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(Model, "shape", counting)
             for term in (fm.states[0], fm.states[-1]):
-                for label in ("a", "b"):
-                    futs_step(fm.ctx, term, "act", label)
+                futs_step(fm.ctx, term, "act")
         reads.append(count)
     assert reads[0] == reads[1] == reads[2]
 
@@ -435,10 +445,46 @@ def test_step_walkers_read_only_shapes(lang):
     moved = set()
     for fm in corpus:
         for term in fm.states:
-            for spec, data in zip(relation_specs(lang), fm.relations):
-                for label in data.labels:
-                    if futs_step(fm.ctx, term, spec.name, label).entries:
-                        moved.add(spec.name)
+            for spec in relation_specs(lang):
+                if futs_step(fm.ctx, term, spec.name):
+                    moved.add(spec.name)
             if lang == "tpc":
                 tpc_max_delay(fm.ctx, term)
     assert moved == {spec.name for spec in relation_specs(lang)}
+
+
+def _oracle_moves(lang, table, term_id, relation, label):
+    """Whether the oracle derives a move of the term under the relation and label."""
+    if relation == "delay":
+        return bool(delay_derivations(table, term_id))
+    if relation == "tick":
+        return bool(timed_transitions(table, term_id))
+    walk = {
+        "pepa": pepa_transitions,
+        "iml": interactive_transitions,
+        "tpc": interactive_transitions,
+        "mal": action_distributions,
+    }[lang]
+    return bool(walk(table, term_id, label))
+
+
+@pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
+def test_a_step_holds_exactly_the_labels_the_oracle_moves_under(lang):
+    # one walk gives every label; a label is present exactly when the
+    # term can take it, and no present function is zero
+    corpus = build_corpus(lang, 40, 300, "labels", depth=4, max_consts=4, max_par=3, max_def_par=0)
+    present = absent = 0
+    for fm in corpus:
+        model = fm.ctx
+        table = OracleTerms(model)
+        for term in fm.states:
+            oracle_id = table.of_model(term)
+            for spec, data in zip(relation_specs(lang), fm.relations):
+                steps = futs_step(model, term, spec.name)
+                assert all(fn.entries for fn in steps.values())
+                for label in data.labels:
+                    moves = _oracle_moves(lang, table, oracle_id, spec.name, label)
+                    assert (label in steps) == moves, (model.text(term), spec.name, label)
+                    present += moves
+                    absent += not moves
+    assert present > 0 and absent > 0

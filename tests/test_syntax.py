@@ -14,7 +14,7 @@ from futsbench.errors import (
     UnguardedRecursionError,
 )
 from futsbench.explore import explore
-from futsbench.sem_futs import futs_step, relation_labels, relation_specs, tpc_max_delay
+from futsbench.sem_futs import futs_step, relation_specs, tpc_max_delay
 from futsbench.sem_oracle import (
     OracleTerms,
     action_distributions,
@@ -610,8 +610,7 @@ def _walk_everything(model):
     actions = alphabet(model)
     for term_id in [*model.defs.values(), model.init]:
         for spec in relation_specs(model.lang):
-            for label in relation_labels(spec, model):
-                futs_step(model, term_id, spec.name, label)
+            futs_step(model, term_id, spec.name)
         if model.lang == "tpc":
             tpc_max_delay(model, term_id)
         table = OracleTerms(model)

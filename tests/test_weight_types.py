@@ -146,7 +146,7 @@ def test_synchronised_joint_rates_are_exact_in_both_routes():
     table = OracleTerms(model)
     for (state, label), expected in SYNC_STEPS.items():
         term_id = parse_term(state, model)
-        step = futs_step(model, term_id, "act", label)
+        step = futs_step(model, term_id, "act")[label]
         _exactly({model.text(k): w for k, w in step.entries}, expected, f"step of {state}")
         derived: dict = {}
         for rate, target in pepa_transitions(table, table.of_model(term_id), label):

@@ -13,7 +13,10 @@ non-integral joint rates, and on three more: a MAL distribution chain
 state; an IML model of action prefixes only, whose every move counts by
 presence, not multiplicity; and a TPC model whose first delay exceeds the
 oracle's cap on timed transitions, so that ``compare`` fails on the
-oracle side.  It also runs ``check`` on seeded single-edit mutants of
+oracle side.  One more model per language reaches the paths where a
+label is absent: a synchronisation set names an action that no operand
+performs, and only one operand of a choice and of a composition takes a
+given label.  It also runs ``check`` on seeded single-edit mutants of
 each file (one piece deleted, replaced or inserted), so parse
 errors, their messages and positions, are hashed too.  On each hand-written
 model it runs the command lines that ``argparse`` rejects (a bound below
@@ -64,8 +67,8 @@ VOCABULARY = (
 )
 
 # one hand-written model per language, with decimal and reducible literals,
-# then a deep nested chain, a model of presence-only moves and one the
-# oracle refuses
+# then a deep nested chain, a model of presence-only moves, one the oracle
+# refuses, and one per language where labels are absent from operands' steps
 Model, Query = workloads.ModelSpec, workloads.Query
 CHAIN_DEPTH = 400
 HAND_WRITTEN = (
@@ -152,6 +155,57 @@ HAND_WRITTEN = (
         "tpc",
         "-- the oracle refuses a state with more timed transitions than its cap\n"
         "init (10001).nil |[]| (1).nil\n",
+    ),
+    Model(
+        "absent",
+        "pepa",
+        "-- c is synchronised but never performed; a waits until Q offers it\n"
+        "P = (a, 1).P + (b, 2).nil\n"
+        "Q = (d, 3).(a, 2).Q\n"
+        "init ((a, 1).P + (b, 2).nil) <a, c> Q\n",
+        (
+            Query("(a, 1).nil <c> nil", "(a, 1).nil", True),
+            Query("(a, 1).nil <a> (b, 2).nil", "(b, 2).nil", True),
+            Query("(a, 1).nil <a> (b, 2).nil", "(a, 1).nil", False),
+        ),
+    ),
+    Model(
+        "absent",
+        "iml",
+        "-- c is synchronised but never performed; delays interleave beside actions\n"
+        "S0 = a.S1 + 2.S0\n"
+        "S1 = b.S0 + 3.nil\n"
+        "init (a.S0 + b.nil) |[a, c]| (S1 |[]| d.nil)\n",
+        (
+            Query("a.nil |[c]| nil", "a.nil", True),
+            Query("a.nil |[a]| b.nil", "b.nil", True),
+            Query("2.nil |[c]| a.nil", "a.nil", False),
+        ),
+    ),
+    Model(
+        "absent",
+        "tpc",
+        "-- c is synchronised but never performed; one side of a choice acts at once\n"
+        "S0 = (2).a.S0 + (1).b.S0\n"
+        "init (b.S0 + (1).b.nil) |[a, c]| ((3).a.S0 + (2).d.nil)\n",
+        (
+            Query("a.nil |[c]| nil", "a.nil", True),
+            Query("(1).a.nil + b.nil", "b.nil", True),
+            Query("(1).a.nil |[a]| b.nil", "b.nil", True),
+        ),
+    ),
+    Model(
+        "absent",
+        "mal",
+        "-- c is synchronised but never performed; delays interleave beside distributions\n"
+        "S0 = a.{1/2: S0 [] 1/2: S1} + 2.S1\n"
+        "S1 = b.{1: S0} + 3.nil\n"
+        "init (a.{1: S0} + b.{1: nil}) |[a, c]| (S1 |[]| d.{1: nil})\n",
+        (
+            Query("a.{1: nil} |[c]| nil", "a.{1: nil}", True),
+            Query("a.{1: nil} |[a]| b.{1: nil}", "b.{1: nil}", True),
+            Query("2.nil |[c]| a.{1: nil}", "a.{1: nil}", False),
+        ),
     ),
 )
 
