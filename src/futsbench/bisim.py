@@ -23,9 +23,10 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, UnknownStateError
-from .explore import FutsModel, RelationData, relation_tables, store_steps
-from .fsfun import ff_make
-from .semiring import Semiring, semiring_of
+from .explore import FutsModel, RelationData, in_printed_order, innermost, key_text
+from .explore import relation_tables, store_steps
+from .fsfun import FinFn
+from .sem_futs import Layers
 from .syntax import Model
 # unused here, but bench/tracing.py wraps bisim.term_key (ROADMAP item 3)
 from .syntax import term_key  # noqa: F401
@@ -62,34 +63,32 @@ def canonical_assignment(raw: Sequence[int]) -> Tuple[int, ...]:
 #
 # Refinement reads each step's targets as state ids (see
 # explore.RelationData), so each round only touches integers and raw
-# weights.  Weights of different domains can compare equal (True == 1),
-# so a signature keeps one slot per relation and label and slots are only
-# ever compared with the same slot of another state.  Steps hold only
-# non-zero entries and every domain is zero-sum-free (see .semiring), so
-# no total is tested against zero.
-
-_SimpleEntries = Tuple[Tuple[int, Any], ...]
-
-
-def _block_sum_sig(entries: _SimpleEntries, assignment: Sequence[int], sr: Semiring):
-    """Canonical per-block totals: (block, weight) pairs sorted by block."""
-    add = sr.add
-    acc: Dict[int, Any] = {}
-    for target, value in entries:
-        block = assignment[target]
-        acc[block] = add(acc[block], value) if block in acc else value
-    return tuple(sorted(acc.items()))
+# weights.  A step is pushed forward one layer of its relation at a time,
+# outermost first: a MAL step's distributions each become their block
+# totals, and the outer weights of those that fall together add up.
+# Weights of different domains can compare equal (True == 1), so a
+# signature keeps one slot per relation and label and slots are only ever
+# compared with the same slot of another state.  Steps hold only non-zero
+# entries and every domain is zero-sum-free (see .semiring), so no total
+# is tested against zero.
 
 
-def _lifted_sig(entry, assignment: Sequence[int], sr: Semiring, inner_sr: Semiring):
-    """Nested functions: classify inner functions by their per-block totals,
-    then fold the outer values of inner functions that fall together."""
-    acc: Dict[tuple, Any] = {}
-    for inner_entries, outer_value in entry:
-        inner_sig = _block_sum_sig(inner_entries, assignment, inner_sr)
-        acc[inner_sig] = (
-            sr.add(acc[inner_sig], outer_value) if inner_sig in acc else outer_value
-        )
+def _push(step: tuple, layers: Layers, assignment: Sequence[int]) -> tuple:
+    """A stored step over ``layers`` pushed forward along ``assignment``:
+    each target replaced by its block and each inner function by its push,
+    as a ``FinFn`` like a state's inner functions, the weights of keys that
+    fall together added up, sorted by key."""
+    add = layers[0].add
+    acc: Dict[Any, Any] = {}
+    if len(layers) == 1:  # one loop per case: the block lookup is the hot path
+        for target, value in step:
+            block = assignment[target]
+            acc[block] = add(acc[block], value) if block in acc else value
+    else:
+        deeper = layers[1:]
+        for inner, value in step:
+            key = FinFn(deeper[0].tag, _push(inner, deeper, assignment))
+            acc[key] = add(acc[key], value) if key in acc else value
     return tuple(sorted(acc.items()))
 
 
@@ -98,33 +97,24 @@ def _state_signature(relations, state_id: int, assignment: Sequence[int]):
     relation and label, in that order."""
     parts = []
     for data in relations:
-        table = data.transitions
-        sr = semiring_of(data.tag)
+        table, layers = data.transitions, data.layers
         for label in data.labels:
             step = table.get((state_id, label))
-            if step is None:
-                parts.append(())
-            elif data.kind == "simple":
-                parts.append(_block_sum_sig(step, assignment, sr))
-            else:
-                parts.append(_lifted_sig(step, assignment, sr, semiring_of(data.inner_tag)))
+            parts.append(() if step is None else _push(step, layers, assignment))
     return tuple(parts)
 
 
 def _predecessors(relations, n_states: int) -> List[List[int]]:
     """For each state, the states with a step into it under any relation
-    and label (a nested step counts every inner target).  A source may
-    appear more than once (lists take far less memory than sets)."""
+    and label (a step with inner functions counts each of their targets).
+    A source may appear more than once (lists take far less memory than
+    sets)."""
     preds: List[List[int]] = [[] for _ in range(n_states)]
     for data in relations:
-        for (source, _), step in data.transitions.items():
-            if data.kind == "simple":
-                for target, _ in step:
-                    preds[target].append(source)
-            else:
-                for inner, _ in step:
-                    for target, _ in inner:
-                        preds[target].append(source)
+        for owner, fn in innermost(data.transitions.items(), data.layers):
+            source = owner[0]
+            for target, _ in fn:
+                preds[target].append(source)
     return preds
 
 
@@ -201,6 +191,16 @@ class Witness:
 ALL_STATES = "all states"  # the one class of the depth-1 check
 
 
+def _printed_weights(deeper: Layers, key):
+    """A signature key in a witness's order: a block, or an inner function
+    as its keys in that order paired with their weights' printed text, so
+    the reported class does not depend on how raw weights sort."""
+    if not deeper:
+        return key
+    fmt, below = deeper[0].fmt, deeper[1:]
+    return tuple((_printed_weights(below, k), fmt(v)) for k, v in key.entries)
+
+
 def _first_difference(
     relations, left: int, right: int, assignment: Sequence[int], name_of: Callable[[int], str]
 ) -> Optional[Witness]:
@@ -212,30 +212,13 @@ def _first_difference(
     slots = [(data, label) for data in relations for label in data.labels]
     for (data, label), part_l, part_r in zip(slots, parts_l, parts_r):
         sums_l, sums_r = dict(part_l), dict(part_r)
-        if data.kind == "simple":
-            order = sorted(sums_l.keys() | sums_r.keys())
-            describe = name_of
-        else:
-            # take the inner classes in the order of their printed text, so
-            # the reported class does not depend on how raw weights sort
-            inner_fmt = semiring_of(data.inner_tag).fmt
-            texts = {
-                inner_sig: tuple((block, inner_fmt(value)) for block, value in inner_sig)
-                for inner_sig in sums_l.keys() | sums_r.keys()
-            }
-            order = sorted(texts, key=texts.__getitem__)
-
-            def describe(inner_sig) -> str:
-                body = ", ".join(f"{name_of(block)} -> {text}" for block, text in texts[inner_sig])
-                return f"distribution [{body}]"
-
-        sr = semiring_of(data.tag)
-        for key in order:
+        sr, deeper = data.layers[0], data.layers[1:]
+        for key in sorted(sums_l.keys() | sums_r.keys(), key=partial(_printed_weights, deeper)):
             if sums_l.get(key) != sums_r.get(key):
                 return Witness(
                     data.name,
                     label,
-                    describe(key),
+                    key_text(key, deeper, name_of),
                     sr.fmt(sums_l.get(key, sr.zero)),
                     sr.fmt(sums_r.get(key, sr.zero)),
                 )
@@ -248,9 +231,10 @@ def one_step_witness(model: Model, left: int, right: int) -> Optional[Witness]:
 
     The two terms' steps are stored with every target as state 0, so
     :func:`distinguish`'s walk runs under the assignment of every state to
-    block 0: a simple relation's part is its total weight, a nested one's
-    its outer values folded over its distributions' total masses.  Only
-    the two terms are stepped; nothing is explored.
+    block 0: a relation's part is its total weight when its steps have one
+    layer, and with two (MAL's actions) its outer values folded over its
+    distributions' total masses.  Only the two terms are stepped; nothing
+    is explored.
     """
     relations = relation_tables(model, (left, right))
     for source, term_id in enumerate((left, right)):
@@ -313,19 +297,17 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         elif block_sig[block] != sig:
             raise FutsError("partition is not stable; refusing to quotient")
 
-    # a block's step is its signature's part: block totals, or for nested
-    # relations the outer values already folded over equal inner totals
+    # a block's step is its signature's part: its steps pushed forward
     relations: List[RelationData] = []
     first = 0  # the part of the relation's first label in every signature
     for data in fm.relations:
-        quotient = RelationData(data.name, data.kind, data.tag, data.inner_tag, data.labels)
+        quotient = RelationData(data.name, data.layers, data.labels)
         for block, sig in enumerate(block_sig):
             for slot, label in enumerate(data.labels, first):
-                part = sig[slot]
-                if data.kind == "nested":
-                    part = [(ff_make(data.inner_tag, inner), value) for inner, value in part]
-                qfn = ff_make(data.tag, part)
-                quotient.store(block, label, qfn, lambda b: fm.ctx.text(states[b]), lambda b: b)
+                if sig[slot]:
+                    quotient.transitions[block, label] = in_printed_order(
+                        sig[slot], data.layers, lambda b: fm.ctx.text(states[b]), lambda b: b
+                    )
         first += len(data.labels)
         relations.append(quotient)
 

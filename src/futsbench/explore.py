@@ -10,11 +10,16 @@ once, as its targets' state ids and weights in the printed order of the
 targets.  Zero steps are implicit.  A state's canonical and readable
 texts are read from the table when printed.
 
+A relation's ``layers`` are the weight domains of its steps, outermost
+first; one function per concern walks a step through them by recursion
+on the layers below the outermost (:func:`in_printed_order`,
+:func:`innermost`, :func:`step_text`, and ``bisim``'s push).
+
 Serializers render a model to deterministic JSON (states in
-exploration order, entries in canonical key order) or to Graphviz DOT
-(one edge per non-zero entry, labelled ``label / value``; transitions
-through inner distributions draw one edge per inner target with the
-whole distribution inline).
+exploration order, entries in canonical key order, one layout per layer)
+or to Graphviz DOT (one edge per non-zero entry, labelled ``label /
+value``; transitions through inner distributions draw one edge per inner
+target with the whole distribution inline).
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ExplorationLimitError
-from .fsfun import FinFn
-from .semiring import semiring_of
-from .sem_futs import futs_step, relation_labels, relation_specs
+from .sem_futs import Layers, futs_step, relation_labels, relation_specs
 from .syntax import Model
 # unused here, but bench/tracing.py wraps explore.pretty (ROADMAP item 3)
 from .syntax import pretty  # noqa: F401
@@ -40,53 +44,69 @@ class RelationData:
     """One step relation of an explored model."""
 
     name: str
-    kind: str  # "simple" | "nested"
-    tag: str
-    inner_tag: Optional[str]
+    layers: Layers  # the weight domains of a step, outermost first
     labels: Tuple[str, ...]
     # (source state id, label) -> non-zero step, in discovery order: the
-    # ``((target id, weight), ...)`` of a simple relation, or the
-    # ``((((target id, weight), ...), weight), ...)`` of a nested one
+    # ``((target id, weight), ...)`` of a step with one layer; with more,
+    # each key is such a tuple itself, an inner function over the layers
+    # below
     transitions: Dict[Tuple[int, str], tuple] = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        """``"simple"`` for steps with one layer, else ``"nested"``."""
+        return "simple" if len(self.layers) == 1 else "nested"
 
     def function_at(self, state_id: int, label: str) -> tuple:
         """The step of a state under a label; ``()`` when it is zero."""
         return self.transitions.get((state_id, label), ())
 
-    def store(
-        self,
-        source: int,
-        label: str,
-        fn: FinFn,
-        text_of: Callable[[int], str],
-        id_of: Callable[[int], int],
-    ) -> None:
-        """Record ``fn`` as the step of ``source`` unless it is zero.
 
-        Entries go in the order of their keys' printed text (``text_of``)
-        and then of the printed distributions; each key is mapped to a
-        state id by ``id_of`` in that order.
-        """
-        if not fn.entries:
-            return
+def in_printed_order(entries: tuple, layers: Layers, text_of: Callable, id_of: Callable) -> tuple:
+    """The non-zero function ``entries`` over ``layers`` as a stored step.
 
-        def by_text(entry):
-            return text_of(entry[0])
+    Its entries go in the order of their keys' printed text: a target's by
+    ``text_of``, an inner function's by :func:`step_text` with its own
+    entries ordered by their keys' :func:`key_text`.  Then each target is
+    mapped to a state id by ``id_of``, in the order the step is printed.
+    """
+    if len(layers) == 1:
+        return tuple((id_of(k), v) for k, v in sorted(entries, key=lambda e: text_of(e[0])))
+    deeper = layers[1:]
 
-        if self.kind == "simple":
-            step = tuple((id_of(k), v) for k, v in sorted(fn.entries, key=by_text))
-        else:
-            fmt = semiring_of(self.inner_tag).fmt
-            dists = [(sorted(inner.entries, key=by_text), value) for inner, value in fn.entries]
-            dists.sort(
-                key=lambda dist: "["
-                + ", ".join(f"{text_of(k)} -> {fmt(v)}" for k, v in dist[0])
-                + "]"
-            )
-            step = tuple(
-                (tuple((id_of(k), v) for k, v in inner), value) for inner, value in dists
-            )
-        self.transitions[source, label] = step
+    def printed(entry) -> str:
+        inner = sorted(entry[0].entries, key=lambda e: key_text(e[0], deeper[1:], text_of))
+        return step_text(inner, deeper, text_of)
+
+    ordered = sorted(entries, key=printed)
+    return tuple((in_printed_order(k.entries, deeper, text_of, id_of), v) for k, v in ordered)
+
+
+def innermost(pairs: Iterable[tuple], layers: Layers) -> Iterable[tuple]:
+    """The innermost functions of stored steps over ``layers``, from
+    ``(owner, step)`` pairs whose owners are tuples, in order: the pairs
+    themselves for steps with one layer, else each inner function paired
+    with its owner extended by it."""
+    for _ in layers[1:]:
+        pairs = [((*owner, inner), inner) for owner, step in pairs for inner, _ in step]
+    return pairs
+
+
+def step_text(entries: Iterable, layers: Layers, name_of: Callable) -> str:
+    """The printed form ``[k -> w, ...]`` of the function ``entries`` over
+    ``layers``, in the order of ``entries``, each key printed by
+    :func:`key_text`."""
+    fmt, deeper = layers[0].fmt, layers[1:]
+    return "[" + ", ".join(f"{key_text(k, deeper, name_of)} -> {fmt(v)}" for k, v in entries) + "]"
+
+
+def key_text(key, deeper: Layers, name_of: Callable) -> str:
+    """The printed form of a key with the layers ``deeper`` below it: a
+    target's ``name_of``, or ``distribution [k -> w, ...]`` for an inner
+    function."""
+    if not deeper:
+        return name_of(key)
+    return "distribution " + step_text(key.entries, deeper, name_of)
 
 
 @dataclass
@@ -107,7 +127,7 @@ def relation_tables(model: Model, roots: Iterable[int]) -> List[RelationData]:
     """One empty transition table per relation of the model's language,
     labelled by the actions of the model and of the terms ``roots``."""
     return [
-        RelationData(s.name, s.kind, s.tag, s.inner_tag, relation_labels(s, model, roots))
+        RelationData(s.name, s.layers, relation_labels(s, model, roots))
         for s in relation_specs(model.lang)
     ]
 
@@ -127,12 +147,15 @@ def store_steps(
     labels, not of the step's dict, so state ids do not depend on how the
     step was built.
     """
+    text_of = model.text
     for data in relations:
         steps = futs_step(model, term_id, data.name)
         for label in data.labels:
             fn = steps.get(label)
             if fn is not None:
-                data.store(source, label, fn, model.text, id_of)
+                data.transitions[source, label] = in_printed_order(
+                    fn.entries, data.layers, text_of, id_of
+                )
 
 
 def explore(
@@ -200,6 +223,7 @@ def _array(items: List[str], depth: int) -> str:
     return f"[{pad}  {(',' + pad + '  ').join(items)}{pad}]"
 
 
+@cache  # a step's layouts are looked up once per relation and output
 def _object_layout(names: Sequence[str], depth: int) -> str:
     """A %-format for a JSON object with these field names, nested ``depth``
     levels deep; each ``%s`` takes the encoded value of its field."""
@@ -211,21 +235,20 @@ _DOC = _object_layout(("language", "init", "states", "relations"), 0) + "\n"
 _STATE = _object_layout(("id", "term"), 2)
 _RELATION = _object_layout(("labels", "kind", "semiring", "transitions"), 2)
 _TRANSITION = _object_layout(("source", "label", "continuation"), 4)
-_ENTRY = _object_layout(("target", "value"), 6)
-_DISTRIBUTION = _object_layout(("inner", "value"), 6)
-_INNER_ENTRY = _object_layout(("target", "value"), 8)
 
 
-def _continuation_json(step: tuple, data: RelationData, keys: List[str]) -> str:
-    fmt = semiring_of(data.tag).fmt
-    if data.kind == "simple":
-        return _array([_ENTRY % (keys[t], _str(fmt(v))) for t, v in step], 5)
-    inner_fmt = semiring_of(data.inner_tag).fmt
-    dists = []
-    for inner, v in step:
-        entries = [_INNER_ENTRY % (keys[t], _str(inner_fmt(p))) for t, p in inner]
-        dists.append(_DISTRIBUTION % (_array(entries, 7), _str(fmt(v))))
-    return _array(dists, 5)
+def _continuation_json(layers: Layers, keys: List[str], depth: int = 5) -> Callable:
+    """The writer of a stored step over ``layers`` as a JSON array nested
+    ``depth`` levels deep: one ``target`` object per entry, with the
+    encoded key ``keys[target]``, or, with more layers, one ``inner``
+    object per entry, holding its inner function's array."""
+    fmt, deeper = layers[0].fmt, layers[1:]
+    if not deeper:
+        entry = _object_layout(("target", "value"), depth + 1)
+        return lambda step: _array([entry % (keys[t], _str(fmt(v))) for t, v in step], depth)
+    inner = _continuation_json(deeper, keys, depth + 2)
+    entry = _object_layout(("inner", "value"), depth + 1)
+    return lambda step: _array([entry % (inner(k), _str(fmt(v))) for k, v in step], depth)
 
 
 def to_json(fm: FutsModel) -> str:
@@ -233,14 +256,14 @@ def to_json(fm: FutsModel) -> str:
     keys = [_str(fm.ctx.text(term)) for term in fm.states]
     relations = []
     for data in fm.relations:
-        labels = [_str(label) for label in data.labels]
+        continuation = _continuation_json(data.layers, keys)
         transitions = [
-            _TRANSITION % (source, _str(label), _continuation_json(step, data, keys))
+            _TRANSITION % (source, _str(label), continuation(step))
             for (source, label), step in data.transitions.items()
         ]
-        relations.append(
-            _RELATION % (_array(labels, 3), _str(data.kind), _str(data.tag), _array(transitions, 3))
-        )
+        labels = _array([_str(label) for label in data.labels], 3)
+        head = (labels, _str(data.kind), _str(data.layers[0].tag))
+        relations.append(_RELATION % (*head, _array(transitions, 3)))
     states = [_STATE % (state, key) for state, key in enumerate(keys)]
     return _DOC % (_str(fm.ctx.lang), 0, _array(states, 1), _array(relations, 1))
 
@@ -254,11 +277,6 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _inline_distribution(inner: tuple, fmt: Callable[[object], str]) -> str:
-    parts = (f"s{target} -> {fmt(value)}" for target, value in inner)
-    return "[" + ", ".join(parts) + "]"
-
-
 def to_dot(fm: FutsModel) -> str:
     """Graphviz rendering: states as nodes (readable term text as the
     node label), one edge per non-zero entry labelled ``label / value``.
@@ -268,21 +286,14 @@ def to_dot(fm: FutsModel) -> str:
     for state, term in enumerate(fm.states):
         lines.append(f'  s{state} [label="{_dot_escape(fm.ctx.pretty(term))}"];')
     for data in fm.relations:
-        fmt = semiring_of(data.inner_tag if data.kind == "nested" else data.tag).fmt
-        for (source, label), targets in data.transitions.items():
-            if data.kind == "nested":
-                for inner, _ in targets:
-                    inline = _inline_distribution(inner, fmt)
-                    for target, value in inner:
-                        lines.append(
-                            f"  s{source} -> s{target} "
-                            f'[label="{_dot_escape(f"{label} / {fmt(value)} of {inline}")}"];'
-                        )
-            else:
-                for target, value in targets:
-                    lines.append(
-                        f"  s{source} -> s{target} "
-                        f'[label="{_dot_escape(f"{label} / {fmt(value)}")}"];'
-                    )
+        last = data.layers[-1:]
+        for (source, label, *within), fn in innermost(data.transitions.items(), data.layers):
+            # an entry of an inner function is labelled with that function too
+            of = "".join(f" of {step_text(inner, last, 's{}'.format)}" for inner in within[-1:])
+            for target, value in fn:
+                lines.append(
+                    f"  s{source} -> s{target} "
+                    f'[label="{_dot_escape(f"{label} / {last[0].fmt(value)}{of}")}"];'
+                )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -66,11 +66,6 @@ def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
     return _new(FinFn, (tag, tuple(kept)))
 
 
-def ff_zero(tag: str) -> FinFn:
-    """The constant-zero function of a domain."""
-    return _new(FinFn, (tag, ()))
-
-
 def _fold(tag: str, pairs: list) -> FinFn:
     """The canonical function of ``pairs``, whose values are all non-zero
     payloads of the domain ``tag``.

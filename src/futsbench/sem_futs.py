@@ -47,7 +47,7 @@ from .fsfun import (
     ff_oplus,
     ff_scale,
 )
-from .semiring import BOOL, NATSET, NNRAT
+from .semiring import BOOL, NATSET, NNRAT, Semiring, semiring_of
 from .syntax import (
     ActPrefix,
     Choice,
@@ -75,6 +75,9 @@ DELTA_LABEL = "delta"
 TICK_LABEL = "tick"
 
 Steps = Dict[str, FinFn]  # a term's step under one relation: label -> function
+# a relation's weight domains, outermost first: two for mal's actions,
+# whose keys are distributions, one for every other relation
+Layers = Tuple[Semiring, ...]
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,7 @@ class RelationSpec:
     """Shape of one step relation of a language, and the rule that steps it."""
 
     name: str  # "act" | "delay" | "tick"
-    kind: str  # "simple" | "nested"
-    tag: str  # weight domain of the (outer) function
-    inner_tag: Optional[str]  # weight domain of inner distributions, if nested
+    layers: Layers
     fixed_labels: Optional[Tuple[str, ...]]  # None: the model's action alphabet
     rule: Callable  # a term's step from its shape and its operands' steps
     through: tuple  # the forms the step walks through (see .syntax.evaluate)
@@ -325,19 +326,21 @@ def _mal_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     return {}  # nil, a delay
 
 
+_BOOL, _NNRAT, _NATSET = (semiring_of(tag) for tag in (BOOL, NNRAT, NATSET))
+
 # each language's relations, by name, in the order a state's steps list them
 _SPECS = {
-    "pepa": {ACT: RelationSpec(ACT, "simple", NNRAT, None, None, _pepa_act, STEP_FORMS)},
+    "pepa": {ACT: RelationSpec(ACT, (_NNRAT,), None, _pepa_act, STEP_FORMS)},
     "iml": {
-        ACT: RelationSpec(ACT, "simple", BOOL, None, None, _interactive_act, STEP_FORMS),
-        DELAY: RelationSpec(DELAY, "simple", NNRAT, None, (DELTA_LABEL,), _delay_step, STEP_FORMS),
+        ACT: RelationSpec(ACT, (_BOOL,), None, _interactive_act, STEP_FORMS),
+        DELAY: RelationSpec(DELAY, (_NNRAT,), (DELTA_LABEL,), _delay_step, STEP_FORMS),
     },
     "tpc": {
-        ACT: RelationSpec(ACT, "simple", BOOL, None, None, _interactive_act, STEP_FORMS),
-        TICK: RelationSpec(TICK, "simple", NATSET, None, (TICK_LABEL,), _tick_step, TIMED_FORMS),
+        ACT: RelationSpec(ACT, (_BOOL,), None, _interactive_act, STEP_FORMS),
+        TICK: RelationSpec(TICK, (_NATSET,), (TICK_LABEL,), _tick_step, TIMED_FORMS),
     },
     "mal": {
-        ACT: RelationSpec(ACT, "nested", BOOL, NNRAT, None, _mal_act, STEP_FORMS),
-        DELAY: RelationSpec(DELAY, "simple", NNRAT, None, (DELTA_LABEL,), _delay_step, STEP_FORMS),
+        ACT: RelationSpec(ACT, (_BOOL, _NNRAT), None, _mal_act, STEP_FORMS),
+        DELAY: RelationSpec(DELAY, (_NNRAT,), (DELTA_LABEL,), _delay_step, STEP_FORMS),
     },
 }

@@ -20,7 +20,6 @@ from futsbench.bisim import Partition, canonical_assignment, distinguish
 from futsbench.crosscheck import RATED, SET, TIMED, OracleMoves
 from futsbench.errors import FutsError
 from futsbench.explore import FutsModel, RelationData, explore
-from futsbench.semiring import semiring_of
 from futsbench.syntax import Model
 
 BRUTE_FORCE_MAX = 8
@@ -65,65 +64,45 @@ def brute_force(fm: FutsModel) -> Partition:
         return Partition(())
     # Raw-value signatures (no text rendering, set-based so nothing ever
     # needs to order semiring values) keep the inner loop fast.
-    def raw_block_sums(entries, assignment, sr):
-        acc: Dict[int, Any] = {}
-        for target, value in entries:
-            block = assignment[target]
-            acc[block] = sr.add(acc[block], value) if block in acc else value
-        return frozenset(
-            (block, value) for block, value in acc.items() if value != sr.zero
-        )
+    def raw_push(entries, layers, assignment):
+        """Targets to blocks, inner functions to their own pushes."""
+        sr, deeper = layers[0], layers[1:]
+        acc: Dict[Any, Any] = {}
+        for key, value in entries:
+            key = raw_push(key, deeper, assignment) if deeper else assignment[key]
+            acc[key] = sr.add(acc[key], value) if key in acc else value
+        return frozenset((key, value) for key, value in acc.items() if value != sr.zero)
 
-    # Per-state list of (kind, entry, target ids, slot, semiring, inner
-    # semiring) for each relation/label.
+    def targets_of(entries, layers) -> set:
+        if len(layers) == 1:
+            return {t for t, _ in entries}
+        return {t for inner, _ in entries for t in targets_of(inner, layers[1:])}
+
+    # Per-state list of (entry, target ids, slot, layers) for each
+    # relation/label.
     per_state: List[List[tuple]] = [[] for _ in range(n_states)]
     label_mask: List[tuple] = []
     for state_id in range(n_states):
         mask = []
         for data in fm.relations:
-            sr = semiring_of(data.tag)
-            inner_sr = semiring_of(data.inner_tag) if data.inner_tag else None
             for label in data.labels:
                 entry = data.transitions.get((state_id, label))
                 mask.append(entry is not None)
                 if entry is None:
                     continue
-                if data.kind == "simple":
-                    targets = tuple(sorted({t for t, _ in entry}))
-                else:
-                    targets = tuple(
-                        sorted({t for inner, _ in entry for t, _ in inner})
-                    )
-                per_state[state_id].append(
-                    (data.kind, entry, targets, len(mask) - 1, sr, inner_sr)
-                )
+                targets = tuple(sorted(targets_of(entry, data.layers)))
+                per_state[state_id].append((entry, targets, len(mask) - 1, data.layers))
         label_mask.append(tuple(mask))
 
     sig_cache: Dict[tuple, tuple] = {}
 
     def signature(state_id: int, assignment: Sequence[int]) -> tuple:
         parts = []
-        for kind, entry, targets, slot, sr, inner_sr in per_state[state_id]:
+        for entry, targets, slot, layers in per_state[state_id]:
             cache_key = (state_id, slot, tuple(assignment[t] for t in targets))
             part = sig_cache.get(cache_key)
             if part is None:
-                if kind == "simple":
-                    part = raw_block_sums(entry, assignment, sr)
-                else:
-                    acc: Dict[frozenset, Any] = {}
-                    for inner_entries, outer_value in entry:
-                        isig = raw_block_sums(inner_entries, assignment, inner_sr)
-                        acc[isig] = (
-                            sr.add(acc[isig], outer_value)
-                            if isig in acc
-                            else outer_value
-                        )
-                    part = frozenset(
-                        (isig, value)
-                        for isig, value in acc.items()
-                        if value != sr.zero
-                    )
-                sig_cache[cache_key] = part
+                part = sig_cache[cache_key] = raw_push(entry, layers, assignment)
             parts.append((slot, part))
         return tuple(parts)
 
@@ -186,27 +165,25 @@ def disjoint_union(left: FutsModel, right: FutsModel) -> FutsModel:
     if left.ctx is not right.ctx:
         raise FutsError("cannot union systems over different term tables")
     if len(left.relations) != len(right.relations) or any(
-        dl.name != dr.name or dl.kind != dr.kind or dl.labels != dr.labels
+        dl.name != dr.name or dl.layers != dr.layers or dl.labels != dr.labels
         for dl, dr in zip(left.relations, right.relations)
     ):
         raise FutsError("cannot union systems with different relations or labels")
 
     offset = len(left.states)
 
-    def shifted(pairs) -> tuple:
-        return tuple((offset + target, value) for target, value in pairs)
+    def shifted(step, layers) -> tuple:
+        if len(layers) == 1:
+            return tuple((offset + target, value) for target, value in step)
+        return tuple((shifted(inner, layers[1:]), value) for inner, value in step)
 
     states = left.states + right.states
     relations: List[RelationData] = []
     for dl, dr in zip(left.relations, right.relations):
-        merged = RelationData(dl.name, dl.kind, dl.tag, dl.inner_tag, dl.labels)
+        merged = RelationData(dl.name, dl.layers, dl.labels)
         merged.transitions = dict(dl.transitions)
         for (source, label), step in dr.transitions.items():
-            if dl.kind == "simple":
-                step = shifted(step)
-            else:
-                step = tuple((shifted(inner), value) for inner, value in step)
-            merged.transitions[offset + source, label] = step
+            merged.transitions[offset + source, label] = shifted(step, dl.layers)
         relations.append(merged)
 
     return FutsModel(left.ctx, states, relations)

@@ -3,45 +3,58 @@
 Steps are keyed by term ids (``futs_step``, one function per label) or
 state ids (an explored transition table).  Tests that state expected functions by canonical
 term text compare through :func:`as_text`, and name an explored state by
-its text through :func:`state_keys` and :func:`state_of`.
+its text through :func:`state_keys` and :func:`state_of`.  The zero
+function of a domain, which only tests need, is :func:`ff_zero`.
 """
 
-from futsbench.fsfun import FinFn, ff_make, ff_zero
+from futsbench.fsfun import FinFn, ff_make
 from futsbench.semiring import semiring_of
 from futsbench.sem_futs import futs_step, relation_specs
 from futsbench.syntax import parse_term
 
 
-def as_text(tag, entries, text_of, inner_tag=None):
-    """The function ``entries`` over domain ``tag``, each id replaced by ``text_of(id)``.
+def ff_zero(tag):
+    """The constant-zero function of a domain."""
+    return ff_make(tag, ())
 
-    ``entries`` are ``(id, weight)`` pairs, or ``(inner, weight)`` pairs
-    whose inner distribution is a ``FinFn`` or a tuple of ``(id, weight)``
-    pairs over ``inner_tag``.
+
+def as_text(layers, entries, text_of):
+    """The function ``entries`` over ``layers`` (weight domains, outermost
+    first), each id replaced by ``text_of(id)``.
+
+    ``entries`` are ``(id, weight)`` pairs, or, with more layers,
+    ``(inner, weight)`` pairs whose inner function is a ``FinFn`` or a
+    tuple of pairs over the layers below.
     """
+    deeper = layers[1:]
 
     def key(k):
-        if isinstance(k, FinFn):
-            return as_text(k.tag, k.entries, text_of)
-        if isinstance(k, tuple):
-            return as_text(inner_tag, k, text_of)
-        return text_of(k)
+        if not deeper:
+            return text_of(k)
+        return as_text(deeper, k.entries if isinstance(k, FinFn) else k, text_of)
 
-    return ff_make(tag, [(key(k), v) for k, v in entries])
+    return ff_make(layers[0].tag, [(key(k), v) for k, v in entries])
+
+
+def relation_spec(ctx, relation):
+    """The spec of one relation of the model's language."""
+    (spec,) = [spec for spec in relation_specs(ctx.lang) if spec.name == relation]
+    return spec
 
 
 def steps_text(ctx, term_id, relation):
     """A freshly computed step of a term under one relation, each label's
     function keyed by term text."""
+    layers = relation_spec(ctx, relation).layers
     steps = futs_step(ctx, term_id, relation)
-    return {label: as_text(fn.tag, fn.entries, ctx.text) for label, fn in steps.items()}
+    return {label: as_text(layers, fn.entries, ctx.text) for label, fn in steps.items()}
 
 
 def step_text(ctx, term_id, relation, label):
     """A freshly computed step of a term under one label, keyed by term
     text; the zero function when the term cannot take the label."""
-    (spec,) = [spec for spec in relation_specs(ctx.lang) if spec.name == relation]
-    return steps_text(ctx, term_id, relation).get(label, ff_zero(spec.tag))
+    zero = ff_zero(relation_spec(ctx, relation).layers[0].tag)
+    return steps_text(ctx, term_id, relation).get(label, zero)
 
 
 def state_keys(fm):
@@ -57,7 +70,7 @@ def state_of(fm, text):
 def stored_text(fm, data, state_id, label):
     """An explored step, keyed by its targets' state keys."""
     step = data.function_at(state_id, label)
-    return as_text(data.tag, step, lambda t: fm.ctx.text(fm.states[t]), data.inner_tag)
+    return as_text(data.layers, step, lambda t: fm.ctx.text(fm.states[t]))
 
 
 def fn_text(fn):

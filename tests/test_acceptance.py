@@ -27,13 +27,13 @@ from futsbench.crosscheck import (
     time_determinism_check,
 )
 from futsbench.explore import explore, to_json
-from futsbench.fsfun import ff_make, ff_oplus, ff_zero
+from futsbench.fsfun import ff_make, ff_oplus
 from futsbench.semiring import TAGS, semiring_of
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model, parse_term
 
 from bisimref import brute_force, disjoint_union
-from idtext import as_text, fn_text, state_keys, steps_text, stored_text
+from idtext import as_text, ff_zero, fn_text, state_keys, steps_text, stored_text
 from modelgen import bodies, build_corpus, fresh_copy, model_text, random_value, tree
 
 LANGS = ("pepa", "iml", "tpc", "mal")
@@ -171,11 +171,11 @@ def printed_image(fm, data, fn, state_of):
     def key(state):
         return fm.ctx.text(fm.states[state])
 
-    if data.kind == "simple":
+    if len(data.layers) == 1:
         return simple(fn.entries)
 
     def printed(dist):
-        return fn_text(as_text(data.inner_tag, dist[0], key))
+        return fn_text(as_text(data.layers[1:], dist[0], key))
 
     return tuple(sorted(((simple(inner.entries), v) for inner, v in fn.entries), key=printed))
 
@@ -209,7 +209,7 @@ def test_criterion_03_totality_and_determinism():
                     assert set(once) <= set(labels)
                     assert all(fn.entries for fn in once.values())
                     for label in labels:
-                        fn = once.get(label, ff_zero(spec.tag))
+                        fn = once.get(label, ff_zero(spec.layers[0].tag))
                         assert data.function_at(state, label) == printed_image(
                             fm, data, fn, state_of
                         )
@@ -306,7 +306,7 @@ def test_criterion_07_refinement_vs_brute_force():
             assert len(fm.states) <= 8
             assert refine(fm) == brute_force(fm)
             total += 1
-            if any(d.kind == "nested" and d.transitions for d in fm.relations):
+            if any(len(d.layers) > 1 and d.transitions for d in fm.relations):
                 nested_seen += 1
     elapsed = time.monotonic() - start
     assert total >= 500

@@ -50,6 +50,19 @@ def test_the_result_hooks_read_an_explored_model_and_its_partition():
     assert tracer.values["explore.transitions_act"] == 6
     assert tracer.values["sem_futs.registered_terms"] == len(fm.ctx.registry)
     assert tracer.values["bisim.blocks"] == 2
+    assert tracer.values["explore.transitions_nested"] == 0
+
+
+def test_the_explore_hook_counts_the_transitions_of_inner_functions():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    # X's act step is one distribution, over nil and 1.X, whose delay leads to X
+    fm = explore(parse_model("X = a.{1/2: nil [] 1/2: 1.X}\ninit X\n", "mal"))
+    tracing._on_explore(tracer, fm)
+    assert tracer.values["explore.states"] == 3
+    assert tracer.values["explore.transitions_act"] == 1
+    assert tracer.values["explore.transitions_delay"] == 1
+    assert tracer.values["explore.transitions_nested"] == 1
 
 
 def test_an_explored_model_exposes_its_term_table():

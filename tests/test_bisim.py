@@ -392,7 +392,7 @@ def test_refine_agrees_with_reference_loop_on_corpora(lang):
         )
     if lang == "mal":
         assert any(
-            data.kind == "nested" and data.transitions
+            len(data.layers) > 1 and data.transitions
             for fm in corpus
             for data in fm.relations
         )

@@ -110,7 +110,7 @@ def test_oracle_partition_needs_neither_refine_nor_its_signatures(lang, monkeypa
 
     borrowed = [(bisim, "refine"), (crosscheck, "refine")] + [
         (bisim, name)
-        for name in ("_state_signature", "_predecessors", "_block_sum_sig", "_lifted_sig")
+        for name in ("_state_signature", "_predecessors", "_push")
     ]
     for module, name in borrowed:
         monkeypatch.setattr(module, name, refuse)

@@ -12,11 +12,10 @@ import pytest
 from futsbench.bisim import minimize, refine
 from futsbench.errors import ExplorationLimitError
 from futsbench.explore import explore, to_dot, to_json
-from futsbench.fsfun import ff_make, ff_oplus, ff_zero
-from futsbench.semiring import semiring_of
+from futsbench.fsfun import ff_make, ff_oplus
 from futsbench.syntax import LANGUAGES, parse_model, parse_term, pretty, term_key
 
-from idtext import state_keys, state_of, stored_text
+from idtext import ff_zero, state_keys, state_of, stored_text
 from modelgen import build_corpus, tree
 
 GOLDEN_PEPA = """\
@@ -77,18 +76,21 @@ def test_golden_model_states_and_functions():
         assert ff_oplus(fn_at(state, "a")) == Fraction(1)
 
 
+def _targets(step, layers):
+    """Every target of a stored step over ``layers``, inner functions' too."""
+    if len(layers) == 1:
+        return [target for target, _ in step]
+    return [target for inner, _ in step for target in _targets(inner, layers[1:])]
+
+
 def test_closure_every_support_key_is_a_state():
     text = "X = a.{1/2: nil [] 1/2: Y}\nY = 1.X\ninit X |[]| Y\n"
     fm = explore(parse_model(text, "mal"))
+    assert [len(data.layers) for data in fm.relations] == [2, 1]
     for data in fm.relations:
         for step in data.transitions.values():
-            if data.kind == "nested":
-                for inner, _ in step:
-                    for target, _ in inner:
-                        assert 0 <= target < len(fm.states)
-            else:
-                for target, _ in step:
-                    assert 0 <= target < len(fm.states)
+            for target in _targets(step, data.layers):
+                assert 0 <= target < len(fm.states)
 
 
 def test_exploration_limit():
@@ -186,18 +188,11 @@ def test_dot_nested_inlines_the_distribution():
 def _reference_json_doc(fm):
     """The document ``to_json`` writes, built as dicts and lists."""
 
-    def continuation(step, data):
-        fmt = semiring_of(data.tag).fmt
-        if data.kind == "simple":
+    def continuation(step, layers):
+        fmt = layers[0].fmt
+        if len(layers) == 1:
             return [{"target": keys[t], "value": fmt(v)} for t, v in step]
-        inner_fmt = semiring_of(data.inner_tag).fmt
-        return [
-            {
-                "inner": [{"target": keys[t], "value": inner_fmt(p)} for t, p in inner],
-                "value": fmt(v),
-            }
-            for inner, v in step
-        ]
+        return [{"inner": continuation(inner, layers[1:]), "value": fmt(v)} for inner, v in step]
 
     keys = state_keys(fm)
     return {
@@ -207,10 +202,14 @@ def _reference_json_doc(fm):
         "relations": [
             {
                 "labels": list(data.labels),
-                "kind": data.kind,
-                "semiring": data.tag,
+                "kind": "simple" if len(data.layers) == 1 else "nested",
+                "semiring": data.layers[0].tag,
                 "transitions": [
-                    {"source": source, "label": label, "continuation": continuation(step, data)}
+                    {
+                        "source": source,
+                        "label": label,
+                        "continuation": continuation(step, data.layers),
+                    }
                     for (source, label), step in data.transitions.items()
                 ],
             }
@@ -234,10 +233,10 @@ def test_json_matches_the_standard_encoder_byte_for_byte():
     for fm in _json_cases():
         expected = json.dumps(_reference_json_doc(fm), indent=2) + "\n"
         assert to_json(fm) == expected
-        seen.update(data.kind for data in fm.relations if data.transitions)
+        seen.update(f"{len(data.layers)} layers" for data in fm.relations if data.transitions)
         seen.update("no labels" for data in fm.relations if not data.labels)
         seen.update("non-ASCII" for key in state_keys(fm) if not key.isascii())
-    assert seen == {"simple", "nested", "no labels", "non-ASCII"}
+    assert seen == {"1 layers", "2 layers", "no labels", "non-ASCII"}
 
 
 @pytest.mark.parametrize("lang", LANGUAGES)

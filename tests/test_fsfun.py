@@ -14,11 +14,10 @@ from futsbench.fsfun import (
     ff_map_keys,
     ff_oplus,
     ff_scale,
-    ff_zero,
 )
 from futsbench.semiring import TAGS, TOP, semiring_of
 
-from idtext import fn_text
+from idtext import ff_zero, fn_text
 from modelgen import random_finfn, random_value
 
 

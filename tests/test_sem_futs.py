@@ -11,7 +11,7 @@ import pytest
 
 from futsbench.errors import DelayCycleError, UnguardedRecursionError
 from futsbench.explore import explore
-from futsbench.fsfun import ff_make, ff_oplus, ff_zero
+from futsbench.fsfun import ff_make, ff_oplus
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs, tpc_max_delay
 from futsbench.sem_oracle import (
     OracleTerms,
@@ -23,7 +23,7 @@ from futsbench.sem_oracle import (
 )
 from futsbench.syntax import Model, children, parse_model, parse_term, term_key
 
-from idtext import fn_text, step_text
+from idtext import ff_zero, fn_text, step_text
 from modelgen import bodies, build_corpus, fresh_copy, tree
 
 
@@ -42,9 +42,14 @@ def test_relation_specs():
     assert [s.name for s in relation_specs("iml")] == ["act", "delay"]
     assert [s.name for s in relation_specs("tpc")] == ["act", "tick"]
     assert [s.name for s in relation_specs("mal")] == ["act", "delay"]
-    assert [(s.kind, s.tag) for s in relation_specs("mal")] == [
-        ("nested", "BOOL"),
-        ("simple", "NNRAT"),
+    # MAL's act is a boolean function over distributions of states
+    assert [tuple(sr.tag for sr in s.layers) for s in relation_specs("mal")] == [
+        ("BOOL", "NNRAT"),
+        ("NNRAT",),
+    ]
+    assert [tuple(sr.tag for sr in s.layers) for s in relation_specs("tpc")] == [
+        ("BOOL",),
+        ("NATSET",),
     ]
     model = parse_model("init a.nil |[b]| nil\n", "iml")
     act, delay = relation_specs("iml")

@@ -12,6 +12,7 @@ import pytest
 
 from futsbench.bisim import _state_signature, minimize, refine
 from futsbench.crosscheck import DISTS, RATED, TIMED, oracle_moves
+from futsbench.fsfun import FinFn
 from futsbench.sem_futs import futs_step
 from futsbench.sem_oracle import OracleTerms, pepa_apparent_rate, pepa_transitions
 from futsbench.semiring import NATSET, NNRAT
@@ -38,12 +39,16 @@ def _numbers(tag: str, weights) -> list:
     return []
 
 
-def _step_numbers(data, step) -> list:
-    """The numbers in one step (or quotient step, or signature part) of
-    ``data``'s relation; a nested step's outer weights are truth values."""
-    if data.kind == "simple":
-        return _numbers(data.tag, (w for _, w in step))
-    return _numbers(data.inner_tag, (p for inner, _ in step for _, p in inner))
+def _step_numbers(layers, step) -> list:
+    """The numbers in one step (or quotient step, or signature part) over
+    ``layers``: its weights' and its inner functions' (a ``FinFn`` in a
+    signature part, a tuple of pairs in a step)."""
+    numbers = _numbers(layers[0].tag, [w for _, w in step])
+    if len(layers) > 1:
+        for inner, _ in step:
+            entries = inner.entries if isinstance(inner, FinFn) else inner
+            numbers += _step_numbers(layers[1:], entries)
+    return numbers
 
 
 def _signature_numbers(relations, parts) -> list:
@@ -52,7 +57,7 @@ def _signature_numbers(relations, parts) -> list:
     parts = iter(parts)
     for data in relations:
         for _ in data.labels:
-            numbers += _step_numbers(data, next(parts))
+            numbers += _step_numbers(data.layers, next(parts))
     return numbers
 
 
@@ -167,11 +172,11 @@ def test_no_weight_is_a_float_or_a_bool(lang):
         relations = fm.relations
         for data in relations:
             for key, step in data.transitions.items():
-                read += _assert_exact(_step_numbers(data, step), f"step {key}")
+                read += _assert_exact(_step_numbers(data.layers, step), f"step {key}")
         partition = refine(fm)
         for data in minimize(fm, partition).relations:
             for key, step in data.transitions.items():
-                read += _assert_exact(_step_numbers(data, step), f"quotient step {key}")
+                read += _assert_exact(_step_numbers(data.layers, step), f"quotient step {key}")
         for assignment in ([0] * len(fm.states), partition.assignment):
             for state in range(len(fm.states)):
                 parts = _state_signature(relations, state, assignment)
