@@ -3,18 +3,21 @@ step-derivation oracle, plus structural sanity checks.
 
 `oracle_moves` enumerates the classical oracle once per explored model:
 for each state and each (relation, label) slot, the oracle's derivations,
-with their targets resolved to state ids.  It walks the states in a
-table of the oracle's own terms, built for that one call, and resolves
-each target to a state by its id there: the table hash-conses, so equal
-terms share one id.  A target's text is rendered only to name one that
-is not an explored state.  The apparent-rate, agreement,
-time-determinism and correspondence checks all read the moves table
-that results, and the apparent-rate check the oracle table it was
-enumerated in.  The correspondence check builds the oracle's own
-partition from it alone, by a worklist loop that re-signs a state from
-its derivations whenever one of its targets changes block.  That loop
-is written apart from `refine`, whose partition it is compared with, and
-uses none of its code.
+with their targets resolved to state ids and folded into one function,
+as the relation's ``layers`` describe a step: a dict from key (a state
+id, or for MAL's act a distribution over state ids) to weight.  So every
+reader has one case for flat keys and one for distribution keys.  It
+walks the states in a table of the oracle's own terms, built for that
+one call, and resolves each target to a state by its id there: the
+table hash-conses, so equal terms share one id.  A target's text is
+rendered only to name one that is not an explored state.  The
+apparent-rate, agreement, time-determinism and correspondence checks
+all read the moves table that results, and the apparent-rate check the
+oracle table it was enumerated in.  The correspondence check builds the
+oracle's own partition from it alone, by a worklist loop that re-signs
+a state from its derivations whenever one of its targets changes block.
+That loop is written apart from `refine`, whose partition it is
+compared with, and uses none of its code.
 
 Every check walks all explored states of one model and reports how many
 comparisons it made and which ones failed.  The `compare` CLI command and
@@ -22,13 +25,12 @@ the acceptance suite both run these.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .bisim import Partition, canonical_assignment, refine
 from .errors import UnknownStateError
 from .explore import FutsModel, RelationData
-from .sem_futs import tpc_max_delay
+from .sem_futs import Layers, tpc_max_delay
 from .sem_oracle import (
     OracleTerms,
     action_distributions,
@@ -76,12 +78,6 @@ def _relation(fm: FutsModel, name: str):
 # The oracle's derivations, enumerated once per model
 # ---------------------------------------------------------------------------
 
-# The four shapes of a slot's derivations, by language and relation:
-RATED = "rated"  # ((rate, target), ...), one per derivation: PEPA act, IML/MAL delay
-SET = "set"  # frozenset of targets: IML/TPC act
-TIMED = "timed"  # frozenset of (amount, target): TPC tick
-DISTS = "dists"  # frozenset of distributions, frozensets of (target, mass): MAL act
-
 
 @dataclass(frozen=True)
 class OracleMoves:
@@ -89,25 +85,39 @@ class OracleMoves:
 
     ``table`` is the oracle's term table they were enumerated in, and
     ``terms[s]`` state ``s``'s id there.  ``slots`` holds one (relation,
-    label, shape) for each label of each of the model's relations, in
-    their order; ``rows[s][i]`` holds state ``s``'s derivations for slot
-    ``i``.
+    label) for each label of each of the model's relations, in their
+    order; ``rows[s][i]`` holds state ``s``'s derivations for slot ``i``
+    folded into one function, a dict from key to weight.  A key is a
+    target's state id, or, for a relation with an inner layer (MAL's act),
+    a distribution: a frozenset of (state id, mass) pairs.
     """
 
     table: OracleTerms
     terms: Tuple[int, ...]
-    slots: Tuple[Tuple[RelationData, str, str], ...]
-    rows: Tuple[tuple, ...]
+    slots: Tuple[Tuple[RelationData, str], ...]
+    rows: Tuple[Tuple[Dict[Any, Any], ...], ...]
+
+
+def _fold(pairs: Iterable[tuple], add) -> Dict[Any, Any]:
+    """(key, weight) pairs as one function: the weights of equal keys added
+    up by ``add``.  Weights are non-zero and every domain is zero-sum-free,
+    so no sum is zero."""
+    acc: Dict[Any, Any] = {}
+    for key, weight in pairs:
+        acc[key] = add(acc[key], weight) if key in acc else weight
+    return acc
 
 
 def oracle_moves(fm: FutsModel) -> OracleMoves:
     """Enumerate the classical oracle once for each state and slot, in a
-    fresh table of the oracle's own terms.  Each target's state is found
-    by its id there; a target's text is rendered only for the error that
-    names a target that is not an explored state."""
+    fresh table of the oracle's own terms, and fold each slot's derivations
+    with its relation's outermost ``layers[0].add``.  Each target's state
+    is found by its id there; a target's text is rendered only for the
+    error that names a target that is not an explored state."""
     table = OracleTerms(fm.ctx)
     terms = tuple(table.of_model(term) for term in fm.states)
     state_ids = {term: state for state, term in enumerate(terms)}
+    lang = fm.ctx.lang
 
     def state_of(target: int) -> int:
         try:
@@ -117,39 +127,31 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
                 f"step-derivation target {table.text(target)!r} is not an explored state"
             ) from None
 
-    slots = []
-    for data in fm.relations:
-        if data.name == "act":
-            shape = {"pepa": RATED, "mal": DISTS}.get(fm.ctx.lang, SET)
-        else:
-            shape = RATED if data.name == "delay" else TIMED
-        slots += [(data, label, shape) for label in data.labels]
+    def derivations(relation: str, term_id: int, label: str) -> Iterable[tuple]:
+        """One slot's derivations as (key, weight) pairs, by the walker of
+        the language and relation."""
+        if relation == "delay":
+            return [(state_of(t), rate) for rate, t in delay_derivations(table, term_id)]
+        if relation == "tick":
+            return [(state_of(t), frozenset([n])) for n, t in timed_transitions(table, term_id)]
+        if lang == "pepa":
+            return [(state_of(t), rate) for rate, t in pepa_transitions(table, term_id, label)]
+        if lang == "mal":
+            return [
+                (frozenset([(state_of(t), mass) for t, mass in dist]), True)
+                for dist in action_distributions(table, term_id, label)
+            ]
+        return [(state_of(t), True) for t in interactive_transitions(table, term_id, label)]
 
-    rows = []
-    for term_id in terms:
-        row = []
-        for data, label, shape in slots:
-            if shape == RATED:
-                if data.name == "act":
-                    derived = pepa_transitions(table, term_id, label)
-                else:
-                    derived = delay_derivations(table, term_id)
-                row.append(tuple((rate, state_of(target)) for rate, target in derived))
-            elif shape == SET:
-                targets = interactive_transitions(table, term_id, label)
-                row.append(frozenset(state_of(target) for target in targets))
-            elif shape == TIMED:
-                timed = timed_transitions(table, term_id)
-                row.append(frozenset((n, state_of(target)) for n, target in timed))
-            else:
-                row.append(
-                    frozenset(
-                        frozenset((state_of(target), mass) for target, mass in dist)
-                        for dist in action_distributions(table, term_id, label)
-                    )
-                )
-        rows.append(tuple(row))
-    return OracleMoves(table, terms, tuple(slots), tuple(rows))
+    slots = tuple((data, label) for data in fm.relations for label in data.labels)
+    rows = tuple(
+        tuple(
+            _fold(derivations(data.name, term_id, label), data.layers[0].add)
+            for data, label in slots
+        )
+        for term_id in terms
+    )
+    return OracleMoves(table, terms, slots, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -181,55 +183,32 @@ def apparent_rate_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _fold_rates(pairs) -> Dict[int, Fraction]:
-    """Each target's total rate.  Rates are positive, so no total is zero."""
-    acc: Dict[int, Fraction] = {}
-    for rate, target in pairs:
-        acc[target] = acc[target] + rate if target in acc else rate
-    return acc
+def _named(fn: Dict[Any, Any], fm: FutsModel) -> Dict[Any, Any]:
+    """A folded function with its states named by their text."""
 
+    def name(key):
+        if isinstance(key, frozenset):
+            return frozenset((_key(fm, t), mass) for t, mass in key)
+        return _key(fm, key)
 
-def _named(shape: str, value, fm: FutsModel):
-    """A slot's value in the agreement check, its states named by their text."""
-    if shape == SET:
-        return {_key(fm, t) for t in value}
-    if shape == DISTS:
-        return {frozenset((_key(fm, t), mass) for t, mass in dist) for dist in value}
-    return {_key(fm, t): weight for t, weight in value.items()}
-
-
-_MISMATCH = {
-    RATED: "weights {} != derivations {}",
-    SET: "targets {} != {}",
-    TIMED: "tick amounts {} != derivations {}",
-    DISTS: "distributions {} != {}",
-}
+    return {name(key): weight for key, weight in fn.items()}
 
 
 def agreement_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
     checked = 0
     failures: List[str] = []
     for state, row in enumerate(moves.rows):
-        for (data, label, shape), derived in zip(moves.slots, row):
+        for (data, label), derived in zip(moves.slots, row):
             step = data.function_at(state, label)
             checked += 1
-            if shape == RATED:
-                got, expected = dict(step), _fold_rates(derived)
-            elif shape == SET:
-                got, expected = frozenset(t for t, _ in step), derived
-            elif shape == TIMED:
-                amounts: Dict[int, set] = {}
-                for amount, target in derived:
-                    amounts.setdefault(target, set()).add(amount)
+            if len(data.layers) == 1:
                 got = dict(step)
-                expected = {target: frozenset(v) for target, v in amounts.items()}
             else:
-                got, expected = {frozenset(inner) for inner, _ in step}, derived
-            if got != expected:
-                message = ("delay " if data.name == "delay" else "") + _MISMATCH[shape]
+                got = {frozenset(inner): weight for inner, weight in step}
+            if got != derived:
                 failures.append(
-                    f"state {state} ({_pretty(fm, state)}) label {label}: "
-                    + message.format(_named(shape, got, fm), _named(shape, expected, fm))
+                    f"state {state} ({_pretty(fm, state)}) {data.name} {label}: "
+                    f"weights {_named(got, fm)} != derivations {_named(derived, fm)}"
                 )
     return CheckResult(
         "per-target semantics agreement", not failures, checked, tuple(failures)
@@ -259,19 +238,20 @@ def tick_singleton_check(fm: FutsModel) -> CheckResult:
 
 
 def time_determinism_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
-    tick = next(i for i, (_, _, shape) in enumerate(moves.slots) if shape == TIMED)
+    tick = next(i for i, (data, _) in enumerate(moves.slots) if data.name == "tick")
     checked = 0
     failures: List[str] = []
     for state, row in enumerate(moves.rows):
         seen: Dict[int, int] = {}
-        for amount, target in row[tick]:
-            checked += 1
-            other = seen.setdefault(amount, target)
-            if other != target:
-                failures.append(
-                    f"state {state} ({_pretty(fm, state)}): waiting {amount} reaches "
-                    f"both {_key(fm, other)!r} and {_key(fm, target)!r}"
-                )
+        for target, amounts in row[tick].items():
+            for amount in sorted(amounts):
+                checked += 1
+                other = seen.setdefault(amount, target)
+                if other != target:
+                    failures.append(
+                        f"state {state} ({_pretty(fm, state)}): waiting {amount} reaches "
+                        f"both {_key(fm, other)!r} and {_key(fm, target)!r}"
+                    )
     return CheckResult(
         "oracle time-determinism", not failures, checked, tuple(failures)
     )
@@ -317,36 +297,22 @@ def distribution_check(fm: FutsModel) -> CheckResult:
     )
 
 
-def _block_totals(pairs, block_of: Sequence[int]) -> frozenset:
-    """The total weight of (weight, target) pairs per block.  Rates and
-    masses are positive, so no total is zero."""
-    acc: Dict[int, Any] = {}
-    for weight, target in pairs:
-        block = block_of[target]
-        acc[block] = acc[block] + weight if block in acc else weight
-    return frozenset(acc.items())
-
-
-def _oracle_signature(shapes: Sequence[str], row: tuple, block_of: Sequence[int]) -> tuple:
-    """A state's derivations pushed forward along ``block_of``, one part per
-    slot: a ``rated`` slot's total per block, a ``set`` slot's set of
-    blocks, a ``timed`` slot's (amount, block) pairs, and each of a
-    ``dists`` slot's distributions as its mass per block."""
+def _oracle_signature(slot_layers: Sequence[Layers], row: tuple, block_of: Sequence[int]) -> tuple:
+    """A state's folded derivations pushed forward along ``block_of``, one
+    part per slot: a target becomes its block, a distribution its mass per
+    block, and the weights of keys that become equal add up."""
     parts = []
-    for shape, derived in zip(shapes, row):
-        if shape == RATED:
-            parts.append(_block_totals(derived, block_of))
-        elif shape == SET:
-            parts.append(frozenset([block_of[target] for target in derived]))
-        elif shape == TIMED:
-            parts.append(frozenset([(n, block_of[target]) for n, target in derived]))
-        else:
-            parts.append(
-                frozenset(
-                    _block_totals([(mass, target) for target, mass in dist], block_of)
-                    for dist in derived
-                )
-            )
+    for layers, fn in zip(slot_layers, row):
+        add = layers[0].add
+        acc: Dict[Any, Any] = {}
+        # `_fold` inlined: this is the oracle partition's inner loop
+        for key, weight in fn.items():
+            if len(layers) == 1:
+                key = block_of[key]
+            else:
+                key = frozenset(_fold([(block_of[t], m) for t, m in key], layers[1].add).items())
+            acc[key] = add(acc[key], weight) if key in acc else weight
+        parts.append(frozenset(acc.items()))
     return tuple(parts)
 
 
@@ -362,24 +328,21 @@ def oracle_partition_from(moves: OracleMoves) -> Partition:
     recomputed in full, so presence and amounts need no counts and
     nothing is subtracted.  The table's rows follow the exploration's
     state ids, so block ids line up with `refine`."""
-    shapes = [shape for _, _, shape in moves.slots]
+    slot_layers = [data.layers for data, _ in moves.slots]
     rows = moves.rows
     n_states = len(rows)
     # for each state, the states with a derivation into it (a distribution
     # counts every branch); a source may appear more than once
     preds: List[List[int]] = [[] for _ in range(n_states)]
     for source, row in enumerate(rows):
-        for shape, derived in zip(shapes, row):
-            if shape == SET:
-                for target in derived:
+        for layers, fn in zip(slot_layers, row):
+            if len(layers) == 1:
+                for target in fn:
                     preds[target].append(source)
-            elif shape == DISTS:
-                for dist in derived:
+            else:
+                for dist in fn:
                     for target, _ in dist:
                         preds[target].append(source)
-            else:
-                for _, target in derived:
-                    preds[target].append(source)
 
     block_of = [0] * n_states
     members = [set(range(n_states))]
@@ -389,7 +352,7 @@ def oracle_partition_from(moves: OracleMoves) -> Partition:
         changed: Dict[int, Dict[tuple, List[int]]] = {}
         for state in dirty:
             block = block_of[state]
-            sig = _oracle_signature(shapes, rows[state], block_of)
+            sig = _oracle_signature(slot_layers, rows[state], block_of)
             if sig != block_sig[block]:
                 changed.setdefault(block, {}).setdefault(sig, []).append(state)
         moved: List[int] = []

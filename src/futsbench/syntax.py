@@ -816,37 +816,14 @@ def render_cached(
 
 def render_key(node, key_of: Callable[[Any], str]) -> str:
     """:func:`term_key`'s text for one node, whose subterms (nodes, ids or
-    anything else) ``key_of`` renders."""
-    if isinstance(node, Nil):
-        return "nil"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, RatedPrefix):
-        return f"({node.action}, {node.rate}).{key_of(node.cont)}"
-    if isinstance(node, ActPrefix):
-        return f"{node.action}.{key_of(node.cont)}"
-    if isinstance(node, RatePrefix):
-        # spaces keep the rate and a numeric continuation from fusing
-        # into one decimal literal when the key is re-parsed
-        return f"{node.rate} . {key_of(node.cont)}"
-    if isinstance(node, TimePrefix):
-        return f"({node.delay}).{key_of(node.cont)}"
-    if isinstance(node, ProbPrefix):
-        inner = " [] ".join(
-            f"{p}: {key_of(cont)}" for p, cont in node.branches
-        )
-        return f"{node.action}.{{{inner}}}"
-    if isinstance(node, Choice):
-        return f"({key_of(node.left)} + {key_of(node.right)})"
-    if isinstance(node, Coop):
-        return f"({key_of(node.left)} <{_format_actions(node.actions)}> {key_of(node.right)})"
-    if isinstance(node, Par):
-        return (
-            f"({key_of(node.left)} |[{_format_actions(node.actions)}]| "
-            f"{key_of(node.right)})"
-        )
-    raise TypeError(f"not a term: {node!r}")  # pragma: no cover
+    anything else) ``key_of`` renders: :func:`render_pretty`'s text with
+    every subterm's key in place, in parentheses when the node is a binary
+    operator."""
+    text = render_pretty(node, lambda sub, _: key_of(sub))
+    return f"({text})" if type(node) in _BINARY else text
 
+
+_BINARY = frozenset((Choice, Coop, Par))
 
 _PREC_PAR = 1
 _PREC_CHOICE = 2
@@ -882,34 +859,38 @@ def pretty(term: Term) -> str:
 def render_pretty(node, pretty_of: Callable[[Any, int], str]) -> str:
     """:func:`pretty`'s text for one node, whose subterms (nodes, ids or
     anything else) ``pretty_of(sub, min_prec)`` renders, in parentheses
-    when ``sub`` binds less tightly than ``min_prec``."""
-    if isinstance(node, Nil):
-        return "nil"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, RatedPrefix):
-        return f"({node.action}, {node.rate}).{pretty_of(node.cont, _PREC_PREFIX)}"
-    if isinstance(node, ActPrefix):
-        return f"{node.action}.{pretty_of(node.cont, _PREC_PREFIX)}"
-    if isinstance(node, RatePrefix):
-        return f"{node.rate} . {pretty_of(node.cont, _PREC_PREFIX)}"
-    if isinstance(node, TimePrefix):
-        return f"({node.delay}).{pretty_of(node.cont, _PREC_PREFIX)}"
-    if isinstance(node, ProbPrefix):
-        inner = " [] ".join(
-            f"{p}: {pretty_of(cont, _PREC_PAR)}" for p, cont in node.branches
-        )
-        return f"{node.action}.{{{inner}}}"
-    if isinstance(node, Choice):
-        return f"{pretty_of(node.left, _PREC_CHOICE)} + {pretty_of(node.right, _PREC_CHOICE + 1)}"
-    if isinstance(node, Coop):
-        return (
-            f"{pretty_of(node.left, _PREC_PAR)} <{_format_actions(node.actions)}> "
-            f"{pretty_of(node.right, _PREC_PAR + 1)}"
-        )
-    if isinstance(node, Par):
-        return (
-            f"{pretty_of(node.left, _PREC_PAR)} |[{_format_actions(node.actions)}]| "
-            f"{pretty_of(node.right, _PREC_PAR + 1)}"
-        )
-    raise TypeError(f"not a term: {node!r}")  # pragma: no cover
+    when ``sub`` binds less tightly than ``min_prec``: the layout of the
+    node's form in ``_LAYOUTS``."""
+    return _LAYOUTS[type(node)](node, pretty_of)
+
+
+def _branches_layout(node, pretty_of) -> str:
+    inner = " [] ".join(f"{p}: {pretty_of(cont, _PREC_PAR)}" for p, cont in node.branches)
+    return f"{node.action}.{{{inner}}}"
+
+
+# one layout per form, read by the node's exact type
+_LAYOUTS = {
+    Nil: lambda node, pretty_of: "nil",
+    Const: lambda node, pretty_of: node.name,
+    RatedPrefix: lambda node, pretty_of: (
+        f"({node.action}, {node.rate}).{pretty_of(node.cont, _PREC_PREFIX)}"
+    ),
+    ActPrefix: lambda node, pretty_of: f"{node.action}.{pretty_of(node.cont, _PREC_PREFIX)}",
+    # spaces keep the rate and a numeric continuation from fusing into one
+    # decimal literal when the text is re-parsed
+    RatePrefix: lambda node, pretty_of: f"{node.rate} . {pretty_of(node.cont, _PREC_PREFIX)}",
+    TimePrefix: lambda node, pretty_of: f"({node.delay}).{pretty_of(node.cont, _PREC_PREFIX)}",
+    ProbPrefix: _branches_layout,
+    Choice: lambda node, pretty_of: (
+        f"{pretty_of(node.left, _PREC_CHOICE)} + {pretty_of(node.right, _PREC_CHOICE + 1)}"
+    ),
+    Coop: lambda node, pretty_of: (
+        f"{pretty_of(node.left, _PREC_PAR)} <{_format_actions(node.actions)}> "
+        f"{pretty_of(node.right, _PREC_PAR + 1)}"
+    ),
+    Par: lambda node, pretty_of: (
+        f"{pretty_of(node.left, _PREC_PAR)} |[{_format_actions(node.actions)}]| "
+        f"{pretty_of(node.right, _PREC_PAR + 1)}"
+    ),
+}

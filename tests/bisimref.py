@@ -17,9 +17,10 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Sequence
 
 from futsbench.bisim import Partition, canonical_assignment, distinguish
-from futsbench.crosscheck import RATED, SET, TIMED, OracleMoves
+from futsbench.crosscheck import OracleMoves
 from futsbench.errors import FutsError
 from futsbench.explore import FutsModel, RelationData, explore
+from futsbench.semiring import BOOL, NNRAT
 from futsbench.syntax import Model
 
 BRUTE_FORCE_MAX = 8
@@ -213,38 +214,37 @@ def _refine_loop(n_states: int, sig_of: Callable[[int, Sequence[int]], tuple]) -
     raise FutsError("internal error: partition refinement did not stabilise")
 
 
-def _block_totals(pairs, assignment: Sequence[int]) -> frozenset:
-    """Non-zero total weight per block of (weight, target) pairs."""
-    acc: Dict[int, Fraction] = {}
-    for weight, target in pairs:
-        block = assignment[target]
-        acc[block] = acc[block] + weight if block in acc else weight
-    return frozenset(item for item in acc.items() if item[1] != 0)
-
-
-def _oracle_part(shape: str, derived, assignment: Sequence[int]) -> frozenset:
-    """One slot of a state's signature, read off its derivations only."""
-    if shape == RATED:
-        return _block_totals(derived, assignment)
-    if shape == SET:
-        return frozenset(assignment[t] for t in derived)
-    if shape == TIMED:
-        return frozenset((n, assignment[t]) for n, t in derived)
-    return frozenset(
-        _block_totals(((mass, t) for t, mass in dist), assignment) for dist in derived
-    )
+def _oracle_part(layers, fn: dict, assignment: Sequence[int]) -> frozenset:
+    """One slot of a state's signature, read off its folded derivations
+    only, by the domain of each layer: a key is pushed to its block, or a
+    distribution key to its own part one layer down; then rates and masses
+    add up per block, truth values count by presence, and tick amounts go
+    as (amount, block) pairs."""
+    tag, deeper = layers[0].tag, layers[1:]
+    pushed = [
+        (_oracle_part(deeper, dict(key), assignment) if deeper else assignment[key], weight)
+        for key, weight in fn.items()
+    ]
+    if tag == NNRAT:
+        totals: Dict[Any, Fraction] = {}
+        for key, rate in pushed:
+            totals[key] = totals.get(key, 0) + rate
+        return frozenset(totals.items())
+    if tag == BOOL:
+        return frozenset(key for key, _ in pushed)
+    return frozenset((n, key) for key, amounts in pushed for n in amounts)
 
 
 def naive_oracle_partition(moves: OracleMoves) -> Partition:
     """The oracle's partition by the round-based loop: every round re-signs
     every state from its derivations."""
-    shapes = [shape for _, _, shape in moves.slots]
+    slot_layers = [data.layers for data, _ in moves.slots]
     rows = moves.rows
 
     def sig_of(state_id: int, assignment: Sequence[int]) -> tuple:
         return tuple(
-            _oracle_part(shape, derived, assignment)
-            for shape, derived in zip(shapes, rows[state_id])
+            _oracle_part(layers, fn, assignment)
+            for layers, fn in zip(slot_layers, rows[state_id])
         )
 
     return _refine_loop(len(rows), sig_of)

@@ -1,5 +1,6 @@
 """The cross-checks' oracle table: enumerated once, every target explored,
-and the oracle partition built from it alone."""
+and the oracle partition built from it alone; and every check's failing
+path, by a fault injected into what it reads."""
 
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from futsbench import bisim, crosscheck
 from futsbench.cli import main
+from futsbench.bisim import Partition
 from futsbench.crosscheck import oracle_moves, oracle_partition_from, run_checks
 from futsbench.errors import UnknownStateError
 from futsbench.explore import explore
@@ -115,3 +117,111 @@ def test_oracle_partition_needs_neither_refine_nor_its_signatures(lang, monkeypa
     for module, name in borrowed:
         monkeypatch.setattr(module, name, refuse)
     assert oracle_partition_from(oracle_moves(fm)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Failing paths: no check may pass whatever it reads
+# ---------------------------------------------------------------------------
+
+
+def inject(monkeypatch, name, fault):
+    """Replace the oracle function ``crosscheck`` calls as ``name`` by one
+    that returns ``fault(derivations, source term id)``."""
+    original = getattr(crosscheck, name)
+
+    def faulty(table, term_id, *args):
+        return fault(original(table, term_id, *args), term_id)
+
+    monkeypatch.setattr(crosscheck, name, faulty)
+
+
+def assert_fails(lang, check, message, tmp_path, capsys):
+    """The model of ``lang`` fails ``check`` with ``message`` first, in
+    ``run_checks`` and in ``compare``, which prints it and exits 1."""
+    results = {r.name: r for r in run_checks(explore(parse_model(MODELS[lang], lang)))}
+    assert results[check].passed is False
+    assert results[check].failures[0] == message
+    path = tmp_path / f"m.{lang}"
+    path.write_text(MODELS[lang])
+    assert main(["compare", str(path)]) == 1
+    assert f"FAIL {check}: {message}\n" in capsys.readouterr().out
+
+
+def back_to_source(derived, source):
+    """Every move of a state goes back to the state itself."""
+    return frozenset([source]) if derived else derived
+
+
+AGREEMENT_FAULTS = {
+    "pepa": (
+        "pepa_transitions",
+        lambda derived, _: tuple((2 * rate, target) for rate, target in derived),
+        "state 0 (P <a> Q) act a: "
+        "weights {'(Q <a> P)': Fraction(1, 1)} != derivations {'(Q <a> P)': 2}",
+    ),
+    "iml": (
+        "interactive_transitions",
+        back_to_source,
+        "state 0 (X |[a]| Y) act b: "
+        "weights {'(X |[a]| X)': True} != derivations {'(X |[a]| Y)': True}",
+    ),
+    "iml-delay": (
+        "delay_derivations",
+        lambda derived, _: tuple((rate + 1, target) for rate, target in derived),
+        "state 0 (X |[a]| Y) delay delta: weights {'(X |[a]| Y)': 2, "
+        "'(X |[a]| nil)': Fraction(1, 2)} != derivations {'(X |[a]| Y)': 3, "
+        "'(X |[a]| nil)': Fraction(3, 2)}",
+    ),
+    "tpc": (
+        "interactive_transitions",
+        back_to_source,
+        "state 1 ((1).a.Y + (1).b.X |[a]| b.X + a.nil) act b: "
+        "weights {'(((1).a.Y + (1).b.X) |[a]| X)': True} != "
+        "derivations {'(((1).a.Y + (1).b.X) |[a]| (b.X + a.nil))': True}",
+    ),
+    "mal": (
+        "action_distributions",
+        lambda derived, source: frozenset(frozenset([(source, 1)]) for _ in derived),
+        "state 0 (X |[a]| Y) act b: weights {frozenset({('(X |[a]| X)', 1)}): True} "
+        "!= derivations {frozenset({('(X |[a]| Y)', 1)}): True}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_FAULTS))
+def test_agreement_check_fails_on_a_wrong_derivation(case, tmp_path, capsys, monkeypatch):
+    name, fault, message = AGREEMENT_FAULTS[case]
+    inject(monkeypatch, name, fault)
+    lang = case.split("-")[0]
+    assert_fails(lang, "per-target semantics agreement", message, tmp_path, capsys)
+
+
+def test_time_determinism_check_fails_when_one_amount_reaches_two_targets(
+    tmp_path, capsys, monkeypatch
+):
+    def also_stay(derived, source):
+        """Waiting an amount also stays in the source."""
+        return derived | {(amount, source) for amount, _ in derived}
+
+    inject(monkeypatch, "timed_transitions", also_stay)
+    message = (
+        "state 0 (X |[a]| Y): waiting 1 reaches both "
+        "'(X |[a]| Y)' and '(((1).a.Y + (1).b.X) |[a]| (b.X + a.nil))'"
+    )
+    assert_fails("tpc", "oracle time-determinism", message, tmp_path, capsys)
+
+
+def test_apparent_rate_check_fails_on_a_wrong_total(tmp_path, capsys, monkeypatch):
+    original = crosscheck.pepa_apparent_rate
+    monkeypatch.setattr(crosscheck, "pepa_apparent_rate", lambda *args: original(*args) + 1)
+    message = "state 0 (P <a> Q) action a: total weight 1, apparent rate 2"
+    assert_fails("pepa", "apparent-rate totals", message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("lang, blocks", [("pepa", 6), ("iml", 6), ("tpc", 2), ("mal", 3)])
+def test_correspondence_check_fails_when_the_partitions_differ(
+    lang, blocks, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(crosscheck, "refine", lambda fm: Partition((0,) * len(fm.states)))
+    message = f"refinement found 1 blocks, step-derivation oracle {blocks}"
+    assert_fails(lang, "bisimilarity correspondence", message, tmp_path, capsys)

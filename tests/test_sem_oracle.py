@@ -317,6 +317,23 @@ def test_oracle_imports_only_errors_and_syntax(module, forbidden):
     assert not forbidden & set(imported), forbidden & set(imported)
 
 
+def test_crosscheck_takes_only_the_partition_and_refine_from_bisim():
+    # the oracle partition is compared with refine's: it builds a Partition
+    # as refine does, but borrows none of refine's steps
+    tree = ast.parse((SOURCE / "crosscheck.py").read_text(encoding="utf-8"))
+    borrowed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # import futsbench.bisim
+            borrowed += [alias.name for alias in node.names if alias.name == "futsbench.bisim"]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("futsbench." if node.level else "") + (node.module or "")
+            if base == "futsbench.bisim":
+                borrowed += [alias.name for alias in node.names]
+            elif base.rstrip(".") == "futsbench":  # from . import bisim
+                borrowed += [alias.name for alias in node.names if alias.name == "bisim"]
+    assert sorted(borrowed) == ["Partition", "canonical_assignment", "refine"]
+
+
 def test_oracle_interns_nothing(monkeypatch):
     # the oracle reads the model's terms one shape at a time, by id, and
     # hash-conses them in a table of its own: while it runs over the

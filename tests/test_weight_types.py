@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from futsbench.bisim import _state_signature, minimize, refine
-from futsbench.crosscheck import DISTS, RATED, TIMED, oracle_moves
+from futsbench.crosscheck import oracle_moves
 from futsbench.fsfun import FinFn
 from futsbench.sem_futs import futs_step
 from futsbench.sem_oracle import OracleTerms, pepa_apparent_rate, pepa_transitions
@@ -40,9 +40,10 @@ def _numbers(tag: str, weights) -> list:
 
 
 def _step_numbers(layers, step) -> list:
-    """The numbers in one step (or quotient step, or signature part) over
-    ``layers``: its weights' and its inner functions' (a ``FinFn`` in a
-    signature part, a tuple of pairs in a step)."""
+    """The numbers in one step (or quotient step, signature part, or folded
+    oracle slot) over ``layers``: its weights' and its inner functions' (a
+    ``FinFn`` in a signature part, a tuple of pairs in a step, a frozenset
+    of pairs in an oracle slot)."""
     numbers = _numbers(layers[0].tag, [w for _, w in step])
     if len(layers) > 1:
         for inner, _ in step:
@@ -185,20 +186,14 @@ def test_no_weight_is_a_float_or_a_bool(lang):
                 )
         moves = oracle_moves(fm)
         for state, row in enumerate(moves.rows):
-            for (_, label, shape), derived in zip(moves.slots, row):
-                if shape == RATED:
-                    numbers = [rate for rate, _ in derived]
-                elif shape == DISTS:
-                    numbers = [mass for dist in derived for _, mass in dist]
-                elif shape == TIMED:
-                    numbers = [amount for amount, _ in derived]
-                else:
-                    continue
+            # a distribution key iterates as its (target, mass) pairs
+            for (data, label), fn in zip(moves.slots, row):
+                numbers = _step_numbers(data.layers, list(fn.items()))
                 read += _assert_exact(numbers, f"oracle {label} of {state}")
             if lang == "pepa":
                 rates = [
                     pepa_apparent_rate(moves.table, moves.terms[state], label)
-                    for _, label, _ in moves.slots
+                    for _, label in moves.slots
                 ]
                 read += _assert_exact(rates, f"apparent rates of {state}")
     assert read > 0
