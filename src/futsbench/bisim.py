@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from .errors import FutsError, UnknownStateError
 from .explore import FutsModel, RelationData, in_printed_order, innermost, key_text
 from .explore import relation_tables, store_steps
-from .fsfun import FinFn
 from .sem_futs import Layers
 from .syntax import Model
 # unused here, but bench/tracing.py wraps bisim.term_key (ROADMAP item 3)
@@ -76,8 +75,9 @@ def canonical_assignment(raw: Sequence[int]) -> Tuple[int, ...]:
 def _push(step: tuple, layers: Layers, assignment: Sequence[int]) -> tuple:
     """A stored step over ``layers`` pushed forward along ``assignment``:
     each target replaced by its block and each inner function by its push,
-    as a ``FinFn`` like a state's inner functions, the weights of keys that
-    fall together added up, sorted by key."""
+    the weights of keys that fall together added up, sorted by key: a
+    weight function over block ids, like a state's steps and their inner
+    functions."""
     add = layers[0].add
     acc: Dict[Any, Any] = {}
     if len(layers) == 1:  # one loop per case: the block lookup is the hot path
@@ -87,7 +87,7 @@ def _push(step: tuple, layers: Layers, assignment: Sequence[int]) -> tuple:
     else:
         deeper = layers[1:]
         for inner, value in step:
-            key = FinFn(deeper[0].tag, _push(inner, deeper, assignment))
+            key = _push(inner, deeper, assignment)
             acc[key] = add(acc[key], value) if key in acc else value
     return tuple(sorted(acc.items()))
 
@@ -198,7 +198,7 @@ def _printed_weights(deeper: Layers, key):
     if not deeper:
         return key
     fmt, below = deeper[0].fmt, deeper[1:]
-    return tuple((_printed_weights(below, k), fmt(v)) for k, v in key.entries)
+    return tuple((_printed_weights(below, k), fmt(v)) for k, v in key)
 
 
 def _first_difference(

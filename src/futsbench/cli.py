@@ -5,10 +5,12 @@
     futsbench bisim FILE --left T --right T
                                     verdict + witness, exit 0/1
     futsbench minimize FILE         quotient by bisimilarity, JSON
-    futsbench compare FILE          cross-validate both semantic routes
+    futsbench compare FILE          cross-validate both semantic routes,
+                                    exit 0/1
 
-Exit codes: 0 success (bisim: bisimilar), 1 bisim verdict "not bisimilar",
-2 any parse/guardedness/exploration error (one-line diagnostic on stderr).
+Exit codes: 0 success (bisim: bisimilar; compare: every check passed),
+1 bisim verdict "not bisimilar" or a failed compare check, 2 any
+parse/guardedness/exploration error (one-line diagnostic on stderr).
 
 ``bisim`` first compares the two terms' one-step totals, relation by
 relation and label by label; a difference is a "not bisimilar" verdict

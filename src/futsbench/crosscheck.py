@@ -378,14 +378,36 @@ def oracle_partition_from(moves: OracleMoves) -> Partition:
     return Partition(canonical_assignment(block_of))
 
 
+def _least_split_pair(left: Partition, right: Partition) -> Tuple[int, int]:
+    """The least pair of states, by id, that one of two different
+    partitions puts in one block and the other does not."""
+
+    def block_members(partition: Partition) -> List[set]:
+        """Each state's block, as the set of its members."""
+        members: Dict[int, set] = {}
+        for state, block in enumerate(partition.assignment):
+            members.setdefault(block, set()).add(state)
+        return [members[block] for block in partition.assignment]
+
+    # the first state whose two blocks differ, and the least state in one
+    # of them only: no earlier state is in one block with it and not the other
+    for state, (in_left, in_right) in enumerate(zip(block_members(left), block_members(right))):
+        if in_left != in_right:
+            return state, min(in_left ^ in_right)
+
+
 def correspondence_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
     fine = refine(fm)
     oracle = oracle_partition_from(moves)
     failures: Tuple[str, ...] = ()
     if fine != oracle:
+        s, t = _least_split_pair(fine, oracle)
+        joins = "joins" if fine.assignment[s] == fine.assignment[t] else "separates"
         failures = (
             f"refinement found {fine.n_blocks} blocks, "
-            f"step-derivation oracle {oracle.n_blocks}",
+            f"step-derivation oracle {oracle.n_blocks}: refinement {joins} "
+            f"state {s} ({_pretty(fm, s)}) and state {t} ({_pretty(fm, t)}), "
+            "the oracle does not",
         )
     return CheckResult("bisimilarity correspondence", not failures, len(fm.states), failures)
 

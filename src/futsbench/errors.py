@@ -38,12 +38,6 @@ class UnguardedRecursionError(FutsError):
     """Recursion through constants is not guarded by any prefix."""
 
 
-class SemiringMismatchError(FutsError):
-    """An operation combined functions from different weight domains,
-    or named a domain that does not exist.
-    """
-
-
 class UnknownStateError(FutsError):
     """A weight function mentions a state outside the known state set."""
 

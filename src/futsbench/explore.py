@@ -75,11 +75,11 @@ def in_printed_order(entries: tuple, layers: Layers, text_of: Callable, id_of: C
     deeper = layers[1:]
 
     def printed(entry) -> str:
-        inner = sorted(entry[0].entries, key=lambda e: key_text(e[0], deeper[1:], text_of))
+        inner = sorted(entry[0], key=lambda e: key_text(e[0], deeper[1:], text_of))
         return step_text(inner, deeper, text_of)
 
     ordered = sorted(entries, key=printed)
-    return tuple((in_printed_order(k.entries, deeper, text_of, id_of), v) for k, v in ordered)
+    return tuple((in_printed_order(k, deeper, text_of, id_of), v) for k, v in ordered)
 
 
 def innermost(pairs: Iterable[tuple], layers: Layers) -> Iterable[tuple]:
@@ -106,7 +106,7 @@ def key_text(key, deeper: Layers, name_of: Callable) -> str:
     function."""
     if not deeper:
         return name_of(key)
-    return "distribution " + step_text(key.entries, deeper, name_of)
+    return "distribution " + step_text(key, deeper, name_of)
 
 
 @dataclass
@@ -153,9 +153,7 @@ def store_steps(
         for label in data.labels:
             fn = steps.get(label)
             if fn is not None:
-                data.transitions[source, label] = in_printed_order(
-                    fn.entries, data.layers, text_of, id_of
-                )
+                data.transitions[source, label] = in_printed_order(fn, data.layers, text_of, id_of)
 
 
 def explore(

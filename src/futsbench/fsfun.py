@@ -3,18 +3,18 @@
 The semantics of every calculus in this workbench maps a state and a
 label to a *weight function*: a map from continuation states to values
 of one weight domain, equal to that domain's zero almost everywhere.
-:class:`FinFn` is the canonical representation of such a function:
-only the non-zero entries are stored, sorted by key, so structural
-equality coincides with extensional equality.  Values are raw payloads;
-the function's tag selects its semiring (see :mod:`.semiring`), and
-equality compares tags, so functions over different domains never
-compare equal even where their payloads do.
+Such a function is its entries: the tuple of its non-zero ``(key,
+weight)`` pairs, sorted by key, so structural equality coincides with
+extensional equality, and the zero function is ``()``.  Values are raw
+payloads.  The domain is a parameter of the step relation (see
+:mod:`.semiring`), not of the function, so every operator here takes
+the :class:`.semiring.Semiring` it folds with.
 
 Keys are usually term ids of one model's term table (see
 :class:`.syntax.Model`); any mutually ordered hashable keys
 work.  For the calculus whose transitions carry probability
-distributions, the *outer* function's keys are themselves
-:class:`FinFn` values (the inner distributions), which are ordered too.
+distributions, the *outer* function's keys are themselves weight
+functions (the inner distributions), which are ordered too.
 A composition where one operand moves renames keys (:func:`ff_map_keys`,
 or :func:`ff_interleave` for both operands' moves at once); one where
 both move pairs them (:func:`ff_lift_injective`).
@@ -23,52 +23,32 @@ both move pairs them (:func:`ff_lift_injective`).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, NamedTuple, Tuple
+from typing import Any, Callable, Hashable, Iterable, Tuple
 
-from .errors import FutsError, SemiringMismatchError
-from .semiring import semiring_of
+from .errors import FutsError
+from .semiring import Semiring
 
 Key = Hashable
+# a weight function: its non-zero (key, weight) entries, sorted by key;
+# build one through ff_make (or the operators below), so those hold
+Fn = Tuple[Tuple[Key, Any], ...]
 
 
-class FinFn(NamedTuple):
-    """A finite-support function into one weight domain.
-
-    ``entries`` holds only non-zero values, sorted by key; construct
-    instances through :func:`ff_make` (or the helpers below), never
-    directly, so the canonical invariants hold.  Being a tuple, a
-    function is immutable, and it is equal, hashed and ordered as the
-    pair ``(tag, entries)``, so functions can key an outer function.
-    """
-
-    tag: str
-    entries: Tuple[Tuple[Key, Any], ...]
-
-
-# FinFn(tag, entries) without the keyword handling of its generated
-# constructor, for the folds that build most functions
-_new = tuple.__new__
-
-
-def ff_make(tag: str, pairs: Iterable[Tuple[Key, Any]]) -> FinFn:
-    """Build a canonical function, folding duplicate keys by addition
-    and dropping entries equal to the domain's zero.
-
-    Every value must be a payload of the domain ``tag``.
-    """
-    sr = semiring_of(tag)
+def ff_make(sr: Semiring, pairs: Iterable[Tuple[Key, Any]]) -> Fn:
+    """Build a canonical function over ``sr``, folding duplicate keys by
+    addition and dropping entries equal to the domain's zero."""
     acc: dict[Key, Any] = {}
     for key, value in pairs:
         prev = acc.get(key)
         acc[key] = value if prev is None else sr.add(prev, value)
     kept = [(k, v) for k, v in acc.items() if v != sr.zero]
     kept.sort(key=itemgetter(0))
-    return _new(FinFn, (tag, tuple(kept)))
+    return tuple(kept)
 
 
-def _fold(tag: str, pairs: list) -> FinFn:
+def _fold(sr: Semiring, pairs: list) -> Fn:
     """The canonical function of ``pairs``, whose values are all non-zero
-    payloads of the domain ``tag``.
+    payloads of ``sr``.
 
     Duplicate keys add up, and, since every domain is zero-sum-free (see
     :mod:`.semiring`), their sums are non-zero too, so no entry is tested
@@ -76,80 +56,73 @@ def _fold(tag: str, pairs: list) -> FinFn:
     """
     acc = dict(pairs)
     if len(acc) < len(pairs):  # some keys collided: fold them
-        add = semiring_of(tag).add
+        add = sr.add
         acc = {}
         for key, value in pairs:
             prev = acc.get(key)
             acc[key] = value if prev is None else add(prev, value)
-    return _new(FinFn, (tag, tuple(sorted(acc.items(), key=itemgetter(0)))))
+    return tuple(sorted(acc.items(), key=itemgetter(0)))
 
 
-def ff_add(a: FinFn, b: FinFn) -> FinFn:
-    """Pointwise addition of two functions over the same domain."""
-    if a.tag != b.tag:
-        raise SemiringMismatchError(f"cannot add {a.tag} and {b.tag} functions")
-    return _fold(a.tag, [*a.entries, *b.entries])
+def ff_add(sr: Semiring, a: Fn, b: Fn) -> Fn:
+    """Pointwise addition of two functions over ``sr``."""
+    return _fold(sr, [*a, *b])
 
 
-def ff_oplus(fn: FinFn) -> Any:
-    """Fold the whole function with domain addition (zero when empty).
+def ff_oplus(sr: Semiring, fn: Fn) -> Any:
+    """Fold the whole function with ``sr``'s addition (zero when empty).
 
     For rational functions this is the total mass; for boolean ones,
     whether the function is non-zero anywhere; for set-valued ones,
     the union of all values.
     """
-    sr = semiring_of(fn.tag)
     total = sr.zero
-    for _, v in fn.entries:
+    for _, v in fn:
         total = sr.add(total, v)
     return total
 
 
-def ff_map_keys(fn: Callable[[Key], Key], f: FinFn) -> FinFn:
+def ff_map_keys(sr: Semiring, fn: Callable[[Key], Key], f: Fn) -> Fn:
     """``f`` with each key ``k`` renamed to ``fn(k)``; colliding keys add up."""
-    return _fold(f.tag, [(fn(k), v) for k, v in f.entries])
+    return _fold(sr, [(fn(k), v) for k, v in f])
 
 
 def ff_interleave(
-    left_key: Callable[[Key], Key], f: FinFn, right_key: Callable[[Key], Key], g: FinFn
-) -> FinFn:
-    """``ff_add(ff_map_keys(left_key, f), ff_map_keys(right_key, g))`` in
-    one fold: the moves of a composition where either operand moves alone."""
-    if f.tag != g.tag:
-        raise SemiringMismatchError(f"cannot add {f.tag} and {g.tag} functions")
-    pairs = [(left_key(k), v) for k, v in f.entries]
-    pairs += [(right_key(k), v) for k, v in g.entries]
-    return _fold(f.tag, pairs)
+    sr: Semiring, left_key: Callable[[Key], Key], f: Fn, right_key: Callable[[Key], Key], g: Fn
+) -> Fn:
+    """``ff_add(sr, ff_map_keys(sr, left_key, f), ff_map_keys(sr, right_key,
+    g))`` in one fold: the moves of a composition where either operand
+    moves alone."""
+    pairs = [(left_key(k), v) for k, v in f]
+    pairs += [(right_key(k), v) for k, v in g]
+    return _fold(sr, pairs)
 
 
-def ff_scale(value: Any, fn: FinFn) -> FinFn:
-    """Multiply every entry by ``value``, a payload of ``fn``'s domain
-    (entries may vanish, so the result goes through :func:`ff_make`).
+def ff_scale(sr: Semiring, value: Any, fn: Fn) -> Fn:
+    """Multiply every entry by ``value``, a payload of ``sr`` (entries may
+    vanish, so the result goes through :func:`ff_make`).
     """
-    mul = semiring_of(fn.tag).mul
-    return ff_make(fn.tag, ((k, mul(value, v)) for k, v in fn.entries))
+    mul = sr.mul
+    return ff_make(sr, ((k, mul(value, v)) for k, v in fn))
 
 
-def ff_lift_injective(
-    ctor: Callable[[Key, Key], Key], a: FinFn, b: FinFn
-) -> FinFn:
-    """Combine two functions through an injective binary key builder.
+def ff_lift_injective(sr: Semiring, ctor: Callable[[Key, Key], Key], a: Fn, b: Fn) -> Fn:
+    """Combine two functions over ``sr`` through an injective binary key
+    builder.
 
     The result maps ``ctor(x, y)`` to the product ``a(x) * b(y)`` for
     every pair of support keys.  ``ctor`` must be injective on those
     pairs; a collision indicates a broken builder and is reported.
     """
-    if a.tag != b.tag:
-        raise SemiringMismatchError(f"cannot combine {a.tag} and {b.tag} functions")
-    mul = semiring_of(a.tag).mul
+    mul = sr.mul
     pairs = []
     seen: set[Hashable] = set()
-    for x, av in a.entries:
-        for y, bv in b.entries:
+    for x, av in a:
+        for y, bv in b:
             key = ctor(x, y)
             if key in seen:
                 raise FutsError(f"key builder is not injective: duplicate {key!r}")
             seen.add(key)
             pairs.append((key, mul(av, bv)))
     # a product of non-zero weights can vanish (disjoint NATSET sets)
-    return ff_make(a.tag, pairs)
+    return ff_make(sr, pairs)

@@ -38,7 +38,7 @@ from functools import partial
 from typing import Callable, Container, Dict, Iterable, Optional, Tuple
 
 from .fsfun import (
-    FinFn,
+    Fn,
     ff_add,
     ff_interleave,
     ff_lift_injective,
@@ -47,7 +47,7 @@ from .fsfun import (
     ff_oplus,
     ff_scale,
 )
-from .semiring import BOOL, NATSET, NNRAT, Semiring, semiring_of
+from .semiring import BOOL, NATSET, NNRAT, Semiring
 from .syntax import (
     ActPrefix,
     Choice,
@@ -74,7 +74,7 @@ MAX_DELAY = "max-delay"  # memo key of tpc_max_delay, beside the relations
 DELTA_LABEL = "delta"
 TICK_LABEL = "tick"
 
-Steps = Dict[str, FinFn]  # a term's step under one relation: label -> function
+Steps = Dict[str, Fn]  # a term's step under one relation: label -> function
 # a relation's weight domains, outermost first: two for mal's actions,
 # whose keys are distributions, one for every other relation
 Layers = Tuple[Semiring, ...]
@@ -133,16 +133,18 @@ def futs_step(model: Model, term_id: int, relation: str) -> Steps:
 # built, and new terms interned, in the same order in every process.
 
 
-def _sum(left: Steps, right: Steps) -> Steps:
-    """A choice's step: its operands' functions added label by label."""
+def _sum(sr: Semiring, left: Steps, right: Steps) -> Steps:
+    """A choice's step: its operands' functions over ``sr`` added label by
+    label."""
     steps = dict(left)
     for label, g in right.items():
         f = steps.get(label)
-        steps[label] = g if f is None else ff_add(f, g)
+        steps[label] = g if f is None else ff_add(sr, f, g)
     return steps
 
 
 def _compose(
+    sr: Semiring,
     model: Model,
     t,
     step_of: Callable[[int], Steps],
@@ -150,9 +152,9 @@ def _compose(
     synchronise: Callable,
     rename: Optional[Callable] = None,
 ) -> Steps:
-    """A composition's step: a label in ``synced`` that both operands take
-    from ``synchronise(model, t, f, g)``, every other label from the
-    operands' own moves interleaved.
+    """A composition's step over ``sr``: a label in ``synced`` that both
+    operands take from ``synchronise(model, t, f, g)``, every other label
+    from the operands' own moves interleaved.
 
     When one operand moves the other stays put, which would be a point
     mass of weight one, so a renaming of the mover's targets into the
@@ -178,12 +180,12 @@ def _compose(
             if g is not None:
                 steps[label] = synchronise(model, t, f, g)
         elif g is None:
-            steps[label] = ff_map_keys(into_left, f)
+            steps[label] = ff_map_keys(sr, into_left, f)
         else:
-            steps[label] = ff_interleave(into_left, f, into_right, g)
+            steps[label] = ff_interleave(sr, into_left, f, into_right, g)
     for label, g in right.items():
         if label not in left and label not in synced:
-            steps[label] = ff_map_keys(into_right, g)
+            steps[label] = ff_map_keys(sr, into_right, g)
     return steps
 
 
@@ -192,26 +194,26 @@ def _compose(
 # ---------------------------------------------------------------------------
 
 
-def _pepa_sync(model: Model, t, left: FinFn, right: FinFn) -> FinFn:
+def _pepa_sync(model: Model, t, left: Fn, right: Fn) -> Fn:
     # the joint rate of a synchronised action is capped by the slower
     # participant: scale the product of the two functions so its total
     # becomes min of the two totals (both non-zero, as the functions are)
-    total_left = ff_oplus(left)
-    total_right = ff_oplus(right)
+    total_left = ff_oplus(NNRAT, left)
+    total_right = ff_oplus(NNRAT, right)
     factor = Fraction(min(total_left, total_right), total_left * total_right)
-    if factor.denominator == 1:  # integral weights are ints
-        factor = factor.numerator
-    pair = ff_lift_injective(partial(model.intern, Coop, t.actions), left, right)
-    return ff_scale(factor, pair)
+    pair = ff_lift_injective(NNRAT, partial(model.intern, Coop, t.actions), left, right)
+    scaled = ff_scale(NNRAT, factor, pair)
+    # a joint rate is an int when integral, as the oracle's is
+    return tuple((k, v.numerator if v.denominator == 1 else v) for k, v in scaled)
 
 
 def _pepa_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, RatedPrefix):
         return {t.action: ff_make(NNRAT, [(t.cont, t.rate)])}
     if isinstance(t, Choice):
-        return _sum(step_of(t.left), step_of(t.right))
+        return _sum(NNRAT, step_of(t.left), step_of(t.right))
     if isinstance(t, Coop):
-        return _compose(model, t, step_of, t.actions, _pepa_sync)
+        return _compose(NNRAT, model, t, step_of, t.actions, _pepa_sync)
     return {}  # nil
 
 
@@ -220,17 +222,17 @@ def _pepa_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
 # ---------------------------------------------------------------------------
 
 
-def _pair_sync(model: Model, t, left: FinFn, right: FinFn) -> FinFn:
-    return ff_lift_injective(partial(model.intern, Par, t.actions), left, right)
+def _pair_sync(model: Model, t, left: Fn, right: Fn) -> Fn:
+    return ff_lift_injective(BOOL, partial(model.intern, Par, t.actions), left, right)
 
 
 def _interactive_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, ActPrefix):
         return {t.action: ff_make(BOOL, [(t.cont, True)])}
     if isinstance(t, Choice):
-        return _sum(step_of(t.left), step_of(t.right))
+        return _sum(BOOL, step_of(t.left), step_of(t.right))
     if isinstance(t, Par):
-        return _compose(model, t, step_of, t.actions, _pair_sync)
+        return _compose(BOOL, model, t, step_of, t.actions, _pair_sync)
     return {}  # nil, a delay
 
 
@@ -243,10 +245,10 @@ def _delay_step(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
     if isinstance(t, RatePrefix):
         return {DELTA_LABEL: ff_make(NNRAT, [(t.cont, t.rate)])}
     if isinstance(t, Choice):
-        return _sum(step_of(t.left), step_of(t.right))
+        return _sum(NNRAT, step_of(t.left), step_of(t.right))
     if isinstance(t, Par):
         # delays always interleave, independent of the action set
-        return _compose(model, t, step_of, (), None)
+        return _compose(NNRAT, model, t, step_of, (), None)
     return {}  # nil, an action
 
 
@@ -265,7 +267,7 @@ def _tick_step(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
         after = step_of(t.cont).get(TICK_LABEL)
         if after is not None:
             # time the continuation lets pass extends the whole delay
-            pairs += [(k, frozenset(m + t.delay for m in v)) for k, v in after.entries]
+            pairs += [(k, frozenset(m + t.delay for m in v)) for k, v in after]
         return {TICK_LABEL: ff_make(NATSET, pairs)}
     if isinstance(t, (Choice, Par)):
         # both sides must agree on the amount of time passed
@@ -277,9 +279,9 @@ def _tick_step(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
             pair = partial(model.intern, Choice)
         else:
             pair = partial(model.intern, Par, t.actions)
-        fn = ff_lift_injective(pair, left, right)
+        fn = ff_lift_injective(NATSET, pair, left, right)
         # the sets of time two sides let pass towards a pair can be disjoint
-        return {TICK_LABEL: fn} if fn.entries else {}
+        return {TICK_LABEL: fn} if fn else {}
     return {}  # nil, an action
 
 
@@ -304,15 +306,15 @@ def tpc_max_delay(model: Model, term_id: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mal_sync(model: Model, t, left: FinFn, right: FinFn) -> FinFn:
+def _mal_sync(model: Model, t, left: Fn, right: Fn) -> Fn:
     # the product of two distributions pairs their targets
-    pair = partial(ff_lift_injective, partial(model.intern, Par, t.actions))
-    return ff_lift_injective(pair, left, right)
+    pair = partial(ff_lift_injective, NNRAT, partial(model.intern, Par, t.actions))
+    return ff_lift_injective(BOOL, pair, left, right)
 
 
-def _within(into: Callable[[int], int]) -> Callable[[FinFn], FinFn]:
+def _within(into: Callable[[int], int]) -> Callable[[Fn], Fn]:
     # one side moves: rename the targets inside each distribution
-    return partial(ff_map_keys, into)
+    return partial(ff_map_keys, NNRAT, into)
 
 
 def _mal_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
@@ -320,27 +322,25 @@ def _mal_act(model: Model, t, step_of: Callable[[int], Steps]) -> Steps:
         dist = ff_make(NNRAT, [(c, p) for p, c in t.branches])
         return {t.action: ff_make(BOOL, [(dist, True)])}
     if isinstance(t, Choice):
-        return _sum(step_of(t.left), step_of(t.right))
+        return _sum(BOOL, step_of(t.left), step_of(t.right))
     if isinstance(t, Par):
-        return _compose(model, t, step_of, t.actions, _mal_sync, _within)
+        return _compose(BOOL, model, t, step_of, t.actions, _mal_sync, _within)
     return {}  # nil, a delay
 
 
-_BOOL, _NNRAT, _NATSET = (semiring_of(tag) for tag in (BOOL, NNRAT, NATSET))
-
 # each language's relations, by name, in the order a state's steps list them
 _SPECS = {
-    "pepa": {ACT: RelationSpec(ACT, (_NNRAT,), None, _pepa_act, STEP_FORMS)},
+    "pepa": {ACT: RelationSpec(ACT, (NNRAT,), None, _pepa_act, STEP_FORMS)},
     "iml": {
-        ACT: RelationSpec(ACT, (_BOOL,), None, _interactive_act, STEP_FORMS),
-        DELAY: RelationSpec(DELAY, (_NNRAT,), (DELTA_LABEL,), _delay_step, STEP_FORMS),
+        ACT: RelationSpec(ACT, (BOOL,), None, _interactive_act, STEP_FORMS),
+        DELAY: RelationSpec(DELAY, (NNRAT,), (DELTA_LABEL,), _delay_step, STEP_FORMS),
     },
     "tpc": {
-        ACT: RelationSpec(ACT, (_BOOL,), None, _interactive_act, STEP_FORMS),
-        TICK: RelationSpec(TICK, (_NATSET,), (TICK_LABEL,), _tick_step, TIMED_FORMS),
+        ACT: RelationSpec(ACT, (BOOL,), None, _interactive_act, STEP_FORMS),
+        TICK: RelationSpec(TICK, (NATSET,), (TICK_LABEL,), _tick_step, TIMED_FORMS),
     },
     "mal": {
-        ACT: RelationSpec(ACT, (_BOOL, _NNRAT), None, _mal_act, STEP_FORMS),
-        DELAY: RelationSpec(DELAY, (_NNRAT,), (DELTA_LABEL,), _delay_step, STEP_FORMS),
+        ACT: RelationSpec(ACT, (BOOL, NNRAT), None, _mal_act, STEP_FORMS),
+        DELAY: RelationSpec(DELAY, (NNRAT,), (DELTA_LABEL,), _delay_step, STEP_FORMS),
     },
 }

@@ -1,6 +1,7 @@
 """Weight domains for transition functions.
 
-Three commutative semirings are supported, identified by string tags:
+Three commutative semirings are supported, each one :class:`Semiring`
+object:
 
 * ``BOOL``   -- truth values; addition is disjunction, product is
   conjunction.
@@ -22,9 +23,10 @@ have no such property: two non-empty sets can be disjoint.
 
 Weights are raw payloads: ``bool``, an ``int`` when integral else a
 ``Fraction``, and ``frozenset`` or ``TOP``.  The semiring is a parameter
-of a whole weight function, not a tag on each weight: a function's tag
-selects its :class:`Semiring` through :func:`semiring_of`, once per
-function.  Payloads of different domains may compare equal
+of a whole step relation, not a tag on each weight or function: a
+relation's ``layers`` name its :class:`Semiring` objects (see
+:mod:`.sem_futs`), and every operator of :mod:`.fsfun` takes the one it
+folds with.  Payloads of different domains may compare equal
 (``True == 1``), so code must never compare weights from two domains.
 """
 
@@ -33,14 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, and_, mul, or_
 from typing import Any, Callable
-
-from .errors import SemiringMismatchError
-
-BOOL = "BOOL"
-NNRAT = "NNRAT"
-NATSET = "NATSET"
-
-TAGS = (BOOL, NNRAT, NATSET)
 
 
 class _TopType:
@@ -57,6 +51,7 @@ TOP = _TopType()
 class Semiring:
     """The constants and operations of one weight domain, over raw payloads.
 
+    ``tag`` names the domain in the JSON output (``"semiring"``).
     ``fmt`` gives the canonical text of a weight: booleans render as
     ``true``/``false``; rationals always as ``numerator/denominator``
     (so the integer two is ``2/1``); natural sets as ascending
@@ -90,16 +85,6 @@ def _natset_fmt(s) -> str:
     return "{" + ",".join(str(n) for n in sorted(s)) + "}"
 
 
-_SEMIRINGS = {
-    BOOL: Semiring(BOOL, False, True, or_, and_, lambda b: "true" if b else "false"),
-    NNRAT: Semiring(NNRAT, 0, 1, add, mul, lambda q: f"{q.numerator}/{q.denominator}"),
-    NATSET: Semiring(NATSET, frozenset(), TOP, _natset_add, _natset_mul, _natset_fmt),
-}
-
-
-def semiring_of(tag: str) -> Semiring:
-    """The semiring a domain tag selects."""
-    try:
-        return _SEMIRINGS[tag]
-    except KeyError:
-        raise SemiringMismatchError(f"unknown weight domain tag: {tag!r}") from None
+BOOL = Semiring("BOOL", False, True, or_, and_, lambda b: "true" if b else "false")
+NNRAT = Semiring("NNRAT", 0, 1, add, mul, lambda q: f"{q.numerator}/{q.denominator}")
+NATSET = Semiring("NATSET", frozenset(), TOP, _natset_add, _natset_mul, _natset_fmt)

@@ -220,17 +220,17 @@ def _oracle_part(layers, fn: dict, assignment: Sequence[int]) -> frozenset:
     distribution key to its own part one layer down; then rates and masses
     add up per block, truth values count by presence, and tick amounts go
     as (amount, block) pairs."""
-    tag, deeper = layers[0].tag, layers[1:]
+    sr, deeper = layers[0], layers[1:]
     pushed = [
         (_oracle_part(deeper, dict(key), assignment) if deeper else assignment[key], weight)
         for key, weight in fn.items()
     ]
-    if tag == NNRAT:
+    if sr is NNRAT:
         totals: Dict[Any, Fraction] = {}
         for key, rate in pushed:
             totals[key] = totals.get(key, 0) + rate
         return frozenset(totals.items())
-    if tag == BOOL:
+    if sr is BOOL:
         return frozenset(key for key, _ in pushed)
     return frozenset((n, key) for key, amounts in pushed for n in amounts)
 

@@ -3,19 +3,13 @@
 Steps are keyed by term ids (``futs_step``, one function per label) or
 state ids (an explored transition table).  Tests that state expected functions by canonical
 term text compare through :func:`as_text`, and name an explored state by
-its text through :func:`state_keys` and :func:`state_of`.  The zero
-function of a domain, which only tests need, is :func:`ff_zero`.
+its text through :func:`state_keys` and :func:`state_of`.  A function is
+its tuple of non-zero entries, so the zero function is ``()``.
 """
 
-from futsbench.fsfun import FinFn, ff_make
-from futsbench.semiring import semiring_of
+from futsbench.fsfun import ff_make
 from futsbench.sem_futs import futs_step, relation_specs
 from futsbench.syntax import parse_term
-
-
-def ff_zero(tag):
-    """The constant-zero function of a domain."""
-    return ff_make(tag, ())
 
 
 def as_text(layers, entries, text_of):
@@ -23,17 +17,15 @@ def as_text(layers, entries, text_of):
     first), each id replaced by ``text_of(id)``.
 
     ``entries`` are ``(id, weight)`` pairs, or, with more layers,
-    ``(inner, weight)`` pairs whose inner function is a ``FinFn`` or a
-    tuple of pairs over the layers below.
+    ``(inner, weight)`` pairs whose inner function is a tuple of pairs over
+    the layers below.
     """
     deeper = layers[1:]
 
     def key(k):
-        if not deeper:
-            return text_of(k)
-        return as_text(deeper, k.entries if isinstance(k, FinFn) else k, text_of)
+        return as_text(deeper, k, text_of) if deeper else text_of(k)
 
-    return ff_make(layers[0].tag, [(key(k), v) for k, v in entries])
+    return ff_make(layers[0], [(key(k), v) for k, v in entries])
 
 
 def relation_spec(ctx, relation):
@@ -47,14 +39,13 @@ def steps_text(ctx, term_id, relation):
     function keyed by term text."""
     layers = relation_spec(ctx, relation).layers
     steps = futs_step(ctx, term_id, relation)
-    return {label: as_text(layers, fn.entries, ctx.text) for label, fn in steps.items()}
+    return {label: as_text(layers, fn, ctx.text) for label, fn in steps.items()}
 
 
 def step_text(ctx, term_id, relation, label):
     """A freshly computed step of a term under one label, keyed by term
-    text; the zero function when the term cannot take the label."""
-    zero = ff_zero(relation_spec(ctx, relation).layers[0].tag)
-    return steps_text(ctx, term_id, relation).get(label, zero)
+    text; the zero function ``()`` when the term cannot take the label."""
+    return steps_text(ctx, term_id, relation).get(label, ())
 
 
 def state_keys(fm):
@@ -73,8 +64,9 @@ def stored_text(fm, data, state_id, label):
     return as_text(data.layers, step, lambda t: fm.ctx.text(fm.states[t]))
 
 
-def fn_text(fn):
-    """Printed form of a text-keyed function, in key order: ``[P -> 1/2, Q -> 1/2]``."""
-    fmt = semiring_of(fn.tag).fmt
-    parts = sorted((fn_text(k) if isinstance(k, FinFn) else k, fmt(v)) for k, v in fn.entries)
+def fn_text(layers, fn):
+    """Printed form of a text-keyed function over ``layers``, in key order:
+    ``[P -> 1/2, Q -> 1/2]``."""
+    fmt, deeper = layers[0].fmt, layers[1:]
+    parts = sorted((fn_text(deeper, k) if deeper else k, fmt(v)) for k, v in fn)
     return "[" + ", ".join(f"{k} -> {v}" for k, v in parts) + "]"

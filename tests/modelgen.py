@@ -12,32 +12,36 @@ from fractions import Fraction
 from futsbench.semiring import BOOL, NATSET, NNRAT, TOP
 
 
-def random_value(rng: random.Random, tag: str):
-    """A random payload of the given weight domain, in the library's form
+# every weight domain, for tests that run on each
+SEMIRINGS = (BOOL, NNRAT, NATSET)
+
+
+def random_value(rng: random.Random, sr):
+    """A random payload of the weight domain ``sr``, in the library's form
     (a rational is an ``int`` when integral)."""
-    if tag == BOOL:
+    if sr is BOOL:
         return rng.random() < 0.5
-    if tag == NNRAT:
+    if sr is NNRAT:
         value = Fraction(rng.randint(0, 20), rng.randint(1, 12))
         return value.numerator if value.denominator == 1 else value
-    if tag == NATSET:
+    if sr is NATSET:
         roll = rng.random()
         if roll < 0.1:
             return TOP
         size = rng.randint(0, 5)
         return frozenset(rng.randint(0, 9) for _ in range(size))
-    raise ValueError(tag)
+    raise ValueError(sr)
 
 
-def random_finfn(rng: random.Random, tag: str, keys=None) -> "FinFn":
-    """A random finite-support function over string keys."""
+def random_fn(rng: random.Random, sr, keys=None) -> tuple:
+    """A random finite-support function over ``sr`` and string keys."""
     from futsbench.fsfun import ff_make
 
     if keys is None:
         keys = [f"P{i}" for i in range(8)]
     size = rng.randint(0, 4)
-    pairs = [(rng.choice(keys), random_value(rng, tag)) for _ in range(size)]
-    return ff_make(tag, pairs)
+    pairs = [(rng.choice(keys), random_value(rng, sr)) for _ in range(size)]
+    return ff_make(sr, pairs)
 
 
 # ---------------------------------------------------------------------------

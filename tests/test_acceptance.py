@@ -28,13 +28,13 @@ from futsbench.crosscheck import (
 )
 from futsbench.explore import explore, to_json
 from futsbench.fsfun import ff_make, ff_oplus
-from futsbench.semiring import TAGS, semiring_of
+from futsbench.semiring import NNRAT
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs
 from futsbench.syntax import parse_model, parse_term
 
 from bisimref import brute_force, disjoint_union
-from idtext import as_text, ff_zero, fn_text, state_keys, steps_text, stored_text
-from modelgen import bodies, build_corpus, fresh_copy, model_text, random_value, tree
+from idtext import as_text, fn_text, state_keys, steps_text, stored_text
+from modelgen import SEMIRINGS, bodies, build_corpus, fresh_copy, model_text, random_value, tree
 
 LANGS = ("pepa", "iml", "tpc", "mal")
 
@@ -94,13 +94,12 @@ def tiny_corpus(lang):
 def test_criterion_01_semiring_laws():
     start = time.monotonic()
     rng = random.Random("criterion-1-semiring-laws")
-    for tag in TAGS:
-        sr = semiring_of(tag)
+    for sr in SEMIRINGS:
         zero, one, add, mul = sr.zero, sr.one, sr.add, sr.mul
         for _ in range(1000):
-            x = random_value(rng, tag)
-            y = random_value(rng, tag)
-            z = random_value(rng, tag)
+            x = random_value(rng, sr)
+            y = random_value(rng, sr)
+            z = random_value(rng, sr)
             # additive commutative monoid
             assert add(add(x, y), z) == add(x, add(y, z))
             assert add(x, y) == add(y, x)
@@ -130,7 +129,7 @@ def test_criterion_02_golden_model_exact():
     assert state_keys(fm) == ["S0", "S1", "S2", "S3"]
 
     def rat_fn(pairs):
-        return ff_make("NNRAT", [(k, Fraction(v)) for k, v in pairs])
+        return ff_make(NNRAT, [(k, Fraction(v)) for k, v in pairs])
 
     act = fm.relations[0]
 
@@ -147,11 +146,11 @@ def test_criterion_02_golden_model_exact():
     )
     # and the displayed zero functions: no b-behaviour anywhere else
     for state in (0, 2, 3):
-        assert fn_at(state, "b") == ff_zero("NNRAT")
+        assert fn_at(state, "b") == ()
     # every continuation is a probability distribution (total weight 1)
     for state in range(4):
-        assert ff_oplus(fn_at(state, "a")) == Fraction(1)
-    assert ff_oplus(fn_at(1, "b")) == Fraction(1)
+        assert ff_oplus(NNRAT, fn_at(state, "a")) == Fraction(1)
+    assert ff_oplus(NNRAT, fn_at(1, "b")) == Fraction(1)
     print("criterion 2: PASS — golden model reproduced exactly")
 
 
@@ -172,12 +171,13 @@ def printed_image(fm, data, fn, state_of):
         return fm.ctx.text(fm.states[state])
 
     if len(data.layers) == 1:
-        return simple(fn.entries)
+        return simple(fn)
 
     def printed(dist):
-        return fn_text(as_text(data.layers[1:], dist[0], key))
+        deeper = data.layers[1:]
+        return fn_text(deeper, as_text(deeper, dist[0], key))
 
-    return tuple(sorted(((simple(inner.entries), v) for inner, v in fn.entries), key=printed))
+    return tuple(sorted(((simple(inner), v) for inner, v in fn), key=printed))
 
 
 def test_criterion_03_totality_and_determinism():
@@ -207,9 +207,9 @@ def test_criterion_03_totality_and_determinism():
                     assert once == again and once is not again
                     labels = relation_labels(spec, model)
                     assert set(once) <= set(labels)
-                    assert all(fn.entries for fn in once.values())
+                    assert all(once.values())
                     for label in labels:
-                        fn = once.get(label, ff_zero(spec.layers[0].tag))
+                        fn = once.get(label, ())
                         assert data.function_at(state, label) == printed_image(
                             fm, data, fn, state_of
                         )

@@ -19,6 +19,7 @@ from futsbench.bisim import (
 from futsbench.crosscheck import oracle_moves, oracle_partition_from
 from futsbench.errors import ExplorationLimitError, FutsError, UnknownStateError
 from futsbench.explore import explore
+from futsbench.semiring import NNRAT
 from futsbench.syntax import parse_model, parse_term
 
 from bisimref import (
@@ -474,8 +475,8 @@ def test_minimize_folds_split_choice():
     assert len(q.states) == p.n_blocks
     qid = p.assignment[root]
     fn = stored_text(q, q.relations[0], qid, "a")
-    assert len(fn.entries) == 1
-    key, value = fn.entries[0]
+    assert len(fn) == 1
+    key, value = fn[0]
     assert key == "nil"
     assert value == 2
 
@@ -543,11 +544,11 @@ def test_nested_quotient_merges_inner_targets():
     q = minimize(fm, p)
     a_block = p.assignment[ids[2]]
     fn = stored_text(q, q.relations[0], a_block, "a")
-    assert len(fn.entries) == 1
-    inner, outer = fn.entries[0]
+    assert len(fn) == 1
+    inner, outer = fn[0]
     # Both halves of A's distribution landed in the same block.
-    assert len(inner.entries) == 1
-    assert inner.entries[0][1] == 1
+    assert len(inner) == 1
+    assert inner[0][1] == 1
 
     # two distributions that differ only in bisimilar targets fold into one
     fm, (a,) = explored(
@@ -560,6 +561,6 @@ def test_nested_quotient_merges_inner_targets():
     assert (len(fm.states), p.n_blocks) == (4, 3)
     q = minimize(fm, p)
     fn = stored_text(q, q.relations[0], p.assignment[a], "a")
-    assert [(fn_text(inner), outer) for inner, outer in fn.entries] == [
+    assert [(fn_text((NNRAT,), inner), outer) for inner, outer in fn] == [
         ("[B1 -> 1/2, nil -> 1/2]", True)
     ]

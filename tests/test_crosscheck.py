@@ -157,7 +157,7 @@ AGREEMENT_FAULTS = {
         "pepa_transitions",
         lambda derived, _: tuple((2 * rate, target) for rate, target in derived),
         "state 0 (P <a> Q) act a: "
-        "weights {'(Q <a> P)': Fraction(1, 1)} != derivations {'(Q <a> P)': 2}",
+        "weights {'(Q <a> P)': 1} != derivations {'(Q <a> P)': 2}",
     ),
     "iml": (
         "interactive_transitions",
@@ -218,10 +218,44 @@ def test_apparent_rate_check_fails_on_a_wrong_total(tmp_path, capsys, monkeypatc
     assert_fails("pepa", "apparent-rate totals", message, tmp_path, capsys)
 
 
+# per language, the least pair of states that the oracle separates, and the
+# least that it joins
+SPLIT_PAIRS = {
+    "pepa": (
+        "state 0 (P <a> Q) and state 2 (P <a> R)",
+        "state 0 (P <a> Q) and state 1 (Q <a> P)",
+    ),
+    "iml": (
+        "state 0 (X |[a]| Y) and state 1 (X |[a]| X)",
+        "state 0 (X |[a]| Y) and state 4 (Y |[a]| X)",
+    ),
+    "tpc": (
+        "state 0 (X |[a]| Y) and state 1 ((1).a.Y + (1).b.X |[a]| b.X + a.nil)",
+        "state 0 (X |[a]| Y) and state 2 ((1).a.Y + (1).b.X |[a]| X)",
+    ),
+    "mal": (
+        "state 0 (X |[a]| Y) and state 1 (X |[a]| X)",
+        "state 0 (X |[a]| Y) and state 3 (Y |[a]| X)",
+    ),
+}
+
+
 @pytest.mark.parametrize("lang, blocks", [("pepa", 6), ("iml", 6), ("tpc", 2), ("mal", 3)])
 def test_correspondence_check_fails_when_the_partitions_differ(
     lang, blocks, tmp_path, capsys, monkeypatch
 ):
+    separated, joined = SPLIT_PAIRS[lang]
     monkeypatch.setattr(crosscheck, "refine", lambda fm: Partition((0,) * len(fm.states)))
-    message = f"refinement found 1 blocks, step-derivation oracle {blocks}"
+    message = (
+        f"refinement found 1 blocks, step-derivation oracle {blocks}: "
+        f"refinement joins {separated}, the oracle does not"
+    )
+    assert_fails(lang, "bisimilarity correspondence", message, tmp_path, capsys)
+    # every state alone: the least pair that the oracle joins
+    monkeypatch.setattr(crosscheck, "refine", lambda fm: Partition(tuple(range(len(fm.states)))))
+    n_states = len(explore(parse_model(MODELS[lang], lang)).states)
+    message = (
+        f"refinement found {n_states} blocks, step-derivation oracle {blocks}: "
+        f"refinement separates {joined}, the oracle does not"
+    )
     assert_fails(lang, "bisimilarity correspondence", message, tmp_path, capsys)

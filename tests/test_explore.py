@@ -13,9 +13,10 @@ from futsbench.bisim import minimize, refine
 from futsbench.errors import ExplorationLimitError
 from futsbench.explore import explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus
+from futsbench.semiring import BOOL, NNRAT
 from futsbench.syntax import LANGUAGES, parse_model, parse_term, pretty, term_key
 
-from idtext import ff_zero, state_keys, state_of, stored_text
+from idtext import state_keys, state_of, stored_text
 from modelgen import build_corpus, tree
 
 GOLDEN_PEPA = """\
@@ -32,7 +33,7 @@ def golden_model():
 
 
 def rat_fn(pairs):
-    return ff_make("NNRAT", [(k, Fraction(v)) for k, v in pairs])
+    return ff_make(NNRAT, [(k, Fraction(v)) for k, v in pairs])
 
 
 def test_single_state_inert_model():
@@ -48,8 +49,8 @@ def test_self_loop_collapses_to_one_state():
     assert state_keys(fm) == ["X"]
     act, delay = fm.relations
     fn = stored_text(fm, act, 0, "a")
-    assert fn == ff_make("BOOL", [("X", True)])
-    assert stored_text(fm, delay, 0, "delta") == ff_zero("NNRAT")
+    assert fn == ff_make(BOOL, [("X", True)])
+    assert stored_text(fm, delay, 0, "delta") == ()
 
 
 def test_golden_model_states_and_functions():
@@ -70,10 +71,10 @@ def test_golden_model_states_and_functions():
         [("S0", "1/6"), ("S2", "1/2"), ("S3", "1/3")]
     )
     for state in (0, 2, 3):
-        assert fn_at(state, "b") == ff_zero("NNRAT")
+        assert fn_at(state, "b") == ()
     # every state's a-behaviour is a probability distribution
     for state in range(4):
-        assert ff_oplus(fn_at(state, "a")) == Fraction(1)
+        assert ff_oplus(NNRAT, fn_at(state, "a")) == Fraction(1)
 
 
 def _targets(step, layers):

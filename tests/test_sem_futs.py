@@ -21,9 +21,10 @@ from futsbench.sem_oracle import (
     pepa_transitions,
     timed_transitions,
 )
+from futsbench.semiring import BOOL, NATSET, NNRAT
 from futsbench.syntax import Model, children, parse_model, parse_term, term_key
 
-from idtext import ff_zero, fn_text, step_text
+from idtext import fn_text, step_text
 from modelgen import bodies, build_corpus, fresh_copy, tree
 
 
@@ -43,14 +44,8 @@ def test_relation_specs():
     assert [s.name for s in relation_specs("tpc")] == ["act", "tick"]
     assert [s.name for s in relation_specs("mal")] == ["act", "delay"]
     # MAL's act is a boolean function over distributions of states
-    assert [tuple(sr.tag for sr in s.layers) for s in relation_specs("mal")] == [
-        ("BOOL", "NNRAT"),
-        ("NNRAT",),
-    ]
-    assert [tuple(sr.tag for sr in s.layers) for s in relation_specs("tpc")] == [
-        ("BOOL",),
-        ("NATSET",),
-    ]
+    assert [s.layers for s in relation_specs("mal")] == [(BOOL, NNRAT), (NNRAT,)]
+    assert [s.layers for s in relation_specs("tpc")] == [(BOOL,), (NATSET,)]
     model = parse_model("init a.nil |[b]| nil\n", "iml")
     act, delay = relation_specs("iml")
     assert relation_labels(act, model) == ("a", "b")
@@ -64,22 +59,22 @@ def test_relation_specs():
 
 def test_pepa_prefix_and_choice():
     _, fn = step_of("(a, 3/2).nil", "pepa", "act", "a")
-    assert fn == ff_make("NNRAT", [("nil", Fraction("3/2"))])
+    assert fn == ff_make(NNRAT, [("nil", Fraction("3/2"))])
     _, fn = step_of("(a, 3/2).nil", "pepa", "act", "b")
-    assert fn == ff_zero("NNRAT")
+    assert fn == ()
     _, fn = step_of("(a, 1).nil + (a, 1).nil", "pepa", "act", "a")
-    assert fn == ff_make("NNRAT", [("nil", Fraction(2))])
+    assert fn == ff_make(NNRAT, [("nil", Fraction(2))])
 
 
 def test_pepa_constant_unfolding():
     ctx, fn = step_of("X", "pepa", "act", "a", defs="X = (a, 2).X\n")
-    assert fn == ff_make("NNRAT", [("X", Fraction(2))])
+    assert fn == ff_make(NNRAT, [("X", Fraction(2))])
 
 
 def test_pepa_sync_takes_the_slower_rate():
     _, fn = step_of("(a, 2).nil <a> (a, 3).nil", "pepa", "act", "a")
-    assert [key for key, _ in fn.entries] == ["(nil <a> nil)"]
-    assert dict(fn.entries)["(nil <a> nil)"] == Fraction(2)
+    assert [key for key, _ in fn] == ["(nil <a> nil)"]
+    assert dict(fn)["(nil <a> nil)"] == Fraction(2)
 
 
 def test_pepa_sync_splits_proportionally():
@@ -87,24 +82,24 @@ def test_pepa_sync_splits_proportionally():
     # right side total 1; joint total must be min(3, 1) = 1
     text = "((a, 2).nil + (a, 1).X) <a> (a, 1).nil"
     ctx, fn = step_of(text, "pepa", "act", "a", defs="X = (a, 1).X\n")
-    assert dict(fn.entries)["(nil <a> nil)"] == Fraction("2/3")
-    assert dict(fn.entries)["(X <a> nil)"] == Fraction("1/3")
-    assert ff_oplus(fn) == Fraction(1)
+    assert dict(fn)["(nil <a> nil)"] == Fraction("2/3")
+    assert dict(fn)["(X <a> nil)"] == Fraction("1/3")
+    assert ff_oplus(NNRAT, fn) == Fraction(1)
 
 
 def test_pepa_sync_with_a_stuck_side_is_zero():
     _, fn = step_of("(a, 2).nil <a> nil", "pepa", "act", "a")
-    assert fn == ff_zero("NNRAT")
+    assert fn == ()
 
 
 def test_pepa_interleaving():
     _, fn = step_of("(a, 2).nil <> (a, 3).nil", "pepa", "act", "a")
-    assert dict(fn.entries)["(nil <> (a, 3).nil)"] == Fraction(2)
-    assert dict(fn.entries)["((a, 2).nil <> nil)"] == Fraction(3)
-    assert ff_oplus(fn) == Fraction(5)
+    assert dict(fn)["(nil <> (a, 3).nil)"] == Fraction(2)
+    assert dict(fn)["((a, 2).nil <> nil)"] == Fraction(3)
+    assert ff_oplus(NNRAT, fn) == Fraction(5)
     # both operands step onto the same composite term: the rates add up
     _, fn = step_of("P <> P", "pepa", "act", "a", defs="P = (a, 1).P\n")
-    assert fn == ff_make("NNRAT", [("(P <> P)", Fraction(2))])
+    assert fn == ff_make(NNRAT, [("(P <> P)", Fraction(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -114,42 +109,42 @@ def test_pepa_interleaving():
 
 def test_iml_action_relation():
     _, fn = step_of("a.nil + a.X", "iml", "act", "a", defs="X = a.X\n")
-    assert fn == ff_make("BOOL", [("nil", True), ("X", True)])
+    assert fn == ff_make(BOOL, [("nil", True), ("X", True)])
     _, fn = step_of("1/2 . nil", "iml", "act", "a")
-    assert fn == ff_zero("BOOL")
+    assert fn == ()
 
 
 def test_iml_delay_relation_adds_rates():
     _, fn = step_of("1/2 . nil + 1/3 . nil", "iml", "delay", "delta")
-    assert fn == ff_make("NNRAT", [("nil", Fraction("5/6"))])
+    assert fn == ff_make(NNRAT, [("nil", Fraction("5/6"))])
     _, fn = step_of("a.nil", "iml", "delay", "delta")
-    assert fn == ff_zero("NNRAT")
+    assert fn == ()
 
 
 def test_iml_sync_requires_both_sides():
     _, fn = step_of("a.nil |[a]| a.X", "iml", "act", "a", defs="X = a.X\n")
-    assert fn == ff_make("BOOL", [("(nil |[a]| X)", True)])
+    assert fn == ff_make(BOOL, [("(nil |[a]| X)", True)])
     _, fn = step_of("a.nil |[a]| b.nil", "iml", "act", "a")
-    assert fn == ff_zero("BOOL")
+    assert fn == ()
 
 
 def test_iml_interleaving_action_and_delay():
     _, fn = step_of("a.nil |[]| a.nil", "iml", "act", "a")
-    assert [key for key, _ in fn.entries] == ["(a.nil |[]| nil)", "(nil |[]| a.nil)"]
-    assert dict(fn.entries)["(a.nil |[]| nil)"] is True
+    assert [key for key, _ in fn] == ["(a.nil |[]| nil)", "(nil |[]| a.nil)"]
+    assert dict(fn)["(a.nil |[]| nil)"] is True
     _, fn = step_of("X |[]| X", "iml", "act", "a", defs="X = a.X\n")
-    assert fn == ff_make("BOOL", [("(X |[]| X)", True)])
+    assert fn == ff_make(BOOL, [("(X |[]| X)", True)])
     _, fn = step_of("1.nil |[a]| 2.nil", "iml", "delay", "delta")
-    assert dict(fn.entries)["(nil |[a]| 2 . nil)"] == Fraction(1)
-    assert dict(fn.entries)["(1 . nil |[a]| nil)"] == Fraction(2)
+    assert dict(fn)["(nil |[a]| 2 . nil)"] == Fraction(1)
+    assert dict(fn)["(1 . nil |[a]| nil)"] == Fraction(2)
 
 
 def test_iml_delay_ignores_sync_set():
     # delays interleave even when the composition synchronises actions
     _, fn = step_of("1.nil |[a]| 1.nil", "iml", "delay", "delta")
-    assert ff_oplus(fn) == Fraction(2)
+    assert ff_oplus(NNRAT, fn) == Fraction(2)
     _, fn = step_of("Y |[a]| Y", "iml", "delay", "delta", defs="Y = 1 . Y\n")
-    assert fn == ff_make("NNRAT", [("(Y |[a]| Y)", Fraction(2))])
+    assert fn == ff_make(NNRAT, [("(Y |[a]| Y)", Fraction(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +154,15 @@ def test_iml_delay_ignores_sync_set():
 
 def test_tpc_action_relation_stops_at_delays():
     _, fn = step_of("(2).a.nil", "tpc", "act", "a")
-    assert fn == ff_zero("BOOL")
+    assert fn == ()
     _, fn = step_of("a.(2).nil", "tpc", "act", "a")
-    assert fn == ff_make("BOOL", [("(2).nil", True)])
+    assert fn == ff_make(BOOL, [("(2).nil", True)])
 
 
 def test_tpc_tick_of_a_time_prefix():
     _, fn = step_of("(2).a.nil", "tpc", "tick", "tick")
     assert fn == ff_make(
-        "NATSET",
+        NATSET,
         [("(1).a.nil", frozenset({1})), ("a.nil", frozenset({2}))],
     )
 
@@ -176,7 +171,7 @@ def test_tpc_tick_unrolls_through_the_continuation():
     # letting time pass through (1).(2).P behaves like (3).P
     _, fn = step_of("(1).(2).nil", "tpc", "tick", "tick")
     assert fn == ff_make(
-        "NATSET",
+        NATSET,
         [
             ("(2).nil", frozenset({1})),
             ("(1).nil", frozenset({2})),
@@ -184,13 +179,13 @@ def test_tpc_tick_unrolls_through_the_continuation():
         ],
     )
     _, direct = step_of("(3).nil", "tpc", "tick", "tick")
-    assert {k: v for k, v in fn.entries} == {k: v for k, v in direct.entries}
+    assert dict(fn) == dict(direct)
 
 
 def test_tpc_tick_of_choice_synchronises_time():
     _, fn = step_of("(2).nil + (3).nil", "tpc", "tick", "tick")
     assert fn == ff_make(
-        "NATSET",
+        NATSET,
         [
             ("((1).nil + (2).nil)", frozenset({1})),
             ("(nil + (1).nil)", frozenset({2})),
@@ -201,7 +196,7 @@ def test_tpc_tick_of_choice_synchronises_time():
 def test_tpc_tick_of_composition_synchronises_time():
     _, fn = step_of("(2).nil |[a]| (2).nil", "tpc", "tick", "tick")
     assert fn == ff_make(
-        "NATSET",
+        NATSET,
         [
             ("((1).nil |[a]| (1).nil)", frozenset({1})),
             ("(nil |[a]| nil)", frozenset({2})),
@@ -209,7 +204,7 @@ def test_tpc_tick_of_composition_synchronises_time():
     )
     # a side that cannot let time pass blocks the whole composition
     _, fn = step_of("(2).nil |[]| a.nil", "tpc", "tick", "tick")
-    assert fn == ff_zero("NATSET")
+    assert fn == ()
 
 
 def test_tpc_delay_only_recursion_is_reported():
@@ -221,7 +216,7 @@ def test_tpc_delay_only_recursion_is_reported():
     # recursion through an action prefix is fine
     model = parse_model("X = (1).a.X\ninit X\n", "tpc")
     fn = step_text(model, model.init, "tick", "tick")
-    assert fn == ff_make("NATSET", [("a.X", frozenset({1}))])
+    assert fn == ff_make(NATSET, [("a.X", frozenset({1}))])
     assert tpc_max_delay(model, model.init) == 1
 
 
@@ -248,7 +243,7 @@ def test_a_deep_delay_chain_has_its_maximal_delay_without_recursion():
 def test_a_deep_timed_choice_ticks_without_recursion():
     model = parse_model("init " + " + ".join(["(1).a.nil"] * DEEP) + "\n", "tpc")
     fn = step_text(model, model.init, "tick", "tick")
-    assert fn == ff_make("NATSET", [(DEEP_CHOICE_TEXT, frozenset({1}))])
+    assert fn == ff_make(NATSET, [(DEEP_CHOICE_TEXT, frozenset({1}))])
 
 
 def test_a_step_keeps_its_operands_steps_in_the_models_memo():
@@ -258,8 +253,8 @@ def test_a_step_keeps_its_operands_steps_in_the_models_memo():
     # the two prefixes' dicts are kept, the root's is not
     a, b = parse_term("(a, 1).nil", model), parse_term("(b, 2).nil", model)
     assert memo.keys() == {a, b} and model.init not in memo
-    assert memo[a] == {"a": ff_make("NNRAT", [(parse_term("nil", model), 1)])}
-    assert memo[b] == {"b": ff_make("NNRAT", [(parse_term("nil", model), 2)])}
+    assert memo[a] == {"a": ff_make(NNRAT, [(parse_term("nil", model), 1)])}
+    assert memo[b] == {"b": ff_make(NNRAT, [(parse_term("nil", model), 2)])}
     assert model.memo("act") is memo
     futs_step(model, model.init, "act")
     assert len(memo) == 2
@@ -272,9 +267,9 @@ def test_tpc_tick_amounts_descend_by_the_time_spent():
     model = parse_model("X = (2).a.X\ninit (1).X + (3).nil |[]| (2).nil\n", "tpc")
     seen = [model.init]
     for term_id in seen:
-        fn = futs_step(model, term_id, "tick").get("tick", ff_zero("NATSET"))
+        fn = futs_step(model, term_id, "tick").get("tick", ())
         base = tpc_max_delay(model, term_id)
-        for target, value in fn.entries:
+        for target, value in fn:
             assert len(value) == 1  # tick amounts are unique per target
             (amount,) = value
             assert tpc_max_delay(model, target) == base - amount
@@ -288,7 +283,7 @@ def test_tpc_tick_amounts_descend_by_the_time_spent():
 
 
 def inner_keys(fn):
-    return sorted(fn_text(k) for k, _ in fn.entries)
+    return sorted(fn_text((NNRAT,), k) for k, _ in fn)
 
 
 def test_mal_action_gives_a_distribution():
@@ -297,7 +292,7 @@ def test_mal_action_gives_a_distribution():
     _, fn = step_of("a.{1/2: nil [] 1/2: nil}", "mal", "act", "a")
     assert inner_keys(fn) == ["[nil -> 1/1]"]
     _, fn = step_of("a.{1: nil}", "mal", "act", "b")
-    assert fn == ff_zero("BOOL")
+    assert fn == ()
 
 
 def test_mal_choice_collects_distributions():
@@ -331,19 +326,19 @@ def test_mal_inner_distributions_sum_to_one():
     ctx, fn = step_of(
         "a.{1/3: nil [] 2/3: P} |[a]| a.{1/4: nil [] 3/4: P}", "mal", "act", "a", defs=defs
     )
-    for inner, flag in fn.entries:
+    for inner, flag in fn:
         assert flag is True
-        assert ff_oplus(inner) == Fraction(1)
+        assert ff_oplus(NNRAT, inner) == Fraction(1)
 
 
 def test_mal_delay_relation():
     _, fn = step_of("2.nil |[]| 3.X", "mal", "delay", "delta", defs="X = 1.X\n")
-    assert dict(fn.entries)["(nil |[]| 3 . X)"] == Fraction(2)
-    assert dict(fn.entries)["(2 . nil |[]| X)"] == Fraction(3)
+    assert dict(fn)["(nil |[]| 3 . X)"] == Fraction(2)
+    assert dict(fn)["(2 . nil |[]| X)"] == Fraction(3)
     _, fn = step_of("a.{1: nil}", "mal", "delay", "delta")
-    assert fn == ff_zero("NNRAT")
+    assert fn == ()
     _, fn = step_of("Y |[a]| Y", "mal", "delay", "delta", defs="Y = 1 . Y\n")
-    assert fn == ff_make("NNRAT", [("(Y |[a]| Y)", Fraction(2))])
+    assert fn == ff_make(NNRAT, [("(Y |[a]| Y)", Fraction(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +369,7 @@ def test_unguarded_recursion_is_never_memoised(lang, prefix, par):
         with pytest.raises(UnguardedRecursionError, match="X -> X"):
             parse_model(f"{defs}X = {body}\ninit P {par} P\n", lang)
     model = parse_model(f"{defs}X = {prefix}{cont}\ninit P {par} P\n", lang)
-    assert step_text(model, model.init, "act", "a").entries
+    assert step_text(model, model.init, "act", "a")
 
 
 def test_delay_cycle_is_never_memoised():
@@ -384,7 +379,7 @@ def test_delay_cycle_is_never_memoised():
         with pytest.raises(DelayCycleError, match="X -> X"):
             parse_model(f"{defs}X = {body}\ninit (1).P |[]| (2).P\n", "tpc")
     model = parse_model(f"{defs}X = (1).a.X\ninit (1).P |[]| (2).P\n", "tpc")
-    assert step_text(model, model.init, "tick", "tick").entries
+    assert step_text(model, model.init, "tick", "tick")
     assert tpc_max_delay(model, model.init) == 1
 
 
@@ -486,7 +481,7 @@ def test_a_step_holds_exactly_the_labels_the_oracle_moves_under(lang):
             oracle_id = table.of_model(term)
             for spec, data in zip(relation_specs(lang), fm.relations):
                 steps = futs_step(model, term, spec.name)
-                assert all(fn.entries for fn in steps.values())
+                assert all(steps.values())
                 for label in data.labels:
                     moves = _oracle_moves(lang, table, oracle_id, spec.name, label)
                     assert (label in steps) == moves, (model.text(term), spec.name, label)

@@ -2,23 +2,23 @@
 
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
-from futsbench.semiring import TAGS, TOP, semiring_of
+from futsbench.semiring import BOOL, NATSET, NNRAT, TOP
 
-from modelgen import random_value
+from modelgen import SEMIRINGS, random_value
 
 
-@pytest.mark.parametrize("tag", TAGS)
-def test_semiring_laws_on_random_triples(tag):
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=attrgetter("tag"))
+def test_semiring_laws_on_random_triples(sr):
     rng = random.Random(20260819)
-    sr = semiring_of(tag)
     zero, one, add, mul = sr.zero, sr.one, sr.add, sr.mul
     for _ in range(300):
-        a = random_value(rng, tag)
-        b = random_value(rng, tag)
-        c = random_value(rng, tag)
+        a = random_value(rng, sr)
+        b = random_value(rng, sr)
+        c = random_value(rng, sr)
         # additive commutative monoid
         assert add(a, b) == add(b, a)
         assert add(add(a, b), c) == add(a, add(b, c))
@@ -32,15 +32,14 @@ def test_semiring_laws_on_random_triples(tag):
         assert mul(a, zero) == zero
 
 
-@pytest.mark.parametrize("tag", TAGS)
-def test_sums_of_non_zero_weights_are_never_zero(tag):
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=attrgetter("tag"))
+def test_sums_of_non_zero_weights_are_never_zero(sr):
     # zero-sum-freeness: fsfun's ff_add and ff_map_keys rely on it
     rng = random.Random(4242)
-    sr = semiring_of(tag)
 
     def non_zero():
         while True:
-            value = random_value(rng, tag)
+            value = random_value(rng, sr)
             if value != sr.zero:
                 return value
 
@@ -49,29 +48,26 @@ def test_sums_of_non_zero_weights_are_never_zero(tag):
 
 
 def test_constants():
-    assert (semiring_of("BOOL").zero, semiring_of("BOOL").one) == (False, True)
-    nnrat = semiring_of("NNRAT")
-    assert (nnrat.zero, nnrat.one) == (0, 1)
-    assert type(nnrat.zero) is int and type(nnrat.one) is int
-    natset = semiring_of("NATSET")
-    assert natset.zero == frozenset() and natset.one is TOP
+    assert (BOOL.zero, BOOL.one) == (False, True)
+    assert (NNRAT.zero, NNRAT.one) == (0, 1)
+    assert type(NNRAT.zero) is int and type(NNRAT.one) is int
+    assert NATSET.zero == frozenset() and NATSET.one is TOP
 
 
 def test_natset_union_is_sum_and_intersection_is_product():
-    natset = semiring_of("NATSET")
     a = frozenset({1, 2})
     b = frozenset({2, 5})
-    assert natset.add(a, b) == frozenset({1, 2, 5})
-    assert natset.mul(a, b) == frozenset({2})
+    assert NATSET.add(a, b) == frozenset({1, 2, 5})
+    assert NATSET.mul(a, b) == frozenset({2})
     # the all-naturals sentinel absorbs union and is neutral for intersection
-    assert natset.add(a, TOP) is TOP
-    assert natset.mul(a, TOP) == a
+    assert NATSET.add(a, TOP) is TOP
+    assert NATSET.mul(a, TOP) == a
 
 
 def test_format_canonical():
-    fmt_bool = semiring_of("BOOL").fmt
-    fmt_rat = semiring_of("NNRAT").fmt
-    fmt_set = semiring_of("NATSET").fmt
+    fmt_bool = BOOL.fmt
+    fmt_rat = NNRAT.fmt
+    fmt_set = NATSET.fmt
     assert fmt_bool(True) == "true"
     assert fmt_bool(False) == "false"
     assert fmt_rat(Fraction(2)) == fmt_rat(2) == "2/1"

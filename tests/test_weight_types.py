@@ -12,7 +12,6 @@ import pytest
 
 from futsbench.bisim import _state_signature, minimize, refine
 from futsbench.crosscheck import oracle_moves
-from futsbench.fsfun import FinFn
 from futsbench.sem_futs import futs_step
 from futsbench.sem_oracle import OracleTerms, pepa_apparent_rate, pepa_transitions
 from futsbench.semiring import NATSET, NNRAT
@@ -29,12 +28,12 @@ def _assert_exact(numbers, where: str) -> int:
     return len(numbers)
 
 
-def _numbers(tag: str, weights) -> list:
-    """The numbers in ``weights`` of the domain ``tag``: a rational is one,
+def _numbers(sr, weights) -> list:
+    """The numbers in ``weights`` of the domain ``sr``: a rational is one,
     a set of naturals holds its members, and a truth value holds none."""
-    if tag == NNRAT:
+    if sr is NNRAT:
         return list(weights)
-    if tag == NATSET:
+    if sr is NATSET:
         return [n for members in weights for n in members]
     return []
 
@@ -42,13 +41,12 @@ def _numbers(tag: str, weights) -> list:
 def _step_numbers(layers, step) -> list:
     """The numbers in one step (or quotient step, signature part, or folded
     oracle slot) over ``layers``: its weights' and its inner functions' (a
-    ``FinFn`` in a signature part, a tuple of pairs in a step, a frozenset
-    of pairs in an oracle slot)."""
-    numbers = _numbers(layers[0].tag, [w for _, w in step])
+    tuple of pairs in a step or signature part, a frozenset of pairs in an
+    oracle slot)."""
+    numbers = _numbers(layers[0], [w for _, w in step])
     if len(layers) > 1:
         for inner, _ in step:
-            entries = inner.entries if isinstance(inner, FinFn) else inner
-            numbers += _step_numbers(layers[1:], entries)
+            numbers += _step_numbers(layers[1:], inner)
     return numbers
 
 
@@ -153,12 +151,30 @@ def test_synchronised_joint_rates_are_exact_in_both_routes():
     for (state, label), expected in SYNC_STEPS.items():
         term_id = parse_term(state, model)
         step = futs_step(model, term_id, "act")[label]
-        _exactly({model.text(k): w for k, w in step.entries}, expected, f"step of {state}")
+        _exactly({model.text(k): w for k, w in step}, expected, f"step of {state}")
         derived: dict = {}
         for rate, target in pepa_transitions(table, table.of_model(term_id), label):
             key = table.text(target)
             derived[key] = derived[key] + rate if key in derived else rate
         _exactly(derived, expected, f"derivations of {state}")
+
+
+# P <a> Q's side totals of a are the integers 1 and 3, so its one joint rate
+# is 1 * 3 scaled by 1/3: the integer 1, not Fraction(1, 1)
+COOP = "P = (a, 1).Q + (b, 2).P\nQ = (a, 3).P + (c, 1).R\nR = (b, 1/2).P\ninit P <a> Q\n"
+
+
+def test_an_integral_joint_rate_is_an_int_in_both_routes():
+    model = parse_model(COOP, "pepa")
+    table = OracleTerms(model)
+    step = futs_step(model, model.init, "act")["a"]
+    got = {model.text(k): w for k, w in step}
+    derived = {
+        table.text(target): rate
+        for rate, target in pepa_transitions(table, table.of_model(model.init), "a")
+    }
+    assert got == derived == {"(Q <a> P)": 1}
+    assert {k: type(w) for k, w in got.items()} == {k: type(w) for k, w in derived.items()}
 
 
 # ---------------------------------------------------------------------------
