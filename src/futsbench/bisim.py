@@ -236,7 +236,7 @@ def one_step_witness(model: Model, left: int, right: int) -> Optional[Witness]:
     distributions' total masses.  Only the two terms are stepped; nothing
     is explored.
     """
-    relations = relation_tables(model, (left, right))
+    relations = relation_tables(model)
     for source, term_id in enumerate((left, right)):
         store_steps(model, relations, source, term_id, lambda _: 0)
     return _first_difference(relations, 0, 1, (0, 0), lambda _: ALL_STATES)

@@ -112,20 +112,12 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _run(args) -> int:
+    model = load_model(args.file, args.lang)
     if args.command == "check":
-        model = load_model(args.file, args.lang)
         print(f"ok: {len(model.defs)} definitions, language {model.lang}, guarded")
         return 0
 
-    if args.command == "build":
-        model = load_model(args.file, args.lang)
-        fm = explore(model, max_states=args.max_states)
-        text = to_json(fm) if args.format == "json" else to_dot(fm)
-        _emit(text, args.output)
-        return 0
-
     if args.command == "bisim":
-        model = load_model(args.file, args.lang)
         left = parse_term(args.left, model)
         right = parse_term(args.right, model)
         witness = one_step_witness(model, left, right)
@@ -144,22 +136,20 @@ def _run(args) -> int:
         )
         return 1
 
-    if args.command == "minimize":
-        model = load_model(args.file, args.lang)
-        fm = explore(model, max_states=args.max_states)
-        quotient = minimize(fm, refine(fm))
-        _emit(to_json(quotient), args.output)
+    # build, minimize and compare explore what init reaches
+    fm = explore(model, max_states=args.max_states)
+    if args.command == "build":
+        _emit(to_json(fm) if args.format == "json" else to_dot(fm), args.output)
         return 0
 
-    if args.command == "compare":
-        model = load_model(args.file, args.lang)
-        fm = explore(model, max_states=args.max_states)
-        results = run_checks(fm)
-        for result in results:
-            print(result.line())
-        return 0 if all(r.passed for r in results) else 1
+    if args.command == "minimize":
+        _emit(to_json(minimize(fm, refine(fm))), args.output)
+        return 0
 
-    raise FutsError(f"unknown command {args.command!r}")
+    results = run_checks(fm)  # compare
+    for result in results:
+        print(result.line())
+    return 0 if all(r.passed for r in results) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -25,7 +25,7 @@ the acceptance suite both run these.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bisim import Partition, canonical_assignment, refine
 from .errors import UnknownStateError
@@ -55,6 +55,14 @@ class CheckResult:
         if self.passed:
             return f"PASS {self.name} [{self.checked} checks]"
         return f"FAIL {self.name}: {self.failures[0]}"
+
+
+def _tally(name: str, outcomes: Iterable[Optional[str]]) -> CheckResult:
+    """The result of the check ``name`` from its outcomes, one per
+    comparison: None where it held, else the failure message."""
+    outcomes = list(outcomes)
+    failures = tuple(outcome for outcome in outcomes if outcome is not None)
+    return CheckResult(name, not failures, len(outcomes), failures)
 
 
 def _key(fm: FutsModel, state: int) -> str:
@@ -160,22 +168,19 @@ def oracle_moves(fm: FutsModel) -> OracleMoves:
 
 
 def apparent_rate_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
-    table = moves.table
     act = _relation(fm, "act")
-    checked = 0
-    failures: List[str] = []
-    for state, term_id in enumerate(moves.terms):
-        for action in act.labels:
-            step = act.function_at(state, action)
-            got = sum(value for _, value in step)
-            expected = pepa_apparent_rate(table, term_id, action)
-            checked += 1
-            if got != expected:
-                failures.append(
+
+    def outcomes():
+        for state, term_id in enumerate(moves.terms):
+            for action in act.labels:
+                got = sum(value for _, value in act.function_at(state, action))
+                expected = pepa_apparent_rate(moves.table, term_id, action)
+                yield None if got == expected else (
                     f"state {state} ({_pretty(fm, state)}) action {action}: "
                     f"total weight {got}, apparent rate {expected}"
                 )
-    return CheckResult("apparent-rate totals", not failures, checked, tuple(failures))
+
+    return _tally("apparent-rate totals", outcomes())
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +200,20 @@ def _named(fn: Dict[Any, Any], fm: FutsModel) -> Dict[Any, Any]:
 
 
 def agreement_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
-    checked = 0
-    failures: List[str] = []
-    for state, row in enumerate(moves.rows):
-        for (data, label), derived in zip(moves.slots, row):
-            step = data.function_at(state, label)
-            checked += 1
-            if len(data.layers) == 1:
-                got = dict(step)
-            else:
-                got = {frozenset(inner): weight for inner, weight in step}
-            if got != derived:
-                failures.append(
+    def outcomes():
+        for state, row in enumerate(moves.rows):
+            for (data, label), derived in zip(moves.slots, row):
+                step = data.function_at(state, label)
+                if len(data.layers) == 1:
+                    got = dict(step)
+                else:
+                    got = {frozenset(inner): weight for inner, weight in step}
+                yield None if got == derived else (
                     f"state {state} ({_pretty(fm, state)}) {data.name} {label}: "
                     f"weights {_named(got, fm)} != derivations {_named(derived, fm)}"
                 )
-    return CheckResult(
-        "per-target semantics agreement", not failures, checked, tuple(failures)
-    )
+
+    return _tally("per-target semantics agreement", outcomes())
 
 
 # ---------------------------------------------------------------------------
@@ -222,39 +223,33 @@ def agreement_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
 
 def tick_singleton_check(fm: FutsModel) -> CheckResult:
     tick = _relation(fm, "tick")
-    checked = 0
-    failures: List[str] = []
-    for (source, _), step in tick.transitions.items():
-        for target, value in step:
-            checked += 1
-            if not isinstance(value, frozenset) or len(value) != 1:
-                failures.append(
+
+    def outcomes():
+        for (source, _), step in tick.transitions.items():
+            for target, value in step:
+                yield None if isinstance(value, frozenset) and len(value) == 1 else (
                     f"state {source} -> {_key(fm, target)}: "
                     f"amount set {value!r} is not a singleton"
                 )
-    return CheckResult(
-        "tick values are singletons", not failures, checked, tuple(failures)
-    )
+
+    return _tally("tick values are singletons", outcomes())
 
 
 def time_determinism_check(fm: FutsModel, moves: OracleMoves) -> CheckResult:
     tick = next(i for i, (data, _) in enumerate(moves.slots) if data.name == "tick")
-    checked = 0
-    failures: List[str] = []
-    for state, row in enumerate(moves.rows):
-        seen: Dict[int, int] = {}
-        for target, amounts in row[tick].items():
-            for amount in sorted(amounts):
-                checked += 1
-                other = seen.setdefault(amount, target)
-                if other != target:
-                    failures.append(
+
+    def outcomes():
+        for state, row in enumerate(moves.rows):
+            seen: Dict[int, int] = {}
+            for target, amounts in row[tick].items():
+                for amount in sorted(amounts):
+                    other = seen.setdefault(amount, target)
+                    yield None if other == target else (
                         f"state {state} ({_pretty(fm, state)}): waiting {amount} reaches "
                         f"both {_key(fm, other)!r} and {_key(fm, target)!r}"
                     )
-    return CheckResult(
-        "oracle time-determinism", not failures, checked, tuple(failures)
-    )
+
+    return _tally("oracle time-determinism", outcomes())
 
 
 def md_descent_check(fm: FutsModel) -> CheckResult:
@@ -262,39 +257,32 @@ def md_descent_check(fm: FutsModel) -> CheckResult:
     shrunk by exactly the amount waited."""
     ctx = fm.ctx
     tick = _relation(fm, "tick")
-    checked = 0
-    failures: List[str] = []
-    for (source, _), step in tick.transitions.items():
-        source_md = tpc_max_delay(ctx, fm.states[source])
-        for target, value in step:
-            target_md = tpc_max_delay(ctx, fm.states[target])
-            for amount in sorted(value):
-                checked += 1
-                if amount < 1 or target_md != source_md - amount:
-                    failures.append(
-                        f"state {source}: waited {amount}, max delay "
-                        f"{source_md} -> {target_md}"
+
+    def outcomes():
+        for (source, _), step in tick.transitions.items():
+            source_md = tpc_max_delay(ctx, fm.states[source])
+            for target, value in step:
+                target_md = tpc_max_delay(ctx, fm.states[target])
+                for amount in sorted(value):
+                    yield None if amount >= 1 and target_md == source_md - amount else (
+                        f"state {source}: waited {amount}, max delay {source_md} -> {target_md}"
                     )
-    return CheckResult(
-        "waiting shrinks the delay budget", not failures, checked, tuple(failures)
-    )
+
+    return _tally("waiting shrinks the delay budget", outcomes())
 
 
 def distribution_check(fm: FutsModel) -> CheckResult:
     act = _relation(fm, "act")
-    checked = 0
-    failures: List[str] = []
-    for (source, label), step in act.transitions.items():
-        for inner, _ in step:
-            checked += 1
-            mass = sum(p for _, p in inner)
-            if mass != 1:
-                failures.append(
+
+    def outcomes():
+        for (source, label), step in act.transitions.items():
+            for inner, _ in step:
+                mass = sum(p for _, p in inner)
+                yield None if mass == 1 else (
                     f"state {source} label {label}: branch masses sum to {mass}"
                 )
-    return CheckResult(
-        "branch distributions sum to one", not failures, checked, tuple(failures)
-    )
+
+    return _tally("branch distributions sum to one", outcomes())
 
 
 def _oracle_signature(slot_layers: Sequence[Layers], row: tuple, block_of: Sequence[int]) -> tuple:

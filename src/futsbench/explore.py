@@ -123,11 +123,11 @@ class FutsModel:
     relations: List[RelationData]
 
 
-def relation_tables(model: Model, roots: Iterable[int]) -> List[RelationData]:
+def relation_tables(model: Model) -> List[RelationData]:
     """One empty transition table per relation of the model's language,
-    labelled by the actions of the model and of the terms ``roots``."""
+    labelled by the actions of the terms in its table (:func:`.syntax.alphabet`)."""
     return [
-        RelationData(s.name, s.layers, relation_labels(s, model, roots))
+        RelationData(s.name, s.layers, relation_labels(s, model))
         for s in relation_specs(model.lang)
     ]
 
@@ -169,7 +169,7 @@ def explore(
     model's table.
     """
     roots = (model.init,) if roots is None else roots
-    relations = relation_tables(model, roots)
+    relations = relation_tables(model)
     state_of: Dict[int, int] = {}  # term id -> state id
     states: List[int] = []
     queue: deque = deque()

@@ -37,22 +37,16 @@ Fn = Tuple[Tuple[Key, Any], ...]
 def ff_make(sr: Semiring, pairs: Iterable[Tuple[Key, Any]]) -> Fn:
     """Build a canonical function over ``sr``, folding duplicate keys by
     addition and dropping entries equal to the domain's zero."""
-    acc: dict[Key, Any] = {}
-    for key, value in pairs:
-        prev = acc.get(key)
-        acc[key] = value if prev is None else sr.add(prev, value)
-    kept = [(k, v) for k, v in acc.items() if v != sr.zero]
-    kept.sort(key=itemgetter(0))
-    return tuple(kept)
+    zero = sr.zero
+    return tuple([(k, v) for k, v in _fold(sr, list(pairs)) if v != zero])
 
 
 def _fold(sr: Semiring, pairs: list) -> Fn:
-    """The canonical function of ``pairs``, whose values are all non-zero
-    payloads of ``sr``.
+    """``pairs`` sorted by key, the values of duplicate keys added up by
+    ``sr``, with no entry tested against zero.
 
-    Duplicate keys add up, and, since every domain is zero-sum-free (see
-    :mod:`.semiring`), their sums are non-zero too, so no entry is tested
-    against zero.
+    Every domain is zero-sum-free (see :mod:`.semiring`), so where every
+    value is non-zero the result is canonical as it stands.
     """
     acc = dict(pairs)
     if len(acc) < len(pairs):  # some keys collided: fold them

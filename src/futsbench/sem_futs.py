@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Container, Dict, Iterable, Optional, Tuple
+from typing import Callable, Container, Dict, Optional, Tuple
 
 from .fsfun import (
     Fn,
@@ -95,11 +95,11 @@ def relation_specs(lang: str) -> Tuple[RelationSpec, ...]:
     return tuple(_SPECS[lang].values())
 
 
-def relation_labels(spec: RelationSpec, model: Model, roots: Iterable = ()) -> Tuple[str, ...]:
-    """The labels of a relation for a model and extra root term ids (sorted)."""
+def relation_labels(spec: RelationSpec, model: Model) -> Tuple[str, ...]:
+    """The labels of a relation for a model (sorted)."""
     if spec.fixed_labels is not None:
         return spec.fixed_labels
-    return tuple(alphabet(model, roots))
+    return tuple(alphabet(model))
 
 
 def futs_step(model: Model, term_id: int, relation: str) -> Steps:

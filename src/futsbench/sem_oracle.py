@@ -287,26 +287,14 @@ def _timed_moves(table: OracleTerms, _, t, rec) -> FrozenSet[Tuple[int, int]]:
         for amount, target in rec(t.cont):
             out.add((t.delay + amount, target))
         return _capped(out)
-    if isinstance(t, Choice):
+    if isinstance(t, (Choice, Par)):
+        # both sides wait the same amount, in lockstep
+        if isinstance(t, Choice):
+            pair = partial(id_of, Choice)
+        else:
+            pair = partial(id_of, Par, t.actions)
         left, right = rec(t.left), rec(t.right)
-        return _capped(
-            {
-                (n, id_of(Choice, target_l, target_r))
-                for n, target_l in left
-                for m, target_r in right
-                if n == m
-            }
-        )
-    if isinstance(t, Par):
-        left, right = rec(t.left), rec(t.right)
-        return _capped(
-            {
-                (n, id_of(Par, t.actions, target_l, target_r))
-                for n, target_l in left
-                for m, target_r in right
-                if n == m
-            }
-        )
+        return _capped({(n, pair(x, y)) for n, x in left for m, y in right if n == m})
     return frozenset()  # nil, an action
 
 

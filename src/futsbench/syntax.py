@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Container, Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Container, Iterator, Optional, Tuple, Union
 
 from .errors import (
     DelayCycleError,
@@ -704,27 +704,23 @@ def check_guarded(model: Model) -> None:
         _refuse_cycle(model, TIMED_FORMS, DelayCycleError, "recurses through delays only")
 
 
-def alphabet(model: Model, roots: Iterable[int] = ()) -> list:
-    """All action names occurring in the definitions, the initial term and
-    the terms ``roots``, sorted.
+def alphabet(model: Model) -> list:
+    """All action names of the terms in the model's table, sorted.
 
-    Both prefix actions and synchronisation-set members count, so the
-    label set of a model is stable across exploration.
+    Both prefix actions and synchronisation-set members count.  The table
+    holds the definitions, the initial term and every term parsed into
+    the model since, so such a term adds its actions, even from a
+    :func:`parse_term` that then fails (no caller goes on after such a
+    failure).  The terms that exploring interns are built from the
+    model's own shapes and add none, so the label set of a model is
+    stable across exploration.
     """
     actions = set()
-    seen = set()
-    stack = [*model.defs.values(), model.init, *roots]
-    while stack:
-        term_id = stack.pop()
-        if term_id in seen:
-            continue
-        seen.add(term_id)
-        t = model.shape(term_id)
+    for t in model._shapes:
         if isinstance(t, (RatedPrefix, ActPrefix, ProbPrefix)):
             actions.add(t.action)
         elif isinstance(t, (Coop, Par)):
             actions.update(t.actions)
-        stack.extend(children(t))
     return sorted(actions)
 
 

@@ -218,6 +218,48 @@ def test_apparent_rate_check_fails_on_a_wrong_total(tmp_path, capsys, monkeypatc
     assert_fails("pepa", "apparent-rate totals", message, tmp_path, capsys)
 
 
+def explored(lang):
+    return explore(parse_model(MODELS[lang], lang))
+
+
+def assert_result(result, checked, message):
+    """``result`` failed, ``message`` first, after ``checked`` comparisons."""
+    assert result.passed is False
+    assert result.failures[0] == message
+    assert result.checked == checked
+
+
+def test_tick_singleton_check_fails_on_a_two_amount_value():
+    fm = explored("tpc")
+    tick = crosscheck._relation(fm, "tick")
+    # the second of the three tick entries lets one or two units pass
+    ((target, _),) = tick.transitions[2, "tick"]
+    tick.transitions[2, "tick"] = ((target, frozenset({1, 2})),)
+    message = (
+        "state 2 -> ((a.Y + b.X) |[a]| ((1).a.Y + (1).b.X)): "
+        "amount set frozenset({1, 2}) is not a singleton"
+    )
+    assert_result(crosscheck.tick_singleton_check(fm), 3, message)
+
+
+def test_md_descent_check_fails_when_waiting_leaves_the_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(crosscheck, "tpc_max_delay", lambda model, term_id: 3)
+    message = "state 0: waited 1, max delay 3 -> 3"
+    assert_result(crosscheck.md_descent_check(explored("tpc")), 3, message)
+    assert_fails("tpc", "waiting shrinks the delay budget", message, tmp_path, capsys)
+
+
+def test_distribution_check_fails_on_masses_not_summing_to_one():
+    fm = explored("mal")
+    act = crosscheck._relation(fm, "act")
+    # the second of state 2's two distributions under b loses half its mass
+    first, (inner, weight) = act.transitions[2, "b"]
+    ((target, _),) = inner
+    act.transitions[2, "b"] = (first, (((target, Fraction(1, 2)),), weight))
+    message = "state 2 label b: branch masses sum to 1/2"
+    assert_result(crosscheck.distribution_check(fm), 5, message)
+
+
 # per language, the least pair of states that the oracle separates, and the
 # least that it joins
 SPLIT_PAIRS = {

@@ -14,10 +14,10 @@ from futsbench.errors import ExplorationLimitError
 from futsbench.explore import explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus
 from futsbench.semiring import BOOL, NNRAT
-from futsbench.syntax import LANGUAGES, parse_model, parse_term, pretty, term_key
+from futsbench.syntax import LANGUAGES, alphabet, parse_model, parse_term, pretty, term_key
 
 from idtext import state_keys, state_of, stored_text
-from modelgen import build_corpus, tree
+from modelgen import build_corpus, fresh_copy, tree
 
 GOLDEN_PEPA = """\
 S0 = (a, 1/2).S0 + (a, 1/2).S1
@@ -250,6 +250,18 @@ def test_explore_never_builds_a_term_tree(lang):
             term = tree(fm.ctx, term_id)
             assert fm.ctx.text(term_id) == term_key(term)
             assert fm.ctx.pretty(term_id) == pretty(term)
+
+
+@pytest.mark.parametrize("lang", LANGUAGES)
+def test_exploring_adds_no_action_to_the_alphabet(lang):
+    # the terms exploring interns are built from the model's own shapes,
+    # so the labels read from the table before exploring stay its labels
+    corpus = build_corpus(lang, 20, 100, "alphabet", depth=4, max_par=3, max_def_par=0)
+    for fm in corpus:
+        model = fresh_copy(fm.ctx)
+        before = alphabet(model)
+        explore(model, max_states=100)
+        assert alphabet(model) == before == alphabet(fm.ctx)
 
 
 @pytest.mark.parametrize("lang", LANGUAGES)

@@ -27,9 +27,14 @@ it runs the ``--help`` of the program and of every command, with
 hand-written PEPA model whose closure is infinite it runs only ``bisim``,
 with ``--max-states 20``: one query whose terms differ in their one-step
 totals, and one whose terms agree there, so that exploring them overruns
-the bound.  Prints
+the bound.  It runs ``build -o`` and ``minimize -o`` once each, hashing
+the file written too, and every command on each of a few files that no
+command accepts: an empty file, one with no ``init``, one with two, one
+that defines a constant twice, one with an unknown extension and one that
+is not UTF-8 text.  Prints
 one line per call, sorted: the SHA-256 of the exit status, stdout and
-stderr, then the call with its path relative to the generated directory.
+stderr (and of the file a call writes), then the call with its path
+relative to the generated directory.
 ``futsbench`` is imported from the ``src`` next to this script, so running
 the script in two checkouts and diffing the outputs shows whether a change
 altered any output.
@@ -219,6 +224,17 @@ UNBOUNDED = Model(
 )
 
 
+# files that every command refuses, by name, as bytes
+BAD_FILES = {
+    "empty.pepa": b"",
+    "no-init.pepa": b"P = (a, 1).P\n",
+    "two-inits.iml": b"init a.nil\ninit b.nil\n",
+    "twice-defined.tpc": b"X = a.X\nX = (1).b.X\ninit X\n",
+    "unknown.ccs": b"init nil\n",
+    "latin-1.mal": "-- é\ninit a.{1: nil}\n".encode("latin-1"),
+}
+
+
 def mutant(text: str, rng: random.Random) -> str:
     """``text`` with one piece deleted, replaced or inserted."""
     pieces = PIECES.findall(text)
@@ -234,8 +250,8 @@ def mutant(text: str, rng: random.Random) -> str:
 
 
 def calls(directory: str):
-    """Every call on the hand-written files and on those of every workload
-    and seed, and every ``--help``, as argv lists."""
+    """Every call on the hand-written files, on those of every workload
+    and seed and on the refused files, and every ``--help``, as argv lists."""
     yield ["--help"]
     for command in COMMANDS:
         yield [command, "--help"]
@@ -262,6 +278,9 @@ def calls(directory: str):
                 yield ["simulate", path]
                 init = spec.text.rpartition("init ")[2].strip()
                 yield ["bisim", path, "--left", init, "--right", init]
+                if spec.name == "presence":  # output to a file; its quotient is smaller
+                    yield ["build", path, "-o", "build-output.json"]
+                    yield ["minimize", path, "-o", "minimize-output.json"]
             stem, ext = os.path.splitext(spec.filename)
             rng = random.Random(f"{path}-mutants")
             for k in range(MUTANTS):
@@ -274,6 +293,14 @@ def calls(directory: str):
     path = os.path.join("hand-written", UNBOUNDED.filename)
     for query in UNBOUNDED.queries:
         yield ["bisim", path, "--max-states", "20", "--left", query.left, "--right", query.right]
+    os.makedirs(os.path.join(directory, "bad"))
+    for name, content in BAD_FILES.items():
+        path = os.path.join("bad", name)
+        with open(os.path.join(directory, path), "wb") as handle:
+            handle.write(content)
+        for command in COMMANDS:
+            terms = ["--left", "nil", "--right", "nil"] if command == "bisim" else []
+            yield [command, path, *terms]
 
 
 def output_hash(argv) -> str:
@@ -284,6 +311,9 @@ def output_hash(argv) -> str:
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     text = f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}"
+    if "-o" in argv:
+        with open(argv[argv.index("-o") + 1], encoding="utf-8") as handle:
+            text += f"\0{handle.read()}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
