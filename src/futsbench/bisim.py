@@ -23,7 +23,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FutsError, UnknownStateError
-from .explore import FutsModel, RelationData, in_printed_order, innermost, key_text
+from .explore import FutsModel, RelationData, canonical, in_printed_order, innermost, key_text
 from .explore import relation_tables, store_steps
 from .sem_futs import Layers
 from .syntax import Model
@@ -166,6 +166,18 @@ def refine(fm: FutsModel) -> Partition:
     return Partition(canonical_assignment(assignment))
 
 
+def _carried(fm: FutsModel, assignment: Sequence[int]):
+    """``fm`` numbered as ``build`` numbers it (:func:`.explore.canonical`),
+    ``assignment`` carried over to that numbering, its blocks renumbered
+    by least member, and each state's id in ``fm``."""
+    shown = canonical(fm)
+    if shown is fm:
+        return fm, canonical_assignment(assignment), range(len(fm.states))
+    state_of = {term: state for state, term in enumerate(fm.states)}
+    old = [state_of[term] for term in shown.states]
+    return shown, canonical_assignment([assignment[state] for state in old]), old
+
+
 def _check_state_id(fm: FutsModel, state_id: int) -> None:
     if not isinstance(state_id, int) or not (0 <= state_id < len(fm.states)):
         raise UnknownStateError(f"no state with id {state_id!r}")
@@ -251,12 +263,18 @@ def _class_name(fm: FutsModel, assignment: Sequence[int], block: int) -> str:
 def distinguish(fm: FutsModel, left: int, right: int) -> Optional[Witness]:
     """A (relation, label, class) witness for non-bisimilarity, or None.
 
-    A class is named by the readable text of its least member."""
+    A class is named by the readable text of its least member.  States are
+    numbered, and so parts ordered and classes named, as ``build`` numbers
+    them: a model explored in term-id order is renumbered
+    (:func:`.explore.canonical`) only once its two states are split, and
+    its partition is carried over, not refined again."""
     _check_state_id(fm, left)
     _check_state_id(fm, right)
     assignment = refine(fm).assignment
     if assignment[left] == assignment[right]:
         return None
+    fm, assignment, old = _carried(fm, assignment)
+    left, right = old.index(left), old.index(right)
     witness = _first_difference(
         fm.relations, left, right, assignment, partial(_class_name, fm, assignment)
     )
@@ -277,13 +295,16 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
 
     The partition must be stable (refining it must not split anything);
     each block is represented by its least member state, whose term stays
-    in the model's table (``ctx``)."""
+    in the model's table (``ctx``).  States are numbered as ``build``
+    numbers them: a model explored in term-id order is renumbered
+    (:func:`.explore.canonical`), with the partition carried over, so the
+    quotient's blocks are numbered by their least members there."""
     n_states = len(fm.states)
     if len(partition.assignment) != n_states:
         raise FutsError(
             f"partition covers {len(partition.assignment)} states, model has {n_states}"
         )
-    assignment = canonical_assignment(partition.assignment)
+    fm, assignment, _ = _carried(fm, partition.assignment)
     # blocks are numbered by least member, so in ascending id order each
     # block is met first at its least member, and in block order
     states: List[int] = []  # block id -> its least member's term id
@@ -311,5 +332,6 @@ def minimize(fm: FutsModel, partition: Partition) -> FutsModel:
         first += len(data.labels)
         relations.append(quotient)
 
-    return FutsModel(fm.ctx, states, relations)
+    # the roots are the first states, so their blocks are the first blocks
+    return FutsModel(fm.ctx, states, relations, len(set(assignment[: fm.roots])))
 

@@ -18,6 +18,11 @@ with nothing explored.  Otherwise it explores the closure of the two terms
 alone (``--max-states`` bounds that closure, and ``init`` is not explored)
 and refines it.  A witness names a class by the readable text of its
 least member, or as ``all states`` when the one-step totals differ.
+
+``bisim`` and ``compare`` explore in term-id order, which renders no
+text, and renumber states as ``build`` does only to name one: in a
+witness, or in the messages of a failed check.  ``build`` and
+``minimize`` print every state, so they explore in printed order.
 """
 
 import argparse
@@ -28,7 +33,7 @@ from typing import Optional, Sequence
 from .bisim import distinguish, minimize, one_step_witness, refine
 from .crosscheck import run_checks
 from .errors import FutsError
-from .explore import DEFAULT_MAX_STATES, explore, to_dot, to_json
+from .explore import DEFAULT_MAX_STATES, canonical, explore, to_dot, to_json
 from .syntax import LANGUAGES, load_model, parse_term
 # unused here, but bench/tracing.py wraps cli.check_guarded and cli.term_key (ROADMAP item 3)
 from .syntax import check_guarded, term_key  # noqa: F401
@@ -136,8 +141,9 @@ def _run(args) -> int:
         )
         return 1
 
-    # build, minimize and compare explore what init reaches
-    fm = explore(model, max_states=args.max_states)
+    # build, minimize and compare explore what init reaches; all but
+    # compare print every state, so they explore in printed order
+    fm = explore(model, max_states=args.max_states, printed=args.command != "compare")
     if args.command == "build":
         _emit(to_json(fm) if args.format == "json" else to_dot(fm), args.output)
         return 0
@@ -147,6 +153,9 @@ def _run(args) -> int:
         return 0
 
     results = run_checks(fm)  # compare
+    if not all(r.passed for r in results):
+        # a failure names states, so they are numbered as build numbers them
+        results = run_checks(canonical(fm))
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1

@@ -6,16 +6,27 @@ language, producing a :class:`FutsModel`: its states, each one a term
 id in the model's hash-consed table (state ids assigned in discovery
 order, the first root as state 0), plus, per relation, one transition
 table keyed by (source state id, label) that holds every non-zero step
-once, as its targets' state ids and weights in the printed order of the
-targets.  Zero steps are implicit.  A state's canonical and readable
-texts are read from the table when printed.
+once, as its targets' state ids and weights.  Zero steps are implicit.
+
+A step is a function, and its support has no order of its own, so two
+orders are kept.  By default a step's targets go in the function's own
+key order, term-id order, and new states are numbered in that order:
+exploring then renders no text, and a term whose text doubles at each
+step costs no more to explore than any other.  Explored ``printed``, a
+step's targets go in the order of their canonical texts, the order that
+``build`` prints; :func:`canonical` renumbers a model explored in id
+order into that one.  Only what names a state calls it: the
+serializers here, ``bisim``'s witness and quotient, and ``compare`` once
+a check fails.  A state's canonical and readable texts are read from the
+table when printed.
 
 A relation's ``layers`` are the weight domains of its steps, outermost
 first; one function per concern walks a step through them by recursion
-on the layers below the outermost (:func:`in_printed_order`,
-:func:`innermost`, :func:`step_text`, and ``bisim``'s push).
+on the layers below the outermost (:func:`in_key_order` and
+:func:`in_printed_order`, :func:`innermost`, :func:`step_text`, and
+``bisim``'s push).
 
-Serializers render a model to deterministic JSON (states in
+Serializers render a model to deterministic JSON (states in printed
 exploration order, entries in canonical key order, one layout per layer)
 or to Graphviz DOT (one edge per non-zero entry, labelled ``label /
 value``; transitions through inner distributions draw one edge per inner
@@ -49,7 +60,8 @@ class RelationData:
     # (source state id, label) -> non-zero step, in discovery order: the
     # ``((target id, weight), ...)`` of a step with one layer; with more,
     # each key is such a tuple itself, an inner function over the layers
-    # below
+    # below.  Entries go in their terms' id order, or, in a model explored
+    # printed, in their printed order (:func:`in_printed_order`)
     transitions: Dict[Tuple[int, str], tuple] = field(default_factory=dict)
 
     @property
@@ -62,13 +74,26 @@ class RelationData:
         return self.transitions.get((state_id, label), ())
 
 
+def in_key_order(entries: tuple, layers: Layers, id_of: Callable) -> tuple:
+    """The non-zero function ``entries`` over ``layers`` as a stored step,
+    its entries in their own order: each target mapped to a state id by
+    ``id_of``, in the order of its term id.  Nothing is rendered."""
+    if len(layers) == 1:
+        return tuple([(id_of(k), v) for k, v in entries])
+    deeper = layers[1:]
+    return tuple([(in_key_order(k, deeper, id_of), v) for k, v in entries])
+
+
 def in_printed_order(entries: tuple, layers: Layers, text_of: Callable, id_of: Callable) -> tuple:
-    """The non-zero function ``entries`` over ``layers`` as a stored step.
+    """The non-zero function ``entries`` over ``layers`` as a stored step,
+    in the order ``build`` prints it.
 
     Its entries go in the order of their keys' printed text: a target's by
     ``text_of``, an inner function's by :func:`step_text` with its own
     entries ordered by their keys' :func:`key_text`.  Then each target is
     mapped to a state id by ``id_of``, in the order the step is printed.
+    This renders every target's text, so only a model explored printed,
+    :func:`canonical` and a quotient order steps so.
     """
     if len(layers) == 1:
         return tuple((id_of(k), v) for k, v in sorted(entries, key=lambda e: text_of(e[0])))
@@ -115,12 +140,18 @@ class FutsModel:
 
     State ``s`` is term ``states[s]`` of the table ``ctx``, which renders
     its canonical and readable texts (:meth:`.syntax.Model.text`,
-    :meth:`.syntax.Model.pretty`); the initial state is state 0.
+    :meth:`.syntax.Model.pretty`).  The first ``roots`` states are the
+    roots it was explored from, the initial state first.  ``printed``
+    tells whether its steps, and so its state ids, are in printed order
+    (:func:`in_printed_order`) or in term-id order (:func:`in_key_order`);
+    :func:`canonical` turns the second into the first.
     """
 
     ctx: Model
     states: List[int]  # state id -> term id
     relations: List[RelationData]
+    roots: int = 1
+    printed: bool = True
 
 
 def relation_tables(model: Model) -> List[RelationData]:
@@ -138,6 +169,7 @@ def store_steps(
     source: int,
     term_id: int,
     id_of: Callable[[int], int],
+    printed: bool = False,
 ) -> None:
     """Store term ``term_id``'s step under every relation and label as the
     steps of state ``source``, mapping each target term to a state id by
@@ -145,7 +177,9 @@ def store_steps(
 
     Labels are stored, and new targets met, in the order of the relation's
     labels, not of the step's dict, so state ids do not depend on how the
-    step was built.
+    step was built.  Within a step, targets are met in term-id order
+    (:func:`in_key_order`), which renders nothing, or, when ``printed``,
+    in printed order (:func:`in_printed_order`).
     """
     text_of = model.text
     for data in relations:
@@ -153,18 +187,26 @@ def store_steps(
         for label in data.labels:
             fn = steps.get(label)
             if fn is not None:
-                data.transitions[source, label] = in_printed_order(fn, data.layers, text_of, id_of)
+                data.transitions[source, label] = (
+                    in_printed_order(fn, data.layers, text_of, id_of)
+                    if printed
+                    else in_key_order(fn, data.layers, id_of)
+                )
 
 
 def explore(
     model: Model,
     max_states: int = DEFAULT_MAX_STATES,
     roots: Optional[Sequence[int]] = None,
+    printed: bool = False,
 ) -> FutsModel:
     """Breadth-first closure of the terms ``roots`` (ids in the model's
     table; by default its initial term) under every relation of its
     language.  The roots are the first states, in their order.
 
+    Each step's targets, and so the states they discover, go in term-id
+    order, and nothing is rendered; ``printed``, they go in printed order,
+    which renders every state's canonical text, as :func:`to_json` would.
     The states' terms, and the steps memoised on the way, are kept in the
     model's table.
     """
@@ -192,13 +234,49 @@ def explore(
 
     for root in roots:
         discover(root)
+    n_roots = len(states)
 
     while queue:
         term_id = queue[0]
-        store_steps(model, relations, state_of[term_id], term_id, discover)
+        store_steps(model, relations, state_of[term_id], term_id, discover, printed)
         queue.popleft()
 
-    return FutsModel(model, states, relations)
+    return FutsModel(model, states, relations, n_roots, printed)
+
+
+def canonical(fm: FutsModel) -> FutsModel:
+    """The model that exploring ``printed`` from the same roots builds:
+    ``fm`` renumbered by a breadth-first walk from its roots over its
+    stored steps, each in printed order (:func:`in_printed_order`).  A
+    model that is printed already is returned as it is."""
+    if fm.printed:
+        return fm
+    ctx, terms = fm.ctx, fm.states
+    new_id: Dict[int, int] = {}  # state id in fm -> state id here
+    order: List[int] = []  # state id here -> state id in fm
+
+    def discover(state: int) -> int:
+        found = new_id.get(state)
+        if found is None:
+            found = new_id[state] = len(order)
+            order.append(state)
+        return found
+
+    def text_of(state: int) -> str:
+        return ctx.text(terms[state])
+
+    for root in range(fm.roots):
+        discover(root)
+    relations = [RelationData(data.name, data.layers, data.labels) for data in fm.relations]
+    for source, state in enumerate(order):  # the walk appends to ``order``
+        for data, renumbered in zip(fm.relations, relations):
+            for label in data.labels:
+                step = data.transitions.get((state, label))
+                if step is not None:
+                    renumbered.transitions[source, label] = in_printed_order(
+                        step, data.layers, text_of, discover
+                    )
+    return FutsModel(ctx, [terms[state] for state in order], relations, fm.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +328,9 @@ def _continuation_json(layers: Layers, keys: List[str], depth: int = 5) -> Calla
 
 
 def to_json(fm: FutsModel) -> str:
-    """Deterministic JSON rendering of an explored model."""
+    """Deterministic JSON rendering of an explored model, numbered as
+    :func:`canonical` numbers it."""
+    fm = canonical(fm)
     keys = [_str(fm.ctx.text(term)) for term in fm.states]
     relations = []
     for data in fm.relations:
@@ -277,8 +357,10 @@ def _dot_escape(text: str) -> str:
 
 def to_dot(fm: FutsModel) -> str:
     """Graphviz rendering: states as nodes (readable term text as the
-    node label), one edge per non-zero entry labelled ``label / value``.
+    node label), one edge per non-zero entry labelled ``label / value``,
+    numbered as :func:`canonical` numbers the model.
     """
+    fm = canonical(fm)
     lines = ["digraph model {", "  rankdir=LR;", '  __init [shape=point, label=""];']
     lines.append("  __init -> s0;")
     for state, term in enumerate(fm.states):

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from futsbench.bisim import minimize, refine
+from futsbench.bisim import distinguish, minimize, refine
 from futsbench.cli import main as cli_main
 from futsbench.crosscheck import (
     agreement_check,
@@ -26,7 +26,7 @@ from futsbench.crosscheck import (
     tick_singleton_check,
     time_determinism_check,
 )
-from futsbench.explore import explore, to_json
+from futsbench.explore import canonical, explore, to_dot, to_json
 from futsbench.fsfun import ff_make, ff_oplus
 from futsbench.semiring import NNRAT
 from futsbench.sem_futs import futs_step, relation_labels, relation_specs
@@ -159,6 +159,18 @@ def test_criterion_02_golden_model_exact():
 # ---------------------------------------------------------------------------
 
 
+def key_image(fm, data, fn, state_of):
+    """``fn`` over state ids, its entries in their own order: the term-id
+    order of their keys."""
+
+    def simple(entries):
+        return tuple((state_of[t], v) for t, v in entries)
+
+    if len(data.layers) == 1:
+        return simple(fn)
+    return tuple((simple(inner), v) for inner, v in fn)
+
+
 def printed_image(fm, data, fn, state_of):
     """``fn`` over state ids, each distribution's targets and then the
     distributions in the order of their printed text."""
@@ -180,44 +192,98 @@ def printed_image(fm, data, fn, state_of):
     return tuple(sorted(((simple(inner), v) for inner, v in fn), key=printed))
 
 
+def assert_total_and_stored_as(fm, image):
+    """Every (state, relation) of ``fm`` evaluates to exactly one map from
+    labels to non-zero functions, evaluating again recomputes a
+    structurally identical result, and for every label the table stores
+    ``image`` of that function (zero when the label is absent)."""
+    # one stored continuation per (state, label), keyed by the table: a
+    # valid source and label, and non-zero
+    for data in fm.relations:
+        for (source, label), step in data.transitions.items():
+            assert 0 <= source < len(fm.states) and label in data.labels
+            assert step
+    model = fm.ctx
+    specs = relation_specs(model.lang)
+    state_of = {term: state for state, term in enumerate(fm.states)}
+    for state, term in enumerate(fm.states):
+        for spec, data in zip(specs, fm.relations):
+            once = futs_step(model, term, spec.name)
+            again = futs_step(model, term, spec.name)
+            assert once == again and once is not again
+            labels = relation_labels(spec, model)
+            assert set(once) <= set(labels)
+            assert all(once.values())
+            for label in labels:
+                fn = once.get(label, ())
+                assert data.function_at(state, label) == image(fm, data, fn, state_of)
+
+
 def test_criterion_03_totality_and_determinism():
     for lang in LANGS:
         start = time.monotonic()
         corpus = small_corpus(lang)
         assert len(corpus) >= 100
         for fm in corpus:
-            # one stored continuation per (state, label), keyed by the table:
-            # a valid source and label, and non-zero
-            for data in fm.relations:
-                for (source, label), step in data.transitions.items():
-                    assert 0 <= source < len(fm.states) and label in data.labels
-                    assert step
-            # total: every (state, relation) evaluates to exactly one map
-            # from labels to non-zero functions, evaluating again recomputes
-            # a structurally identical result, and for every label the table
-            # stores that function's state-id image (zero when the label is
-            # absent), in the printed order of its targets
-            model = fm.ctx
-            specs = relation_specs(lang)
-            state_of = {term: state for state, term in enumerate(fm.states)}
-            for state, term in enumerate(fm.states):
-                for spec, data in zip(specs, fm.relations):
-                    once = futs_step(model, term, spec.name)
-                    again = futs_step(model, term, spec.name)
-                    assert once == again and once is not again
-                    labels = relation_labels(spec, model)
-                    assert set(once) <= set(labels)
-                    assert all(once.values())
-                    for label in labels:
-                        fn = once.get(label, ())
-                        assert data.function_at(state, label) == printed_image(
-                            fm, data, fn, state_of
-                        )
+            # explored by default, a step is stored in its own key order
+            assert not fm.printed
+            assert_total_and_stored_as(fm, key_image)
             # deterministic end to end: a fresh exploration is byte-identical
-            assert to_json(explore(fresh_copy(model), max_states=2000)) == to_json(fm)
+            assert to_json(explore(fresh_copy(fm.ctx), max_states=2000)) == to_json(fm)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"{lang}: {elapsed:.1f}s (budget 60s per language)"
         print(f"criterion 3 [{lang}]: PASS — {len(corpus)} models, {elapsed:.1f}s")
+
+
+def test_criterion_03_printed_order():
+    for lang in LANGS:
+        start = time.monotonic()
+        corpus = small_corpus(lang)
+        for fm in corpus:
+            # explored printed, or renumbered so, a step is stored in the
+            # printed order of its targets
+            printed = explore(fresh_copy(fm.ctx), max_states=2000, printed=True)
+            for shown in (printed, canonical(fm)):
+                assert shown.printed
+                assert_total_and_stored_as(shown, printed_image)
+        elapsed = time.monotonic() - start
+        assert elapsed < 60.0, f"{lang}: {elapsed:.1f}s (budget 60s per language)"
+        print(f"criterion 3, printed [{lang}]: PASS — {len(corpus)} models, {elapsed:.1f}s")
+
+
+def test_canonical_is_the_printed_exploration():
+    # renumbering an exploration in term-id order gives, state for state
+    # and entry for entry, the exploration in printed order, from one root
+    # and from two; and so whatever names a state reads the same from both
+    renumbered = split = 0
+    for lang in LANGS:
+        for fm in small_corpus(lang):
+            model = fm.ctx
+            for roots in ((model.init,), (fm.states[-1], model.init)):
+                by_id = explore(model, max_states=2000, roots=roots)
+                printed = explore(model, max_states=2000, roots=roots, printed=True)
+                shown = canonical(by_id)
+                assert (shown.states, shown.roots) == (printed.states, printed.roots)
+                assert [list(data.transitions.items()) for data in shown.relations] == [
+                    list(data.transitions.items()) for data in printed.relations
+                ]
+                renumbered += by_id.states != printed.states
+                assert to_json(by_id) == to_json(printed)
+                assert to_dot(by_id) == to_dot(printed)
+                quotients = [minimize(m, refine(m)) for m in (by_id, printed)]
+                assert to_json(quotients[0]) == to_json(quotients[1])
+                # the first and last states, and the second root
+                for pair in ((0, -1), (0, 1)):
+                    terms = [by_id.states[k] for k in pair if k < len(by_id.states)]
+                    if len(terms) == 2:
+                        witnesses = [
+                            distinguish(m, m.states.index(terms[0]), m.states.index(terms[1]))
+                            for m in (by_id, printed)
+                        ]
+                        assert witnesses[0] == witnesses[1]
+                        split += witnesses[0] is not None
+    # the two orders differ, and witnesses are named after a split
+    assert renumbered > 100 and split > 100, (renumbered, split)
 
 
 def test_warm_step_memo_agrees_with_a_cold_one():
@@ -405,6 +471,9 @@ def test_criterion_10_quotient_soundness():
     total = 0
     for lang in LANGS:
         for fm in medium_corpus(lang)[:25]:
+            # numbered as build numbers them, the quotient's blocks follow
+            # the partition's
+            fm = canonical(fm)
             partition = refine(fm)
             quotient = minimize(fm, partition)
             union = refine(disjoint_union(fm, quotient))

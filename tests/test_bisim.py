@@ -510,7 +510,8 @@ def test_quotient_states_bisimilar_to_their_images():
                 random.Random(f"{lang}-{seed}-quot"), lang, max_consts=3, depth=3
             )
             try:
-                candidate = explore(model, max_states=150)
+                # printed, so the quotient's blocks follow the partition's
+                candidate = explore(model, max_states=150, printed=True)
             except ExplorationLimitError:
                 continue
             if len(candidate.states) >= 2:

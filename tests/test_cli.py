@@ -5,6 +5,9 @@ import importlib
 import itertools
 import json
 import os
+import random
+import re
+import resource
 import subprocess
 import sys
 
@@ -12,13 +15,14 @@ import pytest
 
 import futsbench
 import futsbench.explore as explore_module
-from futsbench import cli
-from futsbench.bisim import one_step_witness
+from futsbench import cli, crosscheck
+from futsbench.bisim import one_step_witness, refine
 from futsbench.cli import build_parser, main
-from futsbench.syntax import load_model, parse_term
+from futsbench.explore import explore
+from futsbench.syntax import Model, load_model, parse_model, parse_term
 
 from bisimref import full_closure_bisimilar
-from modelgen import bodies, build_corpus, model_text, tree
+from modelgen import bodies, build_corpus, model_text, random_model_terms, tree
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -339,6 +343,139 @@ def test_bisim_past_depth_one_on_an_unbounded_model_overruns(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: exploration exceeded 20 states")
+
+
+# ---------------------------------------------------------------------------
+# bisim and compare explore in term-id order
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lang", ["pepa", "iml", "tpc", "mal"])
+def test_passing_compare_and_positive_bisim_render_no_text(tmp_path, capsys, monkeypatch, lang):
+    corpus = build_corpus(lang, 10, 100, "no-text", depth=4, max_par=3, max_def_par=0)
+    runs = []
+    for n, fm in enumerate(corpus):
+        model = fm.ctx
+        path = write(tmp_path, f"m{n}.{lang}", model_text(bodies(model), tree(model, model.init)))
+        blocks = {}
+        for state, block in enumerate(refine(fm).assignment):
+            blocks.setdefault(block, []).append(state)
+        pair = max(blocks.values(), key=len)[:2] * 2
+        runs.append((path, model.text(fm.states[pair[0]]), model.text(fm.states[pair[1]])))
+    # at least one query is of two different, bisimilar terms
+    assert any(left != right for _, left, right in runs)
+    rendered = []
+
+    def counting(name, original):
+        def wrapper(self, term_id):
+            rendered.append(name)
+            return original(self, term_id)
+
+        return wrapper
+
+    for name in ("text", "pretty"):
+        monkeypatch.setattr(Model, name, counting(name, getattr(Model, name)))
+    for path, left, right in runs:
+        code, out, err = run_main(capsys, "compare", path)
+        assert (code, err) == (0, "") and out.startswith("PASS ")
+        code, out, err = run_main(capsys, "bisim", path, "--left", left, "--right", right)
+        assert (code, out, err) == (0, "BISIMILAR\n", "")
+    assert rendered == []
+    # build prints every state, and the count sees it
+    run_main(capsys, "build", runs[0][0])
+    assert "text" in rendered
+
+
+# P = (a,1).(P <a> P): the k-th state's text has about 2^k characters
+DOUBLING = "P = (a,1).(P <a> P)\ninit P\n"
+MEMORY_LIMIT = 1 << 30  # bytes of address space for the child
+
+
+def _limited_run(tmp_path, name, text, *argv):
+    """``futsbench`` run on the file ``name`` in a child process whose
+    address space is limited, with a timeout."""
+    path = write(tmp_path, name, text)
+    package_root = os.path.dirname(os.path.dirname(futsbench.__file__))
+    search = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+    return subprocess.run(
+        [sys.executable, "-m", "futsbench.cli", argv[0], path, *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))),
+        preexec_fn=limit,
+        timeout=60,
+    )
+
+
+def _seeded(seed, lang):
+    return model_text(*random_model_terms(random.Random(seed), lang, max_consts=3, depth=3))
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("doubling.pepa", DOUBLING, ("bisim", "--left", "P", "--right", "(a,1).(P <a> P)")),
+        ("doubling.pepa", DOUBLING, ("compare",)),
+        ("cong.pepa", _seeded("pepa-cong-177", "pepa"), ("compare", "--max-states", "60")),
+        ("cong.tpc", _seeded("tpc-cong-264", "tpc"), ("compare", "--max-states", "60")),
+    ],
+    ids=["doubling-bisim", "doubling-compare", "pepa-cong-177", "tpc-cong-264"],
+)
+def test_exponential_texts_end_at_the_state_bound(tmp_path, name, text, argv):
+    # exploring renders no text, so the bound ends the run, not the memory
+    proc = _limited_run(tmp_path, name, text, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: exploration exceeded ")
+    assert proc.stderr.endswith(" still on the frontier\n")
+
+
+# Z is interned before A, so term-id order explores Z first and build A first
+NAMED = "P = (a, 1).Z + (a, 1).A\nZ = (b, 1).P\nA = (c, 1).P\ninit P\n"
+
+
+def test_named_states_keep_builds_numbering(tmp_path, capsys, monkeypatch):
+    model = parse_model(NAMED, "pepa")
+    by_id, printed = explore(model), explore(model, printed=True)
+    texts = [[model.text(term) for term in fm.states] for fm in (by_id, printed)]
+    assert texts == [["P", "Z", "A"], ["P", "A", "Z"]]
+    path = write(tmp_path, "named.pepa", NAMED)
+    out = run_main(capsys, "build", path)[1]
+    built = {state["term"]: state["id"] for state in json.loads(out)["states"]}
+
+    # the oracle doubles Z's rates only, so only the agreement check fails, at Z
+    original = crosscheck.pepa_transitions
+
+    def doubled_at_z(table, term_id, action):
+        derived = original(table, term_id, action)
+        if table.text(term_id) != "Z":
+            return derived
+        return tuple((2 * rate, target) for rate, target in derived)
+
+    monkeypatch.setattr(crosscheck, "pepa_transitions", doubled_at_z)
+    code, out, err = run_main(capsys, "compare", path)
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == [
+        "FAIL per-target semantics agreement: state 2 (Z) act b: "
+        "weights {'P': 1} != derivations {'P': 2}"
+    ]
+    named = re.findall(r"state (\d+) \((\w+)\)", out)
+    assert named and all(built[text] == int(state) for state, text in named)
+
+    # refuted only after exploring: by block ids in term-id order the first
+    # differing class would be Z's
+    code, out, err = run_main(
+        capsys, "bisim", path, "--left", "P", "--right", "(a, 1).A + (a, 1).A"
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "NOT BISIMILAR\n"
+        "witness: relation act, label a, class of `A`: left total 1/1, right total 2/1\n"
+    )
 
 
 # ---------------------------------------------------------------------------

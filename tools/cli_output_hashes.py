@@ -27,12 +27,15 @@ it runs the ``--help`` of the program and of every command, with
 hand-written PEPA model whose closure is infinite it runs only ``bisim``,
 with ``--max-states 20``: one query whose terms differ in their one-step
 totals, and one whose terms agree there, so that exploring them overruns
-the bound.  It runs ``build -o`` and ``minimize -o`` once each, hashing
-the file written too, and every command on each of a few files that no
-command accepts: an empty file, one with no ``init``, one with two, one
-that defines a constant twice, one with an unknown extension and one that
-is not UTF-8 text.  Prints
-one line per call, sorted: the SHA-256 of the exit status, stdout and
+the bound.  It does the same, and runs ``compare`` too, on a PEPA model
+whose k-th state's text has about 2^k characters, and runs one ``bisim``
+query refuted only after exploring on a model that term-id order and
+printed order number differently.  It runs ``build -o`` and ``minimize
+-o`` once each, hashing the file written too, and every command on each
+of a few files that no command accepts: an empty file, one with no
+``init``, one with two, one that defines a constant twice, one with an
+unknown extension and one that is not UTF-8 text.  Prints one line per
+call, sorted: the SHA-256 of the exit status, stdout and
 stderr (and of the file a call writes), then the call with its path
 relative to the generated directory.
 ``futsbench`` is imported from the ``src`` next to this script, so running
@@ -224,6 +227,25 @@ UNBOUNDED = Model(
 )
 
 
+# each unfolding of P doubles its text, so that P's k-th state's text has
+# about 2^k characters
+DOUBLING = Model(
+    "doubling",
+    "pepa",
+    "P = (a,1).(P <a> P)\ninit P\n",
+    (Query("P", "(a,1).(P <a> P)", True), Query("P", "(a,2).(P <a> P)", False)),
+)
+
+# Z is interned before A, so exploring in term-id order numbers Z first and
+# in printed order A first; the query agrees at depth one only
+NAMED = Model(
+    "named",
+    "pepa",
+    "P = (a, 1).Z + (a, 1).A\nZ = (b, 1).P\nA = (c, 1).P\ninit P\n",
+    (Query("P", "(a, 1).A + (a, 1).A", False),),
+)
+
+
 # files that every command refuses, by name, as bytes
 BAD_FILES = {
     "empty.pepa": b"",
@@ -289,10 +311,15 @@ def calls(directory: str):
                 with open(os.path.join(directory, mutated), "w", encoding="utf-8") as handle:
                     handle.write(mutant(spec.text, rng))
                 yield ["check", mutated]
-    workloads.write_models([UNBOUNDED], os.path.join(directory, "hand-written"))
-    path = os.path.join("hand-written", UNBOUNDED.filename)
-    for query in UNBOUNDED.queries:
-        yield ["bisim", path, "--max-states", "20", "--left", query.left, "--right", query.right]
+    workloads.write_models([UNBOUNDED, DOUBLING, NAMED], os.path.join(directory, "hand-written"))
+    for spec in (UNBOUNDED, DOUBLING):
+        path = os.path.join("hand-written", spec.filename)
+        for query in spec.queries:
+            yield ["bisim", path, "--max-states", "20", "--left", query.left, "--right", query.right]
+    yield ["compare", os.path.join("hand-written", DOUBLING.filename), "--max-states", "20"]
+    path = os.path.join("hand-written", NAMED.filename)
+    for query in NAMED.queries:
+        yield ["bisim", path, "--left", query.left, "--right", query.right]
     os.makedirs(os.path.join(directory, "bad"))
     for name, content in BAD_FILES.items():
         path = os.path.join("bad", name)
